@@ -166,10 +166,13 @@ int main() {
                           ecc::SchemeKind::kPair4}) {
     sim::SystemConfig cfg = BaseConfig(kind);
     cfg.scrub.interval_cycles = 0;
+    cfg.horizon_cycles =
+        sim::ScanDemand(cfg, sim::VectorSourceFactory(demand)).horizon_cycles;
     const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
+    timing::VectorSource source(demand);
     reliability::SplitTally tally;
     for (unsigned i = 0; i < kRoots; ++i)
-      sim::RunSplitTrial(cfg, ws, demand, split,
+      sim::RunSplitTrial(cfg, ws, source, split,
                          bench::kBenchSeed + 7919ull * i, tally);
     const reliability::WeightedEstimate est =
         reliability::EstimateSplitRate(split, tally);

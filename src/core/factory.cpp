@@ -1,54 +1,48 @@
-// The scheme factory veneer: AllSchemeKinds()/MakeScheme() over the
-// self-registering ecc::Registry. The PAIR variants register here (not in
-// src/ecc) because PairScheme sits above the baseline-scheme library in
-// the layering; the baselines register in their own translation units.
-#include <utility>
+// The scheme factory: a plain table over the closed SchemeKind enum. It
+// lives in src/core (not src/ecc) because PairScheme sits above the
+// baseline-scheme library in the layering; the baselines' constructors
+// come from ecc/schemes_internal.hpp.
+#include <cstddef>
+#include <iterator>
 
 #include "core/pair_scheme.hpp"
-#include "ecc/registry.hpp"
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
+#include "util/contract.hpp"
 
 namespace pair_ecc::ecc {
 
-namespace {
-
-std::unique_ptr<Scheme> MakePair2(dram::Rank& rank) {
-  return std::make_unique<core::PairScheme>(rank, core::PairConfig::Pair2());
-}
-
-std::unique_ptr<Scheme> MakePair4(dram::Rank& rank) {
-  return std::make_unique<core::PairScheme>(rank, core::PairConfig::Pair4());
-}
-
-std::unique_ptr<Scheme> MakePair4SecDed(dram::Rank& rank) {
-  return MakeRankSecDed(
-      rank,
-      std::make_unique<core::PairScheme>(rank, core::PairConfig::Pair4()));
-}
-
-[[maybe_unused]] const SchemeRegistrar kPairRegistrars[] = {
-    {SchemeKind::kPair2, &MakePair2},
-    {SchemeKind::kPair4, &MakePair4},
-    {SchemeKind::kPair4SecDed, &MakePair4SecDed},
-};
-
-// Force-link anchors. The XED and DUO registrars live in static-archive
-// members nothing else references; without these the linker drops those
-// objects and their kinds silently vanish from the registry. (The basic
-// schemes' TU is always pulled in — it defines ToString and the Scheme
-// batch defaults.) `volatile` keeps the references from being elided.
-[[maybe_unused]] volatile const auto kForceLinkSchemeTus =
-    std::make_pair(&MakeXed, &MakeDuo);
-
-}  // namespace
-
 std::span<const SchemeKind> AllSchemeKinds() noexcept {
-  return Registry::Instance().Kinds();
+  static constexpr SchemeKind kKinds[] = {
+      SchemeKind::kNoEcc,      SchemeKind::kIecc,  SchemeKind::kSecDed,
+      SchemeKind::kIeccSecDed, SchemeKind::kXed,   SchemeKind::kDuo,
+      SchemeKind::kPair2,      SchemeKind::kPair4, SchemeKind::kPair4SecDed,
+  };
+  static_assert(std::size(kKinds) ==
+                    static_cast<std::size_t>(SchemeKind::kPair4SecDed) + 1,
+                "one table entry per SchemeKind");
+  return kKinds;
 }
 
 std::unique_ptr<Scheme> MakeScheme(SchemeKind kind, dram::Rank& rank) {
-  return Registry::Instance().Make(kind, rank);
+  switch (kind) {
+    case SchemeKind::kNoEcc:      return MakeNoEcc(rank);
+    case SchemeKind::kIecc:       return MakeIecc(rank);
+    case SchemeKind::kSecDed:     return MakeRankSecDed(rank, MakeNoEcc(rank));
+    case SchemeKind::kIeccSecDed: return MakeRankSecDed(rank, MakeIecc(rank));
+    case SchemeKind::kXed:        return MakeXed(rank);
+    case SchemeKind::kDuo:        return MakeDuo(rank);
+    case SchemeKind::kPair2:
+      return std::make_unique<core::PairScheme>(rank,
+                                                core::PairConfig::Pair2());
+    case SchemeKind::kPair4:
+      return std::make_unique<core::PairScheme>(rank,
+                                                core::PairConfig::Pair4());
+    case SchemeKind::kPair4SecDed:
+      return MakeRankSecDed(rank, std::make_unique<core::PairScheme>(
+                                      rank, core::PairConfig::Pair4()));
+  }
+  PAIR_UNREACHABLE("unknown SchemeKind " << static_cast<int>(kind));
 }
 
 }  // namespace pair_ecc::ecc

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "ecc/registry.hpp"
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
 #include "hamming/hamming.hpp"
@@ -382,24 +381,5 @@ std::unique_ptr<Scheme> MakeRankSecDed(dram::Rank& rank,
                                        std::unique_ptr<Scheme> inner) {
   return std::make_unique<RankSecDedScheme>(rank, std::move(inner));
 }
-
-namespace {
-
-std::unique_ptr<Scheme> MakeSecDedOnly(dram::Rank& rank) {
-  return MakeRankSecDed(rank, MakeNoEcc(rank));
-}
-
-std::unique_ptr<Scheme> MakeIeccSecDed(dram::Rank& rank) {
-  return MakeRankSecDed(rank, MakeIecc(rank));
-}
-
-[[maybe_unused]] const SchemeRegistrar kRegistrars[] = {
-    {SchemeKind::kNoEcc, &MakeNoEcc},
-    {SchemeKind::kIecc, &MakeIecc},
-    {SchemeKind::kSecDed, &MakeSecDedOnly},
-    {SchemeKind::kIeccSecDed, &MakeIeccSecDed},
-};
-
-}  // namespace
 
 }  // namespace pair_ecc::ecc

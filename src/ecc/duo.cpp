@@ -15,7 +15,6 @@
 // writes: DUO pays no internal read-modify-write, only the longer burst.
 #include <stdexcept>
 
-#include "ecc/registry.hpp"
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
 #include "rs/rs_code.hpp"
@@ -277,10 +276,5 @@ class DuoScheme final : public Scheme {
 std::unique_ptr<Scheme> MakeDuo(dram::Rank& rank) {
   return std::make_unique<DuoScheme>(rank);
 }
-
-namespace {
-[[maybe_unused]] const SchemeRegistrar kDuoRegistrar{SchemeKind::kDuo,
-                                                     &MakeDuo};
-}  // namespace
 
 }  // namespace pair_ecc::ecc

@@ -249,9 +249,9 @@ enum class SchemeKind : std::uint8_t {
 
 std::string ToString(SchemeKind kind);
 
-/// Every SchemeKind the factory can build, in declaration order. The single
-/// source of truth for "registered schemes" — pair_lint and parameterised
-/// tests iterate this instead of hand-copying the enum.
+/// Every SchemeKind, in declaration order — a plain table next to the
+/// MakeScheme switch (core/factory.cpp). pair_lint and parameterised tests
+/// iterate this instead of hand-copying the enum.
 std::span<const SchemeKind> AllSchemeKinds() noexcept;
 
 /// Builds a scheme over `rank`. The rank must have the sidecar devices the

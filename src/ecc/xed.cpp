@@ -23,7 +23,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "ecc/registry.hpp"
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
 #include "hamming/hamming.hpp"
@@ -171,10 +170,5 @@ class XedScheme final : public Scheme {
 std::unique_ptr<Scheme> MakeXed(dram::Rank& rank) {
   return std::make_unique<XedScheme>(rank);
 }
-
-namespace {
-[[maybe_unused]] const SchemeRegistrar kXedRegistrar{SchemeKind::kXed,
-                                                     &MakeXed};
-}  // namespace
 
 }  // namespace pair_ecc::ecc

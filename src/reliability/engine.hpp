@@ -46,7 +46,7 @@
 
 namespace pair_ecc::reliability {
 
-/// Wall-clock observations of one TrialEngine::Run — throughput, per-shard
+/// Wall-clock observations of one TrialEngine run — throughput, per-shard
 /// times, and load balance. Timing is inherently non-deterministic, so
 /// report serialisers place these in the separable "timing" section that
 /// determinism tests and bench_diff ignore by default. Collecting them
@@ -56,7 +56,7 @@ struct EngineMetrics {
   unsigned workers = 0;        ///< worker threads actually used
   std::uint64_t trials = 0;
   std::uint64_t shards = 0;
-  double wall_seconds = 0.0;   ///< whole Run(), including the reduce
+  double wall_seconds = 0.0;   ///< whole call, including the reduce
   std::vector<double> shard_seconds;  ///< per-shard wall time, shard order
 
   double TrialsPerSec() const noexcept {
@@ -140,72 +140,16 @@ class TrialEngine {
   /// MUST NOT influence results: each trial must fully overwrite whatever
   /// it reads from it. The determinism contract is unchanged — scratch is
   /// per-shard, and shard composition is a function of (trials) alone.
+  /// It is the whole-range fold over RunShardsObserved: `total += shard`
+  /// in shard order, the same reduction a resumed campaign applies.
   template <typename Result, typename Scratch, typename Body>
   Result RunWithScratch(std::uint64_t seed, std::uint64_t trials, Body&& body,
                         EngineMetrics* metrics = nullptr) const {
-    using Clock = std::chrono::steady_clock;
-    const Clock::time_point run_start = Clock::now();
-
-    // Per-trial sub-seeds, in trial order, from the master stream. This is
-    // exactly the sequence the serial `master.Fork()` loop consumed.
-    std::vector<std::uint64_t> trial_seeds(trials);
-    util::Xoshiro256 master(seed);
-    for (auto& s : trial_seeds) s = master();
-
-    const std::uint64_t shards = (trials + kShardTrials - 1) / kShardTrials;
-    std::vector<Result> shard_results(shards);
-    // Each shard is run by exactly one worker, so per-shard slots need no
-    // synchronisation beyond the pool join.
-    std::vector<double> shard_seconds(metrics != nullptr ? shards : 0);
-
-    auto run_shard = [&](std::uint64_t shard) {
-      const Clock::time_point shard_start =
-          metrics != nullptr ? Clock::now() : Clock::time_point{};
-      const std::uint64_t begin = shard * kShardTrials;
-      const std::uint64_t end = std::min(begin + kShardTrials, trials);
-      Scratch scratch{};
-      for (std::uint64_t trial = begin; trial < end; ++trial) {
-        util::Xoshiro256 rng(trial_seeds[trial]);
-        body(trial, rng, shard_results[shard], scratch);
-      }
-      if (metrics != nullptr)
-        shard_seconds[shard] =
-            std::chrono::duration<double>(Clock::now() - shard_start).count();
-    };
-
-    const unsigned workers = static_cast<unsigned>(
-        std::min<std::uint64_t>(threads_, shards));
-    if (workers <= 1) {
-      for (std::uint64_t shard = 0; shard < shards; ++shard) run_shard(shard);
-    } else {
-      // Dynamic shard queue: workers pull the next shard index; which worker
-      // runs a shard does not affect the result, only load balance.
-      std::atomic<std::uint64_t> next{0};
-      auto worker = [&] {
-        for (;;) {
-          const std::uint64_t shard =
-              next.fetch_add(1, std::memory_order_relaxed);
-          if (shard >= shards) return;
-          run_shard(shard);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-      for (auto& t : pool) t.join();
-    }
-
     Result total{};
-    for (auto& r : shard_results) total += r;
-
-    if (metrics != nullptr) {
-      metrics->workers = std::max(1u, workers);
-      metrics->trials = trials;
-      metrics->shards = shards;
-      metrics->wall_seconds =
-          std::chrono::duration<double>(Clock::now() - run_start).count();
-      metrics->shard_seconds = std::move(shard_seconds);
-    }
+    RunShardsObserved<Result, Scratch>(
+        seed, trials, 0, ShardCount(trials), body,
+        [&total](std::uint64_t, const Result& shard) { total += shard; },
+        nullptr, metrics);
     return total;
   }
 
@@ -227,14 +171,20 @@ class TrialEngine {
   /// Returns one past the last observed shard (== end_shard when the range
   /// completed). The observer runs with an internal lock held and must not
   /// call back into the engine.
+  ///
+  /// `metrics` (optional) receives the wall-clock observations of this
+  /// call: workers used, trials and shards observed, and per-shard seconds
+  /// in shard order.
   template <typename Result, typename Scratch, typename Body,
             typename Observer>
   std::uint64_t RunShardsObserved(std::uint64_t seed, std::uint64_t trials,
                                   std::uint64_t first_shard,
                                   std::uint64_t end_shard, Body&& body,
                                   Observer&& observer,
-                                  const std::atomic<bool>* stop =
-                                      nullptr) const {
+                                  const std::atomic<bool>* stop = nullptr,
+                                  EngineMetrics* metrics = nullptr) const {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point run_start = Clock::now();
     const std::uint64_t total_shards = ShardCount(trials);
     PAIR_CHECK(first_shard <= end_shard && end_shard <= total_shards,
                "RunShardsObserved: shard range [" << first_shard << ", "
@@ -256,14 +206,23 @@ class TrialEngine {
     std::vector<std::uint64_t> trial_seeds(last_trial - first_trial);
     for (auto& s : trial_seeds) s = master();
 
-    auto run_shard = [&](std::uint64_t shard, Result& result,
-                         Scratch& scratch) {
+    // Each shard is run by exactly one worker, so its slot needs no
+    // synchronisation beyond the pool join.
+    std::vector<double> shard_seconds(
+        metrics != nullptr ? end_shard - first_shard : 0);
+    auto run_shard = [&](std::uint64_t shard, Result& result) {
+      const Clock::time_point shard_start =
+          metrics != nullptr ? Clock::now() : Clock::time_point{};
       const std::uint64_t begin = shard * kShardTrials;
       const std::uint64_t end = std::min(begin + kShardTrials, trials);
+      Scratch scratch{};
       for (std::uint64_t trial = begin; trial < end; ++trial) {
         util::Xoshiro256 rng(trial_seeds[trial - first_trial]);
         body(trial, rng, result, scratch);
       }
+      if (metrics != nullptr)
+        shard_seconds[shard - first_shard] =
+            std::chrono::duration<double>(Clock::now() - shard_start).count();
     };
     const auto stopped = [stop] {
       return stop != nullptr && stop->load(std::memory_order_relaxed);
@@ -271,46 +230,54 @@ class TrialEngine {
 
     const unsigned workers = static_cast<unsigned>(
         std::min<std::uint64_t>(threads_, end_shard - first_shard));
+    std::uint64_t next_observe = first_shard;
     if (workers <= 1) {
-      std::uint64_t shard = first_shard;
-      for (; shard < end_shard && !stopped(); ++shard) {
+      for (; next_observe < end_shard && !stopped(); ++next_observe) {
         Result result{};
-        Scratch scratch{};
-        run_shard(shard, result, scratch);
-        observer(shard, result);
+        run_shard(next_observe, result);
+        observer(next_observe, result);
       }
-      return shard;
+    } else {
+      // Parallel: a dense claim counter plus a shard-ordered reorder
+      // buffer. Claims stop advancing once `stop` is observed; every
+      // claimed shard still completes, so the flushed prefix is exactly
+      // [first, next_claim).
+      std::atomic<std::uint64_t> next_claim{first_shard};
+      std::mutex mu;
+      std::map<std::uint64_t, Result> pending;
+      auto worker = [&] {
+        for (;;) {
+          if (stopped()) return;
+          const std::uint64_t shard =
+              next_claim.fetch_add(1, std::memory_order_relaxed);
+          if (shard >= end_shard) return;
+          Result result{};
+          run_shard(shard, result);
+          std::lock_guard<std::mutex> lock(mu);
+          pending.emplace(shard, std::move(result));
+          while (!pending.empty() && pending.begin()->first == next_observe) {
+            observer(next_observe, pending.begin()->second);
+            pending.erase(pending.begin());
+            ++next_observe;
+          }
+        }
+      };
+      std::vector<std::thread> pool;
+      pool.reserve(workers);
+      for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
+      for (auto& t : pool) t.join();
     }
 
-    // Parallel: a dense claim counter plus a shard-ordered reorder buffer.
-    // Claims stop advancing once `stop` is observed; every claimed shard
-    // still completes, so the flushed prefix is exactly [first, next_claim).
-    std::atomic<std::uint64_t> next_claim{first_shard};
-    std::mutex mu;
-    std::map<std::uint64_t, Result> pending;
-    std::uint64_t next_observe = first_shard;
-    auto worker = [&] {
-      for (;;) {
-        if (stopped()) return;
-        const std::uint64_t shard =
-            next_claim.fetch_add(1, std::memory_order_relaxed);
-        if (shard >= end_shard) return;
-        Result result{};
-        Scratch scratch{};
-        run_shard(shard, result, scratch);
-        std::lock_guard<std::mutex> lock(mu);
-        pending.emplace(shard, std::move(result));
-        while (!pending.empty() && pending.begin()->first == next_observe) {
-          observer(next_observe, pending.begin()->second);
-          pending.erase(pending.begin());
-          ++next_observe;
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
+    if (metrics != nullptr) {
+      metrics->workers = std::max(1u, workers);
+      metrics->trials =
+          std::min(next_observe * kShardTrials, trials) - first_trial;
+      metrics->shards = next_observe - first_shard;
+      metrics->wall_seconds =
+          std::chrono::duration<double>(Clock::now() - run_start).count();
+      shard_seconds.resize(next_observe - first_shard);
+      metrics->shard_seconds = std::move(shard_seconds);
+    }
     return next_observe;
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -379,20 +380,23 @@ CampaignProgress RunCampaign(const CampaignSpec& spec,
         });
   }
 
-  spec.system.Validate();
-  const reliability::WorkingSet ws = MakeSystemWorkingSet(spec.system);
+  // The horizon a zero horizon_cycles resolves to is run state, not
+  // campaign identity: the fingerprint and config hash never see it.
+  SystemConfig system = spec.system;
+  system.horizon_cycles = ScanDemand(spec.system, spec.demand).horizon_cycles;
+  const reliability::WorkingSet ws = MakeSystemWorkingSet(system);
   struct None {};
   if (spec.split.Active()) {
     spec.split.Validate();
     return RunCampaignImpl<reliability::SplitTally, None>(
         spec, stop, max_shards,
-        [&spec, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                     reliability::SplitTally& acc, None&) {
+        [&spec, &system, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
+                              reliability::SplitTally& acc, None&) {
           // One draw from the engine's per-trial stream seeds the whole
           // splitting tree; the tree re-derives node streams itself.
           const std::uint64_t root_seed = rng();
-          RunSplitTrial(spec.system, ws, spec.demand, spec.split, root_seed,
-                        acc);
+          const std::unique_ptr<timing::RequestSource> source = spec.demand();
+          RunSplitTrial(system, ws, *source, spec.split, root_seed, acc);
         },
         [](const reliability::SplitTally& s) {
           JsonValue obj = JsonValue::MakeObject();
@@ -406,10 +410,10 @@ CampaignProgress RunCampaign(const CampaignSpec& spec,
   }
   return RunCampaignImpl<SystemShardState, None>(
       spec, stop, max_shards,
-      [&spec, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                   SystemShardState& acc, None&) {
-        MemorySystem system(spec.system, ws, spec.demand, rng);
-        system.Run(acc.stats, acc.tel);
+      [&spec, &system, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
+                            SystemShardState& acc, None&) {
+        const std::unique_ptr<timing::RequestSource> source = spec.demand();
+        MemorySystem(system, ws, *source, rng).Run(acc.stats, acc.tel);
       },
       [](const SystemShardState& s) { return SystemStateToJson(s); },
       [](const JsonValue& v) { return SystemStateFromJson(v); });

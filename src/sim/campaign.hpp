@@ -47,7 +47,6 @@
 #include "sim/memory_system.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/report.hpp"
-#include "timing/request.hpp"
 
 namespace pair_ecc::sim {
 
@@ -94,8 +93,9 @@ struct SystemShardState {
                          const SystemShardState&) = default;
 };
 
-/// The working set a system campaign simulates over — the affine spread
-/// RunSystemCampaign has always used (row_mul 37, row_off 5).
+/// The working set every system campaign simulates over — the affine
+/// spread RunSystemCampaignStreaming and RunCampaign share (row_mul 37,
+/// row_off 5).
 reliability::WorkingSet MakeSystemWorkingSet(const SystemConfig& config);
 
 // ---- exact JSON round-trip of the system accumulator ----
@@ -107,7 +107,9 @@ telemetry::JsonValue SystemStateToJson(const SystemShardState& state);
 SystemShardState SystemStateFromJson(const telemetry::JsonValue& value);
 
 /// Everything RunCampaign needs. `scenario` drives kReliability mode;
-/// `system` + `demand` drive kSystem mode (the other is ignored).
+/// `system` + `demand` drive kSystem mode (the other is ignored). In
+/// kSystem mode RunCampaign scans the demand once (ScanDemand) for
+/// validation and the horizon, then builds one source per trial.
 /// `fingerprint` is the campaign's config identity: a flat JSON object of
 /// scalars (scheme, seed, trials, ... — built by the CLI) whose serialized
 /// CRC becomes config_hash, and whose entries become the merge report's
@@ -118,7 +120,7 @@ struct CampaignSpec {
   CampaignMode mode = CampaignMode::kReliability;
   reliability::ScenarioConfig scenario;
   SystemConfig system;
-  timing::Trace demand;
+  RequestSourceFactory demand;
   /// Importance sampling for kReliability mode: an active tilt swaps the
   /// fixed faults_per_trial for the tilted fault-count proposal and makes
   /// the checkpoint state carry the exact weighted tally. The identity

@@ -125,30 +125,11 @@ SystemStats& SystemStats::operator+=(const SystemStats& other) {
 
 MemorySystem::MemorySystem(const SystemConfig& config,
                            const reliability::WorkingSet& ws,
-                           const timing::Trace& demand,
-                           util::Xoshiro256& rng)
-    : config_(config),
-      ws_(ws),
-      owned_source_(std::in_place, demand),
-      demand_src_(&*owned_source_),
-      rng_(rng),
-      ctx_(config.geometry, config.scheme, ws, rng),
-      injector_(ctx_.rank, ws.rows),
-      scrub_(config.scrub, static_cast<unsigned>(ws.rows.size())),
-      repair_(config.repair, static_cast<unsigned>(ws.rows.size())),
-      horizon_(config.horizon_cycles != 0
-                   ? config.horizon_cycles
-                   : (demand.empty()
-                          ? kDrainMarginCycles
-                          : demand.back().arrival + kDrainMarginCycles)) {}
-
-MemorySystem::MemorySystem(const SystemConfig& config,
-                           const reliability::WorkingSet& ws,
                            timing::RequestSource& demand,
                            util::Xoshiro256& rng)
     : config_(config),
       ws_(ws),
-      demand_src_(&demand),
+      demand_(demand),
       rng_(rng),
       ctx_(config.geometry, config.scheme, ws, rng),
       injector_(ctx_.rank, ws.rows),
@@ -156,8 +137,9 @@ MemorySystem::MemorySystem(const SystemConfig& config,
       repair_(config.repair, static_cast<unsigned>(ws.rows.size())),
       horizon_(config.horizon_cycles) {
   PAIR_CHECK(config.horizon_cycles != 0,
-             "streaming MemorySystem requires an explicit horizon_cycles "
-             "(the horizon cannot be derived without consuming the stream)");
+             "MemorySystem requires an explicit horizon_cycles (the horizon "
+             "cannot be derived without consuming the stream; see "
+             "ScanDemand)");
 }
 
 std::size_t MemorySystem::SlotOf(const dram::Address& addr) const noexcept {
@@ -203,10 +185,10 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
   // order: demand-vs-demand ties cannot arise (the next is pushed only
   // when the current pops, and streams are sorted), and ties against the
   // other kinds are broken by kind, which dominates the push sequence.
-  demand_src_->Reset();
+  demand_.Reset();
   timing::Request demand_req;
   bool have_demand =
-      demand_src_->Next(demand_req) && demand_req.arrival <= horizon_;
+      demand_.Next(demand_req) && demand_req.arrival <= horizon_;
   if (have_demand) queue.Push(demand_req.arrival, EventKind::kDemand);
 
   bool saw_sdc = false;
@@ -261,7 +243,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
       case EventKind::kDemand: {
         const timing::Request req = demand_req;  // the pull below overwrites it
         have_demand =
-            demand_src_->Next(demand_req) && demand_req.arrival <= horizon_;
+            demand_.Next(demand_req) && demand_req.arrival <= horizon_;
         if (have_demand) queue.Push(demand_req.arrival, EventKind::kDemand);
         const std::size_t slot = SlotOf(req.addr);
         const dram::Address& addr = ws_.addrs[slot];
@@ -332,7 +314,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
   // hook, keyed on the merge's demand tag, and the percentile vector is
   // disabled — the sums and fixed-bucket histogram are order-independent,
   // so the stats stay bitwise identical to the sorted-vector era. ----
-  MergedSource merged(*demand_src_, maintenance_, horizon_);
+  MergedSource merged(demand_, maintenance_, horizon_);
 
   timing::Controller controller(
       config_.timing,
@@ -374,80 +356,53 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
   maintenance_.clear();
 }
 
-SystemStats RunSystemCampaign(const SystemConfig& config,
-                              const timing::Trace& demand, unsigned trials,
-                              reliability::ScenarioTelemetry* telemetry) {
+RequestSourceFactory VectorSourceFactory(timing::Trace trace) {
+  auto shared = std::make_shared<const timing::Trace>(std::move(trace));
+  return [shared] { return std::make_unique<timing::VectorSource>(*shared); };
+}
+
+StreamingDemandInfo ScanDemand(const SystemConfig& config,
+                               const RequestSourceFactory& factory) {
   config.Validate();
-  for (std::size_t i = 0; i < demand.size(); ++i) {
-    const timing::Request& req = demand[i];
+  PAIR_CHECK(factory != nullptr, "no demand RequestSourceFactory given");
+  const std::unique_ptr<timing::RequestSource> source = factory();
+  PAIR_CHECK(source != nullptr, "RequestSourceFactory returned null");
+  source->Reset();
+  // One request of look-back: the scan never materializes the stream.
+  timing::Request req;
+  std::uint64_t count = 0;
+  std::uint64_t last_arrival = 0;
+  while (source->Next(req)) {
     PAIR_CHECK(req.addr.bank < config.timing.banks,
-               "demand request " << i << ": bank " << req.addr.bank
+               "demand request " << count << ": bank " << req.addr.bank
                                  << " outside the timing model's "
                                  << config.timing.banks);
     PAIR_CHECK(req.rank < config.timing.ranks,
-               "demand request " << i << ": rank " << req.rank << " of "
+               "demand request " << count << ": rank " << req.rank << " of "
                                  << config.timing.ranks);
-    PAIR_CHECK(i == 0 || req.arrival >= demand[i - 1].arrival,
-               "demand trace must be sorted by arrival (request " << i << ")");
+    PAIR_CHECK(count == 0 || req.arrival >= last_arrival,
+               "demand trace must be sorted by arrival (request " << count
+                                                                  << ")");
+    last_arrival = req.arrival;
+    ++count;
   }
-
-  const reliability::WorkingSet ws = MakeSystemWorkingSet(config);
-
-  const reliability::TrialEngine engine(config.threads);
-  SystemShardState accum = engine.Run<SystemShardState>(
-      config.seed, trials,
-      [&config, &ws, &demand](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                              SystemShardState& acc) {
-        MemorySystem system(config, ws, demand, rng);
-        system.Run(acc.stats, acc.tel);
-      },
-      telemetry != nullptr ? &telemetry->engine : nullptr);
-  if (telemetry != nullptr) telemetry->trial = std::move(accum.tel);
-  return accum.stats;
+  StreamingDemandInfo info;
+  info.requests = count;
+  info.horizon_cycles = config.horizon_cycles != 0
+                            ? config.horizon_cycles
+                            : last_arrival + kDrainMarginCycles;
+  return info;
 }
 
 SystemStats RunSystemCampaignStreaming(const SystemConfig& config,
                                        const RequestSourceFactory& factory,
-                                       unsigned trials,
+                                       std::uint64_t trials,
                                        reliability::ScenarioTelemetry* telemetry,
                                        StreamingDemandInfo* info) {
-  config.Validate();
-
-  // Validation pre-pass: stream the demand once with the same checks as
-  // the materialized path, and learn the last arrival so a zero horizon
-  // can be derived without ever materializing the stream. Constant
-  // memory: one request of look-back.
+  const StreamingDemandInfo scan = ScanDemand(config, factory);
+  if (info != nullptr) *info = scan;
   SystemConfig cfg = config;
-  {
-    const std::unique_ptr<timing::RequestSource> probe = factory();
-    PAIR_CHECK(probe != nullptr, "RequestSourceFactory returned null");
-    probe->Reset();
-    timing::Request req;
-    std::uint64_t count = 0;
-    std::uint64_t last_arrival = 0;
-    while (probe->Next(req)) {
-      PAIR_CHECK(req.addr.bank < cfg.timing.banks,
-                 "demand request " << count << ": bank " << req.addr.bank
-                                   << " outside the timing model's "
-                                   << cfg.timing.banks);
-      PAIR_CHECK(req.rank < cfg.timing.ranks,
-                 "demand request " << count << ": rank " << req.rank << " of "
-                                   << cfg.timing.ranks);
-      PAIR_CHECK(count == 0 || req.arrival >= last_arrival,
-                 "demand trace must be sorted by arrival (request " << count
-                                                                    << ")");
-      last_arrival = req.arrival;
-      ++count;
-    }
-    if (cfg.horizon_cycles == 0)
-      cfg.horizon_cycles = count == 0 ? kDrainMarginCycles
-                                      : last_arrival + kDrainMarginCycles;
-    if (info != nullptr) {
-      info->requests = count;
-      info->horizon_cycles = cfg.horizon_cycles;
-    }
-  }
-
+  cfg.horizon_cycles = scan.horizon_cycles;
   const reliability::WorkingSet ws = MakeSystemWorkingSet(cfg);
 
   const reliability::TrialEngine engine(cfg.threads);
@@ -464,6 +419,16 @@ SystemStats RunSystemCampaignStreaming(const SystemConfig& config,
       telemetry != nullptr ? &telemetry->engine : nullptr);
   if (telemetry != nullptr) telemetry->trial = std::move(accum.tel);
   return accum.stats;
+}
+
+SystemStats RunSystemCampaign(const SystemConfig& config,
+                              const timing::Trace& demand,
+                              std::uint64_t trials,
+                              reliability::ScenarioTelemetry* telemetry) {
+  return RunSystemCampaignStreaming(
+      config,
+      [&demand] { return std::make_unique<timing::VectorSource>(demand); },
+      trials, telemetry);
 }
 
 void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
@@ -518,13 +483,14 @@ void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
 }
 
 telemetry::Report BuildSystemReport(
-    const SystemConfig& config, unsigned trials, std::size_t demand_requests,
+    const SystemConfig& config, std::uint64_t trials,
+    std::size_t demand_requests,
     const SystemStats& stats, const reliability::ScenarioTelemetry& telemetry) {
   telemetry::Report report("pairsim-system");
   report.MetaString("scheme", ecc::ToString(config.scheme));
   report.MetaString("scheduler", timing::ToString(config.scheduler));
   report.MetaInt("seed", static_cast<std::int64_t>(config.seed));
-  report.MetaInt("trials", trials);
+  report.MetaInt("trials", static_cast<std::int64_t>(trials));
   report.MetaInt("shards", ShardCount(trials));
   report.MetaInt("demand_requests",
                  static_cast<std::int64_t>(demand_requests));

@@ -4,10 +4,11 @@
 // A MemorySystem couples the pieces the repo previously only wired together
 // ad hoc in examples/:
 //
-//   demand traffic      a timing::Trace (file-loaded or synthetic) whose
-//                       reads/writes are BOTH functionally executed against
-//                       an ecc::Scheme (decode, classify vs ground truth)
-//                       AND timed by the cycle-approximate
+//   demand traffic      a timing::RequestSource (a trace file streamed or
+//                       replayed from memory, or a synthetic generator)
+//                       whose reads/writes are BOTH functionally executed
+//                       against an ecc::Scheme (decode, classify vs ground
+//                       truth) AND timed by the cycle-approximate
 //                       timing::Controller;
 //   fault arrivals      a Poisson process in simulated cycles
 //                       (faults_per_mcycle) feeding faults::Injector — the
@@ -21,7 +22,7 @@
 //
 // All four streams advance through ONE EventQueue (see event.hpp for the
 // total order), so their interleaving is reproducible: a trial is a pure
-// function of (config, demand trace, per-trial RNG stream). Campaigns fan
+// function of (config, demand stream, per-trial RNG stream). Campaigns fan
 // trials out through reliability::TrialEngine and inherit its determinism
 // contract — SystemStats is integer counters + fixed-bucket histograms
 // merged in shard order, so campaign results are bitwise identical for any
@@ -39,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "dram/geometry.hpp"
@@ -66,8 +66,8 @@ struct SystemConfig {
   /// Expected fault arrivals per million simulated cycles (Poisson process;
   /// exponential inter-arrival times drawn from the trial stream).
   double faults_per_mcycle = 20.0;
-  /// Simulation end, cycles. 0 derives it from the demand trace (last
-  /// arrival plus a drain margin).
+  /// Simulation end, cycles. 0 makes the campaign derive it from the
+  /// demand (last arrival plus a drain margin; see ScanDemand).
   std::uint64_t horizon_cycles = 0;
   ScrubConfig scrub;
   RepairConfig repair;
@@ -185,19 +185,13 @@ class DemandReadObserver {
 /// and the timing pass over the merged command stream.
 class MemorySystem {
  public:
-  /// `demand` must be sorted by arrival (timing::Controller's contract);
-  /// it is shared read-only across trials.
-  MemorySystem(const SystemConfig& config, const reliability::WorkingSet& ws,
-               const timing::Trace& demand, util::Xoshiro256& rng);
-
-  /// Streaming variant: demand is pulled from `demand` instead of a
-  /// materialized trace, so multi-gigabyte or generated workloads run in
-  /// constant memory. The source is streamed twice per trial (functional
-  /// pass, then Reset() and the timing pass), so it must be rewindable and
+  /// Demand is pulled from `demand`, so multi-gigabyte or generated
+  /// workloads run in constant memory. The source is streamed twice per
+  /// trial (functional pass, then Reset() and the timing pass), so it must
+  /// be rewindable, sorted by arrival (timing::Controller's contract) and
   /// replay the identical sequence. `config.horizon_cycles` must be
-  /// nonzero: the horizon cannot be derived from an unmaterialized stream
-  /// without consuming it (RunSystemCampaignStreaming derives it in a
-  /// validation pre-pass).
+  /// nonzero: the horizon cannot be derived from a stream without
+  /// consuming it (ScanDemand derives it in one validation pass).
   MemorySystem(const SystemConfig& config, const reliability::WorkingSet& ws,
                timing::RequestSource& demand, util::Xoshiro256& rng);
 
@@ -224,10 +218,7 @@ class MemorySystem {
 
   const SystemConfig& config_;
   const reliability::WorkingSet& ws_;
-  /// Wraps the legacy-ctor trace; declared before demand_src_ so the
-  /// pointer can alias it during member init.
-  std::optional<timing::VectorSource> owned_source_;
-  timing::RequestSource* demand_src_;
+  timing::RequestSource& demand_;
   util::Xoshiro256& rng_;
   reliability::TrialContext ctx_;
   faults::Injector injector_;
@@ -237,37 +228,45 @@ class MemorySystem {
   timing::Trace maintenance_;
 };
 
-/// Fans `trials` independent MemorySystem lifetimes out through the trial
-/// engine (bitwise identical for any `config.threads`). When `telemetry`
-/// is non-null it receives the merged codec/injection telemetry and the
-/// engine's wall-clock metrics.
-SystemStats RunSystemCampaign(const SystemConfig& config,
-                              const timing::Trace& demand, unsigned trials,
-                              reliability::ScenarioTelemetry* telemetry = nullptr);
-
 /// Builds a fresh rewindable demand source; called once per trial so each
 /// worker owns its stream state (trial-parallel campaigns never share a
 /// source). Every source returned must replay the identical sequence.
 using RequestSourceFactory =
     std::function<std::unique_ptr<timing::RequestSource>()>;
 
-/// What the streaming campaign's validation pre-pass learned about the
-/// demand stream — the CLI surfaces these in report meta.
+/// A factory replaying `trace` from memory through timing::VectorSource.
+/// The factory owns the trace, so it may outlive the caller's copy.
+RequestSourceFactory VectorSourceFactory(timing::Trace trace);
+
+/// What one validation pass over the demand stream learned.
 struct StreamingDemandInfo {
   std::uint64_t requests = 0;        ///< demand requests per trial
-  std::uint64_t horizon_cycles = 0;  ///< horizon the trials actually used
+  std::uint64_t horizon_cycles = 0;  ///< horizon the trials actually use
 };
 
-/// Streaming twin of RunSystemCampaign: identical statistics, bitwise, for
-/// a factory whose stream replays the materialized trace. One validation
-/// pre-pass streams the demand once (same bank/rank/sorted checks as the
-/// materialized path) and derives the horizon from the last arrival when
-/// `config.horizon_cycles` is 0; after that, memory stays bounded no
-/// matter how long the stream is.
+/// The one demand scan: validates `config`, then streams one source from
+/// `factory` once — every request must address a bank and rank the timing
+/// model has, in non-decreasing arrival order — and resolves the horizon
+/// (`config.horizon_cycles`, or the last arrival plus a drain margin when
+/// it is 0). Constant memory; violations are util::ContractViolation.
+StreamingDemandInfo ScanDemand(const SystemConfig& config,
+                               const RequestSourceFactory& factory);
+
+/// Fans `trials` independent MemorySystem lifetimes out through the trial
+/// engine (bitwise identical for any `config.threads`), each trial pulling
+/// from its own source. ScanDemand runs first, so memory stays bounded no
+/// matter how long the stream is; `trials == 0` runs the scan alone. When
+/// `telemetry` is non-null it receives the merged codec/injection
+/// telemetry and the engine's wall-clock metrics; `info` receives the scan.
 SystemStats RunSystemCampaignStreaming(
     const SystemConfig& config, const RequestSourceFactory& factory,
-    unsigned trials, reliability::ScenarioTelemetry* telemetry = nullptr,
+    std::uint64_t trials, reliability::ScenarioTelemetry* telemetry = nullptr,
     StreamingDemandInfo* info = nullptr);
+
+/// RunSystemCampaignStreaming over a materialized trace.
+SystemStats RunSystemCampaign(
+    const SystemConfig& config, const timing::Trace& demand,
+    std::uint64_t trials, reliability::ScenarioTelemetry* telemetry = nullptr);
 
 /// Adds the `system.*` counter/metric/histogram section for `stats`.
 /// `tck_ns` converts bytes-per-cycle into bandwidth_gbps. Shared by the
@@ -280,7 +279,7 @@ void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
 /// `system.*` counter/metric/histogram section from `stats`, codec/fault
 /// telemetry, and engine wall-clock in the (diff-ignored) timing section.
 telemetry::Report BuildSystemReport(const SystemConfig& config,
-                                    unsigned trials,
+                                    std::uint64_t trials,
                                     std::size_t demand_requests,
                                     const SystemStats& stats,
                                     const reliability::ScenarioTelemetry& telemetry);

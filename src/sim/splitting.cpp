@@ -57,7 +57,7 @@ class TreeObserver final : public DemandReadObserver {
 };
 
 void RunNode(const SystemConfig& config, const reliability::WorkingSet& ws,
-             const timing::Trace& demand,
+             timing::RequestSource& demand,
              const reliability::SplitSpec& split,
              std::vector<std::uint64_t>& seeds,
              reliability::SplitTreeCounts& tree) {
@@ -91,7 +91,7 @@ void RunNode(const SystemConfig& config, const reliability::WorkingSet& ws,
 
 void RunSplitTrial(const SystemConfig& config,
                    const reliability::WorkingSet& ws,
-                   const timing::Trace& demand,
+                   timing::RequestSource& demand,
                    const reliability::SplitSpec& split,
                    std::uint64_t root_seed, reliability::SplitTally& tally) {
   PAIR_CHECK(split.Active(), "RunSplitTrial requires an active split spec");

@@ -26,10 +26,11 @@ namespace pair_ecc::sim {
 
 /// Runs one splitting tree rooted at `root_seed` (one engine trial) and
 /// records its leaf statistics into `tally`. Deterministic in
-/// (config, demand, split, root_seed).
+/// (config, demand, split, root_seed). Every node re-streams `demand` from
+/// its start; `config.horizon_cycles` must be resolved (ScanDemand).
 void RunSplitTrial(const SystemConfig& config,
                    const reliability::WorkingSet& ws,
-                   const timing::Trace& demand,
+                   timing::RequestSource& demand,
                    const reliability::SplitSpec& split,
                    std::uint64_t root_seed, reliability::SplitTally& tally);
 

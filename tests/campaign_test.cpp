@@ -21,6 +21,7 @@
 #include "sim/memory_system.hpp"
 #include "telemetry/checkpoint.hpp"
 #include "telemetry/json.hpp"
+#include "timing/request_source.hpp"
 #include "util/atomic_file.hpp"
 #include "util/stats.hpp"
 #include "workload/generator.hpp"
@@ -198,13 +199,17 @@ TEST(CampaignState, SystemJsonRoundTripIsExact) {
   const timing::Trace demand = workload::Generate(wl);
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
 
+  cfg.horizon_cycles =
+      sim::ScanDemand(cfg, sim::VectorSourceFactory(demand)).horizon_cycles;
+
   const TrialEngine engine(cfg.threads);
   const sim::SystemShardState state =
       engine.Run<sim::SystemShardState>(
           cfg.seed, 12,
           [&](std::uint64_t, util::Xoshiro256& rng,
               sim::SystemShardState& acc) {
-            sim::MemorySystem(cfg, ws, demand, rng).Run(acc.stats, acc.tel);
+            timing::VectorSource source(demand);
+            sim::MemorySystem(cfg, ws, source, rng).Run(acc.stats, acc.tel);
           });
   ASSERT_GT(state.stats.demand_reads, 0u);
   const sim::SystemShardState back =
@@ -319,7 +324,7 @@ TEST(Campaign, SystemModeSliceMergeIsBitwise) {
   wl.num_requests = 50;
   wl.intensity = 0.05;
   wl.seed = spec.system.seed;
-  spec.demand = workload::Generate(wl);
+  spec.demand = sim::VectorSourceFactory(workload::Generate(wl));
   spec.trials = 48;
   spec.checkpoint_every = 1;
   JsonValue fp = JsonValue::MakeObject();
@@ -569,7 +574,7 @@ TEST(Campaign, SplitSystemSliceMergeIsBitwise) {
   wl.num_requests = 50;
   wl.intensity = 0.05;
   wl.seed = spec.system.seed;
-  spec.demand = workload::Generate(wl);
+  spec.demand = sim::VectorSourceFactory(workload::Generate(wl));
   spec.split.thresholds = {1, 2};
   spec.split.replicas = 3;
   spec.trials = 48;

@@ -7,6 +7,7 @@
 // per-trial RNG derivation, shard grouping, or merge order fails here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -253,6 +254,30 @@ TEST(EngineGeneric, PerTrialStreamMatchesSerialForkSequence) {
         got[trial] = rng();
       });
   EXPECT_EQ(got, expect);
+}
+
+TEST(EngineMetrics, ShapeMatchesTheShardLayout) {
+  auto body = [](std::uint64_t, util::Xoshiro256& rng, DrawSum& acc) {
+    acc.xor_all ^= rng();
+    ++acc.count;
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    for (const std::uint64_t trials : {0u, 16u, 37u}) {
+      EngineMetrics m;
+      const DrawSum sum =
+          TrialEngine(threads).Run<DrawSum>(7, trials, body, &m);
+      const std::uint64_t shards = TrialEngine::ShardCount(trials);
+      EXPECT_EQ(sum.count, trials);
+      EXPECT_EQ(m.workers, std::max<std::uint64_t>(
+                               1, std::min<std::uint64_t>(threads, shards)))
+          << "threads=" << threads << " trials=" << trials;
+      EXPECT_EQ(m.trials, trials);
+      EXPECT_EQ(m.shards, shards);
+      ASSERT_EQ(m.shard_seconds.size(), shards);
+      for (const double s : m.shard_seconds) EXPECT_GE(s, 0.0);
+      EXPECT_GE(m.wall_seconds, 0.0);
+    }
+  }
 }
 
 TEST(EngineConfig, ResolveThreads) {

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "reliability/telemetry.hpp"
+#include "sim/campaign.hpp"
 #include "sim/memory_system.hpp"
+#include "timing/request_source.hpp"
 #include "util/contract.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace_io.hpp"
@@ -210,20 +214,24 @@ timing::Trace TestDemand(unsigned requests = 60) {
 }
 
 TEST(MemorySystem, TrialIsAPureFunctionOfSeed) {
-  const SystemConfig cfg = TestConfig();
+  SystemConfig cfg = TestConfig();
   const auto demand = TestDemand();
+  cfg.horizon_cycles =
+      ScanDemand(cfg, VectorSourceFactory(demand)).horizon_cycles;
   const auto ws = reliability::MakeWorkingSet(cfg.geometry, cfg.working_rows,
                                               cfg.lines_per_row, 37, 5);
   SystemStats a, b;
   reliability::TrialTelemetry ta, tb;
   {
     Xoshiro256 rng(7);
-    MemorySystem system(cfg, ws, demand, rng);
+    timing::VectorSource source(demand);
+    MemorySystem system(cfg, ws, source, rng);
     system.Run(a, ta);
   }
   {
     Xoshiro256 rng(7);
-    MemorySystem system(cfg, ws, demand, rng);
+    timing::VectorSource source(demand);
+    MemorySystem system(cfg, ws, source, rng);
     system.Run(b, tb);
   }
   EXPECT_EQ(a, b);
@@ -237,15 +245,14 @@ TEST(MemorySystem, HorizonDerivedFromTraceOrExplicit) {
   const auto ws = reliability::MakeWorkingSet(dram::RankGeometry{}, 2, 4, 37,
                                               5);
   SystemConfig cfg = TestConfig();
-  {
-    Xoshiro256 rng(1);
-    MemorySystem system(cfg, ws, demand, rng);
-    EXPECT_GT(system.horizon(), demand.back().arrival);
-  }
+  const RequestSourceFactory factory = VectorSourceFactory(demand);
+  EXPECT_GT(ScanDemand(cfg, factory).horizon_cycles, demand.back().arrival);
   cfg.horizon_cycles = 123456;
+  EXPECT_EQ(ScanDemand(cfg, factory).horizon_cycles, 123456u);
   {
     Xoshiro256 rng(1);
-    MemorySystem system(cfg, ws, demand, rng);
+    timing::VectorSource source(demand);
+    MemorySystem system(cfg, ws, source, rng);
     EXPECT_EQ(system.horizon(), 123456u);
   }
 }
@@ -281,12 +288,29 @@ TEST(SystemConfig, ValidateRejectsBadShapes) {
 
 TEST(SystemCampaign, RejectsMalformedDemand) {
   SystemConfig cfg = TestConfig();
-  timing::Trace demand = TestDemand(10);
-  demand[4].addr.bank = cfg.timing.banks;  // out of the timing model's range
-  EXPECT_THROW(RunSystemCampaign(cfg, demand, 1), util::ContractViolation);
-  demand = TestDemand(10);
-  std::swap(demand[2], demand[7]);  // arrival order broken
-  EXPECT_THROW(RunSystemCampaign(cfg, demand, 1), util::ContractViolation);
+  timing::Trace bad_bank = TestDemand(10);
+  bad_bank[4].addr.bank = cfg.timing.banks;  // outside the timing model
+  timing::Trace unsorted = TestDemand(10);
+  std::swap(unsorted[2], unsorted[7]);  // arrival order broken
+  const std::string path =
+      ::testing::TempDir() + "/pair_sim_rejects_demand.json";
+  for (const timing::Trace* demand : {&bad_bank, &unsorted}) {
+    EXPECT_THROW(RunSystemCampaign(cfg, *demand, 1), util::ContractViolation);
+    EXPECT_THROW(
+        RunSystemCampaignStreaming(cfg, VectorSourceFactory(*demand), 1),
+        util::ContractViolation);
+    // The checkpointed campaign runner scans its demand too.
+    CampaignSpec spec;
+    spec.mode = CampaignMode::kSystem;
+    spec.system = cfg;
+    spec.demand = VectorSourceFactory(*demand);
+    spec.trials = 1;
+    spec.checkpoint_path = path;
+    spec.fingerprint = telemetry::JsonValue::MakeObject();
+    std::remove(path.c_str());
+    EXPECT_THROW(RunCampaign(spec), util::ContractViolation);
+    EXPECT_FALSE(std::ifstream(path).good()) << "no checkpoint for bad demand";
+  }
 }
 
 // --------------------------------------------------- campaign determinism

@@ -1,10 +1,11 @@
 // Streaming end-to-end differentials: every synthetic stream generator and
 // a compressed on-disk trace produce byte-identical SystemStats whether
-// the demand is materialized up front (RunSystemCampaign) or pulled
-// through the streaming path (RunSystemCampaignStreaming) — at more than
-// one thread count, since trial-parallel campaigns re-create the stream
-// per trial. Also pins the generators' own determinism contract and the
-// streaming constructor's explicit-horizon precondition.
+// the demand is materialized up front and replayed from memory
+// (RunSystemCampaign, a VectorSource per trial) or regenerated / re-parsed
+// per trial (RunSystemCampaignStreaming) — at more than one thread count,
+// since trial-parallel campaigns re-create the stream per trial. Also pins
+// the generators' own determinism contract and MemorySystem's
+// explicit-horizon precondition.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -100,8 +101,8 @@ TEST(StreamingCampaign, CompressedTraceFileMatchesMaterialized) {
 }
 
 TEST(StreamingCampaign, ExplicitHorizonMatchesBetweenPaths) {
-  // With a caller-pinned horizon neither path derives anything; the two
-  // must still agree bitwise.
+  // With a caller-pinned horizon ScanDemand derives nothing; the two
+  // demand sources must still agree bitwise.
   const workload::StreamConfig stream =
       SmallStream(workload::StreamKind::kTensorStream);
   const timing::Trace demand =

@@ -28,6 +28,7 @@
 #include "sim/memory_system.hpp"
 #include "sim/splitting.hpp"
 #include "telemetry/json.hpp"
+#include "timing/request_source.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 
@@ -346,12 +347,16 @@ sim::SystemConfig SplitSystemConfig(std::uint64_t seed) {
   return cfg;
 }
 
-timing::Trace SplitDemand(const sim::SystemConfig& cfg, unsigned requests) {
+/// Generates the split tests' demand and resolves `cfg`'s horizon from it.
+timing::Trace SplitDemand(sim::SystemConfig& cfg, unsigned requests) {
   workload::WorkloadConfig wl;
   wl.num_requests = requests;
   wl.intensity = 0.05;
   wl.seed = cfg.seed;
-  return workload::Generate(wl);
+  timing::Trace demand = workload::Generate(wl);
+  cfg.horizon_cycles =
+      sim::ScanDemand(cfg, sim::VectorSourceFactory(demand)).horizon_cycles;
+  return demand;
 }
 
 TEST(VarianceReductionSplit, UnreachableThresholdReducesToNaiveExactly) {
@@ -359,8 +364,9 @@ TEST(VarianceReductionSplit, UnreachableThresholdReducesToNaiveExactly) {
   // root node replaying the naive trial's RNG stream — so per-seed failure
   // flags must match the full simulator bit for bit, and the estimate is
   // the plain failure frequency.
-  const sim::SystemConfig cfg = SplitSystemConfig(5);
+  sim::SystemConfig cfg = SplitSystemConfig(5);
   const timing::Trace demand = SplitDemand(cfg, 80);
+  timing::VectorSource source(demand);
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
   SplitSpec split;
   split.thresholds = {1'000'000'000};
@@ -373,8 +379,8 @@ TEST(VarianceReductionSplit, UnreachableThresholdReducesToNaiveExactly) {
   for (unsigned i = 0; i < kTrials; ++i) {
     const std::uint64_t seed = 1000 + i;
     util::Xoshiro256 rng(seed);
-    sim::MemorySystem(cfg, ws, demand, rng).Run(naive_stats, naive_tel);
-    sim::RunSplitTrial(cfg, ws, demand, split, seed, tally);
+    sim::MemorySystem(cfg, ws, source, rng).Run(naive_stats, naive_tel);
+    sim::RunSplitTrial(cfg, ws, source, split, seed, tally);
   }
 
   EXPECT_EQ(tally.root_trials, kTrials);
@@ -394,8 +400,9 @@ TEST(VarianceReductionSplit, UnreachableThresholdReducesToNaiveExactly) {
 TEST(VarianceReductionSplit, LeafWeightsSumToOnePerRootTrial) {
   // Every tree's leaf weights (replicas^-depth) must sum to exactly 1 —
   // the unbiasedness invariant — regardless of how many splits fired.
-  const sim::SystemConfig cfg = SplitSystemConfig(6);
+  sim::SystemConfig cfg = SplitSystemConfig(6);
   const timing::Trace demand = SplitDemand(cfg, 150);
+  timing::VectorSource source(demand);
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
   SplitSpec split;
   split.thresholds = {1, 2, 4};
@@ -403,7 +410,7 @@ TEST(VarianceReductionSplit, LeafWeightsSumToOnePerRootTrial) {
 
   SplitTally tally;
   for (unsigned i = 0; i < 24; ++i)
-    sim::RunSplitTrial(cfg, ws, demand, split, 2000 + i, tally);
+    sim::RunSplitTrial(cfg, ws, source, split, 2000 + i, tally);
 
   ASSERT_GT(tally.splits, 0u) << "thresholds never fired; raise the rate";
   double weighted_leaves = 0.0;
@@ -416,8 +423,9 @@ TEST(VarianceReductionSplit, LeafWeightsSumToOnePerRootTrial) {
 }
 
 TEST(VarianceReductionSplit, EstimateMatchesNaiveWithinFourSigma) {
-  const sim::SystemConfig cfg = SplitSystemConfig(7);
+  sim::SystemConfig cfg = SplitSystemConfig(7);
   const timing::Trace demand = SplitDemand(cfg, 150);
+  timing::VectorSource source(demand);
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
   SplitSpec split;
   split.thresholds = {1, 2, 4};
@@ -428,14 +436,14 @@ TEST(VarianceReductionSplit, EstimateMatchesNaiveWithinFourSigma) {
   TrialTelemetry naive_tel;
   for (unsigned i = 0; i < kTrials; ++i) {
     util::Xoshiro256 rng(10'000 + i);
-    sim::MemorySystem(cfg, ws, demand, rng).Run(naive_stats, naive_tel);
+    sim::MemorySystem(cfg, ws, source, rng).Run(naive_stats, naive_tel);
   }
   const double p_naive =
       static_cast<double>(naive_stats.trials_with_failure) / kTrials;
 
   SplitTally tally;
   for (unsigned i = 0; i < kTrials; ++i)
-    sim::RunSplitTrial(cfg, ws, demand, split, 20'000 + i, tally);
+    sim::RunSplitTrial(cfg, ws, source, split, 20'000 + i, tally);
   const WeightedEstimate est = EstimateSplitRate(split, tally);
 
   ASSERT_GT(naive_stats.trials_with_failure, 0u);
@@ -448,8 +456,9 @@ TEST(VarianceReductionSplit, EstimateMatchesNaiveWithinFourSigma) {
 }
 
 TEST(VarianceReductionSplit, TreesAreDeterministicAndMergeIsExact) {
-  const sim::SystemConfig cfg = SplitSystemConfig(8);
+  sim::SystemConfig cfg = SplitSystemConfig(8);
   const timing::Trace demand = SplitDemand(cfg, 150);
+  timing::VectorSource source(demand);
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
   SplitSpec split;
   split.thresholds = {1, 3};
@@ -457,9 +466,9 @@ TEST(VarianceReductionSplit, TreesAreDeterministicAndMergeIsExact) {
 
   SplitTally whole, again, first, second;
   for (unsigned i = 0; i < 16; ++i) {
-    sim::RunSplitTrial(cfg, ws, demand, split, 3000 + i, whole);
-    sim::RunSplitTrial(cfg, ws, demand, split, 3000 + i, again);
-    sim::RunSplitTrial(cfg, ws, demand, split, 3000 + i,
+    sim::RunSplitTrial(cfg, ws, source, split, 3000 + i, whole);
+    sim::RunSplitTrial(cfg, ws, source, split, 3000 + i, again);
+    sim::RunSplitTrial(cfg, ws, source, split, 3000 + i,
                        i < 8 ? first : second);
   }
   EXPECT_EQ(again, whole);  // same seeds -> bitwise identical trees

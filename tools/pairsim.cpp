@@ -29,9 +29,9 @@
 //       --geometry selects a device/timing preset (ddr4-3200, ddr5-4800,
 //       hbm3); --scheduler the controller policy. --trace-gen KIND
 //       (tensor|pointer|batch) streams a synthetic AI/HPC workload in
-//       constant memory; gzip/zstd traces and --stream 1 also take the
-//       streaming path, plain --trace files stay materialized (bitwise
-//       with earlier releases).
+//       constant memory; gzip/zstd traces and --stream 1 are re-read per
+//       trial too, plain --trace files are parsed once and replayed from
+//       memory (same results either way).
 //   pairsim trace --gen tensor|pointer|batch --requests N --out FILE
 //       Write a synthetic streaming workload as a trace file (gzip when
 //       FILE ends in .gz) for CI fixtures and cross-tool runs.
@@ -228,9 +228,9 @@ workload::Pattern ParsePattern(const std::string& name) {
   throw std::runtime_error("unknown pattern '" + name + "'");
 }
 
-/// Pre-validates a demand trace against the timing model with one-line
-/// diagnostics, so a bad trace fails cleanly at the CLI boundary instead
-/// of tripping a contract check deep inside RunSystemCampaign.
+/// Pre-validates a materialized demand trace against the timing model with
+/// one-line diagnostics, so a bad trace fails cleanly at the CLI boundary
+/// instead of tripping the contract checks in sim::ScanDemand.
 void ValidateDemandTrace(const timing::Trace& demand,
                          const timing::TimingParams& params,
                          const std::string& source) {
@@ -681,75 +681,58 @@ int CmdSystem(Args& args) {
   const sim::SystemConfig& cfg = f.cfg;
 
   // Three demand modes: a synthetic stream and compressed (or --stream 1)
-  // trace files take the constant-memory streaming path; plain --trace
-  // files and --pattern workloads stay materialized, bitwise-identical to
-  // earlier releases.
+  // trace files are re-read per trial in constant memory; plain --trace
+  // files and --pattern workloads are materialized once and replayed from
+  // memory, trading RAM for parsing the trace only once.
   const bool compressed =
       !f.trace_path.empty() && workload::IsCompressedFile(f.trace_path);
-  if (!f.stream_name.empty() || compressed ||
-      (f.force_stream && !f.trace_path.empty())) {
-    sim::RequestSourceFactory factory;
-    std::string source_name;
-    if (!f.stream_name.empty()) {
-      const workload::StreamConfig stream = f.stream;
-      factory = [stream] { return workload::MakeStream(stream); };
-      source_name = "stream:" + f.stream_name;
-    } else {
-      const std::string path = f.trace_path;
-      factory = [path]() -> std::unique_ptr<timing::RequestSource> {
-        return workload::OpenTraceStream(path);
-      };
-      source_name = f.trace_path;
-    }
-
-    const auto start = std::chrono::steady_clock::now();
-    reliability::ScenarioTelemetry tel;
-    sim::StreamingDemandInfo dinfo;
-    const sim::SystemStats s =
-        sim::RunSystemCampaignStreaming(cfg, factory, trials, &tel, &dinfo);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    std::cout << "threads "
-              << reliability::TrialEngine::ResolveThreads(cfg.threads) << ", "
-              << trials << " trials x " << dinfo.requests
-              << " streamed requests in "
-              << util::Table::Fixed(elapsed.count(), 2) << " s\n";
-    PrintSystemSummary(s, cfg);
-
-    if (!json_path.empty()) {
-      // Report the horizon the trials actually ran to, not the 0
-      // placeholder the pre-pass resolved.
-      sim::SystemConfig report_cfg = cfg;
-      report_cfg.horizon_cycles = dinfo.horizon_cycles;
-      WriteSystemReport(report_cfg, trials, dinfo.requests, s, tel, f,
-                        source_name, json_path);
-    }
-    return 0;
+  const bool streamed = !f.stream_name.empty() || compressed ||
+                        (f.force_stream && !f.trace_path.empty());
+  sim::RequestSourceFactory factory;
+  std::string source_name;
+  if (!f.stream_name.empty()) {
+    const workload::StreamConfig stream = f.stream;
+    factory = [stream] { return workload::MakeStream(stream); };
+    source_name = "stream:" + f.stream_name;
+  } else if (streamed) {
+    const std::string path = f.trace_path;
+    factory = [path]() -> std::unique_ptr<timing::RequestSource> {
+      return workload::OpenTraceStream(path);
+    };
+    source_name = f.trace_path;
+  } else {
+    timing::Trace demand = f.trace_path.empty()
+                               ? workload::Generate(f.wl)
+                               : workload::ReadTraceFile(f.trace_path);
+    ValidateDemandTrace(demand, cfg.timing,
+                        f.trace_path.empty() ? "<synthetic>" : f.trace_path);
+    factory = sim::VectorSourceFactory(std::move(demand));
+    source_name = f.trace_path.empty() ? "pattern:" + f.pattern_name
+                                       : f.trace_path;
   }
-
-  const timing::Trace demand = f.trace_path.empty()
-                                   ? workload::Generate(f.wl)
-                                   : workload::ReadTraceFile(f.trace_path);
-  ValidateDemandTrace(demand, cfg.timing,
-                      f.trace_path.empty() ? "<synthetic>" : f.trace_path);
 
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
+  sim::StreamingDemandInfo dinfo;
   const sim::SystemStats s =
-      sim::RunSystemCampaign(cfg, demand, trials, &tel);
+      sim::RunSystemCampaignStreaming(cfg, factory, trials, &tel, &dinfo);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   std::cout << "threads "
             << reliability::TrialEngine::ResolveThreads(cfg.threads) << ", "
-            << trials << " trials x " << demand.size() << " requests in "
+            << trials << " trials x " << dinfo.requests
+            << (streamed ? " streamed requests in " : " requests in ")
             << util::Table::Fixed(elapsed.count(), 2) << " s\n";
   PrintSystemSummary(s, cfg);
 
-  if (!json_path.empty())
-    WriteSystemReport(cfg, trials, demand.size(), s, tel, f,
-                      f.trace_path.empty() ? "pattern:" + f.pattern_name
-                                           : f.trace_path,
-                      json_path);
+  if (!json_path.empty()) {
+    // Streamed runs report the horizon the trials actually ran to;
+    // materialized runs keep reporting the requested one (0 = derived).
+    sim::SystemConfig report_cfg = cfg;
+    if (streamed) report_cfg.horizon_cycles = dinfo.horizon_cycles;
+    WriteSystemReport(report_cfg, trials, dinfo.requests, s, tel, f,
+                      source_name, json_path);
+  }
   return 0;
 }
 
@@ -891,17 +874,18 @@ int CmdCampaignRun(Args& args) {
     SystemFlags f = ParseSystemFlags(args);
     trials = ResolveTrials(args.GetUnsigned("trials", 200));
     spec.system = f.cfg;
-    // Campaign checkpoints need the whole demand trace in the spec, so
-    // --trace-gen streams are materialized here (campaigns are about
+    // Campaigns materialize their demand once (they are about
     // crash-safety, not trace scale; use `pairsim system` for multi-GB
-    // streams).
-    spec.demand = !f.stream_name.empty()
-                      ? timing::Materialize(*workload::MakeStream(f.stream))
-                      : (f.trace_path.empty()
-                             ? workload::Generate(f.wl)
-                             : workload::ReadTraceFile(f.trace_path));
-    ValidateDemandTrace(spec.demand, spec.system.timing,
+    // streams) and replay it from memory in every trial.
+    timing::Trace demand =
+        !f.stream_name.empty()
+            ? timing::Materialize(*workload::MakeStream(f.stream))
+            : (f.trace_path.empty() ? workload::Generate(f.wl)
+                                    : workload::ReadTraceFile(f.trace_path));
+    ValidateDemandTrace(demand, spec.system.timing,
                         f.trace_path.empty() ? "<synthetic>" : f.trace_path);
+    const std::uint64_t demand_requests = demand.size();
+    spec.demand = sim::VectorSourceFactory(std::move(demand));
     fp.Set("scheme", telemetry::JsonValue(f.scheme_name));
     fp.Set("mix", telemetry::JsonValue(f.mix_name));
     // Geometry and scheduler are campaign identity: runs under different
@@ -935,8 +919,7 @@ int CmdCampaignRun(Args& args) {
              telemetry::JsonValue(util::Crc32Hex(
                  ReadFileBytes(f.trace_path, "trace"))));
       fp.Set("trace_requests",
-             telemetry::JsonValue(static_cast<std::uint64_t>(
-                 spec.demand.size())));
+             telemetry::JsonValue(demand_requests));
     } else if (!f.stream_name.empty()) {
       fp.Set("trace_gen", telemetry::JsonValue(f.stream_name));
       fp.Set("requests", telemetry::JsonValue(f.stream.num_requests));
