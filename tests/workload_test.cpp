@@ -8,7 +8,9 @@
 #include <set>
 #include <sstream>
 
+#include "util/atomic_file.hpp"
 #include "workload/generator.hpp"
+#include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 
 namespace pair_ecc::workload {
@@ -130,6 +132,61 @@ TEST(Generator, PatternNames) {
   EXPECT_EQ(ToString(Pattern::kStream), "stream");
   EXPECT_EQ(ToString(Pattern::kRandom), "random");
   EXPECT_EQ(ToString(Pattern::kHotspot), "hotspot");
+}
+
+// Pins the exact request sequence of every generator kind: a CRC of the
+// serialized trace at a fixed non-default config. Any change to the RNG
+// draw order, the arrival model or an address walk shows up here.
+TEST(Generator, EveryKindMatchesItsPinnedDigest) {
+  const auto digest = [](const timing::Trace& trace) {
+    std::ostringstream text;
+    WriteTrace(trace, text);
+    return util::Crc32Hex(text.str());
+  };
+  const std::map<std::string, std::string> expected = {
+      {"stream", "18afe8d1"},  {"random", "e726e792"},
+      {"hotspot", "a2d8d99e"}, {"linear", "7fe311d8"},
+      {"strided", "ad767418"}, {"tensor", "fc5fdff7"},
+      {"pointer", "f7e56b32"}, {"batch", "799e6e8f"},
+  };
+  std::map<std::string, std::string> actual;
+  for (Pattern p : {Pattern::kStream, Pattern::kRandom, Pattern::kHotspot,
+                    Pattern::kLinear, Pattern::kStrided}) {
+    WorkloadConfig cfg;
+    cfg.pattern = p;
+    cfg.num_requests = 2000;
+    cfg.read_fraction = 0.6;
+    cfg.intensity = 0.2;
+    cfg.ranks = 2;
+    cfg.banks = 8;
+    cfg.rows = 16;
+    cfg.cols = 32;
+    cfg.hot_rows = 6;
+    cfg.hot_fraction = 0.7;
+    cfg.interleave = dram::Interleave::kBankInterleaved;
+    cfg.xor_bank_hash = p == Pattern::kStrided;
+    cfg.stride = 37;
+    cfg.seed = 5;
+    actual[ToString(p)] = digest(Generate(cfg));
+  }
+  for (StreamKind k : {StreamKind::kTensorStream, StreamKind::kPointerChase,
+                       StreamKind::kBatchInference}) {
+    StreamConfig cfg;
+    cfg.kind = k;
+    cfg.num_requests = 2000;
+    cfg.read_fraction = 0.6;
+    cfg.intensity = 0.2;
+    cfg.ranks = 2;
+    cfg.banks = 8;
+    cfg.rows = 16;
+    cfg.cols = 32;
+    cfg.hot_rows = 6;
+    cfg.burst_len = 100;
+    cfg.gap_cycles = 500;
+    cfg.seed = 5;
+    actual[ToString(k)] = digest(timing::Materialize(*MakeStream(cfg)));
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 // ---------------------------------------------------------- Mapped patterns
