@@ -19,7 +19,7 @@
 #include "rs/rs_code.hpp"
 #include "timing/controller.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 #ifdef PAIR_ALLOC_COUNTER
 // Global operator new/delete instrumentation (build with
@@ -224,13 +224,15 @@ BENCHMARK(BM_SchemeReadLine)
 
 void BM_ControllerThroughput(benchmark::State& state) {
   const timing::TimingParams params;
-  workload::WorkloadConfig cfg;
+  workload::StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
   cfg.num_requests = 5000;
-  cfg.pattern = workload::Pattern::kRandom;
+  cfg.kind = workload::StreamKind::kRandom;
   for (auto _ : state) {
     timing::Controller ctrl(params,
                             timing::SchemeTiming::FromPerf({}, params));
-    auto trace = workload::Generate(cfg);
+    auto trace = timing::Materialize(*workload::MakeStream(cfg));
     auto stats = ctrl.Run(trace);
     benchmark::DoNotOptimize(stats);
   }

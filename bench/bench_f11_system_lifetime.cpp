@@ -18,7 +18,7 @@
 #include "sim/memory_system.hpp"
 #include "sim/splitting.hpp"
 #include "timing/presets.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 using namespace pair_ecc;
 
@@ -48,13 +48,13 @@ int main() {
   report.MetaInt("requests", kRequests);
   report.MetaReal("faults_per_mcycle", kFaultsPerMcycle);
 
-  workload::WorkloadConfig wl;
-  wl.pattern = workload::Pattern::kHotspot;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kHotspot;
   wl.read_fraction = 0.67;
   wl.intensity = 0.05;
   wl.num_requests = kRequests;
   wl.seed = bench::kBenchSeed;
-  const timing::Trace demand = workload::Generate(wl);
+  const timing::Trace demand = timing::Materialize(*workload::MakeStream(wl));
 
   const std::vector<ecc::SchemeKind> schemes = {
       ecc::SchemeKind::kSecDed, ecc::SchemeKind::kXed, ecc::SchemeKind::kDuo,

@@ -13,7 +13,7 @@
 #include "dram/rank.hpp"
 #include "timing/controller.hpp"
 #include "timing/presets.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 using namespace pair_ecc;
 
@@ -21,7 +21,7 @@ namespace {
 
 struct WorkloadSpec {
   const char* name;
-  workload::Pattern pattern;
+  workload::StreamKind kind;
   double read_fraction;
   double intensity;
 };
@@ -33,10 +33,11 @@ int main() {
   report.MetaInt("num_requests", 30000);
 
   const WorkloadSpec loads[] = {
-      {"stream-read (RF=0.9)", workload::Pattern::kStream, 0.9, 0.25},
-      {"mixed-random (RF=0.67)", workload::Pattern::kRandom, 0.67, 0.10},
-      {"write-heavy hotspot (RF=0.3)", workload::Pattern::kHotspot, 0.3, 0.15},
-      {"random write-heavy (RF=0.4)", workload::Pattern::kRandom, 0.4, 0.12},
+      {"stream-read (RF=0.9)", workload::StreamKind::kStream, 0.9, 0.25},
+      {"mixed-random (RF=0.67)", workload::StreamKind::kRandom, 0.67, 0.10},
+      {"write-heavy hotspot (RF=0.3)", workload::StreamKind::kHotspot, 0.3,
+       0.15},
+      {"random write-heavy (RF=0.4)", workload::StreamKind::kRandom, 0.4, 0.12},
   };
   const ecc::SchemeKind schemes[] = {
       ecc::SchemeKind::kNoEcc,      ecc::SchemeKind::kIecc,
@@ -51,8 +52,8 @@ int main() {
   std::map<std::string, std::vector<double>> norm_perf;
 
   for (const auto& load : loads) {
-    workload::WorkloadConfig cfg;
-    cfg.pattern = load.pattern;
+    workload::StreamConfig cfg;
+    cfg.kind = load.kind;
     cfg.read_fraction = load.read_fraction;
     cfg.intensity = load.intensity;
     cfg.num_requests = 30000;
@@ -65,7 +66,7 @@ int main() {
       auto scheme = ecc::MakeScheme(kind, rank);
       timing::Controller ctrl(
           params, timing::SchemeTiming::FromPerf(scheme->Perf(), params));
-      auto trace = workload::Generate(cfg);
+      auto trace = timing::Materialize(*workload::MakeStream(cfg));
       const auto stats = ctrl.Run(trace);
       if (!ctrl.checker().violations().empty()) {
         std::cerr << "protocol violation: "
@@ -110,8 +111,8 @@ int main() {
        {timing::GeometryPreset::kDdr4_3200, timing::GeometryPreset::kDdr5_4800,
         timing::GeometryPreset::kHbm3}) {
     const timing::SystemPreset preset = timing::MakePreset(preset_kind);
-    workload::WorkloadConfig cfg;
-    cfg.pattern = workload::Pattern::kHotspot;
+    workload::StreamConfig cfg;
+    cfg.kind = workload::StreamKind::kHotspot;
     cfg.read_fraction = 0.3;
     cfg.intensity = 0.15;
     cfg.num_requests = 30000;
@@ -128,7 +129,7 @@ int main() {
       timing::Controller ctrl(
           preset.timing,
           timing::SchemeTiming::FromPerf(scheme->Perf(), preset.timing));
-      auto trace = workload::Generate(cfg);
+      auto trace = timing::Materialize(*workload::MakeStream(cfg));
       const auto stats = ctrl.Run(trace);
       if (!ctrl.checker().violations().empty()) {
         std::cerr << "protocol violation: "

@@ -8,7 +8,7 @@
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "timing/controller.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 using namespace pair_ecc;
 
@@ -42,8 +42,8 @@ int main() {
   util::Table t({"write fraction", "variant", "norm. perf",
                  "avg rd lat (cyc)", "cycles"});
   for (const double wf : write_fractions) {
-    workload::WorkloadConfig cfg;
-    cfg.pattern = workload::Pattern::kHotspot;
+    workload::StreamConfig cfg;
+    cfg.kind = workload::StreamKind::kHotspot;
     cfg.read_fraction = 1.0 - wf;
     cfg.intensity = 0.15;
     cfg.num_requests = 30000;
@@ -53,7 +53,7 @@ int main() {
     for (const auto& v : variants) {
       timing::Controller ctrl(params,
                               timing::SchemeTiming::FromPerf(v.perf, params));
-      auto trace = workload::Generate(cfg);
+      auto trace = timing::Materialize(*workload::MakeStream(cfg));
       const auto stats = ctrl.Run(trace);
       if (baseline == 0.0) baseline = static_cast<double>(stats.cycles);
       t.AddRow({util::Table::Fixed(wf, 1), v.name,

@@ -13,7 +13,7 @@
 #include "timing/controller.hpp"
 #include "timing/presets.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 using namespace pair_ecc;
 
@@ -21,8 +21,8 @@ namespace {
 
 double WriteHeavyNormPerf(const dram::RankGeometry& rg, ecc::SchemeKind kind,
                           const timing::TimingParams& params) {
-  workload::WorkloadConfig cfg;
-  cfg.pattern = workload::Pattern::kHotspot;
+  workload::StreamConfig cfg;
+  cfg.kind = workload::StreamKind::kHotspot;
   cfg.read_fraction = 0.3;
   cfg.intensity = 0.15;
   cfg.num_requests = 20000;
@@ -35,7 +35,7 @@ double WriteHeavyNormPerf(const dram::RankGeometry& rg, ecc::SchemeKind kind,
     auto scheme = ecc::MakeScheme(k, rank);
     timing::Controller ctrl(
         params, timing::SchemeTiming::FromPerf(scheme->Perf(), params));
-    auto trace = workload::Generate(cfg);
+    auto trace = timing::Materialize(*workload::MakeStream(cfg));
     return static_cast<double>(ctrl.Run(trace).cycles);
   };
   return run(ecc::SchemeKind::kNoEcc) / run(kind);

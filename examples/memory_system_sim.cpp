@@ -1,12 +1,15 @@
 // Scenario: evaluate a protection scheme as a *system*, not a codec —
 // demand traffic, time-dependent fault arrivals, patrol scrub, and
 // threshold-driven repair interleaved over one event queue (src/sim),
-// with every access timed by the cycle-approximate DDR4 controller.
+// with every access timed by the cycle-approximate DDR4 controller. The
+// demand is a synthetic workload::MakeStream source, pulled one request
+// at a time by every trial.
 //
 // Usage: memory_system_sim [scheme] [pattern] [read_fraction]
 //   scheme  — noecc | iecc | secded | iecc+secded | xed | duo | pair2 |
 //             pair4 | pair4+secded            (default pair4)
-//   pattern — stream | random | hotspot | linear | strided  (default hotspot)
+//   pattern — stream | random | hotspot | linear | strided | tensor |
+//             pointer | batch                 (default hotspot)
 //   read_fraction — in [0,1]                  (default 0.5)
 #include <cstdlib>
 #include <iostream>
@@ -14,7 +17,7 @@
 #include <string>
 
 #include "sim/memory_system.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 using namespace pair_ecc;
 
@@ -30,12 +33,15 @@ int main(int argc, char** argv) {
       {"pair4", ecc::SchemeKind::kPair4},
       {"pair4+secded", ecc::SchemeKind::kPair4SecDed},
   };
-  const std::map<std::string, workload::Pattern> patterns = {
-      {"stream", workload::Pattern::kStream},
-      {"random", workload::Pattern::kRandom},
-      {"hotspot", workload::Pattern::kHotspot},
-      {"linear", workload::Pattern::kLinear},
-      {"strided", workload::Pattern::kStrided},
+  const std::map<std::string, workload::StreamKind> patterns = {
+      {"stream", workload::StreamKind::kStream},
+      {"random", workload::StreamKind::kRandom},
+      {"hotspot", workload::StreamKind::kHotspot},
+      {"linear", workload::StreamKind::kLinear},
+      {"strided", workload::StreamKind::kStrided},
+      {"tensor", workload::StreamKind::kTensorStream},
+      {"pointer", workload::StreamKind::kPointerChase},
+      {"batch", workload::StreamKind::kBatchInference},
   };
 
   const std::string scheme_name = argc > 1 ? argv[1] : "pair4";
@@ -46,19 +52,20 @@ int main(int argc, char** argv) {
     std::cerr << "usage: memory_system_sim [scheme] [pattern] [read_fraction]\n"
                  "  schemes: ";
     for (const auto& [name, kind] : schemes) std::cerr << name << " ";
-    std::cerr << "\n  patterns: stream random hotspot linear strided\n";
+    std::cerr << "\n  patterns: ";
+    for (const auto& [name, kind] : patterns) std::cerr << name << " ";
+    std::cerr << "\n";
     return 1;
   }
 
   // A short but busy demand window: 200 requests at moderate intensity
   // (the functional ECC decode dominates runtime, so examples stay small).
-  workload::WorkloadConfig wl;
-  wl.pattern = patterns.at(pattern_name);
+  workload::StreamConfig wl;
+  wl.kind = patterns.at(pattern_name);
   wl.read_fraction = read_fraction;
   wl.intensity = 0.12;
   wl.num_requests = 200;
   wl.seed = 99;
-  const timing::Trace demand = workload::Generate(wl);
 
   sim::SystemConfig cfg;
   cfg.scheme = schemes.at(scheme_name);
@@ -68,11 +75,14 @@ int main(int argc, char** argv) {
   cfg.seed = 7;
 
   const unsigned trials = 10;
-  const sim::SystemStats s = sim::RunSystemCampaign(cfg, demand, trials);
+  sim::StreamingDemandInfo demand;
+  const sim::SystemStats s = sim::RunSystemCampaignStreaming(
+      cfg, [wl] { return workload::MakeStream(wl); }, trials, nullptr,
+      &demand);
 
   const double ns_per_cycle = cfg.timing.tck_ns;
   std::cout << "workload: " << pattern_name << ", read fraction "
-            << read_fraction << ", " << demand.size() << " requests, "
+            << read_fraction << ", " << demand.requests << " requests, "
             << trials << " lifetimes\n"
             << "scheme:   " << scheme_name << "\n\n"
             << "  P(SDC) / lifetime : " << s.SdcProbability() << "\n"

@@ -171,6 +171,8 @@ SimStats Controller::Run(RequestSource& source,
     if (!source.Next(next_req)) return false;
     PAIR_CHECK(next_req.rank < params_.ranks,
                "Controller::Run: request rank out of range");
+    PAIR_CHECK(next_req.addr.bank < params_.banks,
+               "Controller::Run: request bank out of range");
     PAIR_CHECK(next_req.arrival >= last_arrival,
                "Controller::Run: source arrivals must be non-decreasing");
     last_arrival = next_req.arrival;

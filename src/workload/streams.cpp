@@ -1,13 +1,20 @@
 #include "workload/streams.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/contract.hpp"
+#include "util/rng.hpp"
 
 namespace pair_ecc::workload {
 
 std::string ToString(StreamKind kind) {
   switch (kind) {
+    case StreamKind::kStream:         return "stream";
+    case StreamKind::kRandom:         return "random";
+    case StreamKind::kHotspot:        return "hotspot";
+    case StreamKind::kLinear:         return "linear";
+    case StreamKind::kStrided:        return "strided";
     case StreamKind::kTensorStream:   return "tensor";
     case StreamKind::kPointerChase:   return "pointer";
     case StreamKind::kBatchInference: return "batch";
@@ -16,11 +23,15 @@ std::string ToString(StreamKind kind) {
 }
 
 StreamKind StreamKindFromString(const std::string& name) {
-  if (name == "tensor") return StreamKind::kTensorStream;
-  if (name == "pointer") return StreamKind::kPointerChase;
-  if (name == "batch") return StreamKind::kBatchInference;
-  PAIR_CHECK(false,
-             "unknown stream kind '" << name << "' (want tensor|pointer|batch)");
+  for (const StreamKind kind :
+       {StreamKind::kStream, StreamKind::kRandom, StreamKind::kHotspot,
+        StreamKind::kLinear, StreamKind::kStrided, StreamKind::kTensorStream,
+        StreamKind::kPointerChase, StreamKind::kBatchInference})
+    if (ToString(kind) == name) return kind;
+  PAIR_CHECK(false, "unknown stream kind '"
+                        << name
+                        << "' (want stream|random|hotspot|linear|strided|"
+                           "tensor|pointer|batch)");
   return StreamKind::kTensorStream;
 }
 
@@ -34,23 +45,60 @@ void StreamConfig::Validate() const {
              "StreamConfig: intensity out of (0,1]");
   PAIR_CHECK(burst_len != 0, "StreamConfig: burst_len must be nonzero");
   PAIR_CHECK(!(hot_rows == 0 || hot_rows > rows), "StreamConfig: bad hot_rows");
+  PAIR_CHECK(!(kind == StreamKind::kStrided && stride == 0),
+             "StreamConfig: stride must be nonzero");
 }
 
 namespace {
 
-// One class covers all three shapes: the per-shape state is tiny and the
-// switch keeps Reset() trivially exhaustive.
+// One class covers every kind: the per-kind state is tiny and the switch
+// keeps Reset() trivially exhaustive.
 class SyntheticStream final : public timing::RequestSource {
  public:
   explicit SyntheticStream(const StreamConfig& config)
       : config_(config), rng_(config.seed) {
     config_.Validate();
+    if (config_.kind == StreamKind::kLinear ||
+        config_.kind == StreamKind::kStrided)
+      mapper_.emplace(config_.banks, config_.rows, config_.cols,
+                      config_.interleave, config_.xor_bank_hash);
   }
 
   bool Next(timing::Request& out) override {
     if (emitted_ >= config_.num_requests) return false;
+    out = timing::Request{};
     switch (config_.kind) {
-      case StreamKind::kTensorStream:   NextTensor(out); break;
+      case StreamKind::kTensorStream:
+        if (burst_pos_ == config_.burst_len) {
+          cycle_ += config_.gap_cycles;  // compute gap between tiles
+          burst_pos_ = 0;
+        }
+        ++burst_pos_;
+        [[fallthrough]];
+      case StreamKind::kStream:
+        AdvanceArrival(out);
+        DrawOp(out);
+        SequentialAddress(out);
+        break;
+      case StreamKind::kRandom:
+        AdvanceArrival(out);
+        DrawOp(out);
+        RandomAddress(out);
+        break;
+      case StreamKind::kHotspot:
+        AdvanceArrival(out);
+        DrawOp(out);
+        if (rng_.Bernoulli(config_.hot_fraction))
+          HotRowAddress(out);
+        else
+          RandomAddress(out);
+        break;
+      case StreamKind::kLinear:
+      case StreamKind::kStrided:
+        AdvanceArrival(out);
+        DrawOp(out);
+        MappedAddress(out);
+        break;
       case StreamKind::kPointerChase:   NextPointer(out); break;
       case StreamKind::kBatchInference: NextBatch(out); break;
     }
@@ -64,17 +112,26 @@ class SyntheticStream final : public timing::RequestSource {
     cycle_ = 0;
     burst_pos_ = 0;
     s_bank_ = s_row_ = s_col_ = 0;
+    phys_ = 0;
     chase_state_ = config_.seed;
     in_weight_phase_ = true;
   }
 
  private:
-  /// Geometric inter-arrival with mean 1/intensity (Generate's model).
-  void AdvanceArrival() {
+  /// Geometric inter-arrival with mean 1/intensity.
+  void AdvanceArrival(timing::Request& req) {
     while (!rng_.Bernoulli(config_.intensity)) ++cycle_;
+    req.arrival = cycle_;
   }
 
-  /// Sequential bank-interleaved walk shared by the streaming shapes.
+  void DrawOp(timing::Request& req) {
+    req.op = rng_.Bernoulli(config_.read_fraction) ? timing::Op::kRead
+                                                   : timing::Op::kWrite;
+  }
+
+  /// Sequential bank-interleaved walk: columns advance once the bank index
+  /// wraps, rows once the columns do; ranks rotate with banks for maximal
+  /// channel parallelism.
   void SequentialAddress(timing::Request& req) {
     req.addr = {s_bank_, s_row_, s_col_};
     req.rank = s_bank_ % config_.ranks;
@@ -85,18 +142,28 @@ class SyntheticStream final : public timing::RequestSource {
     }
   }
 
-  void NextTensor(timing::Request& req) {
-    if (burst_pos_ == config_.burst_len) {
-      cycle_ += config_.gap_cycles;  // compute gap between tiles
-      burst_pos_ = 0;
-    }
-    ++burst_pos_;
-    AdvanceArrival();
-    req = timing::Request{};
-    req.arrival = cycle_;
-    req.op = rng_.Bernoulli(config_.read_fraction) ? timing::Op::kRead
-                                                   : timing::Op::kWrite;
-    SequentialAddress(req);
+  void RandomAddress(timing::Request& req) {
+    req.rank = static_cast<unsigned>(rng_.UniformBelow(config_.ranks));
+    req.addr = {static_cast<unsigned>(rng_.UniformBelow(config_.banks)),
+                static_cast<unsigned>(rng_.UniformBelow(config_.rows)),
+                static_cast<unsigned>(rng_.UniformBelow(config_.cols))};
+  }
+
+  /// One of the `hot_rows` hot rows, each pinned to its own bank and rank.
+  void HotRowAddress(timing::Request& req) {
+    const auto hot = static_cast<unsigned>(rng_.UniformBelow(config_.hot_rows));
+    req.rank = hot % config_.ranks;
+    req.addr = {hot % config_.banks, hot,
+                static_cast<unsigned>(rng_.UniformBelow(config_.cols))};
+  }
+
+  /// The next physical line through the mapper; capacity wraps move on to
+  /// the next rank.
+  void MappedAddress(timing::Request& req) {
+    req.addr = mapper_->Map(phys_ % mapper_->Capacity());
+    req.rank =
+        static_cast<unsigned>((phys_ / mapper_->Capacity()) % config_.ranks);
+    phys_ += config_.kind == StreamKind::kStrided ? config_.stride : 1;
   }
 
   void NextPointer(timing::Request& req) {
@@ -105,7 +172,6 @@ class SyntheticStream final : public timing::RequestSource {
     const auto mean_gap = static_cast<std::uint64_t>(1.0 / config_.intensity);
     cycle_ += std::max<std::uint64_t>(1, mean_gap) + rng_.UniformBelow(8);
     chase_state_ = util::SplitMix64::Mix(chase_state_ + 0x9e3779b97f4a7c15ull);
-    req = timing::Request{};
     req.arrival = cycle_;
     req.op = timing::Op::kRead;
     req.rank = static_cast<unsigned>((chase_state_ >> 52) % config_.ranks);
@@ -125,21 +191,15 @@ class SyntheticStream final : public timing::RequestSource {
       }
     }
     ++burst_pos_;
-    AdvanceArrival();
-    req = timing::Request{};
-    req.arrival = cycle_;
+    AdvanceArrival(req);
     if (in_weight_phase_) {
       req.op = timing::Op::kRead;
       SequentialAddress(req);
       return;
     }
     // Activation phase: read/write a hot row set.
-    req.op = rng_.Bernoulli(config_.read_fraction) ? timing::Op::kRead
-                                                   : timing::Op::kWrite;
-    const auto hot = static_cast<unsigned>(rng_.UniformBelow(config_.hot_rows));
-    req.rank = hot % config_.ranks;
-    req.addr = {hot % config_.banks, hot,
-                static_cast<unsigned>(rng_.UniformBelow(config_.cols))};
+    DrawOp(req);
+    HotRowAddress(req);
   }
 
   StreamConfig config_;
@@ -148,6 +208,8 @@ class SyntheticStream final : public timing::RequestSource {
   std::uint64_t cycle_ = 0;
   unsigned burst_pos_ = 0;
   unsigned s_bank_ = 0, s_row_ = 0, s_col_ = 0;
+  std::optional<dram::AddressMapper> mapper_;  ///< kLinear / kStrided only
+  std::uint64_t phys_ = 0;
   std::uint64_t chase_state_ = 0;
   bool in_weight_phase_ = true;
 };

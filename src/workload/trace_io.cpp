@@ -2,6 +2,8 @@
 
 #include <fstream>
 #include <istream>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 
 #include "workload/trace_stream.hpp"
@@ -23,63 +25,16 @@ void WriteTraceFile(const timing::Trace& trace, const std::string& path) {
   WriteTrace(trace, os);
 }
 
-namespace {
-
-/// Shared line loop for the throwing and diagnostic-collecting modes.
-/// `on_error` returns true to keep parsing (the bad line is skipped) or
-/// false to stop.
-template <typename OnError>
-timing::Trace ReadTraceLines(std::istream& is, const std::string& source,
-                             const OnError& on_error) {
-  timing::Trace trace;
-  std::string line;
-  unsigned line_no = 0;
-  std::string error;
-  while (std::getline(is, line)) {
-    ++line_no;
-    timing::Request req;
-    switch (ParseTraceLine(line, req, error)) {
-      case TraceLineKind::kBlank:
-        continue;
-      case TraceLineKind::kRequest:
-        if (!trace.empty() && req.arrival < trace.back().arrival) {
-          error = "cycles must be non-decreasing";
-          break;
-        }
-        trace.push_back(req);
-        continue;
-      case TraceLineKind::kError:
-        break;
-    }
-    if (!on_error(source + ":" + std::to_string(line_no) + ": " + error))
-      return trace;
-  }
-  return trace;
-}
-
-}  // namespace
-
 timing::Trace ReadTrace(std::istream& is, const std::string& source) {
-  return ReadTraceLines(is, source, [](const std::string& message) -> bool {
-    throw std::runtime_error(message);
-  });
-}
-
-timing::Trace ReadTrace(std::istream& is, const std::string& source,
-                        std::size_t max_errors,
-                        std::vector<std::string>& errors) {
-  return ReadTraceLines(is, source,
-                        [&errors, max_errors](const std::string& message) {
-                          if (errors.size() < max_errors)
-                            errors.push_back(message);
-                          return errors.size() < max_errors;
-                        });
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  StreamingTraceParser parser(
+      std::make_unique<MemoryByteSource>(std::move(bytes).str()), source);
+  return timing::Materialize(parser);
 }
 
 timing::Trace ReadTraceFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("ReadTraceFile: cannot open " + path);
-  return ReadTrace(is, path);
+  return timing::Materialize(*OpenTraceStream(path));
 }
 
 }  // namespace pair_ecc::workload

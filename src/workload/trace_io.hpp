@@ -10,15 +10,13 @@
 // must be non-decreasing in cycle. Lines may end in LF or CRLF, and
 // leading/trailing spaces and tabs are ignored.
 //
-// Both entry points share one per-line parser with the streaming chunked
-// parser (workload/trace_stream.hpp), so whole-trace and constant-memory
+// Reading is a drain of the streaming chunked parser
+// (workload/trace_stream.hpp), so whole-trace and constant-memory
 // streaming reads accept the same inputs with the same diagnostics.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "timing/request.hpp"
 
@@ -31,16 +29,9 @@ void WriteTraceFile(const timing::Trace& trace, const std::string& path);
 /// Parses a trace. Throws std::runtime_error with a "<source>:<line>:"
 /// diagnostic on malformed input, out-of-order cycles, unknown op codes,
 /// bad rank columns, or trailing tokens. `source` names the stream in the
-/// diagnostic (ReadTraceFile passes the path).
+/// diagnostic (ReadTraceFile passes the path). ReadTraceFile also reads
+/// gzip/zstd files, like OpenTraceStream.
 timing::Trace ReadTrace(std::istream& is, const std::string& source = "<trace>");
 timing::Trace ReadTraceFile(const std::string& path);
-
-/// Diagnostic mode: instead of throwing on the first malformed line,
-/// collects up to `max_errors` "<source>:<line>: message" strings into
-/// `errors` (skipping the bad lines) and keeps parsing; once the budget is
-/// exhausted parsing stops. Returns the requests from the good lines.
-timing::Trace ReadTrace(std::istream& is, const std::string& source,
-                        std::size_t max_errors,
-                        std::vector<std::string>& errors);
 
 }  // namespace pair_ecc::workload

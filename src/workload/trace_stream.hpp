@@ -2,14 +2,13 @@
 //
 // StreamingTraceParser turns any ByteSource into a timing::RequestSource:
 // bytes are pulled in fixed-size chunks, split into lines (LF or CRLF,
-// with a final unterminated line accepted), and parsed by the same
-// per-line parser ReadTrace uses — so the streaming and whole-trace paths
-// accept the same format and produce identical diagnostics, while resident
-// memory stays proportional to the chunk size plus the longest line, never
-// the trace.
+// with a final unterminated line accepted), and parsed line by line, while
+// resident memory stays proportional to the chunk size plus the longest
+// line, never the trace. It is the only trace reader: ReadTrace and
+// ReadTraceFile (workload/trace_io.hpp) drain it into a timing::Trace.
 //
-// ParseTraceLine is that shared single-line parser; it is exposed so the
-// fuzz harness can drive it directly.
+// ParseTraceLine is the single-line parser; it is exposed so the fuzz
+// harness can drive it directly.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,8 @@ TraceLineKind ParseTraceLine(std::string_view line, timing::Request& req,
                              std::string& error);
 
 /// Streams requests out of a (possibly compressed) byte stream. Next()
-/// throws std::runtime_error with the same "<source>:<line>: message"
-/// diagnostics as ReadTrace; Reset() rewinds the byte source, so a
+/// throws std::runtime_error with a "<source>:<line>: message"
+/// diagnostic; Reset() rewinds the byte source, so a
 /// file-backed stream replays identically for every simulator pass.
 class StreamingTraceParser final : public timing::RequestSource {
  public:

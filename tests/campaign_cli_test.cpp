@@ -2,8 +2,9 @@
 // (path injected as PAIRSIM_BINARY): SIGKILL and SIGTERM land on a live
 // campaign process, the rerun resumes from the surviving checkpoint, and
 // the final merged report is byte-identical to an uninterrupted run. Also
-// covers the CLI-boundary failure modes: corrupted checkpoints and
-// malformed --shard specs exit nonzero with a one-line diagnostic.
+// covers the CLI-boundary failure modes: corrupted checkpoints,
+// malformed --shard specs and out-of-range trace requests exit nonzero with
+// a one-line diagnostic.
 #include <gtest/gtest.h>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -261,6 +262,25 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
     // One-line diagnostic: a single "pairsim: ..." line, no stack spew.
     EXPECT_NE(text.find("pairsim: "), std::string::npos) << text;
   }
+}
+
+// A trace request outside the timing model is rejected by the library's
+// demand scan, with one diagnostic line naming the problem.
+TEST(CampaignCli, OutOfRangeBankTraceFailsWithOneLine) {
+  const std::string trace = FreshPath("bad_bank.trace");
+  {
+    std::ofstream out(trace);
+    out << "0 R 0 0 0\n5 R 99 0 0\n";
+  }
+  const std::string log = TempPath("bad_bank.log");
+  const Outcome out =
+      RunPairsim({"system", "--trace", trace, "--trials", "1"}, log);
+  ASSERT_TRUE(out.exited);
+  EXPECT_EQ(out.code, 1);
+  const std::string text = ReadAll(log);
+  EXPECT_EQ(text.rfind("pairsim: ", 0), 0u) << text;
+  EXPECT_NE(text.find("outside the timing model"), std::string::npos) << text;
+  EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 #include "timing/request_source.hpp"
 #include "util/atomic_file.hpp"
 #include "util/stats.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 namespace {
 
@@ -192,11 +192,13 @@ TEST(CampaignState, SystemJsonRoundTripIsExact) {
   sim::SystemConfig cfg;
   cfg.seed = 5;
   cfg.threads = 2;
-  workload::WorkloadConfig wl;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kRandom;
+  wl.read_fraction = 0.67;
   wl.num_requests = 60;
   wl.intensity = 0.05;
   wl.seed = cfg.seed;
-  const timing::Trace demand = workload::Generate(wl);
+  const timing::Trace demand = timing::Materialize(*workload::MakeStream(wl));
   const reliability::WorkingSet ws = sim::MakeSystemWorkingSet(cfg);
 
   cfg.horizon_cycles =
@@ -320,11 +322,14 @@ TEST(Campaign, SystemModeSliceMergeIsBitwise) {
   spec.mode = sim::CampaignMode::kSystem;
   spec.system.seed = 3;
   spec.system.threads = 2;
-  workload::WorkloadConfig wl;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kRandom;
+  wl.read_fraction = 0.67;
   wl.num_requests = 50;
   wl.intensity = 0.05;
   wl.seed = spec.system.seed;
-  spec.demand = sim::VectorSourceFactory(workload::Generate(wl));
+  spec.demand =
+      sim::VectorSourceFactory(timing::Materialize(*workload::MakeStream(wl)));
   spec.trials = 48;
   spec.checkpoint_every = 1;
   JsonValue fp = JsonValue::MakeObject();
@@ -570,11 +575,14 @@ TEST(Campaign, SplitSystemSliceMergeIsBitwise) {
   spec.system.seed = 9;
   spec.system.threads = 2;
   spec.system.faults_per_mcycle = 200.0;
-  workload::WorkloadConfig wl;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kRandom;
+  wl.read_fraction = 0.67;
   wl.num_requests = 50;
   wl.intensity = 0.05;
   wl.seed = spec.system.seed;
-  spec.demand = sim::VectorSourceFactory(workload::Generate(wl));
+  spec.demand =
+      sim::VectorSourceFactory(timing::Materialize(*workload::MakeStream(wl)));
   spec.split.thresholds = {1, 2};
   spec.split.replicas = 3;
   spec.trials = 48;

@@ -13,7 +13,7 @@
 #include "reliability/outcome.hpp"
 #include "timing/controller.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 
 namespace pair_ecc {
@@ -34,14 +34,14 @@ struct Replay {
 /// Runs the trace through the scheme functionally (with a shadow truth map)
 /// and through the timing controller; injects `faults` evenly spaced
 /// through the stream.
-Replay RunBoth(ecc::SchemeKind kind, const workload::WorkloadConfig& wcfg,
+Replay RunBoth(ecc::SchemeKind kind, const workload::StreamConfig& wcfg,
            unsigned fault_count, std::uint64_t seed) {
   dram::RankGeometry rg;
   dram::Rank rank(rg);
   auto scheme = ecc::MakeScheme(kind, rank);
   Xoshiro256 rng(seed);
 
-  auto trace = workload::Generate(wcfg);
+  auto trace = timing::Materialize(*workload::MakeStream(wcfg));
 
   // Functional replay.
   Replay out;
@@ -101,10 +101,10 @@ Replay RunBoth(ecc::SchemeKind kind, const workload::WorkloadConfig& wcfg,
   return out;
 }
 
-workload::WorkloadConfig SmallWorkload(std::uint64_t seed) {
-  workload::WorkloadConfig cfg;
+workload::StreamConfig SmallWorkload(std::uint64_t seed) {
+  workload::StreamConfig cfg;
   cfg.num_requests = 1500;
-  cfg.pattern = workload::Pattern::kHotspot;
+  cfg.kind = workload::StreamKind::kHotspot;
   cfg.read_fraction = 0.6;
   cfg.rows = 4;      // small working set so writes and reads collide
   cfg.hot_rows = 2;
@@ -158,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(IntegrationTraceIo, SavedTraceReplaysIdentically) {
   const auto cfg = SmallWorkload(4);
-  auto trace = workload::Generate(cfg);
+  auto trace = timing::Materialize(*workload::MakeStream(cfg));
   std::stringstream buffer;
   workload::WriteTrace(trace, buffer);
   auto loaded = workload::ReadTrace(buffer);

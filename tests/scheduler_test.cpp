@@ -14,7 +14,7 @@
 #include "timing/presets.hpp"
 #include "timing/request_source.hpp"
 #include "timing/scheduler.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 namespace pair_ecc::timing {
 namespace {
@@ -74,14 +74,15 @@ TEST(Scheduler, FrFcfsReordersRowHitsPastAMiss) {
 
 TEST(Scheduler, FrFcfsIsTheDefaultPolicy) {
   const TimingParams params = TimingParams::Ddr4_3200();
-  workload::WorkloadConfig wl;
-  wl.pattern = workload::Pattern::kHotspot;
+  workload::StreamConfig wl;
+  wl.read_fraction = 0.67;
+  wl.kind = workload::StreamKind::kHotspot;
   wl.num_requests = 2000;
   wl.intensity = 0.2;
   wl.seed = 17;
 
   auto run = [&](bool explicit_kind) {
-    auto trace = workload::Generate(wl);
+    auto trace = timing::Materialize(*workload::MakeStream(wl));
     VectorSource source(trace);
     if (explicit_kind) {
       Controller ctrl(params, NoEccTiming(params), 16, PagePolicy::kOpen,
@@ -101,14 +102,15 @@ TEST(Scheduler, FrFcfsIsTheDefaultPolicy) {
 
 TEST(Scheduler, PracIssuesRfmUnderActivationPressure) {
   const TimingParams params = TimingParams::Ddr4_3200();
-  workload::WorkloadConfig wl;
-  wl.pattern = workload::Pattern::kRandom;  // row misses => many ACTs
+  workload::StreamConfig wl;
+  wl.read_fraction = 0.67;
+  wl.kind = workload::StreamKind::kRandom;  // row misses => many ACTs
   wl.num_requests = 4000;
   wl.intensity = 0.2;
   wl.seed = 23;
 
   auto run = [&](SchedulerKind kind) {
-    auto trace = workload::Generate(wl);
+    auto trace = timing::Materialize(*workload::MakeStream(wl));
     VectorSource source(trace);
     Controller ctrl(params, NoEccTiming(params), 16, PagePolicy::kOpen, kind);
     const SimStats stats = ctrl.Run(source);
@@ -174,11 +176,14 @@ TEST(Presets, EverySchemeRunsOnEveryPreset) {
       dram::RankGeometry geom = preset.geometry;
       dram::Rank rank(geom);
       const auto scheme = ecc::MakeScheme(scheme_kind, rank);
-      workload::WorkloadConfig wl;
+      workload::StreamConfig wl;
+      wl.kind = workload::StreamKind::kRandom;
+      wl.read_fraction = 0.67;
+      wl.intensity = 0.05;
       wl.num_requests = 500;
       wl.banks = preset.timing.banks;
       wl.seed = 31;
-      auto trace = workload::Generate(wl);
+      auto trace = timing::Materialize(*workload::MakeStream(wl));
       VectorSource source(trace);
       Controller ctrl(preset.timing,
                       SchemeTiming::FromPerf(scheme->Perf(), preset.timing));

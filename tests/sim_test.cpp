@@ -17,7 +17,7 @@
 #include "sim/memory_system.hpp"
 #include "timing/request_source.hpp"
 #include "util/contract.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 
 namespace pair_ecc::sim {
@@ -205,12 +205,13 @@ SystemConfig TestConfig() {
 }
 
 timing::Trace TestDemand(unsigned requests = 60) {
-  workload::WorkloadConfig wl;
-  wl.pattern = workload::Pattern::kHotspot;
+  workload::StreamConfig wl;
+  wl.read_fraction = 0.67;
+  wl.kind = workload::StreamKind::kHotspot;
   wl.num_requests = requests;
   wl.intensity = 0.05;
   wl.seed = 5;
-  return workload::Generate(wl);
+  return timing::Materialize(*workload::MakeStream(wl));
 }
 
 TEST(MemorySystem, TrialIsAPureFunctionOfSeed) {

@@ -17,7 +17,6 @@
 #include "timing/request_source.hpp"
 #include "util/rng.hpp"
 #include "workload/byte_source.hpp"
-#include "workload/generator.hpp"
 #include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/trace_stream.hpp"
@@ -82,11 +81,13 @@ TEST(StreamingCampaign, EverySyntheticGeneratorMatchesMaterialized) {
 
 TEST(StreamingCampaign, CompressedTraceFileMatchesMaterialized) {
   if (!workload::GzipSupported()) GTEST_SKIP() << "built without zlib";
-  workload::WorkloadConfig wl;
-  wl.pattern = workload::Pattern::kHotspot;
+  workload::StreamConfig wl;
+  wl.read_fraction = 0.67;
+  wl.intensity = 0.05;
+  wl.kind = workload::StreamKind::kHotspot;
   wl.num_requests = 300;
   wl.seed = 13;
-  const timing::Trace demand = workload::Generate(wl);
+  const timing::Trace demand = timing::Materialize(*workload::MakeStream(wl));
   std::stringstream buffer;
   workload::WriteTrace(demand, buffer);
   const std::string path = ::testing::TempDir() + "/pair_system_demand.gz";
@@ -159,7 +160,9 @@ TEST(SyntheticStreams, SeedChangesTheSequence) {
 TEST(SyntheticStreams, NamesRoundTripAndConfigValidates) {
   for (const auto kind :
        {workload::StreamKind::kTensorStream, workload::StreamKind::kPointerChase,
-        workload::StreamKind::kBatchInference})
+        workload::StreamKind::kBatchInference, workload::StreamKind::kStream,
+        workload::StreamKind::kRandom, workload::StreamKind::kHotspot,
+        workload::StreamKind::kLinear, workload::StreamKind::kStrided})
     EXPECT_EQ(workload::StreamKindFromString(workload::ToString(kind)), kind);
   EXPECT_THROW(workload::StreamKindFromString("gups"), std::exception);
   workload::StreamConfig cfg;

@@ -6,13 +6,14 @@
 
 #include "ecc/scheme.hpp"
 #include "timing/controller.hpp"
-#include "workload/generator.hpp"
+#include "util/contract.hpp"
+#include "workload/streams.hpp"
 
 namespace pair_ecc::timing {
 namespace {
 
-using workload::Pattern;
-using workload::WorkloadConfig;
+using workload::StreamKind;
+using workload::StreamConfig;
 
 SchemeTiming NoOverhead(const TimingParams& t) {
   return SchemeTiming::FromPerf(ecc::PerfDescriptor{}, t);
@@ -117,14 +118,24 @@ TEST(Controller, FrFcfsPrefersRowHitOverOlderConflict) {
   EXPECT_TRUE(ctrl.checker().violations().empty());
 }
 
+TEST(Controller, RejectsBankOutsideTheTimingModel) {
+  TimingParams t;
+  Controller ctrl(t, NoOverhead(t));
+  Trace trace = {{0, Op::kRead, 0, {0, 5, 3}},
+                 {1, Op::kRead, 0, {t.banks, 5, 3}}};
+  EXPECT_THROW(ctrl.Run(trace), util::ContractViolation);
+}
+
 TEST(Controller, StatsAccountForEveryRequest) {
   TimingParams t;
   Controller ctrl(t, NoOverhead(t));
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
   cfg.num_requests = 5000;
-  cfg.pattern = Pattern::kRandom;
+  cfg.kind = StreamKind::kRandom;
   cfg.seed = 7;
-  Trace trace = workload::Generate(cfg);
+  Trace trace = timing::Materialize(*workload::MakeStream(cfg));
   const auto stats = ctrl.Run(trace);
   EXPECT_EQ(stats.reads + stats.writes, 5000u);
   EXPECT_EQ(stats.row_hits + stats.row_misses + stats.row_conflicts, 5000u);
@@ -140,7 +151,8 @@ TEST(Controller, StatsAccountForEveryRequest) {
 
 // Protocol compliance across every scheme x pattern combination.
 class ProtocolComplianceTest
-    : public ::testing::TestWithParam<std::tuple<ecc::SchemeKind, Pattern>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<ecc::SchemeKind, StreamKind>> {};
 
 TEST_P(ProtocolComplianceTest, CheckerStaysSilent) {
   TimingParams t;
@@ -148,13 +160,13 @@ TEST_P(ProtocolComplianceTest, CheckerStaysSilent) {
   dram::Rank rank(rg);
   auto scheme = ecc::MakeScheme(std::get<0>(GetParam()), rank);
   Controller ctrl(t, SchemeTiming::FromPerf(scheme->Perf(), t));
-  WorkloadConfig cfg;
-  cfg.pattern = std::get<1>(GetParam());
+  StreamConfig cfg;
+  cfg.kind = std::get<1>(GetParam());
   cfg.num_requests = 8000;
   cfg.read_fraction = 0.5;
   cfg.intensity = 0.2;  // stress the bus
   cfg.seed = 11;
-  Trace trace = workload::Generate(cfg);
+  Trace trace = timing::Materialize(*workload::MakeStream(cfg));
   ctrl.Run(trace);
   ASSERT_TRUE(ctrl.checker().violations().empty())
       << ctrl.checker().violations().front();
@@ -168,15 +180,15 @@ INSTANTIATE_TEST_SUITE_P(
                           ecc::SchemeKind::kXed, ecc::SchemeKind::kDuo,
                           ecc::SchemeKind::kPair4,
                           ecc::SchemeKind::kPair4SecDed),
-        ::testing::Values(Pattern::kStream, Pattern::kRandom,
-                          Pattern::kHotspot)));
+        ::testing::Values(StreamKind::kStream, StreamKind::kRandom,
+                          StreamKind::kHotspot)));
 
 // Directional performance properties.
 
 TEST(ControllerDirectional, RmwSlowsWriteHeavyWorkloads) {
   TimingParams t;
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kHotspot;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kHotspot;
   cfg.num_requests = 10000;
   cfg.read_fraction = 0.3;  // write heavy
   cfg.intensity = 0.15;
@@ -184,10 +196,10 @@ TEST(ControllerDirectional, RmwSlowsWriteHeavyWorkloads) {
 
   ecc::PerfDescriptor rmw;
   rmw.write_rmw = true;
-  Trace a = workload::Generate(cfg);
+  Trace a = timing::Materialize(*workload::MakeStream(cfg));
   Controller base(t, NoOverhead(t));
   const auto s_base = base.Run(a);
-  Trace b = workload::Generate(cfg);
+  Trace b = timing::Materialize(*workload::MakeStream(cfg));
   Controller slow(t, SchemeTiming::FromPerf(rmw, t));
   const auto s_rmw = slow.Run(b);
   EXPECT_GT(s_rmw.cycles, s_base.cycles);
@@ -196,8 +208,8 @@ TEST(ControllerDirectional, RmwSlowsWriteHeavyWorkloads) {
 
 TEST(ControllerDirectional, ExtraBeatsReduceStreamBandwidth) {
   TimingParams t;
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStream;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStream;
   cfg.num_requests = 10000;
   cfg.read_fraction = 1.0;
   cfg.intensity = 0.3;  // saturating
@@ -205,10 +217,10 @@ TEST(ControllerDirectional, ExtraBeatsReduceStreamBandwidth) {
 
   ecc::PerfDescriptor longer;
   longer.extra_read_beats = 2;  // +1 cycle per burst
-  Trace a = workload::Generate(cfg);
+  Trace a = timing::Materialize(*workload::MakeStream(cfg));
   Controller base(t, NoOverhead(t));
   const auto s_base = base.Run(a);
-  Trace b = workload::Generate(cfg);
+  Trace b = timing::Materialize(*workload::MakeStream(cfg));
   Controller ext(t, SchemeTiming::FromPerf(longer, t));
   const auto s_ext = ext.Run(b);
   EXPECT_LT(s_ext.BytesPerCycle(), s_base.BytesPerCycle());
@@ -217,8 +229,8 @@ TEST(ControllerDirectional, ExtraBeatsReduceStreamBandwidth) {
 TEST(ControllerDirectional, DecodeLatencyDoesNotCostBandwidth) {
   // Pure latency adders shift completion but not throughput.
   TimingParams t;
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStream;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStream;
   cfg.num_requests = 8000;
   cfg.read_fraction = 1.0;
   cfg.intensity = 0.3;
@@ -226,10 +238,10 @@ TEST(ControllerDirectional, DecodeLatencyDoesNotCostBandwidth) {
 
   ecc::PerfDescriptor dec;
   dec.read_decode_ns = 5.0;
-  Trace a = workload::Generate(cfg);
+  Trace a = timing::Materialize(*workload::MakeStream(cfg));
   Controller base(t, NoOverhead(t));
   const auto s_base = base.Run(a);
-  Trace b = workload::Generate(cfg);
+  Trace b = timing::Materialize(*workload::MakeStream(cfg));
   Controller d(t, SchemeTiming::FromPerf(dec, t));
   const auto s_dec = d.Run(b);
   EXPECT_NEAR(s_dec.BytesPerCycle(), s_base.BytesPerCycle(),
@@ -432,14 +444,14 @@ TEST(MultiRank, ProtocolCleanUnderLoad) {
   TimingParams t;
   t.ranks = 4;
   Controller ctrl(t, NoOverhead(t), 16, PagePolicy::kOpen);
-  WorkloadConfig cfg;
+  StreamConfig cfg;
   cfg.ranks = 4;
-  cfg.pattern = Pattern::kRandom;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 10000;
   cfg.read_fraction = 0.5;
   cfg.intensity = 0.25;
   cfg.seed = 53;
-  Trace trace = workload::Generate(cfg);
+  Trace trace = timing::Materialize(*workload::MakeStream(cfg));
   const auto stats = ctrl.Run(trace);
   ASSERT_TRUE(ctrl.checker().violations().empty())
       << ctrl.checker().violations().front();
@@ -448,8 +460,8 @@ TEST(MultiRank, ProtocolCleanUnderLoad) {
 }
 
 TEST(MultiRank, MoreRanksRaiseRandomThroughput) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kRandom;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 10000;
   cfg.read_fraction = 0.7;
   cfg.intensity = 0.25;  // saturating
@@ -457,10 +469,10 @@ TEST(MultiRank, MoreRanksRaiseRandomThroughput) {
   auto run = [&](unsigned ranks) {
     TimingParams params;
     params.ranks = ranks;
-    WorkloadConfig wcfg = cfg;
+    StreamConfig wcfg = cfg;
     wcfg.ranks = ranks;
     Controller ctrl(params, NoOverhead(params));
-    Trace trace = workload::Generate(wcfg);
+    Trace trace = timing::Materialize(*workload::MakeStream(wcfg));
     const auto stats = ctrl.Run(trace);
     EXPECT_TRUE(ctrl.checker().violations().empty());
     return stats.cycles;
@@ -469,12 +481,14 @@ TEST(MultiRank, MoreRanksRaiseRandomThroughput) {
 }
 
 TEST(MultiRank, GeneratorSpreadsRanks) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
   cfg.ranks = 4;
-  cfg.pattern = Pattern::kRandom;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 4000;
   std::vector<unsigned> counts(4, 0);
-  for (const auto& req : workload::Generate(cfg)) {
+  for (const auto& req : timing::Materialize(*workload::MakeStream(cfg))) {
     ASSERT_LT(req.rank, 4u);
     ++counts[req.rank];
   }
@@ -504,19 +518,20 @@ TEST(PagePolicy, ClosedPageHelpsRowReuseFreeStreams) {
   // hides tRP, so the closed-page controller should finish no later and
   // with lower average read latency.
   TimingParams t;
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kRandom;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 8000;
   cfg.rows = 64;
   cfg.intensity = 0.08;
   cfg.seed = 41;
 
   Controller open_ctrl(t, NoOverhead(t), 16, PagePolicy::kOpen);
-  Trace ta = workload::Generate(cfg);
+  Trace ta = timing::Materialize(*workload::MakeStream(cfg));
   const auto open_stats = open_ctrl.Run(ta);
 
   Controller closed_ctrl(t, NoOverhead(t), 16, PagePolicy::kClosed);
-  Trace tb = workload::Generate(cfg);
+  Trace tb = timing::Materialize(*workload::MakeStream(cfg));
   const auto closed_stats = closed_ctrl.Run(tb);
 
   EXPECT_TRUE(open_ctrl.checker().violations().empty());
@@ -526,8 +541,9 @@ TEST(PagePolicy, ClosedPageHelpsRowReuseFreeStreams) {
 
 TEST(PagePolicy, OpenPageWinsOnHotspots) {
   TimingParams t;
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kHotspot;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.kind = StreamKind::kHotspot;
   cfg.num_requests = 8000;
   cfg.hot_rows = 2;
   cfg.hot_fraction = 0.95;
@@ -535,11 +551,11 @@ TEST(PagePolicy, OpenPageWinsOnHotspots) {
   cfg.seed = 43;
 
   Controller open_ctrl(t, NoOverhead(t), 16, PagePolicy::kOpen);
-  Trace ta = workload::Generate(cfg);
+  Trace ta = timing::Materialize(*workload::MakeStream(cfg));
   const auto open_stats = open_ctrl.Run(ta);
 
   Controller closed_ctrl(t, NoOverhead(t), 16, PagePolicy::kClosed);
-  Trace tb = workload::Generate(cfg);
+  Trace tb = timing::Materialize(*workload::MakeStream(cfg));
   const auto closed_stats = closed_ctrl.Run(tb);
 
   EXPECT_TRUE(closed_ctrl.checker().violations().empty());
@@ -556,13 +572,13 @@ TEST(PagePolicy, ClosedPageStaysProtocolCleanUnderAllSchemes) {
     auto scheme = ecc::MakeScheme(kind, rank);
     Controller ctrl(t, SchemeTiming::FromPerf(scheme->Perf(), t), 16,
                     PagePolicy::kClosed);
-    WorkloadConfig cfg;
+    StreamConfig cfg;
     cfg.num_requests = 6000;
-    cfg.pattern = Pattern::kRandom;
+    cfg.kind = StreamKind::kRandom;
     cfg.read_fraction = 0.5;
     cfg.intensity = 0.15;
     cfg.seed = 47;
-    Trace trace = workload::Generate(cfg);
+    Trace trace = timing::Materialize(*workload::MakeStream(cfg));
     ctrl.Run(trace);
     EXPECT_TRUE(ctrl.checker().violations().empty())
         << ecc::ToString(kind) << ": " << ctrl.checker().violations().front();
@@ -574,12 +590,13 @@ TEST(PagePolicy, ClosedPageStaysProtocolCleanUnderAllSchemes) {
 TEST(Refresh, PeriodicRefIssuedAtExpectedRate) {
   TimingParams t;
   Controller ctrl(t, NoOverhead(t));
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
   cfg.num_requests = 20000;
-  cfg.pattern = Pattern::kRandom;
+  cfg.kind = StreamKind::kRandom;
   cfg.intensity = 0.05;
   cfg.seed = 23;
-  Trace trace = workload::Generate(cfg);
+  Trace trace = timing::Materialize(*workload::MakeStream(cfg));
   const auto stats = ctrl.Run(trace);
   ASSERT_TRUE(ctrl.checker().violations().empty())
       << ctrl.checker().violations().front();
@@ -592,22 +609,22 @@ TEST(Refresh, PeriodicRefIssuedAtExpectedRate) {
 }
 
 TEST(Refresh, DisablingRefreshImprovesThroughput) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
   cfg.num_requests = 20000;
-  cfg.pattern = Pattern::kStream;
+  cfg.kind = StreamKind::kStream;
   cfg.read_fraction = 1.0;
   cfg.intensity = 0.3;
   cfg.seed = 29;
 
   TimingParams with_ref;
   Controller a(with_ref, NoOverhead(with_ref));
-  Trace ta = workload::Generate(cfg);
+  Trace ta = timing::Materialize(*workload::MakeStream(cfg));
   const auto sa = a.Run(ta);
 
   TimingParams no_ref;
   no_ref.enable_refresh = false;
   Controller b(no_ref, NoOverhead(no_ref));
-  Trace tb = workload::Generate(cfg);
+  Trace tb = timing::Materialize(*workload::MakeStream(cfg));
   const auto sb = b.Run(tb);
 
   EXPECT_EQ(sb.refreshes, 0u);

@@ -1,7 +1,7 @@
-// Streaming trace subsystem tests: the chunked parser against the
-// whole-trace reader (same requests, same diagnostics, any chunk size),
-// byte-source Reset/replay, and transparent gzip decompression behind the
-// magic-byte sniffing opener.
+// Streaming trace subsystem tests: the chunked parser at every chunk size
+// against ReadTrace, its default-chunk drain (same requests, same
+// diagnostics), byte-source Reset/replay, and transparent gzip
+// decompression behind the magic-byte sniffing opener.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -11,7 +11,7 @@
 
 #include "timing/request_source.hpp"
 #include "workload/byte_source.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/trace_stream.hpp"
 
@@ -37,12 +37,14 @@ void ExpectSameTrace(const timing::Trace& a, const timing::Trace& b) {
 }
 
 std::string GeneratedTraceText(unsigned requests, std::uint64_t seed) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kRandom;
+  StreamConfig cfg;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = requests;
   cfg.seed = seed;
   std::stringstream buffer;
-  WriteTrace(Generate(cfg), buffer);
+  WriteTrace(timing::Materialize(*MakeStream(cfg)), buffer);
   return buffer.str();
 }
 
@@ -152,10 +154,13 @@ TEST(StreamingTraceParser, DiagnosticsMatchReadTrace) {
 }
 
 TEST(StreamingTraceParser, OpensPlainFilesViaSniffingOpener) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
   cfg.num_requests = 150;
   cfg.seed = 3;
-  const timing::Trace trace = Generate(cfg);
+  const timing::Trace trace = timing::Materialize(*MakeStream(cfg));
   const std::string path = ::testing::TempDir() + "/pair_stream_plain.txt";
   WriteTraceFile(trace, path);
   EXPECT_FALSE(IsCompressedFile(path));
@@ -167,10 +172,13 @@ TEST(StreamingTraceParser, OpensPlainFilesViaSniffingOpener) {
 
 TEST(ByteSource, GzipRoundTripThroughSniffingOpener) {
   if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
+  cfg.read_fraction = 0.67;
+  cfg.intensity = 0.05;
   cfg.num_requests = 300;
   cfg.seed = 9;
-  const timing::Trace trace = Generate(cfg);
+  const timing::Trace trace = timing::Materialize(*MakeStream(cfg));
   std::stringstream buffer;
   WriteTrace(trace, buffer);
   const std::string path = ::testing::TempDir() + "/pair_stream_trace.gz";

@@ -30,7 +30,7 @@
 #include "telemetry/json.hpp"
 #include "timing/request_source.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/streams.hpp"
 
 namespace pair_ecc::reliability {
 namespace {
@@ -349,11 +349,13 @@ sim::SystemConfig SplitSystemConfig(std::uint64_t seed) {
 
 /// Generates the split tests' demand and resolves `cfg`'s horizon from it.
 timing::Trace SplitDemand(sim::SystemConfig& cfg, unsigned requests) {
-  workload::WorkloadConfig wl;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kRandom;
+  wl.read_fraction = 0.67;
   wl.num_requests = requests;
   wl.intensity = 0.05;
   wl.seed = cfg.seed;
-  timing::Trace demand = workload::Generate(wl);
+  timing::Trace demand = timing::Materialize(*workload::MakeStream(wl));
   cfg.horizon_cycles =
       sim::ScanDemand(cfg, sim::VectorSourceFactory(demand)).horizon_cycles;
   return demand;

@@ -1,6 +1,6 @@
 // Workload-generator tests: configuration validation, determinism, address
-// ranges, read/write mix, arrival pacing, per-pattern locality, and trace
-// file round trips.
+// ranges, read/write mix, arrival pacing, per-pattern locality, pinned
+// sequences for every generator kind, and trace file round trips.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/atomic_file.hpp"
-#include "workload/generator.hpp"
 #include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 
@@ -17,35 +16,37 @@ namespace pair_ecc::workload {
 namespace {
 
 TEST(WorkloadConfig, ValidatesFields) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
   cfg.Validate();
   cfg.read_fraction = 1.5;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
-  cfg = WorkloadConfig{};
+  cfg = StreamConfig{};
   cfg.intensity = 0.0;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
-  cfg = WorkloadConfig{};
+  cfg = StreamConfig{};
   cfg.hot_rows = cfg.rows + 1;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
-  cfg = WorkloadConfig{};
+  cfg = StreamConfig{};
   cfg.num_requests = 0;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
 }
 
 TEST(Generator, ProducesRequestedCountSortedByArrival) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 3000;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   ASSERT_EQ(trace.size(), 3000u);
   for (std::size_t i = 1; i < trace.size(); ++i)
     EXPECT_GE(trace[i].arrival, trace[i - 1].arrival);
 }
 
 TEST(Generator, IsDeterministicPerSeed) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.seed = 42;
-  const auto a = Generate(cfg);
-  const auto b = Generate(cfg);
+  const auto a = timing::Materialize(*MakeStream(cfg));
+  const auto b = timing::Materialize(*MakeStream(cfg));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].arrival, b[i].arrival);
@@ -53,7 +54,7 @@ TEST(Generator, IsDeterministicPerSeed) {
     EXPECT_EQ(a[i].addr, b[i].addr);
   }
   cfg.seed = 43;
-  const auto c = Generate(cfg);
+  const auto c = timing::Materialize(*MakeStream(cfg));
   bool differs = false;
   for (std::size_t i = 0; i < a.size() && !differs; ++i)
     differs = !(a[i].addr == c[i].addr);
@@ -61,14 +62,15 @@ TEST(Generator, IsDeterministicPerSeed) {
 }
 
 TEST(Generator, AddressesStayInRange) {
-  for (Pattern p : {Pattern::kStream, Pattern::kRandom, Pattern::kHotspot}) {
-    WorkloadConfig cfg;
-    cfg.pattern = p;
+  for (StreamKind p :
+       {StreamKind::kStream, StreamKind::kRandom, StreamKind::kHotspot}) {
+    StreamConfig cfg;
+    cfg.kind = p;
     cfg.num_requests = 2000;
     cfg.banks = 8;
     cfg.rows = 16;
     cfg.cols = 32;
-    for (const auto& req : Generate(cfg)) {
+    for (const auto& req : timing::Materialize(*MakeStream(cfg))) {
       EXPECT_LT(req.addr.bank, 8u);
       EXPECT_LT(req.addr.row, 16u);
       EXPECT_LT(req.addr.col, 32u);
@@ -77,30 +79,32 @@ TEST(Generator, AddressesStayInRange) {
 }
 
 TEST(Generator, ReadFractionIsRespected) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 20000;
   cfg.read_fraction = 0.25;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   std::size_t reads = 0;
   for (const auto& req : trace) reads += req.op == timing::Op::kRead;
   EXPECT_NEAR(static_cast<double>(reads) / trace.size(), 0.25, 0.02);
 }
 
 TEST(Generator, IntensityControlsArrivalDensity) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 10000;
   cfg.intensity = 0.1;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   const double span = static_cast<double>(trace.back().arrival);
   // Mean inter-arrival should be ~1/intensity = 10 cycles.
   EXPECT_NEAR(span / trace.size(), 10.0, 1.5);
 }
 
 TEST(Generator, StreamWalksColumnsSequentially) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStream;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStream;
   cfg.num_requests = cfg.banks * 10;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   // Consecutive requests rotate through banks; the column advances once the
   // bank index wraps.
   for (unsigned i = 0; i + 1 < cfg.banks; ++i) {
@@ -111,12 +115,12 @@ TEST(Generator, StreamWalksColumnsSequentially) {
 }
 
 TEST(Generator, HotspotConcentratesTraffic) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kHotspot;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kHotspot;
   cfg.num_requests = 20000;
   cfg.hot_rows = 4;
   cfg.hot_fraction = 0.8;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   std::map<std::pair<unsigned, unsigned>, std::size_t> per_row;
   for (const auto& req : trace) ++per_row[{req.addr.bank, req.addr.row}];
   // The top-4 rows should hold roughly 80% of requests.
@@ -129,9 +133,9 @@ TEST(Generator, HotspotConcentratesTraffic) {
 }
 
 TEST(Generator, PatternNames) {
-  EXPECT_EQ(ToString(Pattern::kStream), "stream");
-  EXPECT_EQ(ToString(Pattern::kRandom), "random");
-  EXPECT_EQ(ToString(Pattern::kHotspot), "hotspot");
+  EXPECT_EQ(ToString(StreamKind::kStream), "stream");
+  EXPECT_EQ(ToString(StreamKind::kRandom), "random");
+  EXPECT_EQ(ToString(StreamKind::kHotspot), "hotspot");
 }
 
 // Pins the exact request sequence of every generator kind: a CRC of the
@@ -150,27 +154,10 @@ TEST(Generator, EveryKindMatchesItsPinnedDigest) {
       {"pointer", "f7e56b32"}, {"batch", "799e6e8f"},
   };
   std::map<std::string, std::string> actual;
-  for (Pattern p : {Pattern::kStream, Pattern::kRandom, Pattern::kHotspot,
-                    Pattern::kLinear, Pattern::kStrided}) {
-    WorkloadConfig cfg;
-    cfg.pattern = p;
-    cfg.num_requests = 2000;
-    cfg.read_fraction = 0.6;
-    cfg.intensity = 0.2;
-    cfg.ranks = 2;
-    cfg.banks = 8;
-    cfg.rows = 16;
-    cfg.cols = 32;
-    cfg.hot_rows = 6;
-    cfg.hot_fraction = 0.7;
-    cfg.interleave = dram::Interleave::kBankInterleaved;
-    cfg.xor_bank_hash = p == Pattern::kStrided;
-    cfg.stride = 37;
-    cfg.seed = 5;
-    actual[ToString(p)] = digest(Generate(cfg));
-  }
-  for (StreamKind k : {StreamKind::kTensorStream, StreamKind::kPointerChase,
-                       StreamKind::kBatchInference}) {
+  for (StreamKind k :
+       {StreamKind::kStream, StreamKind::kRandom, StreamKind::kHotspot,
+        StreamKind::kLinear, StreamKind::kStrided, StreamKind::kTensorStream,
+        StreamKind::kPointerChase, StreamKind::kBatchInference}) {
     StreamConfig cfg;
     cfg.kind = k;
     cfg.num_requests = 2000;
@@ -181,8 +168,12 @@ TEST(Generator, EveryKindMatchesItsPinnedDigest) {
     cfg.rows = 16;
     cfg.cols = 32;
     cfg.hot_rows = 6;
+    cfg.hot_fraction = 0.7;
     cfg.burst_len = 100;
     cfg.gap_cycles = 500;
+    cfg.interleave = dram::Interleave::kBankInterleaved;
+    cfg.xor_bank_hash = k == StreamKind::kStrided;
+    cfg.stride = 37;
     cfg.seed = 5;
     actual[ToString(k)] = digest(timing::Materialize(*MakeStream(cfg)));
   }
@@ -192,22 +183,22 @@ TEST(Generator, EveryKindMatchesItsPinnedDigest) {
 // ---------------------------------------------------------- Mapped patterns
 
 TEST(Generator, LinearWalksPhysicalAddressSpace) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kLinear;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kLinear;
   cfg.num_requests = 64;
   cfg.interleave = dram::Interleave::kBankInterleaved;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   // Bank-interleaved linear: the first `banks` requests rotate banks.
   for (unsigned i = 0; i < cfg.banks; ++i)
     EXPECT_EQ(trace[i].addr.bank, i);
 }
 
 TEST(Generator, LinearRowInterleavedIsRowBufferFriendly) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kLinear;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kLinear;
   cfg.num_requests = 128;
   cfg.interleave = dram::Interleave::kRowInterleaved;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   // First 128 addresses stay in (bank 0, row 0), cols ascending.
   for (unsigned i = 0; i < 128; ++i) {
     EXPECT_EQ(trace[i].addr.bank, 0u);
@@ -217,47 +208,48 @@ TEST(Generator, LinearRowInterleavedIsRowBufferFriendly) {
 }
 
 TEST(Generator, StridedWithoutHashHammersOneBank) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStrided;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStrided;
   cfg.num_requests = 200;
   cfg.interleave = dram::Interleave::kRowInterleaved;
   cfg.stride = cfg.cols * cfg.banks;  // one full row group: same bank forever
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   for (const auto& req : trace) EXPECT_EQ(req.addr.bank, 0u);
 }
 
 TEST(Generator, XorHashSpreadsTheSameStride) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStrided;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStrided;
   cfg.num_requests = 200;
   cfg.interleave = dram::Interleave::kRowInterleaved;
   cfg.stride = cfg.cols * cfg.banks;
   cfg.xor_bank_hash = true;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   std::set<unsigned> banks;
   for (const auto& req : trace) banks.insert(req.addr.bank);
   EXPECT_GT(banks.size(), 8u);
 }
 
 TEST(Generator, StridedRejectsZeroStride) {
-  WorkloadConfig cfg;
-  cfg.pattern = Pattern::kStrided;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kStrided;
   cfg.stride = 0;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
 }
 
 TEST(Generator, MappedPatternNames) {
-  EXPECT_EQ(ToString(Pattern::kLinear), "linear");
-  EXPECT_EQ(ToString(Pattern::kStrided), "strided");
+  EXPECT_EQ(ToString(StreamKind::kLinear), "linear");
+  EXPECT_EQ(ToString(StreamKind::kStrided), "strided");
 }
 
 // ------------------------------------------------------------------ TraceIO
 
 TEST(TraceIo, RoundTripPreservesEveryField) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 500;
   cfg.seed = 77;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   std::stringstream buffer;
   WriteTrace(trace, buffer);
   const auto parsed = ReadTrace(buffer);
@@ -357,13 +349,14 @@ TEST(TraceIo, FileErrorsNameThePath) {
 }
 
 TEST(TraceIo, RoundTripEveryPattern) {
-  for (Pattern p : {Pattern::kStream, Pattern::kRandom, Pattern::kHotspot,
-                    Pattern::kLinear, Pattern::kStrided}) {
-    WorkloadConfig cfg;
-    cfg.pattern = p;
+  for (StreamKind p :
+       {StreamKind::kStream, StreamKind::kRandom, StreamKind::kHotspot,
+        StreamKind::kLinear, StreamKind::kStrided}) {
+    StreamConfig cfg;
+    cfg.kind = p;
     cfg.num_requests = 300;
     cfg.seed = 21;
-    const auto trace = Generate(cfg);
+    const auto trace = timing::Materialize(*MakeStream(cfg));
     std::stringstream buffer;
     WriteTrace(trace, buffer);
     const auto parsed = ReadTrace(buffer, ToString(p));
@@ -409,46 +402,11 @@ TEST(TraceIo, AcceptsCrlfAndTrailingWhitespace) {
   EXPECT_EQ(trace[3].rank, 1u);
 }
 
-TEST(TraceIo, DiagnosticModeCollectsErrorsAndKeepsGoodLines) {
-  std::stringstream in(
-      "0 R 0 0 0\n"
-      "bogus\n"
-      "10 W 1 2 3\n"
-      "20 Q 1 2 3\n"
-      "30 R 4 5 6\n");
-  std::vector<std::string> errors;
-  const auto trace = ReadTrace(in, "demand.trace", 8, errors);
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[2].arrival, 30u);
-  ASSERT_EQ(errors.size(), 2u);
-  EXPECT_NE(errors[0].find("demand.trace:2:"), std::string::npos) << errors[0];
-  EXPECT_NE(errors[1].find("demand.trace:4:"), std::string::npos) << errors[1];
-}
-
-TEST(TraceIo, DiagnosticModeStopsWhenBudgetExhausted) {
-  std::stringstream in(
-      "bad one\n"
-      "bad two\n"
-      "bad three\n"
-      "50 R 0 0 0\n");
-  std::vector<std::string> errors;
-  const auto trace = ReadTrace(in, "t", 2, errors);
-  EXPECT_EQ(errors.size(), 2u);   // budget, not the full error count
-  EXPECT_TRUE(trace.empty());     // parsing stopped before the good line
-}
-
-TEST(TraceIo, DiagnosticModeZeroBudgetStopsImmediately) {
-  std::stringstream in("bad\n0 R 0 0 0\n");
-  std::vector<std::string> errors;
-  const auto trace = ReadTrace(in, "t", 0, errors);
-  EXPECT_TRUE(errors.empty());
-  EXPECT_TRUE(trace.empty());
-}
-
 TEST(TraceIo, FileRoundTrip) {
-  WorkloadConfig cfg;
+  StreamConfig cfg;
+  cfg.kind = StreamKind::kRandom;
   cfg.num_requests = 100;
-  const auto trace = Generate(cfg);
+  const auto trace = timing::Materialize(*MakeStream(cfg));
   const std::string path = ::testing::TempDir() + "/pair_trace_test.txt";
   WriteTraceFile(trace, path);
   const auto parsed = ReadTraceFile(path);

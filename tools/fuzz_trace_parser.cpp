@@ -1,15 +1,17 @@
-// Fuzz harness for the streaming trace frontend — the chunked parser, the
-// shared per-line parser, and the decompression seam.
+// Fuzz harness for the streaming trace frontend — the chunked parser (the
+// only trace reader), its per-line parser, and the decompression seam.
 //
 // The input's first byte selects the mode and chunk size; the rest is the
 // payload:
 //
 //   high bit clear — TEXT: the payload is trace text. Properties:
-//     TP 1. Neither parser crashes, hangs, or trips a sanitizer.
-//     TP 2. Differential: StreamingTraceParser (at the fuzzer-chosen
-//           chunk size, down to one byte) and whole-trace ReadTrace
-//           either both accept with identical request sequences, or both
-//           reject with the identical "<source>:<line>:" diagnostic.
+//     TP 1. The parser never crashes, hangs, or trips a sanitizer.
+//     TP 2. Differential over chunking, on the one parser:
+//           StreamingTraceParser at the fuzzer-chosen chunk size (down to
+//           one byte) and at its default chunk size (via ReadTrace, which
+//           drains it) either both accept with identical request
+//           sequences, or both reject with the identical
+//           "<source>:<line>:" diagnostic.
 //   high bit set — BYTES: the payload is fed through the gzip/zstd
 //     sniffing decompression path. Properties:
 //     BP 1. No crash on arbitrary (truncated, corrupt, concatenated)
@@ -47,7 +49,8 @@ struct ParseResult {
   std::string error;
 };
 
-ParseResult ParseWhole(const std::string& text) {
+/// Default chunk size: ReadTrace drains a StreamingTraceParser.
+ParseResult ParseDefaultChunk(const std::string& text) {
   ParseResult r;
   try {
     std::istringstream in(text);
@@ -73,21 +76,21 @@ ParseResult ParseStreaming(const std::string& text, std::size_t chunk) {
   return r;
 }
 
-// TP 2 / BP 2: the two parsers must agree exactly.
+// TP 2 / BP 2: both chunkings must agree exactly.
 void CheckDifferential(const std::string& text, std::size_t chunk) {
-  const ParseResult whole = ParseWhole(text);
+  const ParseResult reference = ParseDefaultChunk(text);
   const ParseResult streaming = ParseStreaming(text, chunk);
-  if (whole.ok != streaming.ok) __builtin_trap();
-  if (whole.ok) {
-    if (whole.trace.size() != streaming.trace.size()) __builtin_trap();
-    for (std::size_t i = 0; i < whole.trace.size(); ++i) {
-      const Request& a = whole.trace[i];
+  if (reference.ok != streaming.ok) __builtin_trap();
+  if (reference.ok) {
+    if (reference.trace.size() != streaming.trace.size()) __builtin_trap();
+    for (std::size_t i = 0; i < reference.trace.size(); ++i) {
+      const Request& a = reference.trace[i];
       const Request& b = streaming.trace[i];
       if (a.arrival != b.arrival || a.op != b.op || !(a.addr == b.addr) ||
           a.rank != b.rank)
         __builtin_trap();
     }
-  } else if (whole.error != streaming.error) {
+  } else if (reference.error != streaming.error) {
     __builtin_trap();
   }
 }

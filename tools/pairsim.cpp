@@ -79,6 +79,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,7 +101,6 @@
 #include "util/atomic_file.hpp"
 #include "util/table.hpp"
 #include "workload/byte_source.hpp"
-#include "workload/generator.hpp"
 #include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/trace_stream.hpp"
@@ -219,40 +219,26 @@ faults::FaultMix ParseMix(const std::string& name) {
   throw std::runtime_error("unknown mix '" + name + "'");
 }
 
-workload::Pattern ParsePattern(const std::string& name) {
-  if (name == "stream") return workload::Pattern::kStream;
-  if (name == "random") return workload::Pattern::kRandom;
-  if (name == "hotspot") return workload::Pattern::kHotspot;
-  if (name == "linear") return workload::Pattern::kLinear;
-  if (name == "strided") return workload::Pattern::kStrided;
-  throw std::runtime_error("unknown pattern '" + name + "'");
-}
+/// `--pattern` takes one of the five classic patterns; `--trace-gen` and
+/// `trace --gen` one of the three AI shapes. Both name a StreamKind.
+constexpr workload::StreamKind kPatterns[] = {
+    workload::StreamKind::kStream, workload::StreamKind::kRandom,
+    workload::StreamKind::kHotspot, workload::StreamKind::kLinear,
+    workload::StreamKind::kStrided};
+constexpr workload::StreamKind kShapes[] = {
+    workload::StreamKind::kTensorStream, workload::StreamKind::kPointerChase,
+    workload::StreamKind::kBatchInference};
 
-/// Pre-validates a materialized demand trace against the timing model with
-/// one-line diagnostics, so a bad trace fails cleanly at the CLI boundary
-/// instead of tripping the contract checks in sim::ScanDemand.
-void ValidateDemandTrace(const timing::Trace& demand,
-                         const timing::TimingParams& params,
-                         const std::string& source) {
-  for (std::size_t i = 0; i < demand.size(); ++i) {
-    const timing::Request& req = demand[i];
-    if (req.addr.bank >= params.banks)
-      throw std::runtime_error(
-          "trace '" + source + "': request #" + std::to_string(i) + " bank " +
-          std::to_string(req.addr.bank) + " outside the timing model's " +
-          std::to_string(params.banks) + " banks");
-    if (req.rank >= params.ranks)
-      throw std::runtime_error(
-          "trace '" + source + "': request #" + std::to_string(i) + " rank " +
-          std::to_string(req.rank) + " outside the timing model's " +
-          std::to_string(params.ranks) + " ranks");
-    if (i != 0 && req.arrival < demand[i - 1].arrival)
-      throw std::runtime_error("trace '" + source +
-                               "': requests must be sorted by arrival "
-                               "(request #" +
-                               std::to_string(i) + " arrives earlier than "
-                               "its predecessor)");
+workload::StreamKind ParseKind(const std::string& name,
+                               std::span<const workload::StreamKind> kinds,
+                               const std::string& what) {
+  std::string names;
+  for (const workload::StreamKind kind : kinds) {
+    if (workload::ToString(kind) == name) return kind;
+    names += (names.empty() ? "" : "|") + workload::ToString(kind);
   }
+  throw std::runtime_error("unknown " + what + " '" + name + "' (want " +
+                           names + ")");
 }
 
 /// PAIR_TRIALS environment override (the bench binaries' convention).
@@ -276,6 +262,28 @@ std::string ReadFileBytes(const std::string& path, const std::string& what) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+/// Prints "threads N, T <label> in X s (Y trials/sec)" for a Monte-Carlo
+/// run that started at `start`.
+void PrintTrialRate(unsigned threads, unsigned trials, const std::string& label,
+                    std::chrono::steady_clock::time_point start) {
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  std::cout << "threads " << reliability::TrialEngine::ResolveThreads(threads)
+            << ", " << trials << " " << label << " in "
+            << util::Table::Fixed(elapsed.count(), 2) << " s ("
+            << util::Table::Fixed(
+                   static_cast<double>(trials) /
+                       std::max(elapsed.count(), 1e-9), 1)
+            << " trials/sec)\n";
+}
+
+void WriteReport(const telemetry::Report& report,
+                 const std::string& json_path) {
+  if (!telemetry::WriteReportFile(report, json_path))
+    throw std::runtime_error("cannot write JSON report to " + json_path);
+  std::cout << "report written to " << json_path << "\n";
 }
 
 int CmdCodes() {
@@ -322,16 +330,7 @@ int RunTiltedReliability(const reliability::ScenarioConfig& cfg,
   reliability::ScenarioTelemetry tel;
   const reliability::WeightedScenarioState state =
       reliability::RunWeightedMonteCarlo(cfg, tilt, trials, &tel);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  std::cout << "threads "
-            << reliability::TrialEngine::ResolveThreads(cfg.threads) << ", "
-            << trials << " tilted trials in "
-            << util::Table::Fixed(elapsed.count(), 2) << " s ("
-            << util::Table::Fixed(
-                   static_cast<double>(trials) /
-                       std::max(elapsed.count(), 1e-9), 1)
-            << " trials/sec)\n";
+  PrintTrialRate(cfg.threads, trials, "tilted trials", start);
 
   const reliability::TiltSampler sampler(tilt);
   const auto failure = reliability::EstimateWeightedRate(
@@ -373,20 +372,33 @@ int RunTiltedReliability(const reliability::ScenarioConfig& cfg,
     report.MetaInt("tilt_min", tilt.min_faults);
     report.MetaInt("tilt_max", tilt.max_faults);
     reliability::AddWeightedMetrics(report, tilt, state.tally);
-    if (!telemetry::WriteReportFile(report, json_path))
-      throw std::runtime_error("cannot write JSON report to " + json_path);
-    std::cout << "report written to " << json_path << "\n";
+    WriteReport(report, json_path);
   }
   return 0;
 }
 
-int CmdReliability(Args& args) {
+/// Scenario flags shared by `reliability` and `campaign run --mode
+/// reliability`. Scheme/mix names are kept for config fingerprints.
+struct ScenarioFlags {
   reliability::ScenarioConfig cfg;
-  cfg.scheme = ParseScheme(args.Get("scheme", "pair4"));
-  cfg.mix = ParseMix(args.Get("mix", "inherent"));
-  cfg.faults_per_trial = args.GetUnsigned("faults", 2);
-  cfg.seed = args.GetU64("seed", 1);
-  cfg.threads = args.GetUnsigned("threads", 0);
+  std::string scheme_name;
+  std::string mix_name;
+};
+
+ScenarioFlags ParseScenarioFlags(Args& args) {
+  ScenarioFlags f;
+  f.scheme_name = args.Get("scheme", "pair4");
+  f.mix_name = args.Get("mix", "inherent");
+  f.cfg.scheme = ParseScheme(f.scheme_name);
+  f.cfg.mix = ParseMix(f.mix_name);
+  f.cfg.faults_per_trial = args.GetUnsigned("faults", 2);
+  f.cfg.seed = args.GetU64("seed", 1);
+  f.cfg.threads = args.GetUnsigned("threads", 0);
+  return f;
+}
+
+int CmdReliability(Args& args) {
+  const reliability::ScenarioConfig cfg = ParseScenarioFlags(args).cfg;
   const reliability::TiltSpec tilt = ParseTiltFlags(args);
   const unsigned trials = args.GetUnsigned("trials", 500);
   const std::string json_path = args.Get("json", "");
@@ -399,15 +411,7 @@ int CmdReliability(Args& args) {
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
   const auto c = reliability::RunMonteCarlo(cfg, trials, &tel);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  std::cout << "threads " << reliability::TrialEngine::ResolveThreads(cfg.threads)
-            << ", " << trials << " trials in "
-            << util::Table::Fixed(elapsed.count(), 2) << " s ("
-            << util::Table::Fixed(
-                   static_cast<double>(trials) /
-                       std::max(elapsed.count(), 1e-9), 1)
-            << " trials/sec)\n";
+  PrintTrialRate(cfg.threads, trials, "trials", start);
   util::Table t({"metric", "value"});
   const auto frac = [&](std::uint64_t v) {
     return util::Table::Sci(static_cast<double>(v) /
@@ -426,13 +430,9 @@ int CmdReliability(Args& args) {
   t.AddRow({"P(failure)/trial", util::Table::Sci(c.TrialFailureRate())});
   t.Print(std::cout);
 
-  if (!json_path.empty()) {
-    const auto report =
-        reliability::BuildScenarioReport(cfg, trials, c, tel);
-    if (!telemetry::WriteReportFile(report, json_path))
-      throw std::runtime_error("cannot write JSON report to " + json_path);
-    std::cout << "report written to " << json_path << "\n";
-  }
+  if (!json_path.empty())
+    WriteReport(reliability::BuildScenarioReport(cfg, trials, c, tel),
+                json_path);
   return 0;
 }
 
@@ -452,15 +452,7 @@ int CmdLifetime(Args& args) {
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
   const auto s = reliability::RunLifetime(cfg, trials, &tel);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  std::cout << "threads " << reliability::TrialEngine::ResolveThreads(cfg.threads)
-            << ", " << trials << " trials in "
-            << util::Table::Fixed(elapsed.count(), 2) << " s ("
-            << util::Table::Fixed(
-                   static_cast<double>(trials) /
-                       std::max(elapsed.count(), 1e-9), 1)
-            << " trials/sec)\n";
+  PrintTrialRate(cfg.threads, trials, "trials", start);
   util::Table t({"metric", "value"});
   t.AddRow({"trials", std::to_string(s.trials)});
   t.AddRow({"P(SDC) within horizon", util::Table::Sci(s.SdcProbability())});
@@ -470,13 +462,9 @@ int CmdLifetime(Args& args) {
   t.AddRow({"scrub passes", std::to_string(s.total_scrub_writebacks)});
   t.Print(std::cout);
 
-  if (!json_path.empty()) {
-    const auto report =
-        reliability::BuildLifetimeReport(cfg, trials, s, tel);
-    if (!telemetry::WriteReportFile(report, json_path))
-      throw std::runtime_error("cannot write JSON report to " + json_path);
-    std::cout << "report written to " << json_path << "\n";
-  }
+  if (!json_path.empty())
+    WriteReport(reliability::BuildLifetimeReport(cfg, trials, s, tel),
+                json_path);
   return 0;
 }
 
@@ -485,8 +473,8 @@ int CmdPerf(Args& args) {
   const std::string trace_path = args.Get("trace", "");
   const std::string save_path = args.Get("save-trace", "");
 
-  workload::WorkloadConfig cfg;
-  cfg.pattern = ParsePattern(args.Get("pattern", "hotspot"));
+  workload::StreamConfig cfg;
+  cfg.kind = ParseKind(args.Get("pattern", "hotspot"), kPatterns, "pattern");
   cfg.read_fraction = args.GetDouble("reads", 0.67);
   cfg.num_requests = args.GetUnsigned("requests", 30000);
   cfg.intensity = args.GetDouble("intensity", 0.12);
@@ -497,14 +485,12 @@ int CmdPerf(Args& args) {
   args.CheckAllConsumed();
 
   timing::Trace trace = trace_path.empty()
-                            ? workload::Generate(cfg)
+                            ? timing::Materialize(*workload::MakeStream(cfg))
                             : workload::ReadTraceFile(trace_path);
   if (!save_path.empty()) workload::WriteTraceFile(trace, save_path);
 
   timing::TimingParams params = timing::TimingParams::Ddr4_3200();
   params.ranks = cfg.ranks;
-  ValidateDemandTrace(trace, params,
-                      trace_path.empty() ? "<synthetic>" : trace_path);
   auto run = [&](ecc::SchemeKind k, timing::Trace t_in) {
     dram::RankGeometry rg;
     dram::Rank rank(rg);
@@ -544,15 +530,13 @@ int CmdPerf(Args& args) {
 /// same knobs. Scheme/mix names are returned for config fingerprints.
 struct SystemFlags {
   sim::SystemConfig cfg;
-  workload::WorkloadConfig wl;
-  workload::StreamConfig stream;
+  workload::StreamConfig stream;  ///< the demand unless --trace is given
   std::string scheme_name;
   std::string mix_name;
-  std::string pattern_name;
   std::string trace_path;
   std::string geometry_name;
   std::string scheduler_name;
-  std::string stream_name;  ///< --trace-gen kind; empty = not requested
+  bool trace_gen = false;  ///< --trace-gen picked an AI shape over --pattern
   bool force_stream = false;
 };
 
@@ -598,38 +582,37 @@ SystemFlags ParseSystemFlags(Args& args) {
   if (f.cfg.faults_per_mcycle < 0.0)
     throw std::runtime_error("flag --fault-rate: must be non-negative");
 
-  f.pattern_name = args.Get("pattern", "hotspot");
-  f.wl.pattern = ParsePattern(f.pattern_name);
-  f.wl.read_fraction = args.GetDouble("reads", 0.67);
-  f.wl.num_requests = args.GetUnsigned("requests", 400);
-  f.wl.intensity = args.GetDouble("intensity", 0.05);
-  // Synthetic workloads exercise every bank the preset's timing model has.
-  f.wl.banks = f.cfg.timing.banks;
-  f.wl.seed = f.cfg.seed;
-
-  f.stream_name = args.Get("trace-gen", "");
+  // One StreamConfig for the synthetic demand: --pattern picks a classic
+  // pattern at --intensity, --trace-gen an AI shape at --stream-intensity
+  // (and wins). The shape-only flags are always consumed, so
+  // CheckAllConsumed stays a typo check, but only the shapes read them.
+  workload::StreamConfig& stream = f.stream;
+  stream.kind =
+      ParseKind(args.Get("pattern", "hotspot"), kPatterns, "pattern");
+  stream.read_fraction = args.GetDouble("reads", 0.67);
+  stream.num_requests = args.GetUnsigned("requests", 400);
+  stream.intensity = args.GetDouble("intensity", 0.05);
+  // Synthetic workloads exercise every rank and bank the preset's timing
+  // model has.
+  stream.ranks = f.cfg.timing.ranks;
+  stream.banks = f.cfg.timing.banks;
+  stream.seed = f.cfg.seed;
+  const std::string shape = args.Get("trace-gen", "");
   f.force_stream = args.GetUnsigned("stream", 0) != 0;
-  if (!f.stream_name.empty()) {
+  const double shape_intensity = args.GetDouble("stream-intensity", 0.25);
+  const unsigned burst = args.GetUnsigned("burst", 256);
+  const unsigned gap = args.GetUnsigned("gap", 2000);
+  const unsigned hot_rows = args.GetUnsigned("hot-rows", 4);
+  if (!shape.empty()) {
     if (!f.trace_path.empty())
       throw std::runtime_error("--trace and --trace-gen are mutually "
                                "exclusive");
-    f.stream.kind = workload::StreamKindFromString(f.stream_name);
-    f.stream.num_requests = f.wl.num_requests;
-    f.stream.ranks = f.cfg.timing.ranks;
-    f.stream.banks = f.cfg.timing.banks;
-    f.stream.intensity = args.GetDouble("stream-intensity", 0.25);
-    f.stream.read_fraction = f.wl.read_fraction;
-    f.stream.burst_len = args.GetUnsigned("burst", 256);
-    f.stream.gap_cycles = args.GetUnsigned("gap", 2000);
-    f.stream.hot_rows = args.GetUnsigned("hot-rows", 4);
-    f.stream.seed = f.cfg.seed;
-    f.stream.Validate();
-  } else {
-    // Consume the stream-only flags so CheckAllConsumed stays a typo check.
-    args.GetDouble("stream-intensity", 0.25);
-    args.GetUnsigned("burst", 256);
-    args.GetUnsigned("gap", 2000);
-    args.GetUnsigned("hot-rows", 4);
+    f.trace_gen = true;
+    stream.kind = ParseKind(shape, kShapes, "stream kind");
+    stream.intensity = shape_intensity;
+    stream.burst_len = burst;
+    stream.gap_cycles = gap;
+    stream.hot_rows = hot_rows;
   }
   return f;
 }
@@ -668,9 +651,41 @@ void WriteSystemReport(const sim::SystemConfig& cfg, unsigned trials,
       cfg, trials, static_cast<std::size_t>(demand_requests), s, tel);
   report.MetaString("geometry", f.geometry_name);
   report.MetaString("demand_source", demand_source);
-  if (!telemetry::WriteReportFile(report, json_path))
-    throw std::runtime_error("cannot write JSON report to " + json_path);
-  std::cout << "report written to " << json_path << "\n";
+  WriteReport(report, json_path);
+}
+
+/// The demand of `system` and `campaign run --mode system`. Synthetic
+/// kinds stream from the generator and compressed (or --stream 1) trace
+/// files are re-read per trial, both in constant memory. Plain trace
+/// files — and everything when `replay_from_memory` is set — are read
+/// once and replayed from memory, trading RAM for a single parse.
+struct Demand {
+  sim::RequestSourceFactory factory;
+  std::string name;  ///< the report's demand_source
+  bool streamed = false;
+};
+
+Demand MakeDemand(const SystemFlags& f, bool replay_from_memory) {
+  Demand demand;
+  if (f.trace_path.empty()) {
+    const workload::StreamConfig stream = f.stream;
+    demand.factory = [stream] { return workload::MakeStream(stream); };
+    demand.name = (f.trace_gen ? "stream:" : "pattern:") +
+                  workload::ToString(stream.kind);
+  } else {
+    const std::string path = f.trace_path;
+    demand.factory = [path]() -> std::unique_ptr<timing::RequestSource> {
+      return workload::OpenTraceStream(path);
+    };
+    demand.name = path;
+    replay_from_memory = replay_from_memory ||
+                         (!f.force_stream && !workload::IsCompressedFile(path));
+  }
+  demand.streamed = !replay_from_memory;
+  if (replay_from_memory)
+    demand.factory =
+        sim::VectorSourceFactory(timing::Materialize(*demand.factory()));
+  return demand;
 }
 
 int CmdSystem(Args& args) {
@@ -680,58 +695,29 @@ int CmdSystem(Args& args) {
   args.CheckAllConsumed();
   const sim::SystemConfig& cfg = f.cfg;
 
-  // Three demand modes: a synthetic stream and compressed (or --stream 1)
-  // trace files are re-read per trial in constant memory; plain --trace
-  // files and --pattern workloads are materialized once and replayed from
-  // memory, trading RAM for parsing the trace only once.
-  const bool compressed =
-      !f.trace_path.empty() && workload::IsCompressedFile(f.trace_path);
-  const bool streamed = !f.stream_name.empty() || compressed ||
-                        (f.force_stream && !f.trace_path.empty());
-  sim::RequestSourceFactory factory;
-  std::string source_name;
-  if (!f.stream_name.empty()) {
-    const workload::StreamConfig stream = f.stream;
-    factory = [stream] { return workload::MakeStream(stream); };
-    source_name = "stream:" + f.stream_name;
-  } else if (streamed) {
-    const std::string path = f.trace_path;
-    factory = [path]() -> std::unique_ptr<timing::RequestSource> {
-      return workload::OpenTraceStream(path);
-    };
-    source_name = f.trace_path;
-  } else {
-    timing::Trace demand = f.trace_path.empty()
-                               ? workload::Generate(f.wl)
-                               : workload::ReadTraceFile(f.trace_path);
-    ValidateDemandTrace(demand, cfg.timing,
-                        f.trace_path.empty() ? "<synthetic>" : f.trace_path);
-    factory = sim::VectorSourceFactory(std::move(demand));
-    source_name = f.trace_path.empty() ? "pattern:" + f.pattern_name
-                                       : f.trace_path;
-  }
+  const Demand demand = MakeDemand(f, /*replay_from_memory=*/false);
 
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
   sim::StreamingDemandInfo dinfo;
   const sim::SystemStats s =
-      sim::RunSystemCampaignStreaming(cfg, factory, trials, &tel, &dinfo);
+      sim::RunSystemCampaignStreaming(cfg, demand.factory, trials, &tel,
+                                      &dinfo);
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
   std::cout << "threads "
             << reliability::TrialEngine::ResolveThreads(cfg.threads) << ", "
             << trials << " trials x " << dinfo.requests
-            << (streamed ? " streamed requests in " : " requests in ")
+            << (demand.streamed ? " streamed requests in " : " requests in ")
             << util::Table::Fixed(elapsed.count(), 2) << " s\n";
   PrintSystemSummary(s, cfg);
 
   if (!json_path.empty()) {
-    // Streamed runs report the horizon the trials actually ran to;
-    // materialized runs keep reporting the requested one (0 = derived).
+    // The report carries the horizon the trials actually ran to.
     sim::SystemConfig report_cfg = cfg;
-    if (streamed) report_cfg.horizon_cycles = dinfo.horizon_cycles;
+    report_cfg.horizon_cycles = dinfo.horizon_cycles;
     WriteSystemReport(report_cfg, trials, dinfo.requests, s, tel, f,
-                      source_name, json_path);
+                      demand.name, json_path);
   }
   return 0;
 }
@@ -740,7 +726,7 @@ int CmdSystem(Args& args) {
 /// file other tools (and CI) can replay; gzip output when FILE ends in .gz.
 int CmdTrace(Args& args) {
   workload::StreamConfig cfg;
-  cfg.kind = workload::StreamKindFromString(args.Get("gen", "tensor"));
+  cfg.kind = ParseKind(args.Get("gen", "tensor"), kShapes, "stream kind");
   cfg.num_requests = args.GetU64("requests", 100000);
   cfg.ranks = args.GetUnsigned("ranks", 1);
   cfg.banks = args.GetUnsigned("banks", 16);
@@ -850,17 +836,12 @@ int CmdCampaignRun(Args& args) {
   unsigned trials = 0;
 
   if (spec.mode == sim::CampaignMode::kReliability) {
-    auto& cfg = spec.scenario;
-    const std::string scheme_name = args.Get("scheme", "pair4");
-    const std::string mix_name = args.Get("mix", "inherent");
-    cfg.scheme = ParseScheme(scheme_name);
-    cfg.mix = ParseMix(mix_name);
-    cfg.faults_per_trial = args.GetUnsigned("faults", 2);
-    cfg.seed = args.GetU64("seed", 1);
-    cfg.threads = args.GetUnsigned("threads", 0);
+    const ScenarioFlags f = ParseScenarioFlags(args);
+    const reliability::ScenarioConfig& cfg = f.cfg;
+    spec.scenario = cfg;
     trials = ResolveTrials(args.GetUnsigned("trials", 500));
-    fp.Set("scheme", telemetry::JsonValue(scheme_name));
-    fp.Set("mix", telemetry::JsonValue(mix_name));
+    fp.Set("scheme", telemetry::JsonValue(f.scheme_name));
+    fp.Set("mix", telemetry::JsonValue(f.mix_name));
     fp.Set("faults_per_trial", telemetry::JsonValue(cfg.faults_per_trial));
     fp.Set("working_rows", telemetry::JsonValue(cfg.working_rows));
     fp.Set("lines_per_row", telemetry::JsonValue(cfg.lines_per_row));
@@ -874,18 +855,10 @@ int CmdCampaignRun(Args& args) {
     SystemFlags f = ParseSystemFlags(args);
     trials = ResolveTrials(args.GetUnsigned("trials", 200));
     spec.system = f.cfg;
-    // Campaigns materialize their demand once (they are about
-    // crash-safety, not trace scale; use `pairsim system` for multi-GB
-    // streams) and replay it from memory in every trial.
-    timing::Trace demand =
-        !f.stream_name.empty()
-            ? timing::Materialize(*workload::MakeStream(f.stream))
-            : (f.trace_path.empty() ? workload::Generate(f.wl)
-                                    : workload::ReadTraceFile(f.trace_path));
-    ValidateDemandTrace(demand, spec.system.timing,
-                        f.trace_path.empty() ? "<synthetic>" : f.trace_path);
-    const std::uint64_t demand_requests = demand.size();
-    spec.demand = sim::VectorSourceFactory(std::move(demand));
+    // Campaigns are about crash-safety, not trace scale (use `pairsim
+    // system` for multi-GB streams): they replay their demand from memory
+    // in every trial.
+    spec.demand = MakeDemand(f, /*replay_from_memory=*/true).factory;
     fp.Set("scheme", telemetry::JsonValue(f.scheme_name));
     fp.Set("mix", telemetry::JsonValue(f.mix_name));
     // Geometry and scheduler are campaign identity: runs under different
@@ -919,9 +892,11 @@ int CmdCampaignRun(Args& args) {
              telemetry::JsonValue(util::Crc32Hex(
                  ReadFileBytes(f.trace_path, "trace"))));
       fp.Set("trace_requests",
-             telemetry::JsonValue(demand_requests));
-    } else if (!f.stream_name.empty()) {
-      fp.Set("trace_gen", telemetry::JsonValue(f.stream_name));
+             telemetry::JsonValue(
+                 sim::ScanDemand(spec.system, spec.demand).requests));
+    } else if (f.trace_gen) {
+      fp.Set("trace_gen",
+             telemetry::JsonValue(workload::ToString(f.stream.kind)));
       fp.Set("requests", telemetry::JsonValue(f.stream.num_requests));
       fp.Set("read_fraction", telemetry::JsonValue(f.stream.read_fraction));
       fp.Set("stream_intensity", telemetry::JsonValue(f.stream.intensity));
@@ -929,10 +904,11 @@ int CmdCampaignRun(Args& args) {
       fp.Set("gap", telemetry::JsonValue(f.stream.gap_cycles));
       fp.Set("hot_rows", telemetry::JsonValue(f.stream.hot_rows));
     } else {
-      fp.Set("pattern", telemetry::JsonValue(f.pattern_name));
-      fp.Set("read_fraction", telemetry::JsonValue(f.wl.read_fraction));
-      fp.Set("requests", telemetry::JsonValue(f.wl.num_requests));
-      fp.Set("intensity", telemetry::JsonValue(f.wl.intensity));
+      fp.Set("pattern",
+             telemetry::JsonValue(workload::ToString(f.stream.kind)));
+      fp.Set("read_fraction", telemetry::JsonValue(f.stream.read_fraction));
+      fp.Set("requests", telemetry::JsonValue(f.stream.num_requests));
+      fp.Set("intensity", telemetry::JsonValue(f.stream.intensity));
     }
     const std::string split_levels = args.Get("split-levels", "");
     const std::string split_replicas = args.Get("split-replicas", "");
@@ -989,9 +965,7 @@ int CmdCampaignRun(Args& args) {
     const telemetry::Report report =
         sim::MergeCampaignCheckpoints({spec.checkpoint_path}, fleet);
     PrintCampaignReportSummary(report);
-    if (!telemetry::WriteReportFile(report, json_path))
-      throw std::runtime_error("cannot write JSON report to " + json_path);
-    std::cout << "report written to " << json_path << "\n";
+    WriteReport(report, json_path);
   }
   return 0;
 }
@@ -1022,11 +996,7 @@ int CmdCampaignMerge(Args& args) {
               << util::Table::Fixed(fleet.devices, 0) << " devices over "
               << util::Table::Fixed(fleet.years, 1) << " years\n";
 
-  if (!json_path.empty()) {
-    if (!telemetry::WriteReportFile(report, json_path))
-      throw std::runtime_error("cannot write JSON report to " + json_path);
-    std::cout << "report written to " << json_path << "\n";
-  }
+  if (!json_path.empty()) WriteReport(report, json_path);
   return 0;
 }
 
