@@ -1,17 +1,86 @@
 #include "core/pair_scheme.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/contract.hpp"
 
 namespace pair_ecc::core {
 
-using dram::PinLineBit;
 using gf::Elem;
 
 namespace {
 constexpr unsigned kSymbolBits = 8;
+
+/// 8x8 bit-matrix transpose: bit 8 * i + j moves to bit 8 * j + i.
+std::uint64_t Transpose8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
 }
+
+/// Bytes 0, 2, 4 and 6 of `x`, packed into its low four bytes.
+std::uint64_t EvenBytes(std::uint64_t x) {
+  x &= 0x00FF00FF00FF00FFull;
+  x = (x | (x >> 8)) & 0x0000FFFF0000FFFFull;
+  return (x | (x >> 16)) & 0x00000000FFFFFFFFull;
+}
+
+/// The symbols of pins [p, p + 8) (fewer past the last pin) in the 8-beat,
+/// beat-major run of `bits` at `base`: byte i of the result is pin p + i's
+/// symbol, beat j its bit j.
+std::uint64_t LoadSymbols(const util::BitVec& bits, unsigned base,
+                          unsigned pins, unsigned p) {
+  // The two widths the presets use skip the per-beat gather: an x8 run is
+  // one word whose byte j is beat j, already the matrix; an x16 run is two
+  // words of four 16-bit beats, pins [p, p + 8) every other byte.
+  if (pins == 8) return Transpose8(bits.GetWord(base, 64));
+  if (pins == 16)
+    return Transpose8(EvenBytes(bits.GetWord(base, 64) >> p) |
+                      EvenBytes(bits.GetWord(base + 64, 64) >> p) << 32);
+  const unsigned gp = std::min(8u, pins - p);
+  std::uint64_t beats = 0;
+  for (unsigned j = 0; j < kSymbolBits; ++j)
+    beats |= bits.GetWord(base + j * pins + p, gp) << (8 * j);
+  return Transpose8(beats);
+}
+
+/// Inverse of LoadSymbols for the pins whose byte of `mask` is 0xFF: writes
+/// their symbols (bytes of `symbols`) and leaves every other bit as it was.
+void StoreSymbols(util::BitVec& bits, unsigned base, unsigned pins,
+                  unsigned p, std::uint64_t symbols, std::uint64_t mask) {
+  const unsigned gp = std::min(8u, pins - p);
+  const std::uint64_t beats = Transpose8(symbols);
+  const std::uint64_t beat_mask = Transpose8(mask);
+  for (unsigned j = 0; j < kSymbolBits; ++j) {
+    const std::uint64_t m = (beat_mask >> (8 * j)) & 0xFF;
+    if (m == 0) continue;
+    const unsigned offset = base + j * pins + p;
+    bits.SetWord(offset, gp,
+                 (bits.GetWord(offset, gp) & ~m) | ((beats >> (8 * j)) & m));
+  }
+}
+
+/// Packs `count` (<= 8) byte-valued lanes into the bytes of a word.
+template <typename T>
+std::uint64_t Pack8(const T* lanes, unsigned count) {
+  std::uint64_t v = 0;
+  for (unsigned i = 0; i < count; ++i)
+    v |= static_cast<std::uint64_t>(lanes[i]) << (8 * i);
+  return v;
+}
+
+/// Inverse of Pack8.
+void Unpack8(std::uint64_t v, Elem* lanes, unsigned count) {
+  for (unsigned i = 0; i < count; ++i)
+    lanes[i] = static_cast<Elem>((v >> (8 * i)) & 0xFF);
+}
+
+}  // namespace
 
 PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
     : Scheme(rank),
@@ -30,7 +99,6 @@ PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
       g.dq_pins * cw_per_pin_ * config_.check_symbols * kSymbolBits;
   PAIR_CHECK(parity_bits <= g.spare_row_bits, "PAIR: spare region too small for parity");
   word_.resize(code_.n());
-  parity_.resize(config_.check_symbols);
   pdelta_.resize(config_.check_symbols);
 }
 
@@ -47,62 +115,24 @@ ecc::PerfDescriptor PairScheme::Perf() const {
   return p;
 }
 
+std::pair<unsigned, unsigned> PairScheme::CoveringCodewords(
+    unsigned col) const {
+  const unsigned s0 = col * subsymbols_per_col_;
+  const unsigned first = s0 / code_.k();
+  return {first, (s0 + subsymbols_per_col_ - 1) / code_.k() - first + 1};
+}
+
+unsigned PairScheme::Lane(unsigned wi, unsigned device, unsigned pin) const {
+  return (wi * rank().DataDevices() + device) *
+             rank().geometry().device.dq_pins +
+         pin;
+}
+
 unsigned PairScheme::ParityBitOffset(unsigned pin, unsigned w,
                                      unsigned j) const {
   const auto& g = rank().geometry().device;
   return g.row_bits +
          ((pin * cw_per_pin_ + w) * config_.check_symbols + j) * kSymbolBits;
-}
-
-std::vector<Elem> PairScheme::AssembleCodeword(const util::BitVec& row_image,
-                                               unsigned pin,
-                                               unsigned w) const {
-  std::vector<Elem> word;
-  AssembleCodewordInto(row_image, pin, w, word);
-  return word;
-}
-
-void PairScheme::AssembleCodewordInto(const util::BitVec& row_image,
-                                      unsigned pin, unsigned w,
-                                      std::vector<Elem>& word) const {
-  const auto& g = rank().geometry().device;
-  word.resize(code_.n());
-  for (unsigned i = 0; i < code_.k(); ++i) {
-    const unsigned s = w * code_.k() + i;
-    Elem v = 0;
-    for (unsigned j = 0; j < kSymbolBits; ++j)
-      v = static_cast<Elem>(
-          v | (row_image.Get(PinLineBit(g, pin, s * kSymbolBits + j)) << j));
-    word[i] = v;
-  }
-  for (unsigned j = 0; j < config_.check_symbols; ++j)
-    word[code_.k() + j] = static_cast<Elem>(
-        row_image.GetWord(ParityBitOffset(pin, w, j), kSymbolBits));
-}
-
-void PairScheme::StoreCodeword(unsigned device, unsigned bank, unsigned row,
-                               unsigned pin, unsigned w,
-                               const std::vector<Elem>& word) {
-  const auto& g = rank().geometry().device;
-  auto& dev = rank().device(device);
-  for (unsigned i = 0; i < code_.k(); ++i) {
-    const unsigned s = w * code_.k() + i;
-    for (unsigned j = 0; j < kSymbolBits; ++j)
-      dev.WriteBit(bank, row, PinLineBit(g, pin, s * kSymbolBits + j),
-                   (static_cast<unsigned>(word[i]) >> j) & 1u);
-  }
-  for (unsigned j = 0; j < config_.check_symbols; ++j) {
-    util::BitVec bits(kSymbolBits);
-    bits.SetWord(0, kSymbolBits, word[code_.k() + j]);
-    dev.WriteBits(bank, row, ParityBitOffset(pin, w, j), bits);
-  }
-}
-
-const std::vector<unsigned>* PairScheme::ErasuresFor(
-    const CodewordRef& ref) const {
-  if (erasures_.empty()) return nullptr;
-  const auto it = erasures_.find(ref);
-  return it == erasures_.end() ? nullptr : &it->second;
 }
 
 bool PairScheme::MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
@@ -117,423 +147,238 @@ bool PairScheme::MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
   return true;
 }
 
-void PairScheme::DoWriteLine(const dram::Address& addr,
-                           const util::BitVec& line) {
+rs::CodewordBlock PairScheme::StageCodewords(unsigned bank, unsigned row,
+                                             unsigned w_begin,
+                                             unsigned wcount) {
+  PAIR_CHECK(wcount >= 1 && w_begin + wcount <= cw_per_pin_,
+             "PairScheme::StageCodewords: codewords [" << w_begin << ", +"
+                 << wcount << ") outside the " << cw_per_pin_ << " per pin");
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
-
+  const unsigned k = code_.k();
+  const unsigned lanes = wcount * rank().DataDevices() * pins;
+  block_buf_.resize(std::size_t{code_.n()} * lanes);
+  const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
   for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec new_col = rank().DeviceSlice(line, d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
+    const util::BitVec image =
+        rank().device(d).ReadBits(bank, row, 0, g.TotalRowBits());
+    for (unsigned wi = 0; wi < wcount; ++wi) {
+      const unsigned w = w_begin + wi;
+      const unsigned l0 = Lane(wi, d, 0);
+      for (unsigned i = 0; i < k; ++i)
+        for (unsigned p = 0; p < pins; p += 8)
+          Unpack8(LoadSymbols(image, (w * k + i) * kSymbolBits * pins, pins, p),
+                  block.Row(i) + l0 + p, std::min(8u, pins - p));
+      for (unsigned pin = 0; pin < pins; ++pin)
+        for (unsigned j = 0; j < config_.check_symbols; ++j)
+          block.Row(k + j)[l0 + pin] = static_cast<Elem>(
+              image.GetWord(ParityBitOffset(pin, w, j), kSymbolBits));
+    }
+  }
+  return block;
+}
 
-    for (unsigned pin = 0; pin < pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      const unsigned w0 = s0 / code_.k();
-      const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w0; w <= w1; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
+void PairScheme::DecodeStaged(const rs::CodewordBlock& block,
+                              unsigned w_begin, unsigned wcount) {
+  line_res_.resize(block.lines);
+  lane_erasures_.clear();
+  if (!erasures_.empty()) {
+    lane_erasures_.resize(block.lines);
+    for (const auto& [ref, list] : erasures_)
+      if (ref.w >= w_begin && ref.w < w_begin + wcount)
+        lane_erasures_[Lane(ref.w - w_begin, ref.device, ref.pin)] = list;
+  }
+  code_.DecodeBatch(block, line_res_, scratch_, lane_erasures_);
+}
 
-        // Fast path: if the covering codeword is currently consistent, the
-        // parity moves by the precomputed per-symbol delta — no decode, no
-        // internal column cycle (everything is in the open row's sense
-        // amplifiers). A pure delta update over an *inconsistent* codeword
-        // would carry the old error into the new parity and resurrect it
-        // as a miscorrection on the next read, so a dirty codeword takes
-        // the slow path: decode, splice, re-encode. The syndrome check
-        // reuses the read datapath and errors are rare, so the slow path
-        // is off the performance model (scrub_on_write forces it always,
-        // with the RMW timing cost, as the F6 ablation).
-        const bool clean =
-            !config_.scrub_on_write &&
-            code_.IsCodeword(std::span<const Elem>(word_), scratch_);
-        if (clean) {
-          parity_.assign(word_.begin() + code_.k(), word_.end());
-          bool parity_changed = false;
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            Elem new_sym = 0;
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              new_sym = static_cast<Elem>(
-                  new_sym |
-                  (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-            const unsigned pos = s % code_.k();
-            const Elem delta = word_[pos] ^ new_sym;
-            if (delta == 0) continue;
-            word_[pos] = new_sym;
-            code_.ParityDeltaInto(pos, delta, pdelta_);
-            for (unsigned j = 0; j < config_.check_symbols; ++j)
-              parity_[j] ^= pdelta_[j];
-            parity_changed = true;
-            // Write the data symbol.
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              dev.WriteBit(addr.bank, addr.row,
-                           dram::PinLineBit(g, pin, s * kSymbolBits + j),
-                           (static_cast<unsigned>(new_sym) >> j) & 1u);
+void PairScheme::MarkLane(unsigned l, unsigned lanes) {
+  for (unsigned pos = 0; pos < code_.n(); ++pos)
+    store_[std::size_t{pos} * lanes + l] = 0xFF;
+}
+
+void PairScheme::StoreMarked(unsigned bank, unsigned row,
+                             const rs::CodewordBlock& block, unsigned w_begin,
+                             unsigned wcount) {
+  const auto& g = rank().geometry().device;
+  const unsigned pins = g.dq_pins;
+  const unsigned k = code_.k();
+  const unsigned lanes = block.lines;
+  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+    // Resolved on the first marked symbol, so an access that stores
+    // nothing allocates no row.
+    util::BitVec* stored = nullptr;
+    for (unsigned wi = 0; wi < wcount; ++wi) {
+      const unsigned w = w_begin + wi;
+      const unsigned l0 = Lane(wi, d, 0);
+      for (unsigned pos = 0; pos < code_.n(); ++pos) {
+        const std::uint8_t* marks = store_.data() + std::size_t{pos} * lanes;
+        for (unsigned p = 0; p < pins; p += 8) {
+          const unsigned gp = std::min(8u, pins - p);
+          const std::uint64_t mask = Pack8(marks + l0 + p, gp);
+          if (mask == 0) continue;
+          if (stored == nullptr) stored = &rank().device(d).StoredRow(bank, row);
+          if (pos < k) {
+            StoreSymbols(*stored, (w * k + pos) * kSymbolBits * pins, pins, p,
+                         Pack8(block.Row(pos) + l0 + p, gp), mask);
+            continue;
           }
-          if (parity_changed) {
-            for (unsigned j = 0; j < config_.check_symbols; ++j) {
-              util::BitVec bits(kSymbolBits);
-              bits.SetWord(0, kSymbolBits, parity_[j]);
-              dev.WriteBits(addr.bank, addr.row, ParityBitOffset(pin, w, j),
-                            bits);
-            }
-          }
-          continue;
+          for (unsigned i = 0; i < gp; ++i)
+            if (marks[l0 + p + i] != 0)
+              stored->SetWord(ParityBitOffset(p + i, w, pos - k), kSymbolBits,
+                              block.Row(pos)[l0 + p + i]);
         }
-
-        // Slow path: decode the covering codeword, splice the new symbols
-        // into the corrected data, re-encode from scratch.
-        const auto* er = ErasuresFor({d, pin, w});
-        code_.Decode(std::span<Elem>(word_),
-                     er ? std::span<const unsigned>(*er)
-                        : std::span<const unsigned>{},
-                     scratch_);
-        for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-          const unsigned s = s0 + q;
-          if (s / code_.k() != w) continue;
-          Elem new_sym = 0;
-          for (unsigned j = 0; j < kSymbolBits; ++j)
-            new_sym = static_cast<Elem>(
-                new_sym |
-                (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-          word_[s % code_.k()] = new_sym;
-        }
-        code_.ComputeParityInto(
-            std::span<const Elem>(word_.data(), code_.k()),
-            std::span<Elem>(word_.data() + code_.k(), config_.check_symbols));
-        StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
       }
     }
   }
+}
+
+void PairScheme::DoWriteLine(const dram::Address& addr,
+                             const util::BitVec& line) {
+  const auto& g = rank().geometry().device;
+  const unsigned pins = g.dq_pins;
+  const unsigned k = code_.k();
+  const unsigned r = code_.r();
+  const auto [w_begin, wcount] = CoveringCodewords(addr.col);
+  const rs::CodewordBlock block =
+      StageCodewords(addr.bank, addr.row, w_begin, wcount);
+  const unsigned lanes = block.lines;
+  // Decodes the dirty lanes (and lanes with erasures); clean lanes stay as
+  // received. The received syndromes it leaves in the scratch classify
+  // every lane exactly as IsCodeword would.
+  DecodeStaged(block, w_begin, wcount);
+  const auto dirty = [&](unsigned l) {
+    if (config_.scrub_on_write) return true;
+    for (unsigned j = 0; j < r; ++j)
+      if (scratch_.batch_syn[std::size_t{j} * lanes + l] != 0) return true;
+    return false;
+  };
+  store_.assign(std::size_t{code_.n()} * lanes, 0);
+
+  const unsigned s0 = addr.col * subsymbols_per_col_;
+  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+    for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
+      const unsigned s = s0 + q;
+      const unsigned pos = s % k;
+      const unsigned l0 = Lane(s / k - w_begin, d, 0);
+      for (unsigned p = 0; p < pins; p += 8) {
+        const std::uint64_t syms =
+            LoadSymbols(line, d * g.AccessBits() + q * kSymbolBits * pins,
+                        pins, p);
+        for (unsigned i = 0; i < std::min(8u, pins - p); ++i) {
+          const unsigned l = l0 + p + i;
+          const auto new_sym = static_cast<Elem>((syms >> (8 * i)) & 0xFF);
+          Elem& sym = block.Row(pos)[l];
+          const Elem delta = sym ^ new_sym;
+          sym = new_sym;
+          if (delta == 0 || dirty(l)) continue;
+          // Clean lane, changed symbol: move the parity by the delta.
+          code_.ParityDeltaInto(pos, delta, pdelta_);
+          store_[std::size_t{pos} * lanes + l] = 0xFF;
+          for (unsigned j = 0; j < r; ++j) {
+            block.Row(k + j)[l] ^= pdelta_[j];
+            store_[std::size_t{k + j} * lanes + l] = 0xFF;
+          }
+        }
+      }
+    }
+  }
+
+  // Slow path: re-encode the decoded, spliced lane and rewrite all of it.
+  for (unsigned l = 0; l < lanes; ++l) {
+    if (!dirty(l)) continue;
+    for (unsigned i = 0; i < k; ++i) word_[i] = block.Row(i)[l];
+    code_.ComputeParityInto(std::span<const Elem>(word_.data(), k),
+                            std::span<Elem>(word_.data() + k, r));
+    for (unsigned j = 0; j < r; ++j) block.Row(k + j)[l] = word_[k + j];
+    MarkLane(l, lanes);
+  }
+  StoreMarked(addr.bank, addr.row, block, w_begin, wcount);
 }
 
 ecc::ReadResult PairScheme::DoReadLine(const dram::Address& addr) {
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
+  const unsigned k = code_.k();
+  // With decode_full_pin_line every codeword of the pin is checked (they
+  // are all in the sense amplifiers); otherwise only the ones covering the
+  // addressed column.
+  const auto [w_begin, wcount] =
+      config_.decode_full_pin_line
+          ? std::pair<unsigned, unsigned>{0, cw_per_pin_}
+          : CoveringCodewords(addr.col);
+  const rs::CodewordBlock block =
+      StageCodewords(addr.bank, addr.row, w_begin, wcount);
+  DecodeStaged(block, w_begin, wcount);
 
+  // Claim aggregation: the failure > corrected > clean lattice is
+  // order-independent, and corrected_units is a plain sum.
   ecc::ReadResult result;
+  for (const rs::BatchLineResult& lane : line_res_) {
+    switch (lane.status) {
+      case rs::DecodeStatus::kNoError:
+        break;
+      case rs::DecodeStatus::kCorrected:
+        if (result.claim != ecc::Claim::kDetected)
+          result.claim = ecc::Claim::kCorrected;
+        result.corrected_units += lane.corrected;
+        break;
+      case rs::DecodeStatus::kFailure:
+        result.claim = ecc::Claim::kDetected;
+        break;
+    }
+  }
+
+  // Deliver the addressed column's symbols. DecodeBatch wrote corrected
+  // lanes back into the block and left failed lanes as received.
   result.data = util::BitVec(rank().geometry().LineBits());
-
+  const unsigned s0 = addr.col * subsymbols_per_col_;
   for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-    util::BitVec col_slice(g.AccessBits());
-
-    for (unsigned pin = 0; pin < pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      // With decode_full_pin_line every codeword of the pin is checked (they
-      // are all in the sense amplifiers); otherwise only the one covering
-      // the addressed column.
-      const unsigned w_begin =
-          config_.decode_full_pin_line ? 0 : s0 / code_.k();
-      const unsigned w_end = config_.decode_full_pin_line
-                                 ? cw_per_pin_ - 1
-                                 : (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w_begin; w <= w_end; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        switch (status) {
-          case rs::DecodeStatus::kNoError:
-            break;
-          case rs::DecodeStatus::kCorrected:
-            if (result.claim != ecc::Claim::kDetected)
-              result.claim = ecc::Claim::kCorrected;
-            result.corrected_units += scratch_.NumCorrected();
-            break;
-          case rs::DecodeStatus::kFailure:
-            result.claim = ecc::Claim::kDetected;
-            break;
-        }
-        // Deliver the (corrected) symbols belonging to the addressed column.
-        for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-          const unsigned s = s0 + q;
-          if (s / code_.k() != w) continue;
-          const Elem v = word_[s % code_.k()];
-          for (unsigned j = 0; j < kSymbolBits; ++j)
-            col_slice.Set((q * kSymbolBits + j) * pins + pin,
-                          (static_cast<unsigned>(v) >> j) & 1u);
-        }
+    for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
+      const unsigned s = s0 + q;
+      const unsigned l0 = Lane(s / k - w_begin, d, 0);
+      for (unsigned p = 0; p < pins; p += 8) {
+        const unsigned gp = std::min(8u, pins - p);
+        StoreSymbols(result.data,
+                     d * g.AccessBits() + q * kSymbolBits * pins, pins, p,
+                     Pack8(block.Row(s % k) + l0 + p, gp), ~std::uint64_t{0});
       }
     }
-    rank().SetDeviceSlice(result.data, d, col_slice);
   }
   return result;
 }
 
-void PairScheme::DoWriteLines(std::span<const dram::Address> addrs,
-                              std::span<const util::BitVec> lines) {
-  PAIR_DCHECK(addrs.size() == lines.size(), "span extents rechecked in NVI");
-  // The scrub-on-write ablation decodes every covering codeword regardless
-  // of cleanliness, so there is nothing for the batch clean-check to win.
-  if (config_.scrub_on_write) {
-    Scheme::DoWriteLines(addrs, lines);
-    return;
-  }
-  const auto& g = rank().geometry().device;
-  const unsigned pins = g.dq_pins;
-  const unsigned devices = rank().DataDevices();
-
-  for (std::size_t a = 0; a < addrs.size(); ++a) {
-    const dram::Address& addr = addrs[a];
-    const util::BitVec& line = lines[a];
-    const unsigned s0 = addr.col * subsymbols_per_col_;
-    const unsigned w0 = s0 / code_.k();
-    const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-    const unsigned wcount = w1 - w0 + 1;
-    const unsigned lanes = devices * pins * wcount;
-
-    // Stage every covering codeword of this line as one lane of an SoA
-    // block: lane(d, pin, w) = (d*pins + pin)*wcount + (w - w0). Snapshot
-    // order differs from the per-line path (all devices staged before any
-    // write), but devices are separate chips and within a device the
-    // (pin, w) codewords occupy disjoint bits, so the images agree.
-    block_buf_.resize(std::size_t{code_.n()} * lanes);
-    const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned d = 0; d < devices; ++d) {
-      const util::BitVec row_image =
-          rank().device(d).ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w0; w <= w1; ++w) {
-          AssembleCodewordInto(row_image, pin, w, word_);
-          const unsigned l = (d * pins + pin) * wcount + (w - w0);
-          for (unsigned i = 0; i < code_.n(); ++i) block.Row(i)[l] = word_[i];
-        }
-      }
-    }
-
-    // One vectorized syndrome sweep classifies every lane. It computes
-    // exactly the values IsCodeword derives per codeword, so the
-    // clean/dirty split — and everything downstream — is unchanged.
-    scratch_.batch_syn.resize(std::size_t{code_.r()} * lanes);
-    code_.SyndromesBatchInto(block, scratch_.batch_syn);
-
-    for (unsigned d = 0; d < devices; ++d) {
-      auto& dev = rank().device(d);
-      const util::BitVec new_col = rank().DeviceSlice(line, d);
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w0; w <= w1; ++w) {
-          const unsigned l = (d * pins + pin) * wcount + (w - w0);
-          for (unsigned i = 0; i < code_.n(); ++i) word_[i] = block.Row(i)[l];
-          bool clean = true;
-          for (unsigned j = 0; j < code_.r(); ++j)
-            clean = clean &&
-                    scratch_.batch_syn[std::size_t{j} * lanes + l] == 0;
-
-          if (clean) {
-            // Delta-parity fast path, identical to DoWriteLine.
-            parity_.assign(word_.begin() + code_.k(), word_.end());
-            bool parity_changed = false;
-            for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-              const unsigned s = s0 + q;
-              if (s / code_.k() != w) continue;
-              Elem new_sym = 0;
-              for (unsigned j = 0; j < kSymbolBits; ++j)
-                new_sym = static_cast<Elem>(
-                    new_sym |
-                    (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-              const unsigned pos = s % code_.k();
-              const Elem delta = word_[pos] ^ new_sym;
-              if (delta == 0) continue;
-              word_[pos] = new_sym;
-              code_.ParityDeltaInto(pos, delta, pdelta_);
-              for (unsigned j = 0; j < config_.check_symbols; ++j)
-                parity_[j] ^= pdelta_[j];
-              parity_changed = true;
-              for (unsigned j = 0; j < kSymbolBits; ++j)
-                dev.WriteBit(addr.bank, addr.row,
-                             dram::PinLineBit(g, pin, s * kSymbolBits + j),
-                             (static_cast<unsigned>(new_sym) >> j) & 1u);
-            }
-            if (parity_changed) {
-              for (unsigned j = 0; j < config_.check_symbols; ++j) {
-                util::BitVec bits(kSymbolBits);
-                bits.SetWord(0, kSymbolBits, parity_[j]);
-                dev.WriteBits(addr.bank, addr.row, ParityBitOffset(pin, w, j),
-                              bits);
-              }
-            }
-            continue;
-          }
-
-          // Slow path: decode, splice, re-encode — identical to DoWriteLine
-          // (erasures only matter here, so no fallback is needed above).
-          const auto* er = ErasuresFor({d, pin, w});
-          code_.Decode(std::span<Elem>(word_),
-                       er ? std::span<const unsigned>(*er)
-                          : std::span<const unsigned>{},
-                       scratch_);
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            Elem new_sym = 0;
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              new_sym = static_cast<Elem>(
-                  new_sym |
-                  (new_col.Get((q * kSymbolBits + j) * pins + pin) << j));
-            word_[s % code_.k()] = new_sym;
-          }
-          code_.ComputeParityInto(
-              std::span<const Elem>(word_.data(), code_.k()),
-              std::span<Elem>(word_.data() + code_.k(),
-                              config_.check_symbols));
-          StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
-        }
-      }
+PairScheme::ScrubStats PairScheme::ScrubCodewords(unsigned bank, unsigned row,
+                                                  unsigned w_begin,
+                                                  unsigned wcount) {
+  const rs::CodewordBlock block = StageCodewords(bank, row, w_begin, wcount);
+  DecodeStaged(block, w_begin, wcount);
+  store_.assign(std::size_t{code_.n()} * block.lines, 0);
+  ScrubStats stats;
+  stats.codewords = block.lines;
+  for (unsigned l = 0; l < block.lines; ++l) {
+    switch (line_res_[l].status) {
+      case rs::DecodeStatus::kNoError:
+        break;
+      case rs::DecodeStatus::kCorrected:
+        ++stats.corrected;
+        MarkLane(l, block.lines);
+        break;
+      case rs::DecodeStatus::kFailure:
+        ++stats.uncorrectable;
+        break;
     }
   }
-}
-
-void PairScheme::DoReadLines(std::span<const dram::Address> addrs,
-                             std::span<ecc::ReadResult> results) {
-  PAIR_DCHECK(addrs.size() == results.size(), "span extents rechecked in NVI");
-  // DecodeBatch handles errors only; registered erasures route every read
-  // through the per-line scalar path.
-  if (!erasures_.empty()) {
-    Scheme::DoReadLines(addrs, results);
-    return;
-  }
-  const auto& g = rank().geometry().device;
-  const unsigned pins = g.dq_pins;
-  const unsigned devices = rank().DataDevices();
-
-  for (std::size_t a = 0; a < addrs.size(); ++a) {
-    const dram::Address& addr = addrs[a];
-    ecc::ReadResult& result = results[a];
-    result.claim = ecc::Claim::kClean;
-    result.corrected_units = 0;
-    result.data = util::BitVec(rank().geometry().LineBits());
-
-    const unsigned s0 = addr.col * subsymbols_per_col_;
-    const unsigned w_begin = config_.decode_full_pin_line ? 0 : s0 / code_.k();
-    const unsigned w_end = config_.decode_full_pin_line
-                               ? cw_per_pin_ - 1
-                               : (s0 + subsymbols_per_col_ - 1) / code_.k();
-    const unsigned wcount = w_end - w_begin + 1;
-    const unsigned lanes = devices * pins * wcount;
-
-    block_buf_.resize(std::size_t{code_.n()} * lanes);
-    const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned d = 0; d < devices; ++d) {
-      const util::BitVec row_image =
-          rank().device(d).ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w_begin; w <= w_end; ++w) {
-          AssembleCodewordInto(row_image, pin, w, word_);
-          const unsigned l = (d * pins + pin) * wcount + (w - w_begin);
-          for (unsigned i = 0; i < code_.n(); ++i) block.Row(i)[l] = word_[i];
-        }
-      }
-    }
-
-    line_res_.resize(lanes);
-    code_.DecodeBatch(block, line_res_, scratch_);
-
-    // Claim aggregation: the failure > corrected > clean lattice is
-    // order-independent, and corrected_units is a plain sum, so walking
-    // lanes in any order reproduces the per-line result.
-    for (unsigned l = 0; l < lanes; ++l) {
-      switch (line_res_[l].status) {
-        case rs::DecodeStatus::kNoError:
-          break;
-        case rs::DecodeStatus::kCorrected:
-          if (result.claim != ecc::Claim::kDetected)
-            result.claim = ecc::Claim::kCorrected;
-          result.corrected_units += line_res_[l].corrected;
-          break;
-        case rs::DecodeStatus::kFailure:
-          result.claim = ecc::Claim::kDetected;
-          break;
-      }
-    }
-
-    // Deliver the addressed column's symbols. DecodeBatch wrote corrected
-    // lanes back into the block and left failed lanes as received — the
-    // same contents the per-line path delivers.
-    for (unsigned d = 0; d < devices; ++d) {
-      util::BitVec col_slice(g.AccessBits());
-      for (unsigned pin = 0; pin < pins; ++pin) {
-        for (unsigned w = w_begin; w <= w_end; ++w) {
-          const unsigned l = (d * pins + pin) * wcount + (w - w_begin);
-          for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-            const unsigned s = s0 + q;
-            if (s / code_.k() != w) continue;
-            const Elem v = block.Row(s % code_.k())[l];
-            for (unsigned j = 0; j < kSymbolBits; ++j)
-              col_slice.Set((q * kSymbolBits + j) * pins + pin,
-                            (static_cast<unsigned>(v) >> j) & 1u);
-          }
-        }
-      }
-      rank().SetDeviceSlice(result.data, d, col_slice);
-    }
-  }
+  StoreMarked(bank, row, block, w_begin, wcount);
+  return stats;
 }
 
 void PairScheme::DoScrubLine(const dram::Address& addr) {
-  const auto& g = rank().geometry().device;
-  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image =
-        dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-    for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-      const unsigned s0 = addr.col * subsymbols_per_col_;
-      const unsigned w0 = s0 / code_.k();
-      const unsigned w1 = (s0 + subsymbols_per_col_ - 1) / code_.k();
-      for (unsigned w = w0; w <= w1; ++w) {
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        if (status == rs::DecodeStatus::kCorrected)
-          StoreCodeword(d, addr.bank, addr.row, pin, w, word_);
-      }
-    }
-  }
+  const auto [w_begin, wcount] = CoveringCodewords(addr.col);
+  ScrubCodewords(addr.bank, addr.row, w_begin, wcount);
 }
 
 PairScheme::ScrubStats PairScheme::ScrubRow(unsigned bank, unsigned row) {
-  const auto& g = rank().geometry().device;
-  ScrubStats stats;
-  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    auto& dev = rank().device(d);
-    const util::BitVec row_image = dev.ReadBits(bank, row, 0, g.TotalRowBits());
-    for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-      for (unsigned w = 0; w < cw_per_pin_; ++w) {
-        ++stats.codewords;
-        AssembleCodewordInto(row_image, pin, w, word_);
-        const auto* er = ErasuresFor({d, pin, w});
-        const auto status =
-            code_.Decode(std::span<Elem>(word_),
-                         er ? std::span<const unsigned>(*er)
-                            : std::span<const unsigned>{},
-                         scratch_);
-        switch (status) {
-          case rs::DecodeStatus::kNoError:
-            break;
-          case rs::DecodeStatus::kCorrected:
-            ++stats.corrected;
-            StoreCodeword(d, bank, row, pin, w, word_);
-            break;
-          case rs::DecodeStatus::kFailure:
-            ++stats.uncorrectable;
-            break;
-        }
-      }
-    }
-  }
-  return stats;
+  return ScrubCodewords(bank, row, 0, cw_per_pin_);
 }
 
 }  // namespace pair_ecc::core

@@ -31,7 +31,10 @@
 // correction power toward r per codeword — the repair-list extension.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/pair_config.hpp"
@@ -68,21 +71,37 @@ class PairScheme final : public ecc::Scheme {
   };
   ScrubStats ScrubRow(unsigned bank, unsigned row);
 
+  /// The one staging routine behind every read, write and scrub: codewords
+  /// [w_begin, w_begin + wcount) of every pin of every data device of
+  /// (bank, row), as the array delivers them (stuck overlay applied), as
+  /// the lanes of one SoA block. Lane ((w - w_begin) * DataDevices() +
+  /// device) * dq_pins + pin holds codeword (device, pin, w). The row is
+  /// beat-major, so symbol s of all pins is one contiguous run of
+  /// 8 * dq_pins bits; one 8x8 bit-matrix transpose per group of 8 pins
+  /// turns it into those pins' symbols. The view is valid until the next
+  /// call into this scheme.
+  rs::CodewordBlock StageCodewords(unsigned bank, unsigned row,
+                                   unsigned w_begin, unsigned wcount);
+
  protected:
+  /// One line path: stage the codewords the access covers, decode them as
+  /// one rs::DecodeBatch block (lanes with registered erasures decode with
+  /// their lists), then deliver or store them with word operations. The
+  /// inherited batch entry points loop these.
+  ///
+  /// A write takes, per covering codeword, the delta-parity fast path when
+  /// the codeword is currently consistent: the parity moves by the
+  /// precomputed per-symbol delta, with no decode and no internal column
+  /// cycle (everything is in the open row's sense amplifiers). A pure delta
+  /// update over an *inconsistent* codeword would carry the old error into
+  /// the new parity and resurrect it as a miscorrection on the next read,
+  /// so a dirty codeword takes the slow path: decode, splice, re-encode.
+  /// The syndrome check reuses the read datapath and errors are rare, so
+  /// the slow path is off the performance model (scrub_on_write forces it
+  /// always, with the RMW timing cost, as the F6 ablation).
   void DoWriteLine(const dram::Address& addr,
                    const util::BitVec& line) override;
   ecc::ReadResult DoReadLine(const dram::Address& addr) override;
-
-  /// Batch data path: each address's dq_pins * data_devices (* codewords
-  /// per pin) codewords become lanes of one SoA block driven through the
-  /// vectorized RS batch APIs — one SyndromesBatchInto clean-check per
-  /// write, one DecodeBatch per read. Observably identical to the per-line
-  /// loops; erasure-carrying reads and the scrub-on-write ablation fall
-  /// back to them.
-  void DoWriteLines(std::span<const dram::Address> addrs,
-                    std::span<const util::BitVec> lines) override;
-  void DoReadLines(std::span<const dram::Address> addrs,
-                   std::span<ecc::ReadResult> results) override;
 
   /// In-DRAM patrol scrub of the codewords covering `addr`: decode and
   /// restore data AND check symbols (the delta-parity write path cannot
@@ -104,24 +123,35 @@ class PairScheme final : public ecc::Scheme {
     }
   };
 
+  /// Codewords of a pin holding column `col`'s symbols: [first, first +
+  /// count).
+  std::pair<unsigned, unsigned> CoveringCodewords(unsigned col) const;
+
+  /// Staged lane of codeword (w_begin + wi, device, pin).
+  unsigned Lane(unsigned wi, unsigned device, unsigned pin) const;
+
   /// Spare-region bit offset of check symbol `j` of codeword (pin, w).
   unsigned ParityBitOffset(unsigned pin, unsigned w, unsigned j) const;
 
-  /// Assembles codeword (device, pin, w) from the stored row image.
-  std::vector<gf::Elem> AssembleCodeword(const util::BitVec& row_image,
-                                         unsigned pin, unsigned w) const;
+  /// rs::DecodeBatch over the staged block, handing each lane its
+  /// registered erasure list.
+  void DecodeStaged(const rs::CodewordBlock& block, unsigned w_begin,
+                    unsigned wcount);
 
-  /// Allocation-free variant: overwrites `word` (resized to n) with the
-  /// assembled codeword.
-  void AssembleCodewordInto(const util::BitVec& row_image, unsigned pin,
-                            unsigned w, std::vector<gf::Elem>& word) const;
+  /// Decodes codewords [w_begin, w_begin + wcount) of the row and writes
+  /// every corrected one back.
+  ScrubStats ScrubCodewords(unsigned bank, unsigned row, unsigned w_begin,
+                            unsigned wcount);
 
-  /// Writes corrected/updated symbols of a codeword back to the array.
-  void StoreCodeword(unsigned device, unsigned bank, unsigned row,
-                     unsigned pin, unsigned w,
-                     const std::vector<gf::Elem>& word);
+  /// Marks every symbol of staged lane `l` for StoreMarked.
+  void MarkLane(unsigned l, unsigned lanes);
 
-  const std::vector<unsigned>* ErasuresFor(const CodewordRef& ref) const;
+  /// Writes the staged symbols marked in store_ back to the array, and no
+  /// other cell: data symbols through one transpose per group of 8 pins,
+  /// check symbols as 8-bit words.
+  void StoreMarked(unsigned bank, unsigned row,
+                   const rs::CodewordBlock& block, unsigned w_begin,
+                   unsigned wcount);
 
   PairConfig config_;
   rs::RsCode code_;
@@ -135,13 +165,13 @@ class PairScheme final : public ecc::Scheme {
   // touched by one thread only.
   rs::DecodeScratch scratch_;
   std::vector<gf::Elem> word_;
-  std::vector<gf::Elem> parity_;
   std::vector<gf::Elem> pdelta_;
-  // Batch staging: one SoA codeword block (all devices x pins x covering
-  // codewords of one address) plus per-lane decode results, reused across
-  // addresses and calls.
+  // Staging: one SoA codeword block, its per-lane decode results and
+  // erasure lists, and a same-shaped mask of the symbols to store back.
   std::vector<gf::Elem> block_buf_;
   std::vector<rs::BatchLineResult> line_res_;
+  std::vector<std::span<const unsigned>> lane_erasures_;
+  std::vector<std::uint8_t> store_;
 };
 
 }  // namespace pair_ecc::core

@@ -82,9 +82,11 @@ util::BitVec Device::ReadBits(unsigned bank, unsigned row, unsigned offset,
 void Device::WriteBits(unsigned bank, unsigned row, unsigned offset,
                        const util::BitVec& bits) {
   PAIR_CHECK_RANGE(!(offset + bits.size() > geom_.TotalRowBits()), "Device::WriteBits: range out of row");
-  RowState& state = GetRow(bank, row);
-  for (unsigned i = 0; i < bits.size(); ++i)
-    state.data.Set(offset + i, bits.Get(i));
+  GetRow(bank, row).data.Splice(offset, bits);
+}
+
+util::BitVec& Device::StoredRow(unsigned bank, unsigned row) {
+  return GetRow(bank, row).data;
 }
 
 util::BitVec Device::ReadColumn(const Address& addr) const {

@@ -6,7 +6,8 @@
 //  * transient flips — the stored value is inverted once (a disturbed cell);
 //    a subsequent write repairs it;
 //  * stuck-at bits — reads always return the stuck value regardless of what
-//    was written (a permanently defective cell / column / row).
+//    was written (a permanently defective cell / column / row). Writes
+//    still land in the storage underneath; the overlay masks them on read.
 //
 // Bit indices run over the *entire* row including the spare ECC region
 // [row_bits, row_bits + spare_row_bits) — inherent faults do not spare the
@@ -33,7 +34,8 @@ class Device {
   /// applied). `bit` may address the spare region.
   bool ReadBit(unsigned bank, unsigned row, unsigned bit) const;
 
-  /// Writes one bit of the underlying storage. Stuck bits swallow writes.
+  /// Writes one bit of the underlying storage. A stuck bit's storage takes
+  /// the write too; only reads see the stuck value.
   void WriteBit(unsigned bank, unsigned row, unsigned bit, bool value);
 
   /// Reads `count` bits starting at `offset` within the row.
@@ -43,6 +45,13 @@ class Device {
   /// Writes `bits` at `offset` within the row.
   void WriteBits(unsigned bank, unsigned row, unsigned offset,
                  const util::BitVec& bits);
+
+  /// The row's underlying storage (spare region included), created
+  /// zero-filled on first touch. For callers that write many scattered
+  /// bits of one row: writes through the reference are storage writes,
+  /// exactly as WriteBit's, and the stuck overlay still masks them on read.
+  /// Valid until the row is retired by PostPackageRepair.
+  util::BitVec& StoredRow(unsigned bank, unsigned row);
 
   /// One column access worth of data (AccessBits bits, beat-major).
   util::BitVec ReadColumn(const Address& addr) const;
@@ -67,9 +76,9 @@ class Device {
   /// JEDEC-style row sparing: retires (bank, row) onto a fresh spare row.
   /// Subsequent accesses to the address reach defect-free cells; previously
   /// stored content does NOT follow (the caller re-writes what it could
-  /// recover, as real hPPR flows do). Each bank has `spare_rows_per_bank`
-  /// repairs; returns false when the bank's budget is exhausted or the row
-  /// was already repaired the maximum number of times.
+  /// recover, as real hPPR flows do). Each bank has kSpareRowsPerBank
+  /// repairs and returns false once they are used up; there is no per-row
+  /// limit, so repairing a row again spends another spare of its bank.
   bool PostPackageRepair(unsigned bank, unsigned row);
 
   /// Spare rows still available in `bank`.

@@ -132,9 +132,10 @@ class Scheme {
 
   // Batch data path. Semantically identical to calling the per-line
   // wrappers once per address, in order — same stored state, same results,
-  // same counter totals — but schemes with a batch codec (PAIR, DUO, IECC)
+  // same counter totals — but schemes with a batch codec (DUO, IECC)
   // override the Do*Lines virtuals to stage many codewords through
-  // rs::DecodeBatch / EncodeBatchInto and the vectorized GF kernels.
+  // rs::DecodeBatch / EncodeBatchInto and the vectorized GF kernels. (PAIR's
+  // per-line path already decodes each address's codewords as one batch.)
 
   /// Writes lines[i] to addrs[i] for every i, in order.
   void WriteLines(std::span<const dram::Address> addrs,

@@ -210,13 +210,16 @@ void RsCode::SyndromesBatchInto(const CodewordBlock& block,
 }
 
 void RsCode::DecodeBatch(const CodewordBlock& block,
-                         std::span<BatchLineResult> results,
-                         DecodeScratch& sc) const {
+                         std::span<BatchLineResult> results, DecodeScratch& sc,
+                         std::span<const std::span<const unsigned>> erasures) const {
   PAIR_CHECK(block.n == n_, "DecodeBatch block has n = " << block.n
                                 << ", expected " << n_);
   PAIR_CHECK(results.size() == block.lines,
              "DecodeBatch results span holds " << results.size()
                  << " entries, expected " << block.lines);
+  PAIR_CHECK(erasures.empty() || erasures.size() == block.lines,
+             "DecodeBatch erasure span holds " << erasures.size()
+                 << " lists, expected 0 or " << block.lines);
   const unsigned rr = r();
   const unsigned lines = block.lines;
   sc.batch_syn.resize(std::size_t{rr} * lines);
@@ -226,15 +229,18 @@ void RsCode::DecodeBatch(const CodewordBlock& block,
     bool clean = true;
     for (unsigned j = 0; j < rr; ++j)
       clean = clean && sc.batch_syn[std::size_t{j} * lines + l] == 0;
-    if (clean) {
+    const std::span<const unsigned> erased =
+        erasures.empty() ? std::span<const unsigned>{} : erasures[l];
+    if (clean && erased.empty()) {
       // Exactly the per-line kNoError classification: all syndromes zero.
       results[l] = {DecodeStatus::kNoError, 0};
       continue;
     }
-    // Dirty lane: gather it and run the scalar errors-only decoder (which
-    // recomputes these syndromes — exact arithmetic, identical values).
+    // Dirty or erasure-carrying lane: gather it and run the scalar decoder
+    // (which recomputes these syndromes — exact arithmetic, identical
+    // values).
     for (unsigned i = 0; i < n_; ++i) sc.lane[i] = block.Row(i)[l];
-    const DecodeStatus status = Decode(std::span<Elem>(sc.lane), {}, sc);
+    const DecodeStatus status = Decode(std::span<Elem>(sc.lane), erased, sc);
     results[l].status = status;
     results[l].corrected =
         status == DecodeStatus::kCorrected ? sc.NumCorrected() : 0;

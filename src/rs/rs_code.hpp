@@ -195,13 +195,17 @@ class RsCode {
 
   /// Batch decode-in-place: batch syndromes classify clean lanes (the
   /// overwhelmingly common case — one kernel sweep, no per-lane work), then
-  /// each dirty lane runs the scalar errors-only decoder. kCorrected lanes
-  /// are repaired in the block; kFailure lanes are left as received.
-  /// results.size() == block.lines. Erasure decoding stays per-line
-  /// (callers with erasures use Decode).
+  /// each dirty lane runs the scalar decoder. kCorrected lanes are repaired
+  /// in the block; kFailure lanes are left as received.
+  /// results.size() == block.lines. `erasures` is empty (no lane has any)
+  /// or holds one list per lane; a lane with a non-empty list always runs
+  /// the scalar Decode with it, so every lane's status, correction count
+  /// and contents equal Decode's for that lane. On return
+  /// scratch.batch_syn holds the received block's syndromes, laid out as
+  /// SyndromesBatchInto writes them.
   void DecodeBatch(const CodewordBlock& block,
-                   std::span<BatchLineResult> results,
-                   DecodeScratch& scratch) const;
+                   std::span<BatchLineResult> results, DecodeScratch& scratch,
+                   std::span<const std::span<const unsigned>> erasures = {}) const;
 
   /// The batch-kernel set this code dispatches to (chosen at construction
   /// from CPU features and PAIR_GF_KERNEL; spans shorter than

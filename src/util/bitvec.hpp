@@ -4,9 +4,11 @@
 // std::vector<bool> is avoided (no data(), proxy references); this class
 // stores 64-bit words, supports XOR composition (error injection is XOR),
 // popcount, and sub-range extraction, which are the operations the codecs
-// and the fault injector need on their hot paths.
+// and the fault injector need on their hot paths. Range operations
+// (GetWord/SetWord, Slice/Splice) shift and mask whole words.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -99,7 +101,8 @@ class BitVec {
     PAIR_DCHECK(offset + count <= size_,
                 "slice [" << offset << ", " << offset + count << ") out of " << size_);
     BitVec out(count);
-    for (std::size_t i = 0; i < count; ++i) out.Set(i, Get(offset + i));
+    for (std::size_t w = 0; w < out.words_.size(); ++w)
+      out.words_[w] = GetWord(offset + w * 64, std::min<std::size_t>(64, count - w * 64));
     return out;
   }
 
@@ -107,7 +110,9 @@ class BitVec {
   void Splice(std::size_t offset, const BitVec& src) {
     PAIR_DCHECK(offset + src.size() <= size_,
                 "splice [" << offset << ", " << offset + src.size() << ") out of " << size_);
-    for (std::size_t i = 0; i < src.size(); ++i) Set(offset + i, src.Get(i));
+    for (std::size_t w = 0; w < src.words_.size(); ++w)
+      SetWord(offset + w * 64, std::min<std::size_t>(64, src.size_ - w * 64),
+              src.words_[w]);
   }
 
   /// Reads `count` bits (count <= 64) starting at `offset` as an integer,
@@ -115,17 +120,29 @@ class BitVec {
   std::uint64_t GetWord(std::size_t offset, std::size_t count) const noexcept {
     PAIR_DCHECK(count <= 64 && offset + count <= size_,
                 "word access [" << offset << ", +" << count << ") out of " << size_);
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < count; ++i)
-      v |= static_cast<std::uint64_t>(Get(offset + i)) << i;
-    return v;
+    if (count == 0) return 0;
+    const std::size_t w = offset >> 6;
+    const std::size_t shift = offset & 63;
+    std::uint64_t v = words_[w] >> shift;
+    if (shift + count > 64) v |= words_[w + 1] << (64 - shift);
+    return v & LowMask(count);
   }
 
-  /// Writes the low `count` bits of `value` (count <= 64) at `offset`.
+  /// Writes the low `count` bits of `value` (count <= 64) at `offset`;
+  /// every other bit, the tail past size() included, keeps its value.
   void SetWord(std::size_t offset, std::size_t count, std::uint64_t value) noexcept {
     PAIR_DCHECK(count <= 64 && offset + count <= size_,
                 "word access [" << offset << ", +" << count << ") out of " << size_);
-    for (std::size_t i = 0; i < count; ++i) Set(offset + i, (value >> i) & 1u);
+    if (count == 0) return;
+    const std::uint64_t mask = LowMask(count);
+    value &= mask;
+    const std::size_t w = offset >> 6;
+    const std::size_t shift = offset & 63;
+    words_[w] = (words_[w] & ~(mask << shift)) | (value << shift);
+    if (shift + count > 64) {
+      const std::size_t spill = 64 - shift;
+      words_[w + 1] = (words_[w + 1] & ~(mask >> spill)) | (value >> spill);
+    }
   }
 
   /// "0101..." rendering, bit 0 first; for diagnostics and test failure text.
@@ -146,6 +163,10 @@ class BitVec {
   }
 
  private:
+  static std::uint64_t LowMask(std::size_t count) noexcept {
+    return count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+  }
+
   void MaskTail() noexcept {
     const std::size_t tail = size_ & 63;
     if (tail != 0 && !words_.empty())

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,10 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
       // Mix of lane fates: clean, correctable (<= t errors), and heavy
       // (t + 1 errors — usually detected, occasionally miscorrected; the
       // batch path must replicate whatever per-line does, not "fix" it).
+      // Lanes 1, 4, 7, ... also get an erasure list for the second pass:
+      // their error positions plus spares, up to r + 1 entries (past r the
+      // decoder reports kFailure even for a clean word).
+      std::vector<std::vector<unsigned>> lists(lines);
       for (unsigned l = 0; l < lines; ++l) {
         const unsigned errs = rng.UniformBelow(code.t() + 2);
         std::set<unsigned> positions;
@@ -254,39 +259,53 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
         for (unsigned pos : positions)
           block.Row(pos)[l] ^= static_cast<Elem>(
               1 + rng.UniformBelow(code.field().Size() - 1));
+        if (l % 3 != 1) continue;
+        const auto f = static_cast<unsigned>(rng.UniformBelow(code.r() + 2));
+        while (positions.size() < f)
+          positions.insert(
+              static_cast<unsigned>(rng.UniformBelow(code.n())));
+        lists[l].assign(positions.begin(), positions.end());
       }
 
-      // Per-line oracle on copies.
-      std::vector<std::vector<Elem>> want_words(lines);
-      std::vector<rs::BatchLineResult> want(lines);
-      rs::DecodeScratch oracle_scratch;
-      for (unsigned l = 0; l < lines; ++l) {
-        want_words[l].resize(code.n());
-        for (unsigned i = 0; i < code.n(); ++i)
-          want_words[l][i] = block.Row(i)[l];
-        const rs::DecodeStatus st =
-            code.Decode(want_words[l], {}, oracle_scratch);
-        want[l].status = st;
-        want[l].corrected = st == rs::DecodeStatus::kCorrected
-                                ? oracle_scratch.NumCorrected()
-                                : 0;
-      }
+      for (const bool with_erasures : {false, true}) {
+        SCOPED_TRACE(with_erasures ? "with erasure lists" : "errors only");
+        std::vector<std::span<const unsigned>> erasures;
+        if (with_erasures) erasures.assign(lists.begin(), lists.end());
 
-      for (const BatchKernels* k : CompiledKernels()) {
-        if (!KernelRunnable(*k)) continue;
-        SCOPED_TRACE(k->name);
-        std::vector<Elem> copy = store;
-        rs::CodewordBlock b{copy.data(), lines, code.n(), lines};
-        code.UseKernelsForTest(*k);
-        std::vector<rs::BatchLineResult> got(lines);
-        rs::DecodeScratch scratch;
-        code.DecodeBatch(b, got, scratch);
+        // Per-line oracle on copies.
+        std::vector<std::vector<Elem>> want_words(lines);
+        std::vector<rs::BatchLineResult> want(lines);
+        rs::DecodeScratch oracle_scratch;
         for (unsigned l = 0; l < lines; ++l) {
-          ASSERT_EQ(got[l].status, want[l].status) << "lane " << l;
-          ASSERT_EQ(got[l].corrected, want[l].corrected) << "lane " << l;
+          want_words[l].resize(code.n());
           for (unsigned i = 0; i < code.n(); ++i)
-            ASSERT_EQ(b.Row(i)[l], want_words[l][i])
-                << "lane " << l << " pos " << i;
+            want_words[l][i] = block.Row(i)[l];
+          const rs::DecodeStatus st = code.Decode(
+              want_words[l],
+              with_erasures ? erasures[l] : std::span<const unsigned>{},
+              oracle_scratch);
+          want[l].status = st;
+          want[l].corrected = st == rs::DecodeStatus::kCorrected
+                                  ? oracle_scratch.NumCorrected()
+                                  : 0;
+        }
+
+        for (const BatchKernels* k : CompiledKernels()) {
+          if (!KernelRunnable(*k)) continue;
+          SCOPED_TRACE(k->name);
+          std::vector<Elem> copy = store;
+          rs::CodewordBlock b{copy.data(), lines, code.n(), lines};
+          code.UseKernelsForTest(*k);
+          std::vector<rs::BatchLineResult> got(lines);
+          rs::DecodeScratch scratch;
+          code.DecodeBatch(b, got, scratch, erasures);
+          for (unsigned l = 0; l < lines; ++l) {
+            ASSERT_EQ(got[l].status, want[l].status) << "lane " << l;
+            ASSERT_EQ(got[l].corrected, want[l].corrected) << "lane " << l;
+            for (unsigned i = 0; i < code.n(); ++i)
+              ASSERT_EQ(b.Row(i)[l], want_words[l][i])
+                  << "lane " << l << " pos " << i;
+          }
         }
       }
     }

@@ -1,8 +1,13 @@
 // PAIR-specific behaviour: pin alignment and containment, burst-error
 // correction, delta-parity write-path consistency, erasure repair lists,
-// patrol scrubbing, expandability variants, and the scrub-on-write
-// ablation mode.
+// patrol scrubbing, expandability variants, the scrub-on-write ablation
+// mode, and the staging routine and stores against per-bit references.
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
@@ -401,6 +406,197 @@ TEST_P(PairWidthTest, AlignedBurstCorrectedAtEveryWidth) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, PairWidthTest,
                          ::testing::Values(4u, 8u, 16u));
+
+// ------------------------------------------------------------ staging
+
+// The one staging routine against a per-bit model of the layout, and the
+// stores behind it against a per-bit model of storage. PAIR's per-line and
+// batch entry points run the same body, so these (not the batch-vs-line
+// comparison in ecc_schemes_test) are what pin its data movement.
+struct StagingGeometry {
+  const char* name;
+  RankGeometry rg;
+};
+
+std::vector<StagingGeometry> StagingGeometries() {
+  std::vector<StagingGeometry> out;
+  for (unsigned pins : {4u, 8u, 16u}) {
+    RankGeometry rg;
+    rg.device.dq_pins = pins;
+    rg.data_devices = 64 / pins;  // PairWidthTest's constant 64-bit bus
+    out.push_back({pins == 4 ? "x4" : pins == 8 ? "x8" : "x16", rg});
+  }
+  RankGeometry ddr5;
+  ddr5.device = dram::DeviceGeometry::Ddr5x8();
+  out.push_back({"ddr5_bl16", ddr5});
+  RankGeometry hbm3;
+  hbm3.device = dram::DeviceGeometry::Hbm3();
+  hbm3.data_devices = 4;
+  out.push_back({"hbm3", hbm3});
+  return out;
+}
+
+void PrintTo(const StagingGeometry& geometry, std::ostream* os) {
+  *os << geometry.name;
+}
+
+class PairStagingTest : public ::testing::TestWithParam<StagingGeometry> {};
+
+/// Spare-region bit of check symbol j of codeword (pin, w), bit b.
+unsigned RefParityBit(const dram::DeviceGeometry& g, const PairScheme& scheme,
+                      unsigned pin, unsigned w, unsigned j, unsigned b) {
+  return g.row_bits +
+         ((pin * scheme.CodewordsPerPin() + w) * scheme.code().r() + j) * 8 +
+         b;
+}
+
+/// Data symbol i of codeword (pin, w) of a row image, bit by bit along the
+/// pin line.
+gf::Elem RefDataSymbol(const dram::DeviceGeometry& g, const BitVec& image,
+                       unsigned k, unsigned pin, unsigned w, unsigned i) {
+  unsigned v = 0;
+  for (unsigned b = 0; b < 8; ++b)
+    v |= static_cast<unsigned>(
+             image.Get(dram::PinLineBit(g, pin, (w * k + i) * 8 + b)))
+         << b;
+  return static_cast<gf::Elem>(v);
+}
+
+TEST_P(PairStagingTest, StagedBlockMatchesPerBitReference) {
+  const RankGeometry& rg = GetParam().rg;
+  const auto& g = rg.device;
+  Rank rank(rg);
+  PairScheme scheme(rank, PairConfig::Pair4());
+  const unsigned k = scheme.code().k();
+  const unsigned bank = 1, row = 3;
+  Xoshiro256 rng(500);
+  // Random row images, with stuck bits of both polarities over them.
+  for (unsigned d = 0; d < rank.DataDevices(); ++d) {
+    auto& dev = rank.device(d);
+    dev.WriteBits(bank, row, 0, BitVec::Random(g.TotalRowBits(), rng));
+    for (int i = 0; i < 64; ++i)
+      dev.SetStuck(bank, row,
+                   static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits())),
+                   rng.UniformBelow(2) != 0);
+  }
+  const unsigned cw = scheme.CodewordsPerPin();
+  // The whole row, and the last codeword of every pin on its own.
+  for (const auto& [w_begin, wcount] :
+       {std::pair{0u, cw}, std::pair{cw - 1, 1u}}) {
+    const rs::CodewordBlock block =
+        scheme.StageCodewords(bank, row, w_begin, wcount);
+    ASSERT_EQ(block.lines, wcount * rank.DataDevices() * g.dq_pins);
+    for (unsigned d = 0; d < rank.DataDevices(); ++d) {
+      const BitVec image = rank.device(d).ReadBits(bank, row, 0, g.TotalRowBits());
+      for (unsigned wi = 0; wi < wcount; ++wi) {
+        const unsigned w = w_begin + wi;
+        for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
+          const unsigned lane = (wi * rank.DataDevices() + d) * g.dq_pins + pin;
+          for (unsigned pos = 0; pos < scheme.code().n(); ++pos) {
+            unsigned want = 0;
+            if (pos < k) {
+              want = RefDataSymbol(g, image, k, pin, w, pos);
+            } else {
+              for (unsigned b = 0; b < 8; ++b)
+                want |= static_cast<unsigned>(rank.device(d).ReadBit(
+                            bank, row, RefParityBit(g, scheme, pin, w, pos - k, b)))
+                        << b;
+            }
+            ASSERT_EQ(block.Row(pos)[lane], want)
+                << GetParam().name << " device " << d << " pin " << pin
+                << " codeword " << w << " position " << pos;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
+  // Fill a row through PAIR, then hide a disagreement under stuck cells of
+  // pin A: stuck at the value read, with the storage underneath flipped.
+  // Reads, and so every codeword, stay clean. Overwrites that keep pin A's
+  // data must write only the other pins' changed symbols and their parity;
+  // after ClearStuck the raw storage must equal the per-bit reference.
+  const RankGeometry& rg = GetParam().rg;
+  const auto& g = rg.device;
+  Rank rank(rg);
+  PairScheme scheme(rank, PairConfig::Pair4());
+  const unsigned pins = g.dq_pins;
+  const unsigned k = scheme.code().k();
+  const unsigned cw = scheme.CodewordsPerPin();
+  const unsigned bank = 0, row = 2, pin_a = 1;
+  Xoshiro256 rng(501);
+  std::vector<BitVec> lines;
+  for (unsigned col = 0; col < g.ColumnsPerRow(); ++col) {
+    lines.push_back(BitVec::Random(rg.LineBits(), rng));
+    scheme.WriteLine({bank, row, col}, lines.back());
+  }
+  std::vector<BitVec> ref;
+  for (unsigned d = 0; d < rank.DataDevices(); ++d)
+    ref.push_back(rank.device(d).ReadBits(bank, row, 0, g.TotalRowBits()));
+
+  for (int i = 0; i < 48; ++i) {
+    const auto d = static_cast<unsigned>(rng.UniformBelow(rank.DataDevices()));
+    const auto w = static_cast<unsigned>(rng.UniformBelow(cw));
+    const unsigned bit =
+        i % 4 == 0
+            ? RefParityBit(g, scheme, pin_a, w,
+                           static_cast<unsigned>(rng.UniformBelow(4)),
+                           static_cast<unsigned>(rng.UniformBelow(8)))
+            : dram::PinLineBit(g, pin_a,
+                               static_cast<unsigned>(
+                                   rng.UniformBelow(g.PinLineBits())));
+    auto& dev = rank.device(d);
+    dev.SetStuck(bank, row, bit, dev.ReadBit(bank, row, bit));
+    dev.InjectFlip(bank, row, bit);
+    ref[d].Flip(bit);
+  }
+
+  for (int t = 0; t < 16; ++t) {
+    const auto col = static_cast<unsigned>(rng.UniformBelow(g.ColumnsPerRow()));
+    BitVec line = BitVec::Random(rg.LineBits(), rng);
+    for (unsigned d = 0; d < rank.DataDevices(); ++d) {
+      for (unsigned beat = 0; beat < g.burst_length; ++beat) {
+        const unsigned base = d * g.AccessBits() + beat * pins;
+        line.Set(base + pin_a, lines[col].Get(base + pin_a));
+        for (unsigned pin = 0; pin < pins; ++pin)
+          if (pin != pin_a)
+            ref[d].Set(col * g.AccessBits() + beat * pins + pin,
+                       line.Get(base + pin));
+      }
+    }
+    scheme.WriteLine({bank, row, col}, line);
+    lines[col] = line;
+  }
+  // Every codeword of the other pins is consistent, so its reference parity
+  // is the encoding of its reference data. Pin A's parity was never written.
+  for (unsigned d = 0; d < rank.DataDevices(); ++d) {
+    for (unsigned pin = 0; pin < pins; ++pin) {
+      if (pin == pin_a) continue;
+      for (unsigned w = 0; w < cw; ++w) {
+        std::vector<gf::Elem> data(k);
+        for (unsigned i = 0; i < k; ++i)
+          data[i] = RefDataSymbol(g, ref[d], k, pin, w, i);
+        const auto parity = scheme.code().ComputeParity(data);
+        for (unsigned j = 0; j < parity.size(); ++j)
+          for (unsigned b = 0; b < 8; ++b)
+            ref[d].Set(RefParityBit(g, scheme, pin, w, j, b),
+                       (parity[j] >> b) & 1u);
+      }
+    }
+  }
+  rank.ClearStuck();
+  for (unsigned d = 0; d < rank.DataDevices(); ++d)
+    EXPECT_EQ(rank.device(d).ReadBits(bank, row, 0, g.TotalRowBits()), ref[d])
+        << GetParam().name << " device " << d;
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, PairStagingTest,
+                         ::testing::ValuesIn(StagingGeometries()),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param.name);
+                         });
 
 TEST(PairExpandability, WiderKLowersOverheadAndStillWorks) {
   // k = 128: one codeword per pin, overhead 4/128 = 3.1% — half the budget.

@@ -196,6 +196,69 @@ TEST(BitVec, GetWordSetWordRoundTrip) {
   EXPECT_EQ(v.GetWord(60, 10), 0x3FFull);
 }
 
+// Per-bit references for the word-wide range operations. Every comparison
+// below goes through operator==, which compares whole storage words, so a
+// stray write to a neighbouring bit or to the tail past size() fails it.
+std::uint64_t RefGetWord(const BitVec& v, std::size_t offset,
+                         std::size_t count) {
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < count; ++i)
+    word |= static_cast<std::uint64_t>(v.Get(offset + i)) << i;
+  return word;
+}
+
+TEST(BitVec, WordAccessMatchesPerBitReference) {
+  Xoshiro256 rng(41);
+  // 255 ends a word short (offset 191 + 64 bits reaches the last bit), 256
+  // fills whole words, 300 leaves a partial tail word past every access.
+  for (std::size_t size : {255u, 256u, 300u}) {
+    const BitVec base = BitVec::Random(size, rng);
+    for (std::size_t offset = 0; offset < 192; ++offset) {
+      for (std::size_t count = 0; count <= 64; ++count) {
+        if (offset + count > size) continue;
+        ASSERT_EQ(base.GetWord(offset, count), RefGetWord(base, offset, count))
+            << "size " << size << " offset " << offset << " count " << count;
+        // Bits of `value` past `count` are set too and must be ignored.
+        const std::uint64_t value = rng();
+        BitVec got = base;
+        got.SetWord(offset, count, value);
+        BitVec want = base;
+        for (std::size_t i = 0; i < count; ++i)
+          want.Set(offset + i, (value >> i) & 1u);
+        ASSERT_EQ(got, want)
+            << "size " << size << " offset " << offset << " count " << count;
+      }
+    }
+  }
+}
+
+TEST(BitVec, SliceAndSpliceMatchPerBitReference) {
+  Xoshiro256 rng(43);
+  for (std::size_t size : {200u, 256u}) {
+    const BitVec base = BitVec::Random(size, rng);
+    for (std::size_t offset = 0; offset <= size; ++offset) {
+      for (std::size_t count : {0u, 1u, 7u, 63u, 64u, 65u, 127u, 128u, 129u,
+                                199u}) {
+        if (offset + count > size) continue;
+        BitVec want_slice(count);
+        for (std::size_t i = 0; i < count; ++i)
+          want_slice.Set(i, base.Get(offset + i));
+        ASSERT_EQ(base.Slice(offset, count), want_slice)
+            << "size " << size << " offset " << offset << " count " << count;
+
+        const BitVec src = BitVec::Random(count, rng);
+        BitVec got = base;
+        got.Splice(offset, src);
+        BitVec want = base;
+        for (std::size_t i = 0; i < count; ++i)
+          want.Set(offset + i, src.Get(i));
+        ASSERT_EQ(got, want)
+            << "size " << size << " offset " << offset << " count " << count;
+      }
+    }
+  }
+}
+
 TEST(BitVec, RandomMasksTailBits) {
   Xoshiro256 rng(37);
   for (std::size_t size : {1u, 7u, 63u, 65u, 127u}) {
