@@ -1,5 +1,6 @@
 #include "dram/device.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/contract.hpp"
@@ -25,7 +26,7 @@ bool Device::PostPackageRepair(unsigned bank, unsigned row) {
   // Abandon the defective physical row entirely (its stuck cells go with it).
   const auto old_it = rows_.find(PhysicalKey(bank, row));
   if (old_it != rows_.end()) {
-    stuck_count_ -= old_it->second.stuck.size();
+    stuck_count_ -= old_it->second.stuck_mask.Popcount();
     rows_.erase(old_it);
   }
   remap_[RowKey(bank, row)] = next_spare_id_++;
@@ -56,10 +57,8 @@ bool Device::ReadBit(unsigned bank, unsigned row, unsigned bit) const {
   PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::ReadBit: bit out of range");
   const RowState* state = FindRow(bank, row);
   if (state == nullptr) return false;
-  if (!state->stuck.empty()) {
-    const auto it = state->stuck.find(bit);
-    if (it != state->stuck.end()) return it->second;
-  }
+  if (!state->stuck_mask.empty() && state->stuck_mask.Get(bit))
+    return state->stuck_value.Get(bit);
   return state->data.Get(bit);
 }
 
@@ -74,8 +73,14 @@ util::BitVec Device::ReadBits(unsigned bank, unsigned row, unsigned offset,
   const RowState* state = FindRow(bank, row);
   if (state == nullptr) return util::BitVec(count);
   util::BitVec out = state->data.Slice(offset, count);
-  for (const auto& [bit, value] : state->stuck)
-    if (bit >= offset && bit < offset + count) out.Set(bit - offset, value);
+  if (state->stuck_mask.empty()) return out;
+  for (unsigned at = 0; at < count; at += 64) {
+    const unsigned n = std::min(64u, count - at);
+    const std::uint64_t mask = state->stuck_mask.GetWord(offset + at, n);
+    if (mask == 0) continue;
+    const std::uint64_t forced = state->stuck_value.GetWord(offset + at, n);
+    out.SetWord(at, n, (out.GetWord(at, n) & ~mask) | (forced & mask));
+  }
   return out;
 }
 
@@ -87,6 +92,11 @@ void Device::WriteBits(unsigned bank, unsigned row, unsigned offset,
 
 util::BitVec& Device::StoredRow(unsigned bank, unsigned row) {
   return GetRow(bank, row).data;
+}
+
+const util::BitVec* Device::FindStoredRow(unsigned bank, unsigned row) const {
+  const RowState* state = FindRow(bank, row);
+  return state == nullptr ? nullptr : &state->data;
 }
 
 util::BitVec Device::ReadColumn(const Address& addr) const {
@@ -108,13 +118,23 @@ void Device::InjectFlip(unsigned bank, unsigned row, unsigned bit) {
 
 void Device::SetStuck(unsigned bank, unsigned row, unsigned bit, bool value) {
   PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::SetStuck: bit out of range");
-  auto [it, inserted] = GetRow(bank, row).stuck.insert_or_assign(bit, value);
-  (void)it;
-  if (inserted) ++stuck_count_;
+  RowState& state = GetRow(bank, row);
+  if (state.stuck_mask.empty()) {
+    state.stuck_mask = util::BitVec(geom_.TotalRowBits());
+    state.stuck_value = util::BitVec(geom_.TotalRowBits());
+  }
+  if (!state.stuck_mask.Get(bit)) {
+    state.stuck_mask.Set(bit, true);
+    ++stuck_count_;
+  }
+  state.stuck_value.Set(bit, value);
 }
 
 void Device::ClearStuck() {
-  for (auto& [key, state] : rows_) state.stuck.clear();
+  for (auto& [key, state] : rows_) {
+    state.stuck_mask = util::BitVec();
+    state.stuck_value = util::BitVec();
+  }
   stuck_count_ = 0;
 }
 

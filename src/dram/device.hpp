@@ -53,6 +53,11 @@ class Device {
   /// Valid until the row is retired by PostPackageRepair.
   util::BitVec& StoredRow(unsigned bank, unsigned row);
 
+  /// The row's underlying storage, or nullptr while nothing has touched
+  /// the row (it then stores all-zero). Unlike StoredRow it creates
+  /// nothing. Valid until the next non-const call.
+  const util::BitVec* FindStoredRow(unsigned bank, unsigned row) const;
+
   /// One column access worth of data (AccessBits bits, beat-major).
   util::BitVec ReadColumn(const Address& addr) const;
   void WriteColumn(const Address& addr, const util::BitVec& data);
@@ -89,8 +94,10 @@ class Device {
  private:
   struct RowState {
     util::BitVec data;
-    // Sparse stuck overlay: bit index -> forced value. Usually empty.
-    std::unordered_map<unsigned, bool> stuck;
+    // Stuck overlay: stuck_mask marks the stuck bits and stuck_value holds
+    // their forced values. Both stay empty until the row's first stuck bit.
+    util::BitVec stuck_mask;
+    util::BitVec stuck_value;
   };
 
   std::uint64_t RowKey(unsigned bank, unsigned row) const {

@@ -47,16 +47,24 @@ FaultType SampleType(const FaultMix& mix, util::Xoshiro256& rng) {
   return FaultType::kSingleBit;  // numeric edge: all mass consumed
 }
 
-Injector::Injector(dram::Rank& rank, std::vector<RowRef> working_set)
-    : rank_(rank), rows_(std::move(working_set)) {
+Injector::Injector(dram::Rank& rank, std::vector<RowRef> working_set,
+                   TouchHook on_touch)
+    : rank_(rank),
+      rows_(std::move(working_set)),
+      on_touch_(std::move(on_touch)) {
   PAIR_CHECK(!(rows_.empty()), "Injector: empty working set");
   const auto& g = rank_.geometry().device;
   for (const auto& r : rows_)
     PAIR_CHECK_RANGE(!(r.bank >= g.banks || r.row >= g.rows_per_bank), "Injector: working-set row out of range");
 }
 
-RowRef Injector::RandomRow(util::Xoshiro256& rng) const {
-  return rows_[rng.UniformBelow(rows_.size())];
+std::size_t Injector::RandomRow(util::Xoshiro256& rng) const {
+  return static_cast<std::size_t>(rng.UniformBelow(rows_.size()));
+}
+
+RowRef Injector::Touch(std::size_t i) {
+  if (on_touch_) on_touch_(i);
+  return rows_[i];
 }
 
 void Injector::CorruptBit(unsigned device, const RowRef& where, unsigned bit,
@@ -71,7 +79,7 @@ void Injector::CorruptBit(unsigned device, const RowRef& where, unsigned bit,
 
 void Injector::ApplySingleBit(InjectedFault& f, util::Xoshiro256& rng) {
   const auto& g = rank_.geometry().device;
-  const RowRef where = RandomRow(rng);
+  const RowRef where = Touch(RandomRow(rng));
   f.bank = where.bank;
   f.row = where.row;
   f.bit = static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
@@ -86,7 +94,7 @@ void Injector::ApplySingleBit(InjectedFault& f, util::Xoshiro256& rng) {
 void Injector::ApplySingleWord(InjectedFault& f, util::Xoshiro256& rng) {
   const auto& g = rank_.geometry().device;
   constexpr unsigned kWordBits = 128;
-  const RowRef where = RandomRow(rng);
+  const RowRef where = Touch(RandomRow(rng));
   f.bank = where.bank;
   f.row = where.row;
   const unsigned words = g.row_bits / kWordBits;
@@ -99,7 +107,7 @@ void Injector::ApplySingleWord(InjectedFault& f, util::Xoshiro256& rng) {
 
 void Injector::ApplySinglePin(InjectedFault& f, util::Xoshiro256& rng) {
   const auto& g = rank_.geometry().device;
-  const RowRef where = RandomRow(rng);
+  const RowRef where = Touch(RandomRow(rng));
   f.bank = where.bank;
   f.row = where.row;
   const unsigned pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));
@@ -127,7 +135,7 @@ void Injector::ApplyRowFootprint(unsigned device, const RowRef& where,
 }
 
 void Injector::ApplySingleRow(InjectedFault& f, util::Xoshiro256& rng) {
-  const RowRef where = RandomRow(rng);
+  const RowRef where = Touch(RandomRow(rng));
   f.bank = where.bank;
   f.row = where.row;
   f.bit = 0;
@@ -135,17 +143,18 @@ void Injector::ApplySingleRow(InjectedFault& f, util::Xoshiro256& rng) {
 }
 
 void Injector::ApplySingleBank(InjectedFault& f, util::Xoshiro256& rng) {
-  const RowRef seed = RandomRow(rng);
+  const RowRef seed = rows_[RandomRow(rng)];
   f.bank = seed.bank;
   f.row = seed.row;
   f.bit = 0;
-  for (const auto& r : rows_)
-    if (r.bank == seed.bank) ApplyRowFootprint(f.device, r, f.permanent, rng);
+  for (std::size_t i = 0; i < rows_.size(); ++i)
+    if (rows_[i].bank == seed.bank)
+      ApplyRowFootprint(f.device, Touch(i), f.permanent, rng);
 }
 
 void Injector::ApplyPinBurst(InjectedFault& f, util::Xoshiro256& rng) {
   const auto& g = rank_.geometry().device;
-  const RowRef where = RandomRow(rng);
+  const RowRef where = Touch(RandomRow(rng));
   f.bank = where.bank;
   f.row = where.row;
   const unsigned pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));

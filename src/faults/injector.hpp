@@ -7,7 +7,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -53,8 +55,14 @@ struct InjectionCounters {
 
 class Injector {
  public:
+  /// Called with a row's index in working_set() before the injector
+  /// changes any bit of that row, once per fault (a single-bank fault calls
+  /// it for every working row of its bank). It must draw no randomness.
+  using TouchHook = std::function<void(std::size_t row)>;
+
   /// `working_set`: rows eligible for fault placement; must be non-empty.
-  Injector(dram::Rank& rank, std::vector<RowRef> working_set);
+  Injector(dram::Rank& rank, std::vector<RowRef> working_set,
+           TouchHook on_touch = {});
 
   /// Samples a fault type from `mix`, a device uniformly, a location within
   /// the working set, and applies it. Returns the record of what was done.
@@ -74,7 +82,9 @@ class Injector {
   const InjectionCounters& counters() const noexcept { return counters_; }
 
  private:
-  RowRef RandomRow(util::Xoshiro256& rng) const;
+  std::size_t RandomRow(util::Xoshiro256& rng) const;
+  /// Runs the touch hook for working row `i`; returns the row.
+  RowRef Touch(std::size_t i);
   void CorruptBit(unsigned device, const RowRef& where, unsigned bit,
                   bool permanent, util::Xoshiro256& rng);
   void ApplySingleBit(InjectedFault& f, util::Xoshiro256& rng);
@@ -88,6 +98,7 @@ class Injector {
 
   dram::Rank& rank_;
   std::vector<RowRef> rows_;
+  TouchHook on_touch_;
   InjectionCounters counters_;
 };
 

@@ -308,10 +308,10 @@ MulTables MakeMulTables(const GfField& field, Elem c) {
   // column j is bit b of c * x^j.
   for (unsigned b = 0; b < 8; ++b) {
     std::uint8_t rowbits = 0;
-    for (unsigned j = 0; j < 8; ++j)
-      rowbits = static_cast<std::uint8_t>(
-          rowbits |
-          (((field.Mul(c, static_cast<Elem>(1u << j)) >> b) & 1u) << j));
+    for (unsigned j = 0; j < 8; ++j) {
+      const unsigned product = field.Mul(c, static_cast<Elem>(1u << j));
+      rowbits = static_cast<std::uint8_t>(rowbits | (((product >> b) & 1u) << j));
+    }
     t.affine |= static_cast<std::uint64_t>(rowbits) << (8 * (7 - b));
   }
   return t;

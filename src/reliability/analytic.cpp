@@ -7,11 +7,11 @@
 namespace pair_ecc::reliability {
 
 DecodeBreakdown RsErrorBreakdown(const rs::RsCode& code, unsigned symbol_errors,
-                                 unsigned trials, std::uint64_t seed) {
+                                 std::uint64_t trials, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   const auto& f = code.field();
   DecodeBreakdown out;
-  for (unsigned trial = 0; trial < trials; ++trial) {
+  for (std::uint64_t trial = 0; trial < trials; ++trial) {
     std::vector<gf::Elem> data(code.k());
     for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(f.Size()));
     const auto clean = code.Encode(data);

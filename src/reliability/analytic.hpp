@@ -20,7 +20,7 @@ struct DecodeBreakdown {
 /// Injects `symbol_errors` random distinct symbol errors into random
 /// codewords of `code` and decodes, `trials` times.
 DecodeBreakdown RsErrorBreakdown(const rs::RsCode& code, unsigned symbol_errors,
-                                 unsigned trials, std::uint64_t seed);
+                                 std::uint64_t trials, std::uint64_t seed);
 
 /// Sphere-packing estimate of the probability that a *random* word decodes
 /// inside some codeword's radius-t sphere: V_t(n) / q^r with

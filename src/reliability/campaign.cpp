@@ -34,22 +34,19 @@ void RunScenarioTrial(const ScenarioConfig& config, const WorkingSet& ws,
   OutcomeCounts& counts = acc.counts;
   TrialContext ctx(config.geometry, config.scheme, ws, rng);
 
-  faults::Injector injector(ctx.rank, ws.rows);
+  faults::Injector injector = ctx.MakeInjector();
   for (unsigned f = 0; f < faults; ++f)
     injector.InjectFromMix(config.mix, rng);
 
-  // One batch demand read over the whole working set; classification
-  // walks the results in address order, matching the per-line loop.
-  scratch.results.resize(ws.addrs.size());
-  ctx.scheme->ReadLines(ws.addrs, scratch.results);
+  // Read the whole working set back; rows no fault reached classify
+  // without decoding (TrialContext), the rest decode batch-wise.
+  ctx.ReadAll(scratch.results, scratch.reads);
   bool any_sdc = false, any_due = false;
-  for (std::size_t i = 0; i < ws.addrs.size(); ++i) {
-    const ecc::ReadResult& read = scratch.results[i];
-    const Outcome outcome = Classify(read.claim, read.data, ctx.lines[i]);
-    counts.Add(outcome);
+  for (const LineRead& read : scratch.reads) {
+    counts.Add(read.outcome);
     acc.tel.corrected_units.Record(read.corrected_units);
-    any_sdc |= IsSdc(outcome);
-    any_due |= outcome == Outcome::kDue;
+    any_sdc |= IsSdc(read.outcome);
+    any_due |= read.outcome == Outcome::kDue;
   }
   ++counts.trials;
   counts.trials_with_sdc += any_sdc;
@@ -59,7 +56,7 @@ void RunScenarioTrial(const ScenarioConfig& config, const WorkingSet& ws,
   // Harvest the trial's codec and injection counters. Pure reads of
   // already-accumulated state: no RNG draws, no extra DRAM traffic,
   // so the outcome counts match the uninstrumented run bitwise.
-  acc.tel.codec += ctx.scheme->counters();
+  acc.tel.codec += ctx.Counters();
   acc.tel.injection += injector.counters();
 }
 

@@ -43,10 +43,12 @@ struct ScenarioShardState {
 };
 
 /// Per-shard staging for the batch demand-read path: the ReadLines result
-/// vector is reused across a shard's trials (every trial overwrites every
-/// slot), so the steady state allocates nothing per trial.
+/// vector and the classified reads are reused across a shard's trials
+/// (every trial overwrites every slot), so the steady state allocates
+/// nothing per trial.
 struct ScenarioScratch {
   std::vector<ecc::ReadResult> results;
+  std::vector<LineRead> reads;
 };
 
 /// The working set a scenario campaign reads and writes — the affine
@@ -54,7 +56,7 @@ struct ScenarioScratch {
 WorkingSet MakeScenarioWorkingSet(const ScenarioConfig& config);
 
 /// One scenario trial: fresh rank + scheme + working set, inject
-/// `config.faults_per_trial` faults, batch-read everything back, classify.
+/// `config.faults_per_trial` faults, read everything back, classify.
 /// This is the body both RunMonteCarlo and the campaign runner hand to the
 /// engine — identical RNG draw sequence, identical counts.
 void RunScenarioTrial(const ScenarioConfig& config, const WorkingSet& ws,

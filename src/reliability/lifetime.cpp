@@ -47,15 +47,16 @@ struct LifetimeAccum {
 };
 
 /// Per-shard staging for the batch demand-read path (see ScenarioScratch
-/// in monte_carlo.cpp): reused across trials and epochs, fully overwritten
-/// by every ReadLines call.
+/// in campaign.hpp): reused across trials and epochs, fully overwritten
+/// by every ReadAll call.
 struct LifetimeScratch {
   std::vector<ecc::ReadResult> results;
+  std::vector<LineRead> reads;
 };
 
 }  // namespace
 
-LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
+LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
                           ScenarioTelemetry* telemetry) {
   config.geometry.Validate();
   const auto& g = config.geometry.device;
@@ -69,7 +70,7 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
       [&config, &ws, &g](std::uint64_t /*trial*/, util::Xoshiro256& rng,
                          LifetimeAccum& acc, LifetimeScratch& scratch) {
         TrialContext ctx(config.geometry, config.scheme, ws, rng);
-        faults::Injector injector(ctx.rank, ws.rows);
+        faults::Injector injector = ctx.MakeInjector();
 
         bool saw_sdc = false, saw_due = false;
         unsigned sdc_epoch = config.epochs;
@@ -78,22 +79,19 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
           for (unsigned f = 0; f < arrivals; ++f)
             injector.InjectFromMix(config.mix, rng);
 
-          // Demand reads: one batch over the working set per epoch (the
+          // Demand reads: the whole working set once per epoch (the
           // per-line loop had no early exit, so batching reads the same
           // lines); classification walks results in address order.
-          scratch.results.resize(ws.addrs.size());
-          ctx.scheme->ReadLines(ws.addrs, scratch.results);
-          for (std::size_t i = 0; i < ws.addrs.size(); ++i) {
-            const ecc::ReadResult& read = scratch.results[i];
-            const Outcome outcome =
-                Classify(read.claim, read.data, ctx.lines[i]);
+          ctx.ReadAll(scratch.results, scratch.reads);
+          for (const LineRead& read : scratch.reads) {
             acc.tel.corrected_units.Record(read.corrected_units);
-            acc.stats.total_corrections += outcome == Outcome::kCorrected;
-            if (IsSdc(outcome) && !saw_sdc) {
+            acc.stats.total_corrections +=
+                read.outcome == Outcome::kCorrected;
+            if (IsSdc(read.outcome) && !saw_sdc) {
               saw_sdc = true;
               sdc_epoch = epoch;
             }
-            saw_due |= outcome == Outcome::kDue;
+            saw_due |= read.outcome == Outcome::kDue;
           }
 
           // Patrol scrub walks the whole working rows: each scheme repairs
@@ -101,8 +99,8 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
           // (stuck defects survive).
           if (config.scrub_interval != 0 && !saw_sdc &&
               (epoch + 1) % config.scrub_interval == 0) {
-            for (const auto& r : ws.rows) {
-              ctx.scheme->ScrubRowFull(r.bank, r.row);
+            for (std::size_t row = 0; row < ws.rows.size(); ++row) {
+              ctx.ScrubRow(row);
               ++acc.stats.total_scrub_writebacks;
             }
           }
@@ -113,21 +111,21 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
         // all-zero parity, so ground truth is well defined row-wide.
         if (config.final_audit && !saw_sdc) {
           const util::BitVec zero_line(config.geometry.LineBits());
-          for (const auto& r : ws.rows) {
+          for (std::size_t row = 0; row < ws.rows.size(); ++row) {
+            const faults::RowRef& r = ws.rows[row];
             for (unsigned col = 0; col < g.ColumnsPerRow() && !saw_sdc;
                  ++col) {
               const dram::Address addr{r.bank, r.row, col};
               const util::BitVec* expect = &zero_line;
               for (std::size_t i = 0; i < ws.addrs.size(); ++i)
                 if (ws.addrs[i] == addr) expect = &ctx.lines[i];
-              const auto read = ctx.scheme->ReadLine(addr);
-              const Outcome outcome = Classify(read.claim, read.data, *expect);
+              const LineRead read = ctx.Read(row, addr, *expect);
               acc.tel.corrected_units.Record(read.corrected_units);
-              if (IsSdc(outcome)) {
+              if (IsSdc(read.outcome)) {
                 saw_sdc = true;
                 sdc_epoch = config.epochs;
               }
-              saw_due |= outcome == Outcome::kDue;
+              saw_due |= read.outcome == Outcome::kDue;
             }
           }
         }
@@ -137,7 +135,7 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
         acc.sdc_epoch_sum += static_cast<double>(sdc_epoch);
 
         // Harvest codec + injection counters; pure reads, no RNG draws.
-        acc.tel.codec += ctx.scheme->counters();
+        acc.tel.codec += ctx.Counters();
         acc.tel.injection += injector.counters();
       },
       telemetry != nullptr ? &telemetry->engine : nullptr);

@@ -65,7 +65,7 @@ struct ScenarioTelemetry;  // reliability/telemetry.hpp
 /// When `telemetry` is non-null it is filled with the run's deterministic
 /// per-trial telemetry and the engine's wall-clock metrics; collection
 /// never perturbs the stats.
-LifetimeStats RunLifetime(const LifetimeConfig& config, unsigned trials,
+LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
                           ScenarioTelemetry* telemetry = nullptr);
 
 }  // namespace pair_ecc::reliability

@@ -47,7 +47,7 @@ OutcomeCounts& OutcomeCounts::operator+=(const OutcomeCounts& other) noexcept {
   return *this;
 }
 
-OutcomeCounts RunMonteCarlo(const ScenarioConfig& config, unsigned trials,
+OutcomeCounts RunMonteCarlo(const ScenarioConfig& config, std::uint64_t trials,
                             ScenarioTelemetry* telemetry) {
   config.geometry.Validate();
   const WorkingSet ws = MakeScenarioWorkingSet(config);

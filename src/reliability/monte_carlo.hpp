@@ -85,7 +85,7 @@ struct ScenarioTelemetry;  // reliability/telemetry.hpp
 /// When `telemetry` is non-null it is filled with the run's deterministic
 /// per-trial telemetry (codec + injection counters, shard-order merged) and
 /// the engine's wall-clock metrics; collection never perturbs the counts.
-OutcomeCounts RunMonteCarlo(const ScenarioConfig& config, unsigned trials,
+OutcomeCounts RunMonteCarlo(const ScenarioConfig& config, std::uint64_t trials,
                             ScenarioTelemetry* telemetry = nullptr);
 
 /// Folds conditional per-trial rates P(event | N faults), N = 1..K (the

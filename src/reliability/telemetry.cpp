@@ -68,13 +68,13 @@ void AddScenarioCounters(telemetry::Report& report,
 }
 
 telemetry::Report BuildScenarioReport(const ScenarioConfig& config,
-                                      unsigned trials,
+                                      std::uint64_t trials,
                                       const OutcomeCounts& counts,
                                       const ScenarioTelemetry& telemetry) {
   telemetry::Report report("pairsim-reliability");
   report.MetaString("scheme", ecc::ToString(config.scheme));
   report.MetaInt("seed", static_cast<std::int64_t>(config.seed));
-  report.MetaInt("trials", trials);
+  report.MetaInt("trials", static_cast<std::int64_t>(trials));
   report.MetaInt("shards", ShardCount(trials));
   report.MetaInt("faults_per_trial", config.faults_per_trial);
   report.MetaInt("working_rows", config.working_rows);
@@ -87,13 +87,13 @@ telemetry::Report BuildScenarioReport(const ScenarioConfig& config,
 }
 
 telemetry::Report BuildLifetimeReport(const LifetimeConfig& config,
-                                      unsigned trials,
+                                      std::uint64_t trials,
                                       const LifetimeStats& stats,
                                       const ScenarioTelemetry& telemetry) {
   telemetry::Report report("pairsim-lifetime");
   report.MetaString("scheme", ecc::ToString(config.scheme));
   report.MetaInt("seed", static_cast<std::int64_t>(config.seed));
-  report.MetaInt("trials", trials);
+  report.MetaInt("trials", static_cast<std::int64_t>(trials));
   report.MetaInt("shards", ShardCount(trials));
   report.MetaInt("epochs", config.epochs);
   report.MetaReal("faults_per_epoch", config.faults_per_epoch);

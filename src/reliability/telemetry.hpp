@@ -76,13 +76,13 @@ void AddEngineTiming(telemetry::Report& report, const EngineMetrics& engine);
 /// Builds the full pair-report for a single-shot Monte-Carlo run
 /// (pairsim reliability --json).
 telemetry::Report BuildScenarioReport(const ScenarioConfig& config,
-                                      unsigned trials,
+                                      std::uint64_t trials,
                                       const OutcomeCounts& counts,
                                       const ScenarioTelemetry& telemetry);
 
 /// Builds the full pair-report for a lifetime run (pairsim lifetime --json).
 telemetry::Report BuildLifetimeReport(const LifetimeConfig& config,
-                                      unsigned trials,
+                                      std::uint64_t trials,
                                       const LifetimeStats& stats,
                                       const ScenarioTelemetry& telemetry);
 

@@ -264,7 +264,7 @@ void RunWeightedScenarioTrial(const ScenarioConfig& config,
 
 WeightedScenarioState RunWeightedMonteCarlo(const ScenarioConfig& config,
                                             const TiltSpec& tilt,
-                                            unsigned trials,
+                                            std::uint64_t trials,
                                             ScenarioTelemetry* telemetry) {
   config.geometry.Validate();
   const TiltSampler sampler(tilt);

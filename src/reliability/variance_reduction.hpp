@@ -203,7 +203,7 @@ void RunWeightedScenarioTrial(const ScenarioConfig& config,
 /// Deterministic in (config, tilt, trials) for any thread count.
 WeightedScenarioState RunWeightedMonteCarlo(const ScenarioConfig& config,
                                             const TiltSpec& tilt,
-                                            unsigned trials,
+                                            std::uint64_t trials,
                                             ScenarioTelemetry* telemetry = nullptr);
 
 // ---- exact JSON round-trip (checkpoint state) ----

@@ -132,7 +132,7 @@ MemorySystem::MemorySystem(const SystemConfig& config,
       demand_(demand),
       rng_(rng),
       ctx_(config.geometry, config.scheme, ws, rng),
-      injector_(ctx_.rank, ws.rows),
+      injector_(ctx_.MakeInjector()),
       scrub_(config.scrub, static_cast<unsigned>(ws.rows.size())),
       repair_(config.repair, static_cast<unsigned>(ws.rows.size())),
       horizon_(config.horizon_cycles) {
@@ -214,7 +214,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
         scrub_.NextStep(step_rows);
         for (const unsigned slot : step_rows) {
           const faults::RowRef& r = ws_.rows[slot];
-          ctx_.scheme->ScrubRowFull(r.bank, r.row);
+          ctx_.ScrubRow(slot);
           ++stats.scrub_rows_scrubbed;
           // The sweep's bus cost: read every working line of the row and
           // write the repaired image back.
@@ -229,7 +229,12 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
       }
       case EventKind::kRepair: {
         const faults::RowRef& r = ws_.rows[e.payload];
+        // Repairs (PAIR erasures, row sparing) change how other rows
+        // decode, so every row is written before the first one runs, and
+        // no operation recorded before a repair is repeated after it.
+        ctx_.MaterializeAll();
         repair_.Execute(e.payload, *ctx_.scheme, r.bank, r.row);
+        ctx_.Invalidate();
         // March cost at column granularity: save + complement-write +
         // read-back + restore per working line.
         for (const unsigned col : ws_.cols) {
@@ -246,12 +251,9 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
             demand_.Next(demand_req) && demand_req.arrival <= horizon_;
         if (have_demand) queue.Push(demand_req.arrival, EventKind::kDemand);
         const std::size_t slot = SlotOf(req.addr);
-        const dram::Address& addr = ws_.addrs[slot];
-        const util::BitVec& truth_line = ctx_.lines[slot];
         if (req.op == timing::Op::kRead) {
-          const ecc::ReadResult read = ctx_.scheme->ReadLine(addr);
-          const reliability::Outcome outcome =
-              reliability::Classify(read.claim, read.data, truth_line);
+          const reliability::LineRead read = ctx_.ReadLine(slot);
+          const reliability::Outcome outcome = read.outcome;
           tel.corrected_units.Record(read.corrected_units);
           ++stats.demand_reads;
           switch (outcome) {
@@ -279,9 +281,9 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
           }
           if (outcome == reliability::Outcome::kCorrected &&
               scrub_.DemandWriteback()) {
-            ctx_.scheme->ScrubLine(addr);
+            ctx_.ScrubLine(slot);
             ++stats.demand_writebacks;
-            EmitMaintenance(e.cycle, timing::Op::kWrite, addr);
+            EmitMaintenance(e.cycle, timing::Op::kWrite, ws_.addrs[slot]);
           }
           if (observer != nullptr &&
               !observer->OnDemandRead(outcome, rng_))
@@ -290,7 +292,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
           // Demand write: the host re-writes the line's current contents
           // (ground truth is unchanged; transient damage in the written
           // cells is overwritten, stuck cells swallow the write).
-          ctx_.scheme->WriteLine(addr, truth_line);
+          ctx_.WriteLine(slot);
           ++stats.demand_writes;
         }
         break;
@@ -351,7 +353,7 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
   stats.repair += repair_.counters();
 
   // Harvest codec + injection counters; pure reads, no RNG draws.
-  tel.codec += ctx_.scheme->counters();
+  tel.codec += ctx_.Counters();
   tel.injection += injector_.counters();
   maintenance_.clear();
 }

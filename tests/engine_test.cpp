@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -277,6 +278,64 @@ TEST(EngineMetrics, ShapeMatchesTheShardLayout) {
       for (const double s : m.shard_seconds) EXPECT_GE(s, 0.0);
       EXPECT_GE(m.wall_seconds, 0.0);
     }
+  }
+}
+
+// A Result that merges per trial: each trial appends its index, so the
+// merged list shows the order the engine folded trials and shards in.
+struct TrialList {
+  static constexpr bool kMergesPerTrial = true;
+  std::vector<std::uint64_t> trials;
+  TrialList& operator+=(const TrialList& o) {
+    trials.insert(trials.end(), o.trials.begin(), o.trials.end());
+    return *this;
+  }
+};
+static_assert(MergesPerTrial<TrialList>);
+static_assert(!MergesPerTrial<DrawSum>);
+
+TEST(EngineTrialwise, FoldsEveryShardInTrialOrderForAnyThreadCount) {
+  constexpr std::uint64_t kTrials = 100;  // 6 shards + partial tail
+  std::vector<std::uint64_t> in_order(kTrials);
+  for (std::uint64_t t = 0; t < kTrials; ++t) in_order[t] = t;
+  auto body = [](std::uint64_t trial, util::Xoshiro256&, TrialList& acc) {
+    acc.trials.push_back(trial);
+  };
+  for (const unsigned threads : {1u, 2u, 3u, 8u, 16u}) {
+    EngineMetrics m;
+    const TrialList list =
+        TrialEngine(threads).Run<TrialList>(5, kTrials, body, &m);
+    EXPECT_EQ(list.trials, in_order) << "threads=" << threads;
+    // Single trials are the unit of work, so every thread gets some.
+    EXPECT_EQ(m.workers, threads) << "threads=" << threads;
+    EXPECT_EQ(m.shards, TrialEngine::ShardCount(kTrials));
+  }
+}
+
+TEST(EngineTrialwise, StopLandsOnAShardBoundaryAndEveryBegunShardFinishes) {
+  constexpr std::uint64_t kTrials = 160;
+  for (const unsigned threads : {2u, 4u}) {
+    std::atomic<bool> stop{false};
+    std::vector<std::uint64_t> observed;
+    TrialList merged;
+    const std::uint64_t next = TrialEngine(threads).RunShardsObserved<
+        TrialList, int>(
+        9, kTrials, 0, TrialEngine::ShardCount(kTrials),
+        [&stop](std::uint64_t trial, util::Xoshiro256&, TrialList& acc, int&) {
+          if (trial == 37) stop = true;
+          acc.trials.push_back(trial);
+        },
+        [&](std::uint64_t shard, const TrialList& result) {
+          observed.push_back(shard);
+          merged += result;
+        },
+        &stop);
+    EXPECT_LT(next, TrialEngine::ShardCount(kTrials)) << "threads=" << threads;
+    ASSERT_EQ(observed.size(), next);
+    for (std::uint64_t i = 0; i < next; ++i) EXPECT_EQ(observed[i], i);
+    ASSERT_EQ(merged.trials.size(), next * TrialEngine::kShardTrials);
+    for (std::uint64_t t = 0; t < merged.trials.size(); ++t)
+      EXPECT_EQ(merged.trials[t], t);
   }
 }
 

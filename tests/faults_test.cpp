@@ -2,7 +2,9 @@
 // permanent vs transient semantics, mix sampling, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "dram/rank.hpp"
 #include "faults/injector.hpp"
@@ -197,6 +199,104 @@ TEST_F(InjectorTest, InjectionIsDeterministicGivenSeed) {
   EXPECT_EQ(fa.bank, fb.bank);
   EXPECT_EQ(fa.row, fb.row);
   EXPECT_EQ(fa.bit, fb.bit);
+}
+
+// ------------------------------------------------------------ touch hook
+
+/// An empty rank with a hook that records each call and whether the row
+/// still held what it held before the current injection when the hook ran.
+class TouchHookTest : public ::testing::Test {
+ protected:
+  TouchHookTest()
+      : rank_(rg_),
+        injector_(rank_, {{0, 10}, {0, 11}, {1, 20}}, [this](std::size_t i) {
+          calls_.push_back(i);
+          unchanged_ &= Contents(i) == before_[i];
+        }) {}
+
+  /// Working row `i` as every device reads it.
+  std::vector<BitVec> Contents(std::size_t i) {
+    const RowRef& r = injector_.working_set()[i];
+    std::vector<BitVec> out;
+    for (unsigned d = 0; d < rank_.TotalDevices(); ++d)
+      out.push_back(
+          rank_.device(d).ReadBits(r.bank, r.row, 0, rg_.device.TotalRowBits()));
+    return out;
+  }
+
+  /// Runs `inject` and checks that every working row it changed had its
+  /// hook called, during the call, before the row changed.
+  template <typename Inject>
+  void ExpectHookedBeforeChange(Inject&& inject) {
+    const std::size_t rows = injector_.working_set().size();
+    before_.clear();
+    for (std::size_t i = 0; i < rows; ++i) before_.push_back(Contents(i));
+    calls_.clear();
+    inject();
+    EXPECT_TRUE(unchanged_) << "a hook ran after a bit of its row changed";
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (Contents(i) != before_[i]) {
+        EXPECT_NE(std::find(calls_.begin(), calls_.end(), i), calls_.end())
+            << "row " << i << " changed without its hook";
+      }
+    }
+  }
+
+  RankGeometry rg_;
+  Rank rank_;
+  std::vector<std::size_t> calls_;
+  std::vector<std::vector<BitVec>> before_;
+  bool unchanged_ = true;
+  Injector injector_;
+};
+
+TEST_F(TouchHookTest, RunsBeforeEveryFaultThatChangesItsRow) {
+  Xoshiro256 rng(3);
+  for (int i = 0; i < 40; ++i)
+    for (FaultType t : kAllFaultTypes)
+      if (t != FaultType::kSingleBank)
+        ExpectHookedBeforeChange(
+            [&] { injector_.Inject(t, i % 2 == 0, rng); });
+  // A row is hooked again by every later fault that reaches it.
+  std::vector<std::size_t> hooked(injector_.working_set().size(), 0);
+  for (int i = 0; i < 12; ++i) {
+    ExpectHookedBeforeChange(
+        [&] { injector_.Inject(FaultType::kSingleBit, false, rng); });
+    ASSERT_EQ(calls_.size(), 1u);
+    ++hooked[calls_[0]];
+  }
+  EXPECT_GT(*std::max_element(hooked.begin(), hooked.end()), 1u);
+}
+
+TEST_F(TouchHookTest, SingleBankTouchesEveryWorkingRowOfItsBank) {
+  Xoshiro256 rng(5);
+  InjectedFault f;
+  do {
+    ExpectHookedBeforeChange(
+        [&] { f = injector_.Inject(FaultType::kSingleBank, false, rng); });
+  } while (f.bank != 0);
+  EXPECT_EQ(calls_, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST_F(TouchHookTest, HookDrawsNoRandomness) {
+  RankGeometry rg;
+  Rank plain_rank(rg);
+  Injector plain(plain_rank, injector_.working_set());
+  Xoshiro256 a(8), b(8);
+  for (int i = 0; i < 30; ++i) {
+    InjectedFault fa;
+    ExpectHookedBeforeChange(
+        [&] { fa = injector_.InjectFromMix(FaultMix::Clustered(), a); });
+    const InjectedFault fb = plain.InjectFromMix(FaultMix::Clustered(), b);
+    EXPECT_EQ(fa.type, fb.type);
+    EXPECT_EQ(fa.device, fb.device);
+    EXPECT_EQ(fa.bank, fb.bank);
+    EXPECT_EQ(fa.row, fb.row);
+    EXPECT_EQ(fa.bit, fb.bit);
+  }
+  EXPECT_EQ(a(), b());
+  EXPECT_EQ(injector_.counters(), plain.counters());
+  EXPECT_FALSE(calls_.empty());
 }
 
 // ------------------------------------------------------------------ FaultMix
