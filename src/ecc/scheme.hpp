@@ -251,8 +251,8 @@ enum class SchemeKind : std::uint8_t {
 std::string ToString(SchemeKind kind);
 
 /// Every SchemeKind, in declaration order — a plain table next to the
-/// MakeScheme switch (core/factory.cpp). pair_lint and parameterised tests
-/// iterate this instead of hand-copying the enum.
+/// MakeScheme switch (core/factory.cpp). Parameterised tests iterate this
+/// instead of hand-copying the enum.
 std::span<const SchemeKind> AllSchemeKinds() noexcept;
 
 /// Builds a scheme over `rank`. The rank must have the sidecar devices the

@@ -51,9 +51,10 @@ std::string ReadAll(const std::string& path) {
   return buf.str();
 }
 
-/// Forks and execs pairsim with stdout+stderr redirected to `log_path`.
+/// Forks and execs pairsim with stdout+stderr redirected to `log_path`, or
+/// stderr to `err_path` when one is given.
 pid_t Spawn(const std::vector<std::string>& args,
-            const std::string& log_path) {
+            const std::string& log_path, const std::string& err_path = "") {
   static const std::string binary = PAIRSIM_BINARY;
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(binary.c_str()));
@@ -71,6 +72,14 @@ pid_t Spawn(const std::vector<std::string>& args,
       dup2(fd, STDOUT_FILENO);
       dup2(fd, STDERR_FILENO);
       close(fd);
+    }
+    if (!err_path.empty()) {
+      const int err =
+          open(err_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+      if (err >= 0) {
+        dup2(err, STDERR_FILENO);
+        close(err);
+      }
     }
     execv(binary.c_str(), argv.data());
     _exit(127);
@@ -95,8 +104,9 @@ Outcome Wait(pid_t pid) {
 }
 
 Outcome RunPairsim(const std::vector<std::string>& args,
-            const std::string& log_path) {
-  return Wait(Spawn(args, log_path));
+                   const std::string& log_path,
+                   const std::string& err_path = "") {
+  return Wait(Spawn(args, log_path, err_path));
 }
 
 /// Blocks until `path` exists (the campaign flushed its first checkpoint).
@@ -261,6 +271,24 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
     EXPECT_NE(text.find(c.expect), std::string::npos) << text;
     // One-line diagnostic: a single "pairsim: ..." line, no stack spew.
     EXPECT_NE(text.find("pairsim: "), std::string::npos) << text;
+  }
+}
+
+// --help or -h anywhere in argv prints the usage text to stdout and exits 0,
+// even where a flag value is expected.
+TEST(CampaignCli, HelpPrintsUsageToStdoutAndExitsZero) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--help"}, {"system", "--help"}, {"campaign", "run", "-h"},
+      {"reliability", "--scheme", "pair4", "--help"}};
+  for (const auto& args : cases) {
+    const std::string out_log = TempPath("help_out.log");
+    const std::string err_log = TempPath("help_err.log");
+    const Outcome out = RunPairsim(args, out_log, err_log);
+    ASSERT_TRUE(out.exited);
+    EXPECT_EQ(out.code, 0) << args.back() << ReadAll(err_log);
+    EXPECT_EQ(ReadAll(out_log).rfind("usage: pairsim ", 0), 0u)
+        << ReadAll(out_log);
+    EXPECT_EQ(ReadAll(err_log), "");
   }
 }
 

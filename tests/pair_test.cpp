@@ -11,6 +11,7 @@
 
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
+#include "ecc/scheme.hpp"
 #include "faults/injector.hpp"
 #include "util/rng.hpp"
 
@@ -56,24 +57,30 @@ TEST_F(PairTest, ParityBudgetExactlyFillsSpareRegion) {
 
 TEST_F(PairTest, TwoArbitraryFlipsInOneDeviceAlwaysCorrected) {
   // t=2 per codeword and codewords tile disjoint bits, so ANY two flips in
-  // a device's row are corrected — even in the same codeword.
-  Xoshiro256 rng(100);
-  for (int trial = 0; trial < 60; ++trial) {
-    const Address addr{0, 1, static_cast<unsigned>(rng.UniformBelow(128))};
-    const BitVec line = WriteRandom(addr, rng);
-    unsigned a = static_cast<unsigned>(rng.UniformBelow(8192));
-    unsigned b;
-    do { b = static_cast<unsigned>(rng.UniformBelow(8192)); } while (b == a);
-    rank_.device(3).InjectFlip(0, 1, a);
-    rank_.device(3).InjectFlip(0, 1, b);
-    const auto r = scheme_.ReadLine(addr);
-    EXPECT_NE(r.claim, Claim::kDetected) << trial;
-    EXPECT_EQ(r.data, line) << trial;
-    scheme_.WriteLine(addr, line);
-    rank_.ClearStuck();
-    // Clear residual flips outside the addressed column by rewriting all
-    // lines is overkill; instead undo the flips if still present.
-    scheme_.ScrubRow(0, 1);
+  // a device's row are corrected — even in the same codeword — with or
+  // without the rank SEC-DED on top. Each trial uses a fresh row, so no
+  // flip carries over into the next.
+  for (const auto kind :
+       {ecc::SchemeKind::kPair4, ecc::SchemeKind::kPair4SecDed}) {
+    Rank rank(rg_);
+    const auto scheme = ecc::MakeScheme(kind, rank);
+    Xoshiro256 rng(100);
+    for (unsigned trial = 0; trial < 60; ++trial) {
+      const Address addr{0, trial,
+                         static_cast<unsigned>(rng.UniformBelow(128))};
+      const BitVec line = BitVec::Random(rg_.LineBits(), rng);
+      scheme->WriteLine(addr, line);
+      const auto dev = static_cast<unsigned>(rng.UniformBelow(8));
+      unsigned a = static_cast<unsigned>(rng.UniformBelow(8192));
+      unsigned b;
+      do { b = static_cast<unsigned>(rng.UniformBelow(8192)); } while (b == a);
+      rank.device(dev).InjectFlip(addr.bank, addr.row, a);
+      rank.device(dev).InjectFlip(addr.bank, addr.row, b);
+      const auto r = scheme->ReadLine(addr);
+      EXPECT_NE(r.claim, Claim::kDetected)
+          << ecc::ToString(kind) << " trial " << trial;
+      EXPECT_EQ(r.data, line) << ecc::ToString(kind) << " trial " << trial;
+    }
   }
 }
 

@@ -154,16 +154,6 @@ TEST(RsCode, ParametersAndOverhead) {
   EXPECT_EQ(code.MaxK(), 251u);
 }
 
-TEST(RsCode, GeneratorHasDegreeRAndRootsAtAlphaPowers) {
-  const auto code = RsCode::Gf256(34, 32);
-  const auto& f = code.field();
-  EXPECT_EQ(Degree(code.Generator()), 2);
-  for (unsigned i = 1; i <= code.r(); ++i)
-    EXPECT_EQ(Eval(f, code.Generator(), f.AlphaPow(i)), 0);
-  // alpha^0 must NOT be a root of a narrow-sense generator.
-  EXPECT_NE(Eval(f, code.Generator(), 1), 0);
-}
-
 // -------------------------------------------------------------- Encode paths
 
 struct CodeParams {
@@ -178,6 +168,39 @@ class RsRoundTripTest : public ::testing::TestWithParam<CodeParams> {
   const GfField& field_;
   RsCode code_;
 };
+
+TEST_P(RsRoundTripTest, GeneratorHasDegreeRAndRootsAtAlphaPowers) {
+  // Narrow-sense: monic of degree r, roots exactly at alpha^1 .. alpha^r,
+  // so neither alpha^0 nor alpha^(r+1) is a root.
+  const Poly& g = code_.Generator();
+  ASSERT_EQ(Degree(g), static_cast<int>(code_.r()));
+  EXPECT_EQ(g.back(), 1);
+  for (unsigned i = 0; i <= code_.r() + 1; ++i) {
+    const bool design_root = i >= 1 && i <= code_.r();
+    EXPECT_EQ(Eval(field_, g, field_.AlphaPow(i)) == 0, design_root)
+        << "alpha^" << i;
+  }
+}
+
+TEST_P(RsRoundTripTest, SameGeneratorAcrossExpansion) {
+  // Full-length shapes (MaxK() == k) expand to themselves.
+  EXPECT_EQ(code_.Expanded(code_.MaxK()).Generator(), code_.Generator());
+}
+
+TEST_P(RsRoundTripTest, ParityDeltaMatchesFullReencode) {
+  Xoshiro256 rng(3000);
+  for (int trial = 0; trial < 50; ++trial) {
+    auto data = RandomData(field_, code_.k(), rng);
+    auto parity = code_.ComputeParity(data);
+    // Mutate one random data symbol and apply the delta update.
+    const auto idx = static_cast<unsigned>(rng.UniformBelow(code_.k()));
+    const auto new_val = static_cast<Elem>(rng.UniformBelow(field_.Size()));
+    const auto pdelta = code_.ParityDelta(idx, data[idx] ^ new_val);
+    for (unsigned j = 0; j < code_.r(); ++j) parity[j] ^= pdelta[j];
+    data[idx] = new_val;
+    EXPECT_EQ(parity, code_.ComputeParity(data)) << "trial " << trial;
+  }
+}
 
 TEST_P(RsRoundTripTest, EncodeProducesCodeword) {
   Xoshiro256 rng(1000);
@@ -288,8 +311,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CodeParams{8, 34, 32},    // PAIR-2
                       CodeParams{8, 76, 64},    // DUO rank code
                       CodeParams{8, 255, 247},  // full-length
+                      CodeParams{8, 255, 223},  // full-length, t=16
                       CodeParams{8, 18, 10},    // heavily shortened, t=4
-                      CodeParams{4, 15, 9},     // small field, full length
+                      CodeParams{4, 15, 11},    // small field, full length
+                      CodeParams{4, 15, 9},
+                      CodeParams{4, 15, 7},
                       CodeParams{4, 12, 6},     // small field, shortened
                       CodeParams{10, 100, 90}));  // wide field
 
@@ -302,12 +328,6 @@ TEST(RsExpandability, ExpandedCodeKeepsRedundancyAndT) {
   EXPECT_EQ(wide.t(), base.t());
   EXPECT_EQ(wide.k(), 128u);
   EXPECT_EQ(wide.n(), 130u);
-}
-
-TEST(RsExpandability, SameGeneratorAcrossExpansion) {
-  const auto a = RsCode::Gf256(34, 32);
-  const auto b = a.Expanded(64);
-  EXPECT_EQ(a.Generator(), b.Generator());
 }
 
 TEST(RsExpandability, ZeroPaddedDataGivesSameParity) {
@@ -355,24 +375,6 @@ TEST(RsExpandability, RejectsOverExpansion) {
 }
 
 // -------------------------------------------------------------- Parity delta
-
-TEST(RsParityDelta, MatchesFullReencode) {
-  Xoshiro256 rng(3000);
-  const auto code = RsCode::Gf256(68, 64);
-  const auto& f = code.field();
-  for (int trial = 0; trial < 50; ++trial) {
-    auto data = RandomData(f, code.k(), rng);
-    auto parity = code.ComputeParity(data);
-    // Mutate one random data symbol and apply the delta update.
-    const auto idx = static_cast<unsigned>(rng.UniformBelow(code.k()));
-    const auto new_val = static_cast<Elem>(rng.UniformBelow(f.Size()));
-    const Elem delta = data[idx] ^ new_val;
-    const auto pdelta = code.ParityDelta(idx, delta);
-    for (unsigned j = 0; j < code.r(); ++j) parity[j] ^= pdelta[j];
-    data[idx] = new_val;
-    EXPECT_EQ(parity, code.ComputeParity(data)) << "trial " << trial;
-  }
-}
 
 TEST(RsParityDelta, SequenceOfUpdatesStaysConsistent) {
   // Models PAIR's write path: many independent symbol writes into the same

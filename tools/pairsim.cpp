@@ -82,6 +82,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dram/rank.hpp"
@@ -1000,8 +1001,8 @@ int CmdCampaignMerge(Args& args) {
   return 0;
 }
 
-int Usage() {
-  std::cerr
+int Usage(std::ostream& out = std::cerr) {
+  out
       << "usage: pairsim "
          "<codes|reliability|lifetime|perf|system|trace|campaign> "
          "[--flag value]...\n"
@@ -1041,6 +1042,13 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      Usage(std::cout);
+      return 0;
+    }
+  }
   if (argc < 2) return Usage();
   const std::string cmd = argv[1];
   try {
