@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,6 +25,7 @@
 
 #include "ecc/scheme.hpp"
 #include "telemetry/report.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace pair_ecc::bench {
@@ -32,15 +34,23 @@ inline constexpr std::uint64_t kBenchSeed = 0xB0A7ull;
 
 /// Trials per scenario: the binary's hardcoded default, overridable with the
 /// PAIR_TRIALS environment variable (for quick smoke runs or high-precision
-/// sweeps without a rebuild). Unparsable or zero values fall back.
+/// sweeps without a rebuild). An empty value counts as unset. A malformed,
+/// zero or out-of-range value exits 1 with a one-line diagnostic instead of
+/// silently running the default.
 inline unsigned TrialsFromEnv(unsigned fallback) {
   const char* env = std::getenv("PAIR_TRIALS");
-  if (env == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(env, &end, 10);
-  if (end == env || *end != '\0' || v == 0 || v > 0xFFFFFFFFul)
-    return fallback;
-  return static_cast<unsigned>(v);
+  if (env == nullptr || *env == '\0') return fallback;
+  std::uint64_t v = 0;
+  const util::ParseStatus status = util::ParseU64(env, v);
+  if (status == util::ParseStatus::kOk && v != 0 &&
+      v <= std::numeric_limits<unsigned>::max())
+    return static_cast<unsigned>(v);
+  std::cerr << "bench: PAIR_TRIALS: "
+            << (status == util::ParseStatus::kInvalid
+                    ? "invalid non-negative integer '" + std::string(env) + "'"
+                    : "value " + std::string(env) + " is out of range")
+            << "\n";
+  std::exit(1);
 }
 
 /// The scheme line-up most experiments compare (order = table order).

@@ -21,6 +21,7 @@
 #include "dram/rank.hpp"
 #include "util/bitvec.hpp"
 #include "util/contract.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::ecc {
 
@@ -80,17 +81,20 @@ struct CodecCounters {
   std::uint64_t scrub_rows = 0;       ///< ScrubRowFull calls
   std::uint64_t devices_erased = 0;   ///< successful MarkDeviceErased calls
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&CodecCounters::writes, "writes"},
+      util::Field{&CodecCounters::decodes, "decodes"},
+      util::Field{&CodecCounters::claim_clean, "claim_clean"},
+      util::Field{&CodecCounters::claim_corrected, "claim_corrected"},
+      util::Field{&CodecCounters::claim_detected, "claim_detected"},
+      util::Field{&CodecCounters::corrected_units, "corrected_units"},
+      util::Field{&CodecCounters::scrub_lines, "scrub_lines"},
+      util::Field{&CodecCounters::scrub_rows, "scrub_rows"},
+      util::Field{&CodecCounters::devices_erased, "devices_erased"},
+  };
+
   CodecCounters& operator+=(const CodecCounters& other) noexcept {
-    writes += other.writes;
-    decodes += other.decodes;
-    claim_clean += other.claim_clean;
-    claim_corrected += other.claim_corrected;
-    claim_detected += other.claim_detected;
-    corrected_units += other.corrected_units;
-    scrub_lines += other.scrub_lines;
-    scrub_rows += other.scrub_rows;
-    devices_erased += other.devices_erased;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const CodecCounters&, const CodecCounters&) = default;

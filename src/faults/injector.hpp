@@ -15,6 +15,7 @@
 
 #include "dram/rank.hpp"
 #include "faults/fault_model.hpp"
+#include "util/fields.hpp"
 #include "util/rng.hpp"
 
 namespace pair_ecc::faults {
@@ -40,13 +41,18 @@ struct InjectionCounters {
     ++(fault.permanent ? permanent : transient);
   }
 
+  /// by_type is positional in kAllFaultTypes order (util/fields.hpp).
+  static constexpr auto kFields = std::tuple{
+      util::Field{&InjectionCounters::total, "total", "injected"},
+      util::Field{&InjectionCounters::permanent, "permanent"},
+      util::Field{&InjectionCounters::transient, "transient"},
+      util::Field{&InjectionCounters::by_type, "by_type", "type.",
+                  [](std::size_t i) { return ToString(kAllFaultTypes[i]); },
+                  "fault type"},
+  };
+
   InjectionCounters& operator+=(const InjectionCounters& other) noexcept {
-    for (std::size_t i = 0; i < by_type.size(); ++i)
-      by_type[i] += other.by_type[i];
-    total += other.total;
-    permanent += other.permanent;
-    transient += other.transient;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const InjectionCounters&,

@@ -33,20 +33,6 @@ void OutcomeCounts::Add(Outcome outcome) {
   }
 }
 
-OutcomeCounts& OutcomeCounts::operator+=(const OutcomeCounts& other) noexcept {
-  trials += other.trials;
-  reads += other.reads;
-  no_error += other.no_error;
-  corrected += other.corrected;
-  due += other.due;
-  sdc_miscorrected += other.sdc_miscorrected;
-  sdc_undetected += other.sdc_undetected;
-  trials_with_sdc += other.trials_with_sdc;
-  trials_with_due += other.trials_with_due;
-  trials_with_failure += other.trials_with_failure;
-  return *this;
-}
-
 OutcomeCounts RunMonteCarlo(const ScenarioConfig& config, std::uint64_t trials,
                             ScenarioTelemetry* telemetry) {
   config.geometry.Validate();

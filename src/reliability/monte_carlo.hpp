@@ -18,6 +18,7 @@
 #include "ecc/scheme.hpp"
 #include "faults/fault_model.hpp"
 #include "reliability/outcome.hpp"
+#include "util/fields.hpp"
 #include "util/stats.hpp"
 
 namespace pair_ecc::reliability {
@@ -72,9 +73,26 @@ struct OutcomeCounts {
 
   void Add(Outcome outcome);
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&OutcomeCounts::trials, "trials"},
+      util::Field{&OutcomeCounts::reads, "reads"},
+      util::Field{&OutcomeCounts::no_error, "no_error", "outcome.no_error"},
+      util::Field{&OutcomeCounts::corrected, "corrected", "outcome.corrected"},
+      util::Field{&OutcomeCounts::due, "due", "outcome.due"},
+      util::Field{&OutcomeCounts::sdc_miscorrected, "sdc_miscorrected",
+                  "outcome.sdc_miscorrected"},
+      util::Field{&OutcomeCounts::sdc_undetected, "sdc_undetected",
+                  "outcome.sdc_undetected"},
+      util::Field{&OutcomeCounts::trials_with_sdc, "trials_with_sdc"},
+      util::Field{&OutcomeCounts::trials_with_due, "trials_with_due"},
+      util::Field{&OutcomeCounts::trials_with_failure, "trials_with_failure"},
+  };
+
   /// Order-independent merge of disjoint trial populations — the reduction
   /// the trial engine applies to per-shard accumulators.
-  OutcomeCounts& operator+=(const OutcomeCounts& other) noexcept;
+  OutcomeCounts& operator+=(const OutcomeCounts& other) noexcept {
+    return util::MergeFields(*this, other);
+  }
 
   friend bool operator==(const OutcomeCounts&, const OutcomeCounts&) = default;
 };

@@ -3,32 +3,13 @@
 #include <cstdint>
 #include <string>
 
+#include "telemetry/fields.hpp"
+
 namespace pair_ecc::reliability {
 
 void AddTrialTelemetry(telemetry::Report& report,
                        const TrialTelemetry& trial) {
-  auto& c = report.counters();
-  const ecc::CodecCounters& codec = trial.codec;
-  c.Set("codec.writes", codec.writes);
-  c.Set("codec.decodes", codec.decodes);
-  c.Set("codec.claim_clean", codec.claim_clean);
-  c.Set("codec.claim_corrected", codec.claim_corrected);
-  c.Set("codec.claim_detected", codec.claim_detected);
-  c.Set("codec.corrected_units", codec.corrected_units);
-  c.Set("codec.scrub_lines", codec.scrub_lines);
-  c.Set("codec.scrub_rows", codec.scrub_rows);
-  c.Set("codec.devices_erased", codec.devices_erased);
-
-  const faults::InjectionCounters& inj = trial.injection;
-  c.Set("faults.injected", inj.total);
-  c.Set("faults.permanent", inj.permanent);
-  c.Set("faults.transient", inj.transient);
-  for (std::size_t i = 0; i < faults::kAllFaultTypes.size(); ++i)
-    c.Set("faults.type." + faults::ToString(faults::kAllFaultTypes[i]),
-          inj.by_type[i]);
-
-  if (!trial.corrected_units.counts().empty())
-    report.AddHistogram("corrected_units_per_read", trial.corrected_units);
+  telemetry::AddFieldCounters(report, trial);
 }
 
 void AddEngineTiming(telemetry::Report& report, const EngineMetrics& engine) {
@@ -50,18 +31,7 @@ std::int64_t ShardCount(std::uint64_t trials) {
 
 void AddScenarioCounters(telemetry::Report& report,
                          const OutcomeCounts& counts) {
-  auto& c = report.counters();
-  c.Set("trials", counts.trials);
-  c.Set("reads", counts.reads);
-  c.Set("outcome.no_error", counts.no_error);
-  c.Set("outcome.corrected", counts.corrected);
-  c.Set("outcome.due", counts.due);
-  c.Set("outcome.sdc_miscorrected", counts.sdc_miscorrected);
-  c.Set("outcome.sdc_undetected", counts.sdc_undetected);
-  c.Set("trials_with_sdc", counts.trials_with_sdc);
-  c.Set("trials_with_due", counts.trials_with_due);
-  c.Set("trials_with_failure", counts.trials_with_failure);
-
+  telemetry::AddFieldCounters(report, counts);
   report.AddMetric("trial_sdc_rate", counts.TrialSdcRate());
   report.AddMetric("trial_due_rate", counts.TrialDueRate());
   report.AddMetric("trial_failure_rate", counts.TrialFailureRate());

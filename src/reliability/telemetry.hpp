@@ -23,6 +23,7 @@
 #include "reliability/monte_carlo.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::reliability {
 
@@ -40,11 +41,14 @@ struct TrialTelemetry {
   telemetry::Histogram corrected_units =
       telemetry::Histogram::UpTo(kCorrectedUnitsBuckets);
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&TrialTelemetry::codec, "codec", "codec."},
+      util::Field{&TrialTelemetry::injection, "injection", "faults."},
+      util::Field{&TrialTelemetry::corrected_units, "corrected_units_per_read"},
+  };
+
   TrialTelemetry& operator+=(const TrialTelemetry& other) {
-    codec += other.codec;
-    injection += other.injection;
-    corrected_units += other.corrected_units;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const TrialTelemetry&,

@@ -9,6 +9,7 @@
 #include "reliability/telemetry.hpp"
 #include "telemetry/checkpoint.hpp"
 #include "util/contract.hpp"
+#include "util/parse.hpp"
 
 namespace pair_ecc::reliability {
 
@@ -410,16 +411,10 @@ std::vector<std::uint64_t> ParseSplitLevels(const std::string& text) {
   std::size_t pos = 0;
   while (pos <= text.size()) {
     const std::size_t comma = std::min(text.find(',', pos), text.size());
-    const std::string part = text.substr(pos, comma - pos);
-    if (part.empty() ||
-        part.find_first_not_of("0123456789") != std::string::npos)
-      fail();
     std::uint64_t value = 0;
-    for (const char c : part) {
-      if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10)
-        fail();
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
+    if (util::ParseU64(std::string_view(text).substr(pos, comma - pos),
+                       value) != util::ParseStatus::kOk)
+      fail();
     levels.push_back(value);
     pos = comma + 1;
     if (comma == text.size()) break;

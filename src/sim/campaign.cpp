@@ -10,7 +10,9 @@
 
 #include "sim/splitting.hpp"
 #include "telemetry/checkpoint.hpp"
+#include "telemetry/fields.hpp"
 #include "util/atomic_file.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 
 namespace pair_ecc::sim {
@@ -39,29 +41,17 @@ CampaignMode CampaignModeFromString(std::string_view text) {
 }
 
 ShardSlice ParseShardSlice(const std::string& text) {
-  const auto fail = [&text] {
+  const std::string_view spec = text;
+  const std::size_t slash = spec.find('/');
+  ShardSlice slice;
+  if (slash == spec.npos ||
+      util::ParseU64(spec.substr(0, slash), slice.index) !=
+          util::ParseStatus::kOk ||
+      util::ParseU64(spec.substr(slash + 1), slice.count) !=
+          util::ParseStatus::kOk ||
+      slice.count == 0 || slice.index >= slice.count)
     throw std::runtime_error("invalid shard spec '" + text +
                              "' (expected i/N with 0 <= i < N, e.g. 0/4)");
-  };
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == text.size())
-    fail();
-  const auto parse_u64 = [&fail](const std::string& part) {
-    if (part.empty() ||
-        part.find_first_not_of("0123456789") != std::string::npos)
-      fail();
-    std::uint64_t value = 0;
-    for (const char c : part) {
-      if (value > (UINT64_MAX - static_cast<std::uint64_t>(c - '0')) / 10)
-        fail();
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value;
-  };
-  ShardSlice slice;
-  slice.index = parse_u64(text.substr(0, slash));
-  slice.count = parse_u64(text.substr(slash + 1));
-  if (slice.count == 0 || slice.index >= slice.count) fail();
   return slice;
 }
 
@@ -72,86 +62,12 @@ reliability::WorkingSet MakeSystemWorkingSet(const SystemConfig& config) {
 }
 
 JsonValue SystemStatsToJson(const SystemStats& stats) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("trials", JsonValue(stats.trials));
-  obj.Set("demand_reads", JsonValue(stats.demand_reads));
-  obj.Set("demand_writes", JsonValue(stats.demand_writes));
-  obj.Set("no_error", JsonValue(stats.no_error));
-  obj.Set("corrected", JsonValue(stats.corrected));
-  obj.Set("due", JsonValue(stats.due));
-  obj.Set("sdc_miscorrected", JsonValue(stats.sdc_miscorrected));
-  obj.Set("sdc_undetected", JsonValue(stats.sdc_undetected));
-  obj.Set("trials_with_sdc", JsonValue(stats.trials_with_sdc));
-  obj.Set("trials_with_due", JsonValue(stats.trials_with_due));
-  obj.Set("trials_with_failure", JsonValue(stats.trials_with_failure));
-  obj.Set("first_sdc_cycle_sum", JsonValue(stats.first_sdc_cycle_sum));
-  obj.Set("faults_injected", JsonValue(stats.faults_injected));
-  obj.Set("scrub_steps", JsonValue(stats.scrub_steps));
-  obj.Set("scrub_rows_scrubbed", JsonValue(stats.scrub_rows_scrubbed));
-  obj.Set("demand_writebacks", JsonValue(stats.demand_writebacks));
-  JsonValue repair = JsonValue::MakeObject();
-  repair.Set("repairs_attempted", JsonValue(stats.repair.repairs_attempted));
-  repair.Set("symbols_marked", JsonValue(stats.repair.symbols_marked));
-  repair.Set("rows_spared", JsonValue(stats.repair.rows_spared));
-  repair.Set("sparing_exhausted", JsonValue(stats.repair.sparing_exhausted));
-  repair.Set("lines_lost", JsonValue(stats.repair.lines_lost));
-  repair.Set("generic_row_scrubs",
-             JsonValue(stats.repair.generic_row_scrubs));
-  obj.Set("repair", std::move(repair));
-  obj.Set("sim_cycles", JsonValue(stats.sim_cycles));
-  obj.Set("bus_reads", JsonValue(stats.bus_reads));
-  obj.Set("bus_writes", JsonValue(stats.bus_writes));
-  obj.Set("row_hits", JsonValue(stats.row_hits));
-  obj.Set("row_misses", JsonValue(stats.row_misses));
-  obj.Set("row_conflicts", JsonValue(stats.row_conflicts));
-  obj.Set("refreshes", JsonValue(stats.refreshes));
-  obj.Set("read_latency_sum", JsonValue(stats.read_latency_sum));
-  obj.Set("read_latency", telemetry::HistogramToJson(stats.read_latency));
-  obj.Set("protocol_violations", JsonValue(stats.protocol_violations));
-  return obj;
+  return telemetry::FieldsToJson(stats);
 }
 
 SystemStats SystemStatsFromJson(const JsonValue& value) {
-  const std::string what = "checkpoint system stats";
-  SystemStats stats;
-  stats.trials = RequireU64(value, "trials", what);
-  stats.demand_reads = RequireU64(value, "demand_reads", what);
-  stats.demand_writes = RequireU64(value, "demand_writes", what);
-  stats.no_error = RequireU64(value, "no_error", what);
-  stats.corrected = RequireU64(value, "corrected", what);
-  stats.due = RequireU64(value, "due", what);
-  stats.sdc_miscorrected = RequireU64(value, "sdc_miscorrected", what);
-  stats.sdc_undetected = RequireU64(value, "sdc_undetected", what);
-  stats.trials_with_sdc = RequireU64(value, "trials_with_sdc", what);
-  stats.trials_with_due = RequireU64(value, "trials_with_due", what);
-  stats.trials_with_failure = RequireU64(value, "trials_with_failure", what);
-  stats.first_sdc_cycle_sum = RequireU64(value, "first_sdc_cycle_sum", what);
-  stats.faults_injected = RequireU64(value, "faults_injected", what);
-  stats.scrub_steps = RequireU64(value, "scrub_steps", what);
-  stats.scrub_rows_scrubbed = RequireU64(value, "scrub_rows_scrubbed", what);
-  stats.demand_writebacks = RequireU64(value, "demand_writebacks", what);
-  const JsonValue& repair = RequireField(value, "repair", what);
-  stats.repair.repairs_attempted =
-      RequireU64(repair, "repairs_attempted", what);
-  stats.repair.symbols_marked = RequireU64(repair, "symbols_marked", what);
-  stats.repair.rows_spared = RequireU64(repair, "rows_spared", what);
-  stats.repair.sparing_exhausted =
-      RequireU64(repair, "sparing_exhausted", what);
-  stats.repair.lines_lost = RequireU64(repair, "lines_lost", what);
-  stats.repair.generic_row_scrubs =
-      RequireU64(repair, "generic_row_scrubs", what);
-  stats.sim_cycles = RequireU64(value, "sim_cycles", what);
-  stats.bus_reads = RequireU64(value, "bus_reads", what);
-  stats.bus_writes = RequireU64(value, "bus_writes", what);
-  stats.row_hits = RequireU64(value, "row_hits", what);
-  stats.row_misses = RequireU64(value, "row_misses", what);
-  stats.row_conflicts = RequireU64(value, "row_conflicts", what);
-  stats.refreshes = RequireU64(value, "refreshes", what);
-  stats.read_latency_sum = RequireU64(value, "read_latency_sum", what);
-  stats.read_latency = telemetry::HistogramFromJson(
-      RequireField(value, "read_latency", what), what + ": read_latency");
-  stats.protocol_violations = RequireU64(value, "protocol_violations", what);
-  return stats;
+  return telemetry::FieldsFromJson<SystemStats>(value,
+                                                "checkpoint system stats");
 }
 
 JsonValue SystemStateToJson(const SystemShardState& state) {

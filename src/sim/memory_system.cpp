@@ -6,6 +6,7 @@
 
 #include "reliability/outcome.hpp"
 #include "sim/campaign.hpp"
+#include "telemetry/fields.hpp"
 #include "util/contract.hpp"
 #include "util/rng.hpp"
 
@@ -90,37 +91,6 @@ void SystemConfig::Validate() const {
              "SystemConfig: geometry has " << geometry.device.banks
                                            << " banks but the timing model "
                                            << timing.banks);
-}
-
-SystemStats& SystemStats::operator+=(const SystemStats& other) {
-  trials += other.trials;
-  demand_reads += other.demand_reads;
-  demand_writes += other.demand_writes;
-  no_error += other.no_error;
-  corrected += other.corrected;
-  due += other.due;
-  sdc_miscorrected += other.sdc_miscorrected;
-  sdc_undetected += other.sdc_undetected;
-  trials_with_sdc += other.trials_with_sdc;
-  trials_with_due += other.trials_with_due;
-  trials_with_failure += other.trials_with_failure;
-  first_sdc_cycle_sum += other.first_sdc_cycle_sum;
-  faults_injected += other.faults_injected;
-  scrub_steps += other.scrub_steps;
-  scrub_rows_scrubbed += other.scrub_rows_scrubbed;
-  demand_writebacks += other.demand_writebacks;
-  repair += other.repair;
-  sim_cycles += other.sim_cycles;
-  bus_reads += other.bus_reads;
-  bus_writes += other.bus_writes;
-  row_hits += other.row_hits;
-  row_misses += other.row_misses;
-  row_conflicts += other.row_conflicts;
-  refreshes += other.refreshes;
-  read_latency_sum += other.read_latency_sum;
-  read_latency += other.read_latency;
-  protocol_violations += other.protocol_violations;
-  return *this;
 }
 
 MemorySystem::MemorySystem(const SystemConfig& config,
@@ -435,53 +405,14 @@ SystemStats RunSystemCampaign(const SystemConfig& config,
 
 void AddSystemStats(telemetry::Report& report, const SystemStats& stats,
                     double tck_ns) {
-  auto& c = report.counters();
-  c.Set("system.trials", stats.trials);
-  c.Set("system.demand.reads", stats.demand_reads);
-  c.Set("system.demand.writes", stats.demand_writes);
-  c.Set("system.outcome.no_error", stats.no_error);
-  c.Set("system.outcome.corrected", stats.corrected);
-  c.Set("system.outcome.due", stats.due);
-  c.Set("system.outcome.sdc_miscorrected", stats.sdc_miscorrected);
-  c.Set("system.outcome.sdc_undetected", stats.sdc_undetected);
-  c.Set("system.trials_with_sdc", stats.trials_with_sdc);
-  c.Set("system.trials_with_due", stats.trials_with_due);
-  c.Set("system.trials_with_failure", stats.trials_with_failure);
-  c.Set("system.first_sdc_cycle_sum", stats.first_sdc_cycle_sum);
-  c.Set("system.faults_injected", stats.faults_injected);
-  c.Set("system.scrub.steps", stats.scrub_steps);
-  c.Set("system.scrub.rows", stats.scrub_rows_scrubbed);
-  c.Set("system.scrub.demand_writebacks", stats.demand_writebacks);
-  c.Set("system.repair.attempted", stats.repair.repairs_attempted);
-  c.Set("system.repair.symbols_marked", stats.repair.symbols_marked);
-  c.Set("system.repair.rows_spared", stats.repair.rows_spared);
-  c.Set("system.repair.sparing_exhausted", stats.repair.sparing_exhausted);
-  c.Set("system.repair.lines_lost", stats.repair.lines_lost);
-  c.Set("system.repair.generic_row_scrubs", stats.repair.generic_row_scrubs);
-  c.Set("system.bus.reads", stats.bus_reads);
-  c.Set("system.bus.writes", stats.bus_writes);
-  c.Set("system.bus.row_hits", stats.row_hits);
-  c.Set("system.bus.row_misses", stats.row_misses);
-  c.Set("system.bus.row_conflicts", stats.row_conflicts);
-  c.Set("system.bus.refreshes", stats.refreshes);
-  c.Set("system.sim_cycles", stats.sim_cycles);
-  c.Set("system.read_latency_sum", stats.read_latency_sum);
-  c.Set("system.protocol_violations", stats.protocol_violations);
-
+  telemetry::AddFieldCounters(report, stats, "system.");
   report.AddMetric("system.sdc_probability", stats.SdcProbability());
   report.AddMetric("system.due_probability", stats.DueProbability());
   report.AddMetric("system.avg_read_latency_cycles", stats.AvgReadLatency());
   report.AddMetric("system.bytes_per_cycle", stats.BytesPerCycle());
   report.AddMetric("system.bandwidth_gbps", stats.BytesPerCycle() / tck_ns);
   report.AddMetric("system.avg_cycles_per_trial", stats.AvgCyclesPerTrial());
-  report.AddMetric(
-      "system.mean_first_sdc_cycle",
-      stats.trials ? static_cast<double>(stats.first_sdc_cycle_sum) /
-                         static_cast<double>(stats.trials)
-                   : 0.0);
-
-  if (!stats.read_latency.counts().empty())
-    report.AddHistogram("system.read_latency_cycles", stats.read_latency);
+  report.AddMetric("system.mean_first_sdc_cycle", stats.MeanFirstSdcCycle());
 }
 
 telemetry::Report BuildSystemReport(

@@ -56,6 +56,7 @@
 #include "timing/request.hpp"
 #include "timing/request_source.hpp"
 #include "timing/scheduler.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::sim {
 
@@ -152,13 +153,58 @@ struct SystemStats {
                             static_cast<double>(sim_cycles)
                       : 0.0;
   }
+  double MeanFirstSdcCycle() const noexcept {
+    return trials ? static_cast<double>(first_sdc_cycle_sum) /
+                        static_cast<double>(trials)
+                  : 0.0;
+  }
   double AvgCyclesPerTrial() const noexcept {
     return trials ? static_cast<double>(sim_cycles) /
                         static_cast<double>(trials)
                   : 0.0;
   }
 
-  SystemStats& operator+=(const SystemStats& other);
+  /// Report names are relative to AddSystemStats's "system." prefix.
+  static constexpr auto kFields = std::tuple{
+      util::Field{&SystemStats::trials, "trials"},
+      util::Field{&SystemStats::demand_reads, "demand_reads", "demand.reads"},
+      util::Field{&SystemStats::demand_writes, "demand_writes",
+                  "demand.writes"},
+      util::Field{&SystemStats::no_error, "no_error", "outcome.no_error"},
+      util::Field{&SystemStats::corrected, "corrected", "outcome.corrected"},
+      util::Field{&SystemStats::due, "due", "outcome.due"},
+      util::Field{&SystemStats::sdc_miscorrected, "sdc_miscorrected",
+                  "outcome.sdc_miscorrected"},
+      util::Field{&SystemStats::sdc_undetected, "sdc_undetected",
+                  "outcome.sdc_undetected"},
+      util::Field{&SystemStats::trials_with_sdc, "trials_with_sdc"},
+      util::Field{&SystemStats::trials_with_due, "trials_with_due"},
+      util::Field{&SystemStats::trials_with_failure, "trials_with_failure"},
+      util::Field{&SystemStats::first_sdc_cycle_sum, "first_sdc_cycle_sum"},
+      util::Field{&SystemStats::faults_injected, "faults_injected"},
+      util::Field{&SystemStats::scrub_steps, "scrub_steps", "scrub.steps"},
+      util::Field{&SystemStats::scrub_rows_scrubbed, "scrub_rows_scrubbed",
+                  "scrub.rows"},
+      util::Field{&SystemStats::demand_writebacks, "demand_writebacks",
+                  "scrub.demand_writebacks"},
+      util::Field{&SystemStats::repair, "repair", "repair."},
+      util::Field{&SystemStats::sim_cycles, "sim_cycles"},
+      util::Field{&SystemStats::bus_reads, "bus_reads", "bus.reads"},
+      util::Field{&SystemStats::bus_writes, "bus_writes", "bus.writes"},
+      util::Field{&SystemStats::row_hits, "row_hits", "bus.row_hits"},
+      util::Field{&SystemStats::row_misses, "row_misses", "bus.row_misses"},
+      util::Field{&SystemStats::row_conflicts, "row_conflicts",
+                  "bus.row_conflicts"},
+      util::Field{&SystemStats::refreshes, "refreshes", "bus.refreshes"},
+      util::Field{&SystemStats::read_latency_sum, "read_latency_sum"},
+      util::Field{&SystemStats::read_latency, "read_latency",
+                  "read_latency_cycles"},
+      util::Field{&SystemStats::protocol_violations, "protocol_violations"},
+  };
+
+  SystemStats& operator+=(const SystemStats& other) {
+    return util::MergeFields(*this, other);
+  }
 
   friend bool operator==(const SystemStats&, const SystemStats&) = default;
 };

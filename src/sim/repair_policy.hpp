@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "ecc/scheme.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::sim {
 
@@ -49,14 +50,18 @@ struct RepairCounters {
   std::uint64_t lines_lost = 0;          ///< lines lost across sparings
   std::uint64_t generic_row_scrubs = 0;  ///< non-PAIR fallback remediations
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&RepairCounters::repairs_attempted, "repairs_attempted",
+                  "attempted"},
+      util::Field{&RepairCounters::symbols_marked, "symbols_marked"},
+      util::Field{&RepairCounters::rows_spared, "rows_spared"},
+      util::Field{&RepairCounters::sparing_exhausted, "sparing_exhausted"},
+      util::Field{&RepairCounters::lines_lost, "lines_lost"},
+      util::Field{&RepairCounters::generic_row_scrubs, "generic_row_scrubs"},
+  };
+
   RepairCounters& operator+=(const RepairCounters& other) noexcept {
-    repairs_attempted += other.repairs_attempted;
-    symbols_marked += other.symbols_marked;
-    rows_spared += other.rows_spared;
-    sparing_exhausted += other.sparing_exhausted;
-    lines_lost += other.lines_lost;
-    generic_row_scrubs += other.generic_row_scrubs;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const RepairCounters&,

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "telemetry/checkpoint.hpp"
 #include "util/atomic_file.hpp"
 
 namespace {
@@ -272,6 +273,24 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
     // One-line diagnostic: a single "pairsim: ..." line, no stack spew.
     EXPECT_NE(text.find("pairsim: "), std::string::npos) << text;
   }
+}
+
+// Trial counts past 2^32 - 1 are read as 64-bit, as the campaign takes
+// them: one 16-trial shard of a 2^32-trial campaign runs and records the
+// full count.
+TEST(CampaignCli, TrialCountsBeyondThirtyTwoBitsRunOneShard) {
+  const std::string ck = FreshPath("big_trials_ck.json");
+  const std::string log = TempPath("big_trials.log");
+  const Outcome out = RunPairsim({"campaign", "run", "--trials", "4294967296",
+                                  "--shard", "0/268435456", "--checkpoint", ck},
+                                 log);
+  ASSERT_TRUE(out.exited);
+  ASSERT_EQ(out.code, 0) << ReadAll(log);
+  const pair_ecc::telemetry::JsonValue body =
+      pair_ecc::telemetry::ReadCheckpointFile(ck);
+  EXPECT_EQ(body.Find("trials")->AsInt(), 4294967296);
+  EXPECT_EQ(body.Find("end_shard")->AsInt(), 1);
+  EXPECT_TRUE(body.Find("complete")->AsBool());
 }
 
 // --help or -h anywhere in argv prints the usage text to stdout and exits 0,

@@ -9,6 +9,7 @@
 
 #include "util/atomic_file.hpp"
 #include "util/bitvec.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -130,6 +131,22 @@ TEST(Xoshiro256, SatisfiesUniformRandomBitGenerator) {
 }
 
 // -------------------------------------------------------------------- BitVec
+
+TEST(ParseU64, AcceptsDigitsOnlyAndFlagsOverflow) {
+  using util::ParseStatus;
+  std::uint64_t v = 7;
+  EXPECT_EQ(util::ParseU64("4294967296", v), ParseStatus::kOk);
+  EXPECT_EQ(v, 4294967296ull);
+  EXPECT_EQ(util::ParseU64("18446744073709551615", v), ParseStatus::kOk);
+  EXPECT_EQ(v, UINT64_MAX);
+  for (const char* bad : {"", "10k", "-1", "+1", " 1", "1 ", "0x10", "1.0"}) {
+    EXPECT_EQ(util::ParseU64(bad, v), ParseStatus::kInvalid) << bad;
+    EXPECT_EQ(v, UINT64_MAX) << bad;
+  }
+  EXPECT_EQ(util::ParseU64("18446744073709551616", v),
+            ParseStatus::kOutOfRange);
+  EXPECT_EQ(v, UINT64_MAX);
+}
 
 TEST(BitVec, StartsAllZero) {
   BitVec v(130);

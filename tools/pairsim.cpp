@@ -78,6 +78,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <span>
 #include <sstream>
@@ -100,6 +101,7 @@
 #include "timing/request_source.hpp"
 #include "timing/scheduler.hpp"
 #include "util/atomic_file.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workload/byte_source.hpp"
 #include "workload/streams.hpp"
@@ -169,15 +171,18 @@ class Args {
   std::uint64_t GetU64(const std::string& key, std::uint64_t fallback) {
     const auto s = Get(key, "");
     if (s.empty()) return fallback;
-    if (s.find_first_not_of("0123456789") != std::string::npos)
-      throw std::runtime_error("flag --" + key +
-                               ": invalid non-negative integer '" + s + "'");
-    try {
-      return std::stoull(s);
-    } catch (const std::exception&) {
-      throw std::runtime_error("flag --" + key + ": value '" + s +
-                               "' is out of range");
+    std::uint64_t v = 0;
+    switch (util::ParseU64(s, v)) {
+      case util::ParseStatus::kOk:
+        return v;
+      case util::ParseStatus::kInvalid:
+        throw std::runtime_error("flag --" + key +
+                                 ": invalid non-negative integer '" + s + "'");
+      case util::ParseStatus::kOutOfRange:
+        break;
     }
+    throw std::runtime_error("flag --" + key + ": value '" + s +
+                             "' is out of range");
   }
   unsigned GetUnsigned(const std::string& key, unsigned fallback) {
     const std::uint64_t v = GetU64(key, fallback);
@@ -243,17 +248,21 @@ workload::StreamKind ParseKind(const std::string& name,
 }
 
 /// PAIR_TRIALS environment override (the bench binaries' convention).
-unsigned ResolveTrials(unsigned from_flags) {
+std::uint64_t ResolveTrials(std::uint64_t from_flags) {
   const char* env = std::getenv("PAIR_TRIALS");
   if (env == nullptr || *env == '\0') return from_flags;
   const std::string s(env);
-  if (s.find_first_not_of("0123456789") != std::string::npos)
-    throw std::runtime_error("PAIR_TRIALS: invalid non-negative integer '" +
-                             s + "'");
-  const unsigned long long v = std::stoull(s);
-  if (v > std::numeric_limits<unsigned>::max())
-    throw std::runtime_error("PAIR_TRIALS: value " + s + " is out of range");
-  return static_cast<unsigned>(v);
+  std::uint64_t v = 0;
+  switch (util::ParseU64(s, v)) {
+    case util::ParseStatus::kOk:
+      return v;
+    case util::ParseStatus::kInvalid:
+      throw std::runtime_error("PAIR_TRIALS: invalid non-negative integer '" +
+                               s + "'");
+    case util::ParseStatus::kOutOfRange:
+      break;
+  }
+  throw std::runtime_error("PAIR_TRIALS: value " + s + " is out of range");
 }
 
 std::string ReadFileBytes(const std::string& path, const std::string& what) {
@@ -267,7 +276,8 @@ std::string ReadFileBytes(const std::string& path, const std::string& what) {
 
 /// Prints "threads N, T <label> in X s (Y trials/sec)" for a Monte-Carlo
 /// run that started at `start`.
-void PrintTrialRate(unsigned threads, unsigned trials, const std::string& label,
+void PrintTrialRate(unsigned threads, std::uint64_t trials,
+                    const std::string& label,
                     std::chrono::steady_clock::time_point start) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
@@ -325,7 +335,8 @@ reliability::TiltSpec ParseTiltFlags(Args& args) {
 /// `pairsim reliability` with an active tilt: importance-sampled run with
 /// weighted estimators alongside the raw (proposal-measure) breakdown.
 int RunTiltedReliability(const reliability::ScenarioConfig& cfg,
-                         const reliability::TiltSpec& tilt, unsigned trials,
+                         const reliability::TiltSpec& tilt,
+                         std::uint64_t trials,
                          const std::string& json_path) {
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
@@ -401,7 +412,7 @@ ScenarioFlags ParseScenarioFlags(Args& args) {
 int CmdReliability(Args& args) {
   const reliability::ScenarioConfig cfg = ParseScenarioFlags(args).cfg;
   const reliability::TiltSpec tilt = ParseTiltFlags(args);
-  const unsigned trials = args.GetUnsigned("trials", 500);
+  const std::uint64_t trials = args.GetU64("trials", 500);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
 
@@ -446,7 +457,7 @@ int CmdLifetime(Args& args) {
   cfg.scrub_interval = args.GetUnsigned("scrub", 0);
   cfg.seed = args.GetU64("seed", 1);
   cfg.threads = args.GetUnsigned("threads", 0);
-  const unsigned trials = args.GetUnsigned("trials", 200);
+  const std::uint64_t trials = args.GetU64("trials", 200);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
 
@@ -642,7 +653,7 @@ void PrintSystemSummary(const sim::SystemStats& s,
   t.Print(std::cout);
 }
 
-void WriteSystemReport(const sim::SystemConfig& cfg, unsigned trials,
+void WriteSystemReport(const sim::SystemConfig& cfg, std::uint64_t trials,
                        std::uint64_t demand_requests,
                        const sim::SystemStats& s,
                        const reliability::ScenarioTelemetry& tel,
@@ -691,7 +702,7 @@ Demand MakeDemand(const SystemFlags& f, bool replay_from_memory) {
 
 int CmdSystem(Args& args) {
   SystemFlags f = ParseSystemFlags(args);
-  const unsigned trials = args.GetUnsigned("trials", 200);
+  const std::uint64_t trials = args.GetU64("trials", 200);
   const std::string json_path = args.Get("json", "");
   args.CheckAllConsumed();
   const sim::SystemConfig& cfg = f.cfg;
@@ -834,13 +845,13 @@ int CmdCampaignRun(Args& args) {
 
   telemetry::JsonValue fp = telemetry::JsonValue::MakeObject();
   fp.Set("mode", telemetry::JsonValue(mode_name));
-  unsigned trials = 0;
+  std::uint64_t trials = 0;
 
   if (spec.mode == sim::CampaignMode::kReliability) {
     const ScenarioFlags f = ParseScenarioFlags(args);
     const reliability::ScenarioConfig& cfg = f.cfg;
     spec.scenario = cfg;
-    trials = ResolveTrials(args.GetUnsigned("trials", 500));
+    trials = ResolveTrials(args.GetU64("trials", 500));
     fp.Set("scheme", telemetry::JsonValue(f.scheme_name));
     fp.Set("mix", telemetry::JsonValue(f.mix_name));
     fp.Set("faults_per_trial", telemetry::JsonValue(cfg.faults_per_trial));
@@ -854,7 +865,7 @@ int CmdCampaignRun(Args& args) {
     reliability::AddTiltFingerprint(fp, spec.tilt);
   } else {
     SystemFlags f = ParseSystemFlags(args);
-    trials = ResolveTrials(args.GetUnsigned("trials", 200));
+    trials = ResolveTrials(args.GetU64("trials", 200));
     spec.system = f.cfg;
     // Campaigns are about crash-safety, not trace scale (use `pairsim
     // system` for multi-GB streams): they replay their demand from memory
