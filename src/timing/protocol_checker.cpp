@@ -28,7 +28,7 @@ ProtocolChecker::ProtocolChecker(const TimingParams& params)
 }
 
 void ProtocolChecker::Expect(bool ok, Cmd cmd, unsigned rank, unsigned bank,
-                             std::uint64_t cycle, const std::string& rule) {
+                             std::uint64_t cycle, const char* rule) {
   if (ok) return;
   std::ostringstream ss;
   ss << ToString(cmd) << " rank " << rank << " bank " << bank << " @" << cycle
@@ -95,10 +95,9 @@ void ProtocolChecker::OnCommand(Cmd cmd, unsigned rank, unsigned bank,
       if (rk.has_act_any)
         Expect(cycle >= rk.last_act_any + params_.tRRD_S, cmd, rank, bank,
                cycle, "tRRD_S");
-      if (rk.act_history.size() >= 4)
-        Expect(cycle >=
-                   rk.act_history[rk.act_history.size() - 4] + params_.tFAW,
-               cmd, rank, bank, cycle, "tFAW");
+      if (rk.act_count >= 4)
+        Expect(cycle >= rk.recent_acts[rk.act_count % 4] + params_.tFAW, cmd,
+               rank, bank, cycle, "tFAW");
       b.open = true;
       b.row = row;
       b.last_act = cycle;
@@ -107,8 +106,7 @@ void ProtocolChecker::OnCommand(Cmd cmd, unsigned rank, unsigned bank,
       rk.has_act_group[group] = true;
       rk.last_act_any = cycle;
       rk.has_act_any = true;
-      rk.act_history.push_back(cycle);
-      if (rk.act_history.size() > 8) rk.act_history.pop_front();
+      rk.recent_acts[rk.act_count++ % 4] = cycle;
       break;
     }
     case Cmd::kPre: {

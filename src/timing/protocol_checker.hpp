@@ -13,8 +13,8 @@
 // ranks. Refresh is per rank.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -43,8 +43,11 @@ class ProtocolChecker {
   std::uint64_t commands_checked() const noexcept { return commands_; }
 
  private:
+  /// Records a violation of `rule` unless `ok`. Takes the rule as a
+  /// literal and formats only on failure: a legal command stream through
+  /// OnCommand allocates nothing.
   void Expect(bool ok, Cmd cmd, unsigned rank, unsigned bank,
-              std::uint64_t cycle, const std::string& rule);
+              std::uint64_t cycle, const char* rule);
   unsigned GroupOf(unsigned bank) const { return bank % params_.bank_groups; }
 
   struct BankTrack {
@@ -64,7 +67,9 @@ class ProtocolChecker {
 
   struct RankTrack {
     std::vector<BankTrack> banks;
-    std::deque<std::uint64_t> act_history;  // for tFAW
+    // The last four ACT cycles, a ring indexed by act_count % 4 (tFAW).
+    std::array<std::uint64_t, 4> recent_acts{};
+    std::uint64_t act_count = 0;
     std::vector<std::uint64_t> last_act_group;
     std::vector<bool> has_act_group;
     std::uint64_t last_act_any = 0;
