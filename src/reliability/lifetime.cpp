@@ -1,12 +1,14 @@
 #include "reliability/lifetime.hpp"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "dram/rank.hpp"
 #include "faults/injector.hpp"
 #include "reliability/engine.hpp"
 #include "reliability/telemetry.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace pair_ecc::reliability {
@@ -59,6 +61,16 @@ struct LifetimeScratch {
 LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
                           ScenarioTelemetry* telemetry) {
   config.geometry.Validate();
+  // SamplePoisson stops once a product of uniforms falls to exp(-rate).
+  // Past -log(DBL_MIN) ~ 708 that limit leaves the normal range, and past
+  // ~745 it is 0, so every draw would return the same count. A NaN or
+  // negative rate draws no faults at all.
+  PAIR_CHECK(config.faults_per_epoch >= 0.0 &&
+                 std::exp(-config.faults_per_epoch) >=
+                     std::numeric_limits<double>::min(),
+             "LifetimeConfig: faults_per_epoch " << config.faults_per_epoch
+                 << " must be finite, non-negative and at most 708.39 "
+                    "(exp(-rate) must stay a normal double)");
   const auto& g = config.geometry.device;
   const WorkingSet ws =
       MakeWorkingSet(config.geometry, config.working_rows, config.lines_per_row,

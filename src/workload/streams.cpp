@@ -39,9 +39,11 @@ void StreamConfig::Validate() const {
   PAIR_CHECK(!(num_requests == 0 || ranks == 0 || banks == 0 || rows == 0 ||
                cols == 0),
              "StreamConfig: zero-sized field");
-  PAIR_CHECK(!(read_fraction < 0.0 || read_fraction > 1.0),
+  // Positive form, so NaN fails: AdvanceArrival would spin forever on a
+  // NaN intensity.
+  PAIR_CHECK(read_fraction >= 0.0 && read_fraction <= 1.0,
              "StreamConfig: read_fraction out of [0,1]");
-  PAIR_CHECK(!(intensity <= 0.0 || intensity > 1.0),
+  PAIR_CHECK(intensity > 0.0 && intensity <= 1.0,
              "StreamConfig: intensity out of (0,1]");
   PAIR_CHECK(burst_len != 0, "StreamConfig: burst_len must be nonzero");
   PAIR_CHECK(!(hot_rows == 0 || hot_rows > rows), "StreamConfig: bad hot_rows");

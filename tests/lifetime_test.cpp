@@ -3,9 +3,12 @@
 // directional effect of scrub interval on end-of-horizon reliability.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "reliability/lifetime.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 
 namespace pair_ecc::reliability {
@@ -50,6 +53,17 @@ TEST(Lifetime, ZeroFaultRateMeansNoFailures) {
   EXPECT_EQ(stats.trials_with_sdc, 0u);
   EXPECT_EQ(stats.trials_with_due, 0u);
   EXPECT_EQ(stats.total_corrections, 0u);
+}
+
+// Such rates used to run and report P(SDC) = 0 (negative, NaN) or a
+// saturated fault count (exp(-rate) underflows).
+TEST(Lifetime, RejectsNegativeNonFiniteOrUnderflowingRate) {
+  for (const double rate : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity(), 709.0}) {
+    auto cfg = Base(ecc::SchemeKind::kIecc);
+    cfg.faults_per_epoch = rate;
+    EXPECT_THROW(RunLifetime(cfg, 1), util::ContractViolation) << rate;
+  }
 }
 
 TEST(Lifetime, MoreFaultsMoreFailures) {

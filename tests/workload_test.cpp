@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "util/atomic_file.hpp"
+#include "util/contract.hpp"
 #include "workload/streams.hpp"
 #include "workload/trace_io.hpp"
 
@@ -29,6 +31,16 @@ TEST(WorkloadConfig, ValidatesFields) {
   cfg = StreamConfig{};
   cfg.num_requests = 0;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
+}
+
+// A NaN intensity used to pass Validate() and hang the first Next().
+TEST(WorkloadConfig, RejectsNanIntensityAndReadFraction) {
+  StreamConfig cfg;
+  cfg.intensity = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MakeStream(cfg), util::ContractViolation);
+  cfg = StreamConfig{};
+  cfg.read_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(MakeStream(cfg), util::ContractViolation);
 }
 
 TEST(Generator, ProducesRequestedCountSortedByArrival) {
