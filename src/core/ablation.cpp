@@ -87,19 +87,7 @@ class PinAlignedSecScheme final : public ecc::Scheme {
         cw.Splice(0, GatherSegment(row, pin, seg));
         cw.Splice(kSegmentBits,
                   row.Slice(ParityOffset(pin, seg), code_.ParityBits()));
-        const auto decode = code_.Decode(cw);
-        switch (decode.status) {
-          case hamming::HammingStatus::kNoError:
-            break;
-          case hamming::HammingStatus::kCorrected:
-            if (result.claim != ecc::Claim::kDetected)
-              result.claim = ecc::Claim::kCorrected;
-            ++result.corrected_units;
-            break;
-          case hamming::HammingStatus::kDetected:
-            result.claim = ecc::Claim::kDetected;
-            break;
-        }
+        result.Fold(code_.Decode(cw).status);
         // Deliver this pin's share of the addressed column.
         const unsigned base =
             addr.col * g.burst_length - seg * kSegmentBits;
@@ -224,18 +212,7 @@ class InterleavedRsScheme final : public ecc::Scheme {
         word[code_.k() + j] = static_cast<gf::Elem>(
             pbits.GetWord(j * kSymbolBits, kSymbolBits));
       const auto decode = code_.Decode(std::span<gf::Elem>(word));
-      switch (decode.status) {
-        case rs::DecodeStatus::kNoError:
-          break;
-        case rs::DecodeStatus::kCorrected:
-          if (result.claim != ecc::Claim::kDetected)
-            result.claim = ecc::Claim::kCorrected;
-          result.corrected_units += decode.NumCorrected();
-          break;
-        case rs::DecodeStatus::kFailure:
-          result.claim = ecc::Claim::kDetected;
-          break;
-      }
+      result.Fold(decode.status, decode.NumCorrected());
       // Deliver the column's 64 bits from the (corrected) chunk.
       const unsigned base_bit = addr.col * g.AccessBits() - chunk * kChunkBits;
       util::BitVec col_slice(g.AccessBits());

@@ -310,23 +310,9 @@ ecc::ReadResult PairScheme::DoReadLine(const dram::Address& addr) {
       StageCodewords(addr.bank, addr.row, w_begin, wcount);
   DecodeStaged(block, w_begin, wcount);
 
-  // Claim aggregation: the failure > corrected > clean lattice is
-  // order-independent, and corrected_units is a plain sum.
   ecc::ReadResult result;
-  for (const rs::BatchLineResult& lane : line_res_) {
-    switch (lane.status) {
-      case rs::DecodeStatus::kNoError:
-        break;
-      case rs::DecodeStatus::kCorrected:
-        if (result.claim != ecc::Claim::kDetected)
-          result.claim = ecc::Claim::kCorrected;
-        result.corrected_units += lane.corrected;
-        break;
-      case rs::DecodeStatus::kFailure:
-        result.claim = ecc::Claim::kDetected;
-        break;
-    }
-  }
+  for (const rs::BatchLineResult& lane : line_res_)
+    result.Fold(lane.status, lane.corrected);
 
   // Deliver the addressed column's symbols. DecodeBatch wrote corrected
   // lanes back into the block and left failed lanes as received.

@@ -2,7 +2,6 @@
 // wrapper. XED and DUO live in their own translation units; PAIR lives in
 // src/core.
 #include <stdexcept>
-#include <vector>
 
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
@@ -176,76 +175,11 @@ class IeccScheme final : public Scheme {
                 dev.ReadBits(addr.bank, addr.row,
                              g.row_bits + word * code_.ParityBits(),
                              code_.ParityBits()));
-      const auto decode = code_.Decode(cw);
-      switch (decode.status) {
-        case hamming::HammingStatus::kNoError:
-          break;
-        case hamming::HammingStatus::kCorrected:
-          if (result.claim != Claim::kDetected) result.claim = Claim::kCorrected;
-          ++result.corrected_units;
-          break;
-        case hamming::HammingStatus::kDetected:
-          result.claim = Claim::kDetected;
-          break;
-      }
+      result.Fold(code_.Decode(cw).status);
       rank().SetDeviceSlice(result.data, d,
                             cw.Slice(slot * g.AccessBits(), g.AccessBits()));
     }
     return result;
-  }
-
-  // Batch read: each address stages one codeword per device into a reusable
-  // block and runs them through the Hamming batch decoder (batch axis =
-  // devices). Device decodes are independent and processed in device order,
-  // so claims, corrected counts, and delivered bits match the per-line
-  // loop exactly.
-  void DoReadLines(std::span<const dram::Address> addrs,
-                   std::span<ReadResult> results) override {
-    PAIR_DCHECK(addrs.size() == results.size(),
-                "span extents rechecked in NVI");
-    const auto& g = rank().geometry().device;
-    const unsigned cols_per_word = kWordBits / g.AccessBits();
-    const unsigned devices = rank().DataDevices();
-    batch_words_.resize(devices);
-    batch_results_.resize(devices);
-    for (std::size_t a = 0; a < addrs.size(); ++a) {
-      const dram::Address& addr = addrs[a];
-      const unsigned word = addr.col / cols_per_word;
-      const unsigned slot = addr.col % cols_per_word;
-      for (unsigned d = 0; d < devices; ++d) {
-        auto& dev = rank().device(d);
-        util::BitVec& cw = batch_words_[d];
-        if (cw.size() != code_.n()) cw = util::BitVec(code_.n());
-        cw.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits,
-                                  kWordBits));
-        cw.Splice(kWordBits,
-                  dev.ReadBits(addr.bank, addr.row,
-                               g.row_bits + word * code_.ParityBits(),
-                               code_.ParityBits()));
-      }
-      code_.DecodeBatch(batch_words_, batch_results_);
-      ReadResult& result = results[a];
-      result.claim = Claim::kClean;
-      result.corrected_units = 0;
-      result.data = util::BitVec(rank().geometry().LineBits());
-      for (unsigned d = 0; d < devices; ++d) {
-        switch (batch_results_[d].status) {
-          case hamming::HammingStatus::kNoError:
-            break;
-          case hamming::HammingStatus::kCorrected:
-            if (result.claim != Claim::kDetected)
-              result.claim = Claim::kCorrected;
-            ++result.corrected_units;
-            break;
-          case hamming::HammingStatus::kDetected:
-            result.claim = Claim::kDetected;
-            break;
-        }
-        rank().SetDeviceSlice(
-            result.data, d,
-            batch_words_[d].Slice(slot * g.AccessBits(), g.AccessBits()));
-      }
-    }
   }
 
  private:
@@ -253,10 +187,6 @@ class IeccScheme final : public Scheme {
   // Reusable codeword buffer; a Scheme instance is single-threaded (the
   // trial engine builds one per worker). Every use fully overwrites [0, n).
   util::BitVec cw_{code_.n()};
-  // Batch-read staging: one codeword and result per device, reused across
-  // addresses and calls.
-  std::vector<util::BitVec> batch_words_;
-  std::vector<hamming::HammingResult> batch_results_;
 };
 
 // ---------------------------------------------------------------------------
@@ -325,19 +255,10 @@ class RankSecDedScheme final : public Scheme {
       cw.Splice(code_.k(),
                 parity_col.Slice(beat * g.dq_pins, code_.ParityBits()));
       const auto decode = code_.Decode(cw);
-      switch (decode.status) {
-        case hamming::HammingStatus::kNoError:
-          break;
-        case hamming::HammingStatus::kCorrected:
-          if (decode.corrected_bit < code_.k())
-            result.data.Flip(LineBitOf(beat, decode.corrected_bit));
-          if (result.claim != Claim::kDetected) result.claim = Claim::kCorrected;
-          ++result.corrected_units;
-          break;
-        case hamming::HammingStatus::kDetected:
-          result.claim = Claim::kDetected;
-          break;
-      }
+      if (decode.status == hamming::HammingStatus::kCorrected &&
+          decode.corrected_bit < code_.k())
+        result.data.Flip(LineBitOf(beat, decode.corrected_bit));
+      result.Fold(decode.status);
     }
     return result;
   }

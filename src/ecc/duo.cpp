@@ -60,86 +60,20 @@ class DuoScheme final : public Scheme {
     return p;
   }
 
+  // The per-line virtuals are one-lane batches.
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
-    const auto& g = rank().geometry().device;
-    data_.resize(code_.k());
-    for (unsigned s = 0; s < code_.k(); ++s)
-      data_[s] =
-          static_cast<gf::Elem>(line.GetWord(s * kSymbolBits, kSymbolBits));
-    parity_.resize(code_.r());
-    code_.ComputeParityInto(data_, parity_);
-
-    rank().WriteLine(addr, line);
-
-    // Check symbols 0..7 -> sidecar column.
-    util::BitVec sidecar(g.AccessBits());
-    for (unsigned j = 0; j < kSidecarSymbols; ++j)
-      sidecar.SetWord(j * kSymbolBits, kSymbolBits, parity_[j]);
-    rank().device(rank().DataDevices()).WriteColumn(addr, sidecar);
-
-    // Check symbols 8..11 -> one nibble per data device.
-    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      const unsigned sym = kSidecarSymbols + d / 2;
-      const unsigned nibble =
-          (parity_[sym] >> ((d % 2) * kSpareBitsPerDevice)) & 0xF;
-      util::BitVec bits(kSpareBitsPerDevice);
-      bits.SetWord(0, kSpareBitsPerDevice, nibble);
-      rank().device(d).WriteBits(
-          addr.bank, addr.row,
-          g.row_bits + addr.col * kSpareBitsPerDevice, bits);
-    }
+    DoWriteLines({&addr, 1}, {&line, 1});
   }
 
   ReadResult DoReadLine(const dram::Address& addr) override {
-    const auto& g = rank().geometry().device;
-    word_.assign(code_.n(), 0);
-
-    const util::BitVec raw = rank().ReadLine(addr);
-    for (unsigned s = 0; s < code_.k(); ++s)
-      word_[s] =
-          static_cast<gf::Elem>(raw.GetWord(s * kSymbolBits, kSymbolBits));
-
-    const util::BitVec sidecar =
-        rank().device(rank().DataDevices()).ReadColumn(addr);
-    for (unsigned j = 0; j < kSidecarSymbols; ++j)
-      word_[code_.k() + j] =
-          static_cast<gf::Elem>(sidecar.GetWord(j * kSymbolBits, kSymbolBits));
-
-    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      const util::BitVec bits = rank().device(d).ReadBits(
-          addr.bank, addr.row, g.row_bits + addr.col * kSpareBitsPerDevice,
-          kSpareBitsPerDevice);
-      const unsigned sym = code_.k() + kSidecarSymbols + d / 2;
-      word_[sym] = static_cast<gf::Elem>(
-          word_[sym] |
-          (bits.GetWord(0, kSpareBitsPerDevice) << ((d % 2) * kSpareBitsPerDevice)));
-    }
-
     ReadResult result;
-    const auto status =
-        code_.Decode(std::span<gf::Elem>(word_), erased_devices_, scratch_);
-    switch (status) {
-      case rs::DecodeStatus::kNoError:
-        break;
-      case rs::DecodeStatus::kCorrected:
-        result.claim = Claim::kCorrected;
-        result.corrected_units = scratch_.NumCorrected();
-        break;
-      case rs::DecodeStatus::kFailure:
-        result.claim = Claim::kDetected;
-        break;
-    }
-    result.data = util::BitVec(rank().geometry().LineBits());
-    for (unsigned s = 0; s < code_.k(); ++s)
-      result.data.SetWord(s * kSymbolBits, kSymbolBits, word_[s]);
+    DoReadLines({&addr, 1}, {&result, 1});
     return result;
   }
 
-  // Batch write: every line's 64 data symbols become one lane of an SoA
-  // block, one EncodeBatchInto computes all parities through the GF
-  // kernels, then each lane scatters exactly as the per-line writer does.
-  // Batch encode is bitwise-equal to ComputeParityInto per lane, so the
-  // stored state is identical.
+  // Write: every line's 64 data symbols become one lane of an SoA block,
+  // one EncodeBatchInto computes all parities through the GF kernels, then
+  // each lane scatters its data, sidecar and spare-nibble symbols.
   void DoWriteLines(std::span<const dram::Address> addrs,
                     std::span<const util::BitVec> lines) override {
     PAIR_DCHECK(addrs.size() == lines.size(), "span extents rechecked in NVI");
@@ -177,18 +111,13 @@ class DuoScheme final : public Scheme {
     }
   }
 
-  // Batch read: assemble every address's 76-symbol word into a block lane,
-  // one DecodeBatch classifies/repairs all lanes, then per-lane claims and
-  // data delivery replicate the per-line reader. Erasure decoding (chip
-  // kill) stays on the per-line path — DecodeBatch is errors-only.
+  // Read: assemble every address's 76-symbol word into a block lane, and
+  // one DecodeBatch classifies/repairs all lanes. After a chip kill every
+  // lane carries the erased device's symbols as its erasure list.
   void DoReadLines(std::span<const dram::Address> addrs,
                    std::span<ReadResult> results) override {
     PAIR_DCHECK(addrs.size() == results.size(),
                 "span extents rechecked in NVI");
-    if (!erased_devices_.empty()) {
-      Scheme::DoReadLines(addrs, results);
-      return;
-    }
     const auto& g = rank().geometry().device;
     const unsigned lanes = static_cast<unsigned>(addrs.size());
     if (lanes == 0) return;
@@ -220,22 +149,12 @@ class DuoScheme final : public Scheme {
     }
 
     line_res_.resize(lanes);
-    code_.DecodeBatch(block, line_res_, scratch_);
+    lane_erasures_.assign(lanes, erased_devices_);
+    code_.DecodeBatch(block, line_res_, scratch_, lane_erasures_);
     for (unsigned l = 0; l < lanes; ++l) {
       ReadResult& result = results[l];
-      result.claim = Claim::kClean;
-      result.corrected_units = 0;
-      switch (line_res_[l].status) {
-        case rs::DecodeStatus::kNoError:
-          break;
-        case rs::DecodeStatus::kCorrected:
-          result.claim = Claim::kCorrected;
-          result.corrected_units = line_res_[l].corrected;
-          break;
-        case rs::DecodeStatus::kFailure:
-          result.claim = Claim::kDetected;
-          break;
-      }
+      result = {};
+      result.Fold(line_res_[l].status, line_res_[l].corrected);
       result.data = util::BitVec(rank().geometry().LineBits());
       for (unsigned s = 0; s < code_.k(); ++s)
         result.data.SetWord(s * kSymbolBits, kSymbolBits, block.Row(s)[l]);
@@ -262,12 +181,10 @@ class DuoScheme final : public Scheme {
   // Reusable hot-path buffers; a Scheme instance is single-threaded (the
   // trial engine builds one per worker).
   rs::DecodeScratch scratch_;
-  std::vector<gf::Elem> word_;
-  std::vector<gf::Elem> data_;
-  std::vector<gf::Elem> parity_;
-  // Batch staging: one SoA codeword block plus per-lane decode results,
-  // reused across calls.
+  // Staging: one SoA codeword block plus per-lane erasure lists and decode
+  // results, reused across calls.
   std::vector<gf::Elem> block_buf_;
+  std::vector<std::span<const unsigned>> lane_erasures_;
   std::vector<rs::BatchLineResult> line_res_;
 };
 

@@ -19,6 +19,8 @@
 #include <string>
 
 #include "dram/rank.hpp"
+#include "hamming/hamming.hpp"
+#include "rs/rs_code.hpp"
 #include "util/bitvec.hpp"
 #include "util/contract.hpp"
 #include "util/fields.hpp"
@@ -41,6 +43,34 @@ struct ReadResult {
   util::BitVec data;
   /// Diagnostic: symbols (RS) or bits (Hamming) repaired across the line.
   unsigned corrected_units = 0;
+
+  /// Folds one decoded codeword into the line's claim. A Hamming
+  /// correction repairs one bit.
+  void Fold(hamming::HammingStatus codeword) {
+    using hamming::HammingStatus;
+    Fold(codeword == HammingStatus::kDetected    ? Claim::kDetected
+         : codeword == HammingStatus::kCorrected ? Claim::kCorrected
+                                                 : Claim::kClean,
+         1);
+  }
+  /// An RS correction repairs `corrected` symbols.
+  void Fold(rs::DecodeStatus codeword, unsigned corrected) {
+    using rs::DecodeStatus;
+    Fold(codeword == DecodeStatus::kFailure     ? Claim::kDetected
+         : codeword == DecodeStatus::kCorrected ? Claim::kCorrected
+                                                : Claim::kClean,
+         corrected);
+  }
+
+ private:
+  /// The claim rule of every scheme: a failed codeword makes the line
+  /// kDetected; otherwise a corrected one makes it kCorrected (the enum is
+  /// ordered clean < corrected < detected). Corrected codewords' units add
+  /// up. The fold is order-independent.
+  void Fold(Claim codeword, unsigned units) {
+    if (codeword == Claim::kCorrected) corrected_units += units;
+    if (codeword > claim) claim = codeword;
+  }
 };
 
 /// Mechanical overheads consumed by the timing model (see src/timing).
@@ -93,6 +123,17 @@ struct CodecCounters {
       util::Field{&CodecCounters::devices_erased, "devices_erased"},
   };
 
+  /// Counts one ReadLine that returned this claim.
+  void CountRead(Claim claim, unsigned units) noexcept {
+    ++decodes;
+    switch (claim) {
+      case Claim::kClean:     ++claim_clean; break;
+      case Claim::kCorrected: ++claim_corrected; break;
+      case Claim::kDetected:  ++claim_detected; break;
+    }
+    corrected_units += units;
+  }
+
   CodecCounters& operator+=(const CodecCounters& other) noexcept {
     return util::MergeFields(*this, other);
   }
@@ -124,22 +165,19 @@ class Scheme {
   /// Reads and decodes one cache line.
   ReadResult ReadLine(const dram::Address& addr) {
     ReadResult result = DoReadLine(addr);
-    ++counters_.decodes;
-    switch (result.claim) {
-      case Claim::kClean:     ++counters_.claim_clean; break;
-      case Claim::kCorrected: ++counters_.claim_corrected; break;
-      case Claim::kDetected:  ++counters_.claim_detected; break;
-    }
-    counters_.corrected_units += result.corrected_units;
+    counters_.CountRead(result.claim, result.corrected_units);
     return result;
   }
 
   // Batch data path. Semantically identical to calling the per-line
   // wrappers once per address, in order — same stored state, same results,
-  // same counter totals — but schemes with a batch codec (DUO, IECC)
-  // override the Do*Lines virtuals to stage many codewords through
-  // rs::DecodeBatch / EncodeBatchInto and the vectorized GF kernels. (PAIR's
-  // per-line path already decodes each address's codewords as one batch.)
+  // same counter totals. Each scheme implements each operation once: a
+  // per-line scheme (No-ECC, IECC, SEC-DED, XED, PAIR and the ablations)
+  // overrides DoWriteLine/DoReadLine and inherits the batch loops, while
+  // DUO overrides DoWriteLines/DoReadLines — one EncodeBatchInto or
+  // rs::DecodeBatch over many lines — and its per-line virtuals are
+  // one-lane calls into them. (PAIR's per-line body already decodes each
+  // address's codewords as one batch.)
 
   /// Writes lines[i] to addrs[i] for every i, in order.
   void WriteLines(std::span<const dram::Address> addrs,
@@ -158,15 +196,8 @@ class Scheme {
                "ReadLines got " << addrs.size() << " addresses but "
                                 << results.size() << " result slots");
     DoReadLines(addrs, results);
-    counters_.decodes += addrs.size();
-    for (const ReadResult& result : results) {
-      switch (result.claim) {
-        case Claim::kClean:     ++counters_.claim_clean; break;
-        case Claim::kCorrected: ++counters_.claim_corrected; break;
-        case Claim::kDetected:  ++counters_.claim_detected; break;
-      }
-      counters_.corrected_units += result.corrected_units;
-    }
+    for (const ReadResult& result : results)
+      counters_.CountRead(result.claim, result.corrected_units);
   }
 
   /// Patrol-scrubs one line: repairs whatever is repairable and restores

@@ -119,14 +119,6 @@ HammingResult HammingCode::Decode(util::BitVec& word) const {
   return result;
 }
 
-void HammingCode::DecodeBatch(std::span<util::BitVec> words,
-                              std::span<HammingResult> results) const {
-  PAIR_CHECK(words.size() == results.size(),
-             "HammingCode::DecodeBatch: " << words.size() << " words but "
-                                          << results.size() << " results");
-  for (std::size_t i = 0; i < words.size(); ++i) results[i] = Decode(words[i]);
-}
-
 util::BitVec HammingCode::ExtractData(const util::BitVec& word) const {
   PAIR_CHECK(word.size() == n_, "HammingCode::ExtractData: wrong word length");
   return word.Slice(0, k_);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/bitvec.hpp"
@@ -60,14 +59,6 @@ class HammingCode {
   /// possibly the wrong one if >1 bit was in error); on kDetected the word
   /// is untouched.
   HammingResult Decode(util::BitVec& word) const;
-
-  /// Batch decode-in-place: results[i] = Decode(words[i]) for every i, in
-  /// order. The Hamming-level entry point of the span-of-lines data path
-  /// (IECC stages one codeword per device of each address through it);
-  /// Hamming syndromes are bit-parallel word XORs already, so the batch
-  /// form buys call-structure, not vectorization.
-  void DecodeBatch(std::span<util::BitVec> words,
-                   std::span<HammingResult> results) const;
 
   /// Extracts the data bits from a codeword.
   util::BitVec ExtractData(const util::BitVec& word) const;

@@ -129,16 +129,6 @@ std::uint64_t TrialContext::Run(std::size_t row, Op&& op) {
   return epoch_[row];
 }
 
-void TrialContext::CountRead(ecc::Claim claim, unsigned corrected_units) {
-  ++elided_.decodes;
-  switch (claim) {
-    case ecc::Claim::kClean:     ++elided_.claim_clean; break;
-    case ecc::Claim::kCorrected: ++elided_.claim_corrected; break;
-    case ecc::Claim::kDetected:  ++elided_.claim_detected; break;
-  }
-  elided_.corrected_units += corrected_units;
-}
-
 TrialContext::RecordedRead TrialContext::Classified(
     const ecc::ReadResult& result, const util::BitVec& truth) const {
   return {result.claim,
@@ -149,7 +139,7 @@ LineRead TrialContext::Read(std::size_t row, const dram::Address& addr,
                             const util::BitVec& truth) {
   if (!touched_[row]) {
     // What Scheme::ReadLine counts for a kClean read (corrected_units +0).
-    CountRead(ecc::Claim::kClean, 0);
+    elided_.CountRead(ecc::Claim::kClean, 0);
     return {};
   }
   ecc::ReadResult read;
@@ -160,12 +150,12 @@ LineRead TrialContext::Read(std::size_t row, const dram::Address& addr,
 LineRead TrialContext::ReadLine(std::size_t slot) {
   const std::size_t row = slot / cols_;
   if (!touched_[row]) {
-    CountRead(ecc::Claim::kClean, 0);
+    elided_.CountRead(ecc::Claim::kClean, 0);
     return {};
   }
   RecordedRead& recorded = read_line_[slot];
   if (read_line_at_[slot] == epoch_[row]) {
-    CountRead(recorded.claim, recorded.read.corrected_units);
+    elided_.CountRead(recorded.claim, recorded.read.corrected_units);
     return recorded.read;
   }
   ecc::ReadResult read;
@@ -182,14 +172,16 @@ void TrialContext::ReadAll(std::vector<ecc::ReadResult>& staging,
   for (std::size_t row = 0; row < touched_.size(); ++row) {
     const std::size_t first = row * cols_;
     if (!touched_[row]) {
-      elided_.decodes += cols_;
-      elided_.claim_clean += cols_;
-      for (std::size_t i = first; i < first + cols_; ++i) out[i] = {};
+      for (std::size_t i = first; i < first + cols_; ++i) {
+        elided_.CountRead(ecc::Claim::kClean, 0);
+        out[i] = {};
+      }
       continue;
     }
     if (read_row_at_[row] == epoch_[row]) {
       for (std::size_t i = first; i < first + cols_; ++i)
-        CountRead(read_all_[i].claim, read_all_[i].read.corrected_units);
+        elided_.CountRead(read_all_[i].claim,
+                          read_all_[i].read.corrected_units);
     } else {
       read_row_at_[row] = Run(row, [&] {
         scheme->ReadLines(

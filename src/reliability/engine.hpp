@@ -502,8 +502,6 @@ class TrialContext {
   /// they were; otherwise 0, which no row ever holds.
   template <typename Op>
   std::uint64_t Run(std::size_t row, Op&& op);
-  /// Adds what Scheme::ReadLine counts for a read with this claim.
-  void CountRead(ecc::Claim claim, unsigned corrected_units);
   RecordedRead Classified(const ecc::ReadResult& result,
                           const util::BitVec& truth) const;
 
