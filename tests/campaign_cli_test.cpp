@@ -243,6 +243,7 @@ TEST(CampaignCli, CorruptedCheckpointIsRejectedNotMerged) {
 }
 
 TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
+  const std::string trace = std::string(PAIR_TEST_DATA_DIR) + "/tiny_trace.txt";
   struct Case {
     std::vector<std::string> args;
     const char* expect;
@@ -275,6 +276,48 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
       {{"system", "--fault-rate", "nan"},
        "flag --fault-rate: invalid number 'nan'"},
       {{"system", "--reads", "nan"}, "flag --reads: invalid number 'nan'"},
+      // Demand flags the chosen demand ignores: each of these exited 0 and
+      // ran as if the flag were absent.
+      {{"system", "--stream-intensity", "0.9"},
+       "flag --stream-intensity: requires --trace-gen"},
+      {{"system", "--burst", "1"}, "flag --burst: requires --trace-gen"},
+      {{"system", "--gap", "5"}, "flag --gap: requires --trace-gen"},
+      {{"system", "--hot-rows", "8"}, "flag --hot-rows: requires --trace-gen"},
+      {{"system", "--trace-gen", "tensor", "--pattern", "random"},
+       "flag --pattern: not used with --trace-gen"},
+      {{"system", "--trace-gen", "tensor", "--intensity", "0.1"},
+       "flag --intensity: not used with --trace-gen"},
+      {{"system", "--trace", trace, "--pattern", "random"},
+       "flag --pattern: not used with --trace"},
+      {{"system", "--trace", trace, "--intensity", "0.1"},
+       "flag --intensity: not used with --trace"},
+      {{"system", "--trace", trace, "--reads", "0.5"},
+       "flag --reads: not used with --trace"},
+      {{"system", "--trace", trace, "--requests", "10"},
+       "flag --requests: not used with --trace"},
+      {{"system", "--stream", "1"}, "flag --stream: requires --trace"},
+      {{"system", "--trace-gen", "tensor", "--stream", "1"},
+       "flag --stream: requires --trace"},
+      {{"campaign", "run", "--mode", "system", "--checkpoint",
+        TempPath("d6.json"), "--hot-rows", "8"},
+       "flag --hot-rows: requires --trace-gen"},
+      {{"campaign", "run", "--mode", "system", "--checkpoint",
+        TempPath("d7.json"), "--trace-gen", "tensor", "--intensity", "0.1"},
+       "flag --intensity: not used with --trace-gen"},
+      {{"campaign", "run", "--mode", "system", "--checkpoint",
+        TempPath("d8.json"), "--trace", trace, "--reads", "0.5"},
+       "flag --reads: not used with --trace"},
+      // Out-of-range values the library contracts caught, with a message
+      // naming a source file and a C++ expression instead of the flag.
+      {{"perf", "--reads", "1.7"}, "flag --reads: must be in [0,1]"},
+      {{"perf", "--intensity", "0"}, "flag --intensity: must be in (0,1]"},
+      {{"trace", "--gen", "tensor", "--reads", "2", "--out",
+        TempPath("d9_trace.txt")},
+       "flag --reads: must be in [0,1]"},
+      {{"system", "--reads", "1.5"}, "flag --reads: must be in [0,1]"},
+      {{"system", "--trace-gen", "tensor", "--stream-intensity", "1.5"},
+       "flag --stream-intensity: must be in (0,1]"},
+      {{"lifetime", "--rate", "-1"}, "flag --rate: must be in [0, 708.39]"},
   };
   int i = 0;
   for (const Case& c : cases) {

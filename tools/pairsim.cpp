@@ -295,6 +295,18 @@ Flags ShapeFlags(workload::StreamConfig& s) {
            "hot_rows"}};
 }
 
+/// The ranges of --reads and of the intensity flag (`intensity_flag`)
+/// that set `s`, checked here so that a bad value names its flag;
+/// StreamConfig::Validate stays the contract backstop.
+void CheckStreamFlags(const workload::StreamConfig& s,
+                      const char* intensity_flag) {
+  if (!(s.read_fraction >= 0.0 && s.read_fraction <= 1.0))
+    throw std::runtime_error("flag --reads: must be in [0,1]");
+  if (!(s.intensity > 0.0 && s.intensity <= 1.0))
+    throw std::runtime_error(std::string("flag --") + intensity_flag +
+                             ": must be in (0,1]");
+}
+
 Flags FleetFlags(sim::FleetSpec& fleet) {
   return {{"fleet-devices", &fleet.devices, "0",
            "devices of the fleet-failure projection, 0 for none"},
@@ -519,6 +531,11 @@ int CmdLifetime(Invocation& in) {
   if (!in.Parse(flags)) return 0;
   cfg.scheme = kSchemes.at(scheme);
   cfg.mix = kMixes.at(mix);
+  // RunLifetime's own bound: exp(-rate) must stay a normal double.
+  if (!(cfg.faults_per_epoch >= 0.0 &&
+        std::exp(-cfg.faults_per_epoch) >=
+            std::numeric_limits<double>::min()))
+    throw std::runtime_error("flag --rate: must be in [0, 708.39]");
 
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
@@ -553,6 +570,7 @@ int CmdPerf(Invocation& in) {
   if (!in.Parse(flags)) return 0;
   const ecc::SchemeKind kind = kSchemes.at(scheme_name);
   cfg.kind = workload::StreamKindFromString(pattern);
+  CheckStreamFlags(cfg, "intensity");
 
   timing::Trace trace = trace_path.empty()
                             ? timing::Materialize(*workload::MakeStream(cfg))
@@ -651,7 +669,7 @@ Flags TraceGenFlags(SystemOptions& o) {
 /// Resolves what the system flags named. The one-line checks cover the
 /// config mistakes a user can make from the CLI; SystemConfig::Validate()
 /// stays the contract backstop.
-void ResolveSystem(SystemOptions& o) {
+void ResolveSystem(SystemOptions& o, const Invocation& in) {
   sim::SystemConfig& c = o.cfg;
   c.scheme = kSchemes.at(o.scheme);
   c.mix = kMixes.at(o.mix);
@@ -672,20 +690,36 @@ void ResolveSystem(SystemOptions& o) {
   if (c.faults_per_mcycle < 0.0)
     throw std::runtime_error("flag --fault-rate: must be non-negative");
 
-  // --pattern runs at --intensity; --trace-gen wins and runs its shape at
-  // the shape flags, which the patterns ignore.
+  // --pattern runs at --intensity; --trace-gen runs its shape at the shape
+  // flags; --trace reads neither. A flag the chosen demand ignores is an
+  // error: the campaign fingerprint leaves it out, so a run with it would
+  // resume and merge as one without it.
+  if (!o.trace.empty() && !o.gen.empty())
+    throw std::runtime_error("--trace and --trace-gen are mutually "
+                             "exclusive");
+  const auto reject = [&](std::initializer_list<const char*> names,
+                          bool ignored, const char* why) {
+    for (const char* name : names)
+      if (ignored && in.Given(name))
+        throw std::runtime_error(std::string("flag --") + name + ": " + why);
+  };
+  reject({"stream-intensity", "burst", "gap", "hot-rows"}, o.gen.empty(),
+         "requires --trace-gen");
+  reject({"pattern", "intensity"}, !o.gen.empty(), "not used with --trace-gen");
+  reject({"pattern", "intensity", "reads", "requests"}, !o.trace.empty(),
+         "not used with --trace");
+  reject({"stream"}, o.trace.empty(), "requires --trace");
+
   workload::StreamConfig& stream = o.stream;
   stream.kind = workload::StreamKindFromString(o.pattern);
   if (!o.gen.empty()) {
-    if (!o.trace.empty())
-      throw std::runtime_error("--trace and --trace-gen are mutually "
-                               "exclusive");
     stream.kind = workload::StreamKindFromString(o.gen);
     stream.intensity = o.shape.intensity;
     stream.burst_len = o.shape.burst_len;
     stream.gap_cycles = o.shape.gap_cycles;
     stream.hot_rows = o.shape.hot_rows;
   }
+  CheckStreamFlags(stream, o.gen.empty() ? "intensity" : "stream-intensity");
   // Synthetic workloads exercise every rank and bank the preset's timing
   // model has.
   stream.ranks = c.timing.ranks;
@@ -760,7 +794,7 @@ int CmdSystem(Invocation& in) {
                         "re-read a plain --trace in every trial"},
                        JsonFlag(json_path)}})))
     return 0;
-  ResolveSystem(o);
+  ResolveSystem(o, in);
   const sim::SystemConfig& cfg = o.cfg;
   const std::uint64_t trials = o.trials;
 
@@ -812,6 +846,7 @@ int CmdTrace(Invocation& in) {
         {"out", &out, "", "trace file to write (required), gzip if *.gz"}}});
   if (!in.Parse(flags)) return 0;
   cfg.kind = workload::StreamKindFromString(gen);
+  CheckStreamFlags(cfg, "stream-intensity");
   cfg.Validate();
   if (out.empty()) throw std::runtime_error("trace requires --out FILE");
 
@@ -928,7 +963,7 @@ int CmdCampaignRun(Invocation& in) {
     // for the identity tilt, so untilted config hashes are unchanged.
     reliability::AddTiltFingerprint(fp, spec.tilt);
   } else {
-    ResolveSystem(s);
+    ResolveSystem(s, in);
     s.trials = ResolveTrials(s.trials);
     spec.system = s.cfg;
     spec.trials = s.trials;
