@@ -110,7 +110,12 @@ std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind, unsigned window,
     case SchedulerKind::kFcfs:
       return std::make_unique<FcfsScheduler>();
     case SchedulerKind::kPrac:
-      PAIR_CHECK(rfm_threshold > 0, "PRAC scheduler needs rfm_threshold > 0");
+      // The RFM an ACT arms outranks demand and precharges that bank before
+      // any CAS (Controller::Run's RFM drain), so the arming ACT never
+      // serves its request. At threshold 1 every ACT arms one, and no
+      // request is ever served.
+      PAIR_CHECK(rfm_threshold >= 2, "PRAC scheduler needs rfm_threshold >= 2"
+                                     ", got " << rfm_threshold);
       return std::make_unique<PracScheduler>(window, ranks, banks,
                                              rfm_threshold);
   }

@@ -7,7 +7,9 @@
 // normalised to the No-ECC baseline on the same parameters.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "ecc/scheme.hpp"
@@ -51,7 +53,8 @@ struct TimingParams {
 
   // Refresh management (PRAC-style): an RFM command holds its bank for
   // tRFM; the PRAC scheduler arms one after rfm_threshold activations of
-  // a bank. Only consulted when SchedulerKind::kPrac is selected.
+  // a bank (at least 2, see MakeScheduler). Only consulted when
+  // SchedulerKind::kPrac is selected.
   unsigned tRFM = 560;
   unsigned rfm_threshold = 32;
 
@@ -61,7 +64,23 @@ struct TimingParams {
     PAIR_CHECK(!(banks == 0 || bank_groups == 0 || banks % bank_groups != 0), "TimingParams: bad bank/group shape");
     PAIR_CHECK(ranks != 0, "TimingParams: need at least one rank");
     PAIR_CHECK(tck_ns > 0.0, "TimingParams: bad clock period");
-    PAIR_CHECK(!(enable_refresh && (tREFI == 0 || tRFC >= tREFI)), "TimingParams: need tRFC < tREFI");
+    // Refresh must leave every rank room for one ACT and its CAS, or
+    // Controller::Run never returns. A rank's REF falls due every tREFI but
+    // issues only once the rank's open banks have precharged: up to the
+    // longer of tRAS after an ACT and a write's recovery (tCWL + tBL + tWR)
+    // after its CAS, then one PRE per bank per cycle. While any rank
+    // drains, the whole channel issues nothing else, so each rank's drain
+    // counts once against every tREFI. After its REF the rank takes no ACT
+    // for tRFC. Without tRCD to spare after all that, the next drain closes
+    // every row its ACT opened before the CAS can issue.
+    if (enable_refresh) {
+      const std::uint64_t drain = std::max(tRAS, tCWL + tBL + tWR) + banks;
+      PAIR_CHECK(tRFC + std::uint64_t{ranks} * drain + tRCD < tREFI,
+                 "TimingParams: refresh leaves no room for a CAS: need tRFC + "
+                 "ranks * (max(tRAS, tCWL + tBL + tWR) + banks) + tRCD < tREFI"
+                 " (" << tRFC << " + " << ranks << " * " << drain << " + "
+                      << tRCD << " >= " << tREFI << ")");
+    }
   }
 };
 

@@ -14,6 +14,7 @@
 #include "timing/presets.hpp"
 #include "timing/request_source.hpp"
 #include "timing/scheduler.hpp"
+#include "util/contract.hpp"
 #include "workload/streams.hpp"
 
 namespace pair_ecc::timing {
@@ -126,6 +127,22 @@ TEST(Scheduler, PracIssuesRfmUnderActivationPressure) {
   EXPECT_GE(prac.cycles, frfcfs.cycles);
 }
 
+// At threshold 1 every ACT would arm an RFM that closes the row before
+// its CAS, and Controller::Run would never return.
+TEST(Scheduler, PracRejectsAnRfmOnEveryActivation) {
+  TimingParams params = TimingParams::Ddr4_3200();
+  params.rfm_threshold = 1;
+  EXPECT_THROW(Controller(params, NoEccTiming(params), 16, PagePolicy::kOpen,
+                          SchedulerKind::kPrac),
+               util::ContractViolation);
+  // The other policies never arm an RFM.
+  EXPECT_NO_THROW(Controller(params, NoEccTiming(params), 16,
+                             PagePolicy::kOpen, SchedulerKind::kFrFcfs));
+  params.rfm_threshold = 2;
+  EXPECT_NO_THROW(Controller(params, NoEccTiming(params), 16,
+                             PagePolicy::kOpen, SchedulerKind::kPrac));
+}
+
 TEST(Scheduler, NamesRoundTrip) {
   for (const auto kind : {SchedulerKind::kFrFcfs, SchedulerKind::kFcfs,
                           SchedulerKind::kPrac})
@@ -163,6 +180,21 @@ TEST(Presets, Ddr5AndHbm3AreDistinctDesignPoints) {
   const SystemPreset hbm3 = MakePreset(GeometryPreset::kHbm3);
   EXPECT_LT(hbm3.timing.tck_ns, ddr5.timing.tck_ns);
   EXPECT_NE(hbm3.geometry.LineBits(), 0u);
+}
+
+TEST(Presets, EveryPresetAndSchedulerValidates) {
+  for (const auto preset : {GeometryPreset::kDdr4_3200,
+                            GeometryPreset::kDdr5_4800, GeometryPreset::kHbm3})
+    for (const auto scheduler : {SchedulerKind::kFrFcfs, SchedulerKind::kFcfs,
+                                 SchedulerKind::kPrac})
+      for (const unsigned ranks : {1u, 2u, 4u}) {
+        TimingParams t = MakePreset(preset).timing;
+        t.ranks = ranks;
+        EXPECT_NO_THROW(Controller(t, NoEccTiming(t), 16, PagePolicy::kOpen,
+                                   scheduler))
+            << ToString(preset) << " " << ToString(scheduler) << " x"
+            << ranks;
+      }
 }
 
 TEST(Presets, EverySchemeRunsOnEveryPreset) {

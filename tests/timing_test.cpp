@@ -788,6 +788,20 @@ TEST(Refresh, ValidateRejectsBadRefreshWindow) {
   EXPECT_NO_THROW(t.Validate());
 }
 
+// On HBM3 timings, two ranks refreshing every 464 cycles for 428 leave no
+// room for an ACT and its CAS, and Controller::Run would never return. The
+// configuration is rejected when the controller is built.
+TEST(Refresh, RejectsRefreshThatLeavesNoRoomForACas) {
+  TimingParams t = MakePreset(GeometryPreset::kHbm3).timing;
+  t.ranks = 2;
+  t.tREFI = 464;
+  t.tRFC = 428;
+  EXPECT_THROW(t.Validate(), util::ContractViolation);
+  EXPECT_THROW(Controller(t, NoOverhead(t)), util::ContractViolation);
+  t.enable_refresh = false;
+  EXPECT_NO_THROW(t.Validate());
+}
+
 TEST(ProtocolChecker, FlagsRefWithOpenBank) {
   TimingParams t;
   ProtocolChecker checker(t);
