@@ -23,12 +23,22 @@ Controller::Controller(const TimingParams& params, const SchemeTiming& scheme,
                        SchedulerKind scheduler)
     : params_(params),
       scheme_(scheme),
-      window_(window == 0 ? 1 : window),
+      window_(scheduler == SchedulerKind::kFcfs || window == 0 ? 1 : window),
       policy_(policy),
       checker_(params) {
   params_.Validate();
-  scheduler_ = MakeScheduler(scheduler, window_, params_.ranks, params_.banks,
-                             params_.rfm_threshold);
+  const std::size_t slots =
+      static_cast<std::size_t>(params_.ranks) * params_.banks;
+  if (scheduler == SchedulerKind::kPrac) {
+    // The RFM an ACT arms outranks demand and precharges that bank before
+    // any CAS (Run's RFM drain), so the arming ACT never serves its
+    // request. At threshold 1 every ACT arms one, and no request is ever
+    // served.
+    PAIR_CHECK(params_.rfm_threshold >= 2,
+               "PRAC scheduler needs rfm_threshold >= 2, got "
+                   << params_.rfm_threshold);
+    act_counts_.assign(slots, 0);
+  }
   ranks_.resize(params_.ranks);
   for (unsigned r = 0; r < params_.ranks; ++r) {
     ranks_[r].banks.resize(params_.banks);
@@ -38,8 +48,6 @@ Controller::Controller(const TimingParams& params, const SchemeTiming& scheme,
     ranks_[r].next_refresh =
         params_.tREFI + r * (params_.tREFI / params_.ranks);
   }
-  const std::size_t slots =
-      static_cast<std::size_t>(params_.ranks) * params_.banks;
   hit_stamp_.assign(slots, 0);
   conflicts_.reserve(window_);
 }
@@ -139,7 +147,13 @@ void Controller::IssueAct(unsigned rank, unsigned bank, unsigned row,
   rk.ready_act_group[GroupOf(bank)] = cycle + params_.tRRD_L;
   rk.ready_act_any = std::max(rk.ready_act_any, cycle + params_.tRRD_S);
   rk.recent_acts[rk.act_count++ % 4] = cycle;
-  scheduler_->OnAct(rank, bank);
+  if (!act_counts_.empty()) {
+    const unsigned slot = rank * params_.banks + bank;
+    if (++act_counts_[slot] >= params_.rfm_threshold) {
+      act_counts_[slot] = 0;
+      rfm_due_.push_back(slot);
+    }
+  }
 }
 
 void Controller::IssuePre(unsigned rank, unsigned bank, std::uint64_t cycle) {
@@ -268,33 +282,31 @@ SimStats Controller::Run(RequestSource& source,
     // Refresh management (PRAC) drains like refresh: precharge the due
     // bank, then hold it for tRFM. It outranks demand so the activation
     // bound cannot be starved by a row-hit streak.
-    {
-      unsigned rfm_rank = 0;
-      unsigned rfm_bank = 0;
-      if (scheduler_->RfmDue(rfm_rank, rfm_bank)) {
-        BankState& b = ranks_[rfm_rank].banks[rfm_bank];
-        const std::uint64_t ready = b.open ? b.ready_pre : b.ready_act;
-        if (ready <= cycle && b.open) {
-          IssuePre(rfm_rank, rfm_bank, cycle);
-        } else if (ready <= cycle) {
-          checker_.OnCommand(Cmd::kRfm, rfm_rank, rfm_bank, 0, cycle);
-          b.ready_act = std::max(b.ready_act, cycle + params_.tRFM);
-          scheduler_->OnRfm();
-          ++stats.rfm_commands;
-        }
-        advance(ready <= cycle, std::min(first_wake(), ready));
-        continue;
+    if (!rfm_due_.empty()) {
+      const unsigned rfm_rank = rfm_due_.front() / params_.banks;
+      const unsigned rfm_bank = rfm_due_.front() % params_.banks;
+      BankState& b = ranks_[rfm_rank].banks[rfm_bank];
+      const std::uint64_t ready = b.open ? b.ready_pre : b.ready_act;
+      if (ready <= cycle && b.open) {
+        IssuePre(rfm_rank, rfm_bank, cycle);
+      } else if (ready <= cycle) {
+        checker_.OnCommand(Cmd::kRfm, rfm_rank, rfm_bank, 0, cycle);
+        b.ready_act = std::max(b.ready_act, cycle + params_.tRFM);
+        rfm_due_.pop_front();
+        ++stats.rfm_commands;
       }
+      advance(ready <= cycle, std::min(first_wake(), ready));
+      continue;
     }
 
-    // One scan of the scheduler window decides the cycle, in priority
+    // One scan of the reorder window decides the cycle, in priority
     // order: the oldest request whose CAS can issue (a row hit); else the
     // oldest request whose bank is closed and whose ACT can issue; else a
     // PRE for the oldest conflicting request whose open row no window
     // request hits (classic FR-FCFS row-hit preference). The scan stamps
     // each bank some window request hits, so the hit test is O(1), and
     // lists the conflicting requests' banks in window order.
-    const std::size_t window = scheduler_->Window(queue.size());
+    const std::size_t window = std::min<std::size_t>(window_, queue.size());
     const std::uint64_t decision = ++decision_;
     std::uint64_t wake = first_wake();
     std::size_t cas_pick = window;

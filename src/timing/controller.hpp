@@ -1,5 +1,7 @@
-// Cycle-approximate memory-channel controller with pluggable scheduling
-// (FR-FCFS, strict FCFS, PRAC-style refresh management), open- or
+// Cycle-approximate memory-channel controller with three scheduling
+// policies (FR-FCFS, strict FCFS, PRAC-style refresh management; see
+// timing/scheduler.hpp), each plain controller state: a reorder window
+// and, under PRAC, per-bank activation counts. It models open- or
 // closed-page row management, auto-refresh, and one or more ranks sharing
 // the command/data bus.
 //
@@ -13,7 +15,7 @@
 //
 // Event-driven: each timing rule is written once, as the earliest cycle a
 // command may issue (EarliestCas, EarliestAct, a bank's ready_pre). A
-// decision scans the scheduler window once; when it issues nothing, the
+// decision scans the reorder window once; when it issues nothing, the
 // controller jumps straight to the earliest of the next arrival, the next
 // refresh due and every earliest-issue cycle the scan computed. This is
 // exact, not an approximation: while no command issues the controller's
@@ -30,15 +32,16 @@
 // streaming form.
 //
 // A Controller simulates one stream: Run starts from the state the
-// constructor built (closed banks, zero ready times, a fresh checker and
-// scheduler) and leaves it behind, so a second Run throws
+// constructor built (closed banks, zero ready times, zero PRAC counts, a
+// fresh checker) and leaves it behind, so a second Run throws
 // util::ContractViolation. Construct one Controller per run.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <vector>
 
 #include "timing/protocol_checker.hpp"
 #include "timing/request.hpp"
@@ -83,7 +86,9 @@ class Controller {
   /// (position in the source's stream, 0-based).
   using CompletionHook = std::function<void(const Request&, std::uint64_t)>;
 
-  /// `window`: how many queued requests FR-FCFS considers for reordering.
+  /// `window`: how many queued requests FR-FCFS considers for reordering
+  /// (0 means 1; kFcfs always uses 1). kPrac needs
+  /// params.rfm_threshold >= 2.
   Controller(const TimingParams& params, const SchemeTiming& scheme,
              unsigned window = 16, PagePolicy policy = PagePolicy::kOpen,
              SchedulerKind scheduler = SchedulerKind::kFrFcfs);
@@ -105,7 +110,6 @@ class Controller {
                bool track_latency_percentiles = true);
 
   const ProtocolChecker& checker() const noexcept { return checker_; }
-  SchedulerKind scheduler_kind() const noexcept { return scheduler_->kind(); }
 
  private:
   struct BankState {
@@ -153,10 +157,15 @@ class Controller {
 
   TimingParams params_;
   SchemeTiming scheme_;
-  unsigned window_;
+  unsigned window_;  ///< effective reorder window: 1 under kFcfs
   PagePolicy policy_;
   ProtocolChecker checker_;
-  std::unique_ptr<Scheduler> scheduler_;
+
+  // PRAC state, empty unless kPrac. act_counts_[rank * banks + bank] counts
+  // the bank's ACTs since its last RFM was armed; rfm_due_ lists the banks
+  // (same index) whose count crossed the threshold, in crossing order.
+  std::vector<std::uint32_t> act_counts_;
+  std::deque<unsigned> rfm_due_;
 
   std::vector<RankState> ranks_;
   std::uint64_t bus_free_ = 0;

@@ -1,9 +1,8 @@
 // Scheduling policies for the memory controller.
 //
-// The Controller keeps ownership of timing legality (Can*/Issue*
-// bookkeeping, refresh, the protocol checker); a Scheduler decides the
-// *policy* questions — how far into the queue the pick passes may reorder,
-// and what refresh-management traffic to interleave:
+// The policies differ only in two pieces of Controller state — how far
+// into the queue the pick passes may reorder, and whether per-bank
+// activation counts arm refresh-management traffic:
 //
 //   kFrFcfs — classic first-ready FCFS: row hits anywhere in the
 //             reorder window beat older row misses (the historical
@@ -12,19 +11,13 @@
 //             queue head, so requests issue in arrival order.
 //   kPrac   — FR-FCFS plus PRAC-style refresh management: per-bank
 //             activation counters; when a bank's count crosses the RFM
-//             threshold the scheduler asks the controller to drain it
-//             with an RFM command (refresh-priority), bounding
-//             activation-driven disturbance the way DDR5 PRAC does.
-//
-// Schedulers are deterministic and allocation-light; one instance lives
-// per Controller (no shared state, trial-parallel safe).
+//             threshold the controller drains it with an RFM command
+//             (refresh-priority), bounding activation-driven disturbance
+//             the way DDR5 PRAC does.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 namespace pair_ecc::timing {
 
@@ -34,33 +27,5 @@ const char* ToString(SchedulerKind kind);
 
 /// Parses "frfcfs" | "fcfs" | "prac" (throws on anything else).
 SchedulerKind SchedulerKindFromString(const std::string& name);
-
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-
-  virtual SchedulerKind kind() const noexcept = 0;
-
-  /// How many queued requests the pick passes may inspect this cycle,
-  /// given the configured reorder window and the current queue depth.
-  virtual std::size_t Window(std::size_t queue_depth) const = 0;
-
-  /// Observes an issued ACT (activation-counting policies).
-  virtual void OnAct(unsigned rank, unsigned bank) = 0;
-
-  /// True when a refresh-management command is due; fills rank/bank with
-  /// the bank to drain. The controller precharges it if open, then issues
-  /// the RFM and calls OnRfm().
-  virtual bool RfmDue(unsigned& rank, unsigned& bank) const = 0;
-
-  /// Acknowledges the RFM issued for the bank RfmDue() reported.
-  virtual void OnRfm() = 0;
-};
-
-/// `window` is the FR-FCFS reorder depth; `rfm_threshold` is the PRAC
-/// activation count that arms an RFM (ignored by the other policies).
-std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind, unsigned window,
-                                         unsigned ranks, unsigned banks,
-                                         unsigned rfm_threshold);
 
 }  // namespace pair_ecc::timing
