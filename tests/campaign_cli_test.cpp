@@ -318,6 +318,37 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
       {{"system", "--trace-gen", "tensor", "--stream-intensity", "1.5"},
        "flag --stream-intensity: must be in (0,1]"},
       {{"lifetime", "--rate", "-1"}, "flag --rate: must be in [0, 708.39]"},
+      // Zero or oversized integer shape flags: the same route, through
+      // StreamConfig's zero-sized-field contract or TimingParams'
+      // refresh-room contract.
+      {{"perf", "--ranks", "0", "--requests", "100"},
+       "flag --ranks: must be positive"},
+      {{"perf", "--requests", "0"}, "flag --requests: must be positive"},
+      {{"perf", "--ranks", "300"}, "flag --ranks: must be in [1, 174]"},
+      {{"perf", "--pattern", "strided", "--stride", "0"},
+       "flag --stride: must be positive"},
+      {{"trace", "--banks", "0", "--out", TempPath("d10_trace.txt")},
+       "flag --banks: must be positive"},
+      {{"trace", "--requests", "0", "--out", TempPath("d11_trace.txt")},
+       "flag --requests: must be positive"},
+      {{"trace", "--ranks", "0", "--out", TempPath("d12_trace.txt")},
+       "flag --ranks: must be positive"},
+      {{"trace", "--rows", "0", "--out", TempPath("d13_trace.txt")},
+       "flag --rows: must be positive"},
+      {{"trace", "--cols", "0", "--out", TempPath("d14_trace.txt")},
+       "flag --cols: must be positive"},
+      {{"trace", "--burst", "0", "--out", TempPath("d15_trace.txt")},
+       "flag --burst: must be positive"},
+      {{"trace", "--hot-rows", "0", "--out", TempPath("d16_trace.txt")},
+       "flag --hot-rows: must be in [1, 64]"},
+      {{"trace", "--rows", "8", "--hot-rows", "9", "--out",
+        TempPath("d17_trace.txt")},
+       "flag --hot-rows: must be in [1, 8]"},
+      {{"system", "--requests", "0"}, "flag --requests: must be positive"},
+      {{"system", "--trace-gen", "batch", "--burst", "0"},
+       "flag --burst: must be positive"},
+      {{"system", "--trace-gen", "batch", "--hot-rows", "65"},
+       "flag --hot-rows: must be in [1, 64]"},
   };
   int i = 0;
   for (const Case& c : cases) {
