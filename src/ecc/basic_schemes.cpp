@@ -92,29 +92,16 @@ class NoEccScheme final : public Scheme {
 };
 
 // ---------------------------------------------------------------------------
-// IeccScheme: conventional on-die ECC. Each device protects every aligned
-// 128-bit internal-fetch word of a row with a (136,128) SEC Hamming code
-// whose 8 parity bits live in the row's spare region. The codeword is wider
-// than one column access (64 bits on an x8 die), so every write is a
-// partial-codeword write: the die senses the buddy half, re-encodes, and
-// rewrites parity — the internal read-modify-write that costs performance.
-// Reads decode the covering word; single-bit errors are repaired, multi-bit
-// errors either alias to a wrong single-bit syndrome (miscorrection, adding
-// a third error silently) or fall outside the position range (detected).
+// IeccScheme: conventional on-die ECC (OnDieSec) in every data device. Every
+// write narrower than the 128-bit codeword is a partial-codeword write: the
+// die senses the buddy half, re-encodes, and rewrites parity — the internal
+// read-modify-write that costs performance.
 // ---------------------------------------------------------------------------
 
 class IeccScheme final : public Scheme {
  public:
-  static constexpr unsigned kWordBits = 128;
-
   explicit IeccScheme(dram::Rank& rank)
-      : Scheme(rank), code_(hamming::HammingCode::OnDie136()) {
-    const auto& g = rank.geometry().device;
-    PAIR_CHECK(!(g.row_bits % kWordBits != 0), "IECC: row must hold whole 128-bit words");
-    PAIR_CHECK(!(kWordBits % g.AccessBits() != 0), "IECC: column access must divide the word");
-    const unsigned words = g.row_bits / kWordBits;
-    PAIR_CHECK(!(words * code_.ParityBits() > g.spare_row_bits), "IECC: spare region too small for parity");
-  }
+      : Scheme(rank), sec_(rank.geometry().device) {}
 
   std::string Name() const override { return "IECC"; }
 
@@ -124,69 +111,31 @@ class IeccScheme final : public Scheme {
     // codeword (DDR4 x8 BL8: 64-bit writes into 128-bit words). With a
     // BL16 access the codeword is written whole and the penalty vanishes —
     // the DDR5 design point.
-    p.write_rmw = rank().geometry().device.AccessBits() < kWordBits;
+    p.write_rmw = rank().geometry().device.AccessBits() < OnDieSec::kWordBits;
     p.read_decode_ns = 1.9;      // SEC syndrome + correct, on-die
     p.write_encode_ns = 1.9;
-    p.storage_overhead = code_.Overhead();
+    p.storage_overhead = sec_.code().Overhead();
     return p;
   }
 
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
-    const auto& g = rank().geometry().device;
-    const unsigned cols_per_word = kWordBits / g.AccessBits();
-    const unsigned word = addr.col / cols_per_word;
-    const unsigned slot = addr.col % cols_per_word;
-    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
-      // Read-CORRECT-modify-write: the internal RMW runs the sensed word
-      // through the decoder before splicing — re-encoding over a stale
-      // error would launder it into a "valid" corrupted codeword.
-      util::BitVec& cw = cw_;  // fully overwritten below
-      cw.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits,
-                                kWordBits));
-      cw.Splice(kWordBits,
-                dev.ReadBits(addr.bank, addr.row,
-                             g.row_bits + word * code_.ParityBits(),
-                             code_.ParityBits()));
-      code_.Decode(cw);  // best effort; may itself miscorrect on multi-bit
-      util::BitVec word_bits = cw.Slice(0, kWordBits);
-      word_bits.Splice(slot * g.AccessBits(), rank().DeviceSlice(line, d));
-      const util::BitVec reenc = code_.Encode(word_bits);
-      // Restore the whole corrected word, not just the written column.
-      dev.WriteBits(addr.bank, addr.row, word * kWordBits, word_bits);
-      dev.WriteBits(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
-                    reenc.Slice(kWordBits, code_.ParityBits()));
-    }
+    for (unsigned d = 0; d < rank().DataDevices(); ++d)
+      sec_.WriteColumn(rank().device(d), addr, rank().DeviceSlice(line, d));
   }
 
   ReadResult DoReadLine(const dram::Address& addr) override {
-    const auto& g = rank().geometry().device;
-    const unsigned cols_per_word = kWordBits / g.AccessBits();
-    const unsigned word = addr.col / cols_per_word;
-    const unsigned slot = addr.col % cols_per_word;
-
     ReadResult result;
     result.data = util::BitVec(rank().geometry().LineBits());
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
-      util::BitVec& cw = cw_;  // fully overwritten below
-      cw.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits, kWordBits));
-      cw.Splice(kWordBits,
-                dev.ReadBits(addr.bank, addr.row,
-                             g.row_bits + word * code_.ParityBits(),
-                             code_.ParityBits()));
-      result.Fold(code_.Decode(cw).status);
-      rank().SetDeviceSlice(result.data, d,
-                            cw.Slice(slot * g.AccessBits(), g.AccessBits()));
+      const OnDieSec::Column col = sec_.ReadColumn(rank().device(d), addr);
+      result.Fold(col.status);
+      rank().SetDeviceSlice(result.data, d, col.bits);
     }
     return result;
   }
 
  private:
-  hamming::HammingCode code_;
-  // Reusable codeword buffer; a Scheme instance is single-threaded (the
-  // trial engine builds one per worker). Every use fully overwrites [0, n).
-  util::BitVec cw_{code_.n()};
+  OnDieSec sec_;
 };
 
 // ---------------------------------------------------------------------------
@@ -289,6 +238,50 @@ class RankSecDedScheme final : public Scheme {
 };
 
 }  // namespace
+
+OnDieSec::OnDieSec(const dram::DeviceGeometry& g)
+    : code_(hamming::HammingCode::OnDie136()) {
+  PAIR_CHECK(g.row_bits % kWordBits == 0,
+             "on-die SEC: row must hold whole 128-bit words");
+  PAIR_CHECK(kWordBits % g.AccessBits() == 0,
+             "on-die SEC: column access must divide the word");
+  PAIR_CHECK((g.row_bits / kWordBits) * code_.ParityBits() <= g.spare_row_bits,
+             "on-die SEC: spare region too small for parity");
+}
+
+unsigned OnDieSec::Sense(const dram::Device& dev, const dram::Address& addr) {
+  const auto& g = dev.geometry();
+  const unsigned word = addr.col / (kWordBits / g.AccessBits());
+  cw_.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits, kWordBits));
+  cw_.Splice(kWordBits, dev.ReadBits(addr.bank, addr.row,
+                                     g.row_bits + word * code_.ParityBits(),
+                                     code_.ParityBits()));
+  return word;
+}
+
+void OnDieSec::WriteColumn(dram::Device& dev, const dram::Address& addr,
+                           const util::BitVec& column) {
+  const auto& g = dev.geometry();
+  const unsigned word = Sense(dev, addr);
+  const unsigned slot = addr.col % (kWordBits / g.AccessBits());
+  code_.Decode(cw_);  // best effort; may itself miscorrect on multi-bit
+  util::BitVec word_bits = cw_.Slice(0, kWordBits);
+  word_bits.Splice(slot * g.AccessBits(), column);
+  const util::BitVec reenc = code_.Encode(word_bits);
+  // Restore the whole corrected word, not just the written column.
+  dev.WriteBits(addr.bank, addr.row, word * kWordBits, word_bits);
+  dev.WriteBits(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
+                reenc.Slice(kWordBits, code_.ParityBits()));
+}
+
+OnDieSec::Column OnDieSec::ReadColumn(const dram::Device& dev,
+                                      const dram::Address& addr) {
+  const auto& g = dev.geometry();
+  Sense(dev, addr);
+  const unsigned slot = addr.col % (kWordBits / g.AccessBits());
+  const hamming::HammingStatus status = code_.Decode(cw_).status;
+  return {cw_.Slice(slot * g.AccessBits(), g.AccessBits()), status};
+}
 
 std::unique_ptr<Scheme> MakeNoEcc(dram::Rank& rank) {
   return std::make_unique<NoEccScheme>(rank);

@@ -20,8 +20,8 @@
 // Performance: the on-die codeword (128 bits) is wider than a per-device
 // column write (64 bits), so every write pays the internal read-modify-
 // write, exactly like conventional IECC.
-#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
@@ -34,14 +34,9 @@ namespace {
 
 class XedScheme final : public Scheme {
  public:
-  static constexpr unsigned kWordBits = 128;
-
   explicit XedScheme(dram::Rank& rank)
-      : Scheme(rank), code_(hamming::HammingCode::OnDie136()) {
-    const auto& g = rank.geometry().device;
+      : Scheme(rank), sec_(rank.geometry().device) {
     PAIR_CHECK(rank.EccDevices() >= 1, "XED: rank has no XOR sidecar device");
-    PAIR_CHECK(!(g.row_bits % kWordBits != 0 || kWordBits % g.AccessBits() != 0), "XED: geometry incompatible with 128b words");
-    PAIR_CHECK(!((g.row_bits / kWordBits) * code_.ParityBits() > g.spare_row_bits), "XED: spare region too small");
   }
 
   std::string Name() const override { return "XED"; }
@@ -49,11 +44,11 @@ class XedScheme final : public Scheme {
   PerfDescriptor Perf() const override {
     PerfDescriptor p;
     // RMW only while the on-die codeword is wider than the write (see IECC).
-    p.write_rmw = rank().geometry().device.AccessBits() < kWordBits;
+    p.write_rmw = rank().geometry().device.AccessBits() < OnDieSec::kWordBits;
     p.read_decode_ns = 1.9;    // on-die SEC; reconstruction is off the
                                // common path (only on a catch-word)
     p.write_encode_ns = 1.9;
-    p.storage_overhead = code_.Overhead() + 1.0 / 8.0;  // on-die + XOR chip
+    p.storage_overhead = sec_.code().Overhead() + 1.0 / 8.0;  // + XOR chip
     return p;
   }
 
@@ -63,8 +58,8 @@ class XedScheme final : public Scheme {
     for (unsigned d = 0; d < rank().DataDevices(); ++d)
       xor_col ^= rank().DeviceSlice(line, d);
     for (unsigned d = 0; d < rank().DataDevices(); ++d)
-      WriteDeviceColumn(d, addr, rank().DeviceSlice(line, d));
-    WriteDeviceColumn(rank().DataDevices(), addr, xor_col);
+      sec_.WriteColumn(rank().device(d), addr, rank().DeviceSlice(line, d));
+    sec_.WriteColumn(rank().device(rank().DataDevices()), addr, xor_col);
   }
 
   ReadResult DoReadLine(const dram::Address& addr) override {
@@ -75,23 +70,22 @@ class XedScheme final : public Scheme {
     std::vector<unsigned> flagged;
     bool any_corrected = false;
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto col = ReadDeviceColumn(d, addr);
-      if (!col.has_value()) {
-        flagged.push_back(d);
-        columns[d] = rank().device(d).ReadColumn(addr);  // raw, for best effort
-      } else {
-        any_corrected |= col->second;
-        columns[d] = std::move(col->first);
-      }
+      // A signalling device's word is left as sensed: its column is the raw
+      // one, kept for best effort.
+      OnDieSec::Column col = sec_.ReadColumn(rank().device(d), addr);
+      if (col.status == hamming::HammingStatus::kDetected) flagged.push_back(d);
+      any_corrected |= col.status == hamming::HammingStatus::kCorrected;
+      columns[d] = std::move(col.bits);
     }
 
     if (flagged.size() == 1) {
       // Erasure repair via the XOR chip (itself protected by on-die SEC).
-      auto parity = ReadDeviceColumn(rank().DataDevices(), addr);
-      if (!parity.has_value()) {
+      OnDieSec::Column parity =
+          sec_.ReadColumn(rank().device(rank().DataDevices()), addr);
+      if (parity.status == hamming::HammingStatus::kDetected) {
         result.claim = Claim::kDetected;  // data chip + parity chip signalled
       } else {
-        util::BitVec rebuilt = parity->first;
+        util::BitVec rebuilt = std::move(parity.bits);
         for (unsigned d = 0; d < rank().DataDevices(); ++d)
           if (d != flagged[0]) rebuilt ^= columns[d];
         columns[flagged[0]] = std::move(rebuilt);
@@ -111,58 +105,7 @@ class XedScheme final : public Scheme {
   }
 
  private:
-  /// Writes one column through the device's on-die ECC — an internal
-  /// read-CORRECT-modify-write, like conventional IECC (re-encoding over a
-  /// stale error would launder it into valid-looking corruption).
-  void WriteDeviceColumn(unsigned d, const dram::Address& addr,
-                         const util::BitVec& data) {
-    const auto& g = rank().geometry().device;
-    const unsigned cols_per_word = kWordBits / g.AccessBits();
-    const unsigned word = addr.col / cols_per_word;
-    const unsigned slot = addr.col % cols_per_word;
-    auto& dev = rank().device(d);
-    util::BitVec& cw = cw_;  // fully overwritten below
-    cw.Splice(0,
-              dev.ReadBits(addr.bank, addr.row, word * kWordBits, kWordBits));
-    cw.Splice(kWordBits,
-              dev.ReadBits(addr.bank, addr.row,
-                           g.row_bits + word * code_.ParityBits(),
-                           code_.ParityBits()));
-    code_.Decode(cw);  // best effort
-    util::BitVec word_bits = cw.Slice(0, kWordBits);
-    word_bits.Splice(slot * g.AccessBits(), data);
-    const util::BitVec reenc = code_.Encode(word_bits);
-    dev.WriteBits(addr.bank, addr.row, word * kWordBits, word_bits);
-    dev.WriteBits(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
-                  reenc.Slice(kWordBits, code_.ParityBits()));
-  }
-
-  /// Reads and on-die-decodes the column. Returns {column, was_corrected},
-  /// or nullopt when the device signals an uncorrectable error.
-  std::optional<std::pair<util::BitVec, bool>> ReadDeviceColumn(
-      unsigned d, const dram::Address& addr) {
-    const auto& g = rank().geometry().device;
-    const unsigned cols_per_word = kWordBits / g.AccessBits();
-    const unsigned word = addr.col / cols_per_word;
-    const unsigned slot = addr.col % cols_per_word;
-    auto& dev = rank().device(d);
-    util::BitVec& cw = cw_;  // fully overwritten below
-    cw.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits, kWordBits));
-    cw.Splice(kWordBits,
-              dev.ReadBits(addr.bank, addr.row,
-                           g.row_bits + word * code_.ParityBits(),
-                           code_.ParityBits()));
-    const auto decode = code_.Decode(cw);
-    if (decode.status == hamming::HammingStatus::kDetected) return std::nullopt;
-    return std::make_pair(cw.Slice(slot * g.AccessBits(), g.AccessBits()),
-                          decode.status == hamming::HammingStatus::kCorrected);
-  }
-
-  hamming::HammingCode code_;
-  // Reusable on-die codeword buffer; a Scheme instance is single-threaded
-  // (the trial engine builds one per worker). Sized once: every use fully
-  // overwrites bits [0, n).
-  util::BitVec cw_{code_.n()};
+  OnDieSec sec_;
 };
 
 }  // namespace
