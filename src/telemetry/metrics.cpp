@@ -5,11 +5,11 @@
 namespace pair_ecc::telemetry {
 
 Histogram& Histogram::operator+=(const Histogram& other) {
-  if (other.bounds_.empty() && other.sum_ == 0 && other.TotalCount() == 0)
-    return *this;  // merging an empty default — nothing to do
+  if (other.sum_ == 0 && other.TotalCount() == 0)
+    return *this;  // the other side never recorded, whatever its bounds
   if (bounds_.empty() && TotalCount() == 0 && sum_ == 0) {
     // A default-constructed accumulator adopts the first real histogram's
-    // shape (the engine default-constructs one per shard).
+    // shape (the engine default-constructs one per trial).
     *this = other;
     return *this;
   }

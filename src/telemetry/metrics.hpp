@@ -62,9 +62,11 @@ class Counters {
 
 /// Histogram over fixed integer bucket upper bounds (inclusive), plus an
 /// overflow bucket. Bounds are part of the value: merging two histograms
-/// requires identical bounds (a default-constructed, never-recorded
-/// histogram adopts the other side's bounds, which lets shard accumulators
-/// be default-constructible as the engine requires).
+/// requires identical bounds, except that a histogram that never recorded
+/// merges as the identity — on the right it leaves the target unchanged,
+/// and as a default-constructed target it adopts the other side's bounds,
+/// which lets shard accumulators be default-constructible as the engine
+/// requires.
 class Histogram {
  public:
   Histogram() = default;

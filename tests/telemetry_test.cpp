@@ -118,6 +118,23 @@ TEST(Histogram, DefaultConstructedAdoptsBoundsOnMerge) {
   EXPECT_EQ(total, shard);
 }
 
+TEST(Histogram, NeverRecordedRightHandSideLeavesTheTargetUnchanged) {
+  // A per-trial fold adds one never-recorded histogram per trial that read
+  // nothing: it must not turn an empty accumulator into all-zero buckets.
+  Histogram total;
+  total += Histogram::UpTo(3);
+  total += Histogram::UpTo(3);
+  EXPECT_EQ(total, Histogram());
+  EXPECT_TRUE(total.counts().empty());
+
+  Histogram recorded = Histogram::UpTo(3);
+  recorded.Record(2);
+  const Histogram before = recorded;
+  recorded += Histogram::UpTo(3);
+  recorded += Histogram::UpTo(7);  // bounds of an empty side do not matter
+  EXPECT_EQ(recorded, before);
+}
+
 // ---------------------------------------------------------- report builders
 
 reliability::ScenarioConfig TestConfig(unsigned threads) {
