@@ -28,27 +28,24 @@ unsigned SamplePoisson(double lambda, util::Xoshiro256& rng) {
 }
 
 /// Shard accumulator for the trial engine: the public stats plus the
-/// epoch-sum that becomes `mean_sdc_epoch` after the reduce. Every term of
-/// `sdc_epoch_sum` is a small exact integer, so the shard-grouped sum is
-/// bitwise equal to the old serial left-to-right sum.
+/// epoch sum that becomes `mean_sdc_epoch` after the reduce.
 struct LifetimeAccum {
   LifetimeStats stats;
-  double sdc_epoch_sum = 0.0;
+  std::uint64_t sdc_epoch_sum = 0;
   TrialTelemetry tel;
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&LifetimeAccum::stats, "stats"},
+      util::Field{&LifetimeAccum::sdc_epoch_sum, "sdc_epoch_sum"},
+      util::Field{&LifetimeAccum::tel, "tel"},
+  };
+
   LifetimeAccum& operator+=(const LifetimeAccum& other) {
-    stats.trials += other.stats.trials;
-    stats.trials_with_sdc += other.stats.trials_with_sdc;
-    stats.trials_with_due += other.stats.trials_with_due;
-    stats.total_corrections += other.stats.total_corrections;
-    stats.total_scrub_writebacks += other.stats.total_scrub_writebacks;
-    sdc_epoch_sum += other.sdc_epoch_sum;
-    tel += other.tel;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 };
 
-/// Per-shard staging for the batch demand-read path (see ScenarioScratch
+/// Per-worker staging for the batch demand-read path (see ScenarioScratch
 /// in campaign.hpp): reused across trials and epochs, fully overwritten
 /// by every ReadAll call.
 struct LifetimeScratch {
@@ -144,7 +141,7 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
         ++acc.stats.trials;
         acc.stats.trials_with_sdc += saw_sdc;
         acc.stats.trials_with_due += saw_due;
-        acc.sdc_epoch_sum += static_cast<double>(sdc_epoch);
+        acc.sdc_epoch_sum += sdc_epoch;
 
         // Harvest codec + injection counters; pure reads, no RNG draws.
         acc.tel.codec += ctx.Counters();
@@ -154,7 +151,9 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
 
   LifetimeStats stats = accum.stats;
   stats.mean_sdc_epoch =
-      trials ? accum.sdc_epoch_sum / static_cast<double>(trials) : 0.0;
+      trials ? static_cast<double>(accum.sdc_epoch_sum) /
+                   static_cast<double>(trials)
+             : 0.0;
   if (telemetry != nullptr) telemetry->trial = std::move(accum.tel);
   return stats;
 }

@@ -12,12 +12,14 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "dram/geometry.hpp"
 #include "ecc/scheme.hpp"
 #include "faults/fault_model.hpp"
 #include "reliability/outcome.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::reliability {
 
@@ -46,7 +48,24 @@ struct LifetimeStats {
   std::uint64_t trials_with_due = 0;  ///< at least one detected failure
   std::uint64_t total_corrections = 0;
   std::uint64_t total_scrub_writebacks = 0;
-  double mean_sdc_epoch = 0.0;  ///< over failing trials; horizon if none
+  /// Mean epoch of the first SDC over all trials, an SDC-free trial
+  /// counting as `epochs` (so it equals `epochs` when no trial failed).
+  /// Derived after the reduce; not part of the field table.
+  double mean_sdc_epoch = 0.0;
+
+  static constexpr auto kFields = std::tuple{
+      util::Field{&LifetimeStats::trials, "trials"},
+      util::Field{&LifetimeStats::trials_with_sdc, "trials_with_sdc"},
+      util::Field{&LifetimeStats::trials_with_due, "trials_with_due"},
+      util::Field{&LifetimeStats::total_corrections, "total_corrections"},
+      util::Field{&LifetimeStats::total_scrub_writebacks,
+                  "total_scrub_writebacks"},
+  };
+
+  /// Sums the counters; mean_sdc_epoch is left as it is.
+  LifetimeStats& operator+=(const LifetimeStats& other) {
+    return util::MergeFields(*this, other);
+  }
 
   double SdcProbability() const noexcept {
     return trials ? static_cast<double>(trials_with_sdc) /

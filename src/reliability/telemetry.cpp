@@ -72,12 +72,7 @@ telemetry::Report BuildLifetimeReport(const LifetimeConfig& config,
   report.MetaInt("working_rows", config.working_rows);
   report.MetaInt("lines_per_row", config.lines_per_row);
 
-  auto& c = report.counters();
-  c.Set("trials", stats.trials);
-  c.Set("trials_with_sdc", stats.trials_with_sdc);
-  c.Set("trials_with_due", stats.trials_with_due);
-  c.Set("total_corrections", stats.total_corrections);
-  c.Set("total_scrub_writebacks", stats.total_scrub_writebacks);
+  telemetry::AddFieldCounters(report, stats);
 
   report.AddMetric("sdc_probability", stats.SdcProbability());
   report.AddMetric("due_probability", stats.DueProbability());

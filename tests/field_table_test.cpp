@@ -232,6 +232,20 @@ struct Case<sim::SystemShardState> {
   }
 };
 
+/// Reported but never checkpointed; mean_sdc_epoch is derived after the
+/// reduce and has no table line, so only the merge and report checks apply.
+template <>
+struct Case<reliability::LifetimeStats> {
+  using T = reliability::LifetimeStats;
+  static constexpr const char* kName = "LifetimeStats";
+  static constexpr const char* kPrefix = "";
+  static void Report(telemetry::Report& r, const T& x) {
+    r = reliability::BuildLifetimeReport(reliability::LifetimeConfig{},
+                                         x.trials, x,
+                                         reliability::ScenarioTelemetry{});
+  }
+};
+
 template <typename T>
 T Filled(std::uint64_t first) {
   T x;
@@ -275,10 +289,11 @@ TYPED_TEST(FieldTableTest, EveryFieldRoundTripsThroughCheckpointJson) {
   EXPECT_NE(x, TypeParam{});
 }
 
-TYPED_TEST(FieldTableTest, MergeIsTheFieldwiseSum) {
-  const TypeParam x = Filled<TypeParam>(1);
-  const TypeParam y = Filled<TypeParam>(1000);
-  TypeParam sum = x;
+template <typename T>
+void ExpectMergeIsTheFieldwiseSum() {
+  const T x = Filled<T>(1);
+  const T y = Filled<T>(1000);
+  T sum = x;
   sum += y;
 
   const Leaves a = LeavesOf(x), b = LeavesOf(y), s = LeavesOf(sum);
@@ -295,10 +310,11 @@ TYPED_TEST(FieldTableTest, MergeIsTheFieldwiseSum) {
   }
 }
 
-TYPED_TEST(FieldTableTest, EveryFieldReachesTheReportUnderItsName) {
-  const TypeParam x = Filled<TypeParam>(1);
+template <typename T>
+void ExpectEveryFieldReachesTheReportUnderItsName() {
+  const T x = Filled<T>(1);
   telemetry::Report report("field-table-test");
-  Case<TypeParam>::Report(report, x);
+  Case<T>::Report(report, x);
   const JsonValue json = report.ToJson(/*include_timing=*/false);
 
   const Leaves expected = LeavesOf(x);
@@ -309,6 +325,22 @@ TYPED_TEST(FieldTableTest, EveryFieldReachesTheReportUnderItsName) {
     ASSERT_NE(found, nullptr) << name;
     EXPECT_EQ(*found, telemetry::HistogramToJson(h)) << name;
   }
+}
+
+TYPED_TEST(FieldTableTest, MergeIsTheFieldwiseSum) {
+  ExpectMergeIsTheFieldwiseSum<TypeParam>();
+}
+
+TYPED_TEST(FieldTableTest, EveryFieldReachesTheReportUnderItsName) {
+  ExpectEveryFieldReachesTheReportUnderItsName<TypeParam>();
+}
+
+TEST(LifetimeStatsFieldTable, MergeIsTheFieldwiseSum) {
+  ExpectMergeIsTheFieldwiseSum<reliability::LifetimeStats>();
+}
+
+TEST(LifetimeStatsFieldTable, EveryFieldReachesTheReportUnderItsName) {
+  ExpectEveryFieldReachesTheReportUnderItsName<reliability::LifetimeStats>();
 }
 
 }  // namespace
