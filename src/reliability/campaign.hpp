@@ -42,8 +42,8 @@ struct ScenarioShardState {
                          const ScenarioShardState&) = default;
 };
 
-/// Per-shard staging for the batch demand-read path: the ReadLines result
-/// vector and the classified reads are reused across a shard's trials
+/// Per-worker staging for the batch demand-read path: the ReadLines result
+/// vector and the classified reads are reused across a worker's trials
 /// (every trial overwrites every slot), so the steady state allocates
 /// nothing per trial.
 struct ScenarioScratch {

@@ -7,22 +7,21 @@
 //
 //  * Per-trial RNG streams are derived counter-style from (seed,
 //    trial_index): a master Xoshiro256(seed) stream supplies trial i's
-//    64-bit sub-seed as its i-th output (precomputed up front, so workers
-//    never touch a shared generator), and the trial's Xoshiro256 state is
-//    expanded from that sub-seed via SplitMix64. Trial i therefore draws an
-//    identical stream no matter which worker runs it — and the stream is
+//    64-bit sub-seed as its i-th output (drawn when the trial is claimed;
+//    claims are dense and in trial order), and the trial's Xoshiro256 state
+//    is expanded from that sub-seed via SplitMix64. Trial i therefore draws
+//    an identical stream no matter which worker runs it — and the stream is
 //    bit-for-bit the one the original serial loop produced with
 //    `master.Fork()`, which is what pins the pre-refactor golden values.
 //  * Trials are grouped into fixed-size shards (kShardTrials, independent
-//    of the thread count). Each shard accumulates into its own
-//    default-constructed Result, and shard results are reduced serially in
-//    shard order with `operator+=`. The reduction tree is thus a function
-//    of (trials) alone, so results are bitwise identical for any thread
-//    count — including floating-point accumulators.
-//  * A shard is one unit of work, run by one worker, unless its Result
-//    merges per trial (MergesPerTrial): then workers claim single trials,
-//    and each shard's per-trial Results are folded in trial order, which
-//    for such Results is the same accumulation.
+//    of the thread count). Each trial accumulates into its own
+//    default-constructed Result; a shard's Result is its trials' Results
+//    folded in trial order, and shard Results are reduced serially in shard
+//    order, both with `operator+=`. The reduction tree is thus a function of
+//    (trials) alone, so results are bitwise identical for any thread count
+//    — including floating-point accumulators.
+//  * One claim loop schedules single trials for every thread count; with
+//    one worker it runs inline on the calling thread.
 //  * Workers share nothing mutable: each trial constructs its own
 //    dram::Rank + Scheme (via TrialContext below), and read-only inputs
 //    (config, working set) are captured by const reference.
@@ -34,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -62,8 +62,8 @@ struct EngineMetrics {
   std::uint64_t trials = 0;
   std::uint64_t shards = 0;
   double wall_seconds = 0.0;   ///< whole call, including the reduce
-  /// Per-shard seconds in shard order: the shard's wall time, or the sum
-  /// of its trials' times when they ran on several workers.
+  /// Per-shard seconds in shard order: the sum of the shard's trials'
+  /// times, whichever workers ran them.
   std::vector<double> shard_seconds;
 
   double TrialsPerSec() const noexcept {
@@ -88,16 +88,6 @@ struct EngineMetrics {
     return mean > 0.0 ? MaxShardSeconds() / mean - 1.0 : 0.0;
   }
 };
-
-/// Opt-in to trial-granular scheduling. A Result declares
-///   static constexpr bool kMergesPerTrial = true;
-/// when running trials one after another into one accumulator equals
-/// running each into a fresh Result and folding those in trial order with
-/// `+=` — true of integer counters and fixed-bucket histograms, not of
-/// floating-point sums. The engine may then spread one shard's trials over
-/// several workers without changing any result bit.
-template <typename Result>
-concept MergesPerTrial = requires { requires Result::kMergesPerTrial; };
 
 class TrialEngine {
  public:
@@ -148,16 +138,14 @@ class TrialEngine {
         metrics);
   }
 
-  /// Like Run, but hands the body a per-shard Scratch (default-constructed
-  /// at shard start; per worker when Result merges per trial) as a fourth
-  /// argument:
+  /// Like Run, but hands the body a per-worker Scratch (default-constructed
+  /// when the worker starts) as a fourth argument:
   ///   body(trial_index, rng, accumulator, scratch)
   /// Scratch exists so trial bodies can reuse staging buffers (e.g. the
-  /// span-of-lines ReadLines result vector) across a shard's trials
-  /// without per-trial allocation. It is worker-local carry-over state and
-  /// MUST NOT influence results: each trial must fully overwrite whatever
-  /// it reads from it. The determinism contract is unchanged — scratch is
-  /// per-shard, and shard composition is a function of (trials) alone.
+  /// span-of-lines ReadLines result vector) across the trials one worker
+  /// runs without per-trial allocation. It is worker-local carry-over state
+  /// and MUST NOT influence results: each trial must fully overwrite
+  /// whatever it reads from it.
   /// It is the whole-range fold over RunShardsObserved: `total += shard`
   /// in shard order, the same reduction a resumed campaign applies.
   template <typename Result, typename Scratch, typename Body>
@@ -175,20 +163,31 @@ class TrialEngine {
   /// [first_shard, end_shard) of the `trials`-trial campaign seeded with
   /// `seed`, handing each completed shard's Result to
   ///   observer(shard_index, result)
-  /// strictly in shard order (an internal reorder buffer holds
-  /// out-of-order completions from parallel workers). Because the observer
-  /// applies `+=` in the same serial shard order Run's reduce uses, an
-  /// accumulator fed by any split of [0, ShardCount) across calls —
-  /// checkpointed, resumed, or merged across processes — is bitwise
-  /// identical to the uninterrupted Run at the same (seed, trials), for any
-  /// thread count.
+  /// strictly in shard order. Because the observer applies `+=` in the same
+  /// serial shard order Run's reduce uses, an accumulator fed by any split
+  /// of [0, ShardCount) across calls — checkpointed, resumed, or merged
+  /// across processes — is bitwise identical to the uninterrupted Run at
+  /// the same (seed, trials), for any thread count.
   ///
-  /// `stop` (optional) requests graceful interruption: it is polled before
-  /// each shard claim, in-flight shards always finish and are observed, and
-  /// the claimed range stays dense — no observed shard is ever discarded.
-  /// Returns one past the last observed shard (== end_shard when the range
-  /// completed). The observer runs with an internal lock held and must not
-  /// call back into the engine.
+  /// One claim loop serves every thread count (run inline for one worker):
+  /// a worker claims the next trial and draws its sub-seed from the master
+  /// stream under the engine's lock, so claims are dense and in trial order
+  /// and nothing is stored per trial ahead of its claim. Each trial runs
+  /// into a fresh Result; whoever finishes the next shard to observe folds
+  /// its trials' Results in trial order and hands the sum to the observer.
+  /// A shard's Result is therefore the same trial-ordered fold whichever
+  /// workers ran its trials.
+  ///
+  /// `stop` (optional) requests graceful interruption: it is polled at
+  /// each shard's first trial, so a shard once begun always finishes and is
+  /// observed, and the claimed range stays dense — no observed shard is
+  /// ever discarded. Returns one past the last observed shard (== end_shard
+  /// when the range completed). The observer runs with the engine's lock
+  /// held and must not call back into the engine.
+  ///
+  /// The first exception thrown by a trial or by the observer stops all
+  /// further claims and observer calls, and is rethrown here once every
+  /// worker has returned.
   ///
   /// `metrics` (optional) receives the wall-clock observations of this
   /// call: workers used, trials and shards observed, and per-shard seconds
@@ -221,148 +220,93 @@ class TrialEngine {
     // beyond the next shard index.
     util::Xoshiro256 master(seed);
     for (std::uint64_t t = 0; t < first_trial; ++t) master();
-    std::vector<std::uint64_t> trial_seeds(last_trial - first_trial);
-    for (auto& s : trial_seeds) s = master();
 
-    // Each shard is run by exactly one worker, so its slot needs no
-    // synchronisation beyond the pool join.
-    std::vector<double> shard_seconds(
-        metrics != nullptr ? end_shard - first_shard : 0);
-    auto run_shard = [&](std::uint64_t shard, Result& result) {
-      const Clock::time_point shard_start =
-          metrics != nullptr ? Clock::now() : Clock::time_point{};
-      const std::uint64_t begin = shard * kShardTrials;
-      const std::uint64_t end = std::min(begin + kShardTrials, trials);
-      Scratch scratch{};
-      for (std::uint64_t trial = begin; trial < end; ++trial) {
-        util::Xoshiro256 rng(trial_seeds[trial - first_trial]);
-        body(trial, rng, result, scratch);
-      }
-      if (metrics != nullptr)
-        shard_seconds[shard - first_shard] =
-            std::chrono::duration<double>(Clock::now() - shard_start).count();
+    // Everything below is guarded by `mu`. A shard enters `open` at its
+    // first finished trial and leaves it when observed.
+    struct OpenShard {
+      std::vector<Result> trials;  // by position in the shard
+      std::uint64_t done = 0;
+      double seconds = 0.0;        // sum of its trials' times
     };
-    const auto stopped = [stop] {
-      return stop != nullptr && stop->load(std::memory_order_relaxed);
-    };
-
-    // Units a worker claims: single trials when Result merges per trial,
-    // whole shards otherwise.
-    const std::uint64_t units = MergesPerTrial<Result>
-                                    ? last_trial - first_trial
-                                    : end_shard - first_shard;
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::uint64_t>(threads_, units));
+    std::mutex mu;
+    std::map<std::uint64_t, OpenShard> open;
+    std::uint64_t next_trial = first_trial;
     std::uint64_t next_observe = first_shard;
-    if (workers <= 1) {
-      for (; next_observe < end_shard && !stopped(); ++next_observe) {
-        Result result{};
-        run_shard(next_observe, result);
-        observer(next_observe, result);
-      }
-    } else {
-      // Parallel: dense claims plus a shard-ordered reorder buffer. Claims
-      // stop advancing once `stop` is observed; every claimed shard still
-      // completes, so the flushed prefix is exactly [first, next_claim).
-      std::mutex mu;
-      std::map<std::uint64_t, Result> pending;
-      // Called with mu held.
-      auto complete = [&](std::uint64_t shard, Result&& result) {
-        pending.emplace(shard, std::move(result));
-        while (!pending.empty() && pending.begin()->first == next_observe) {
-          observer(next_observe, pending.begin()->second);
-          pending.erase(pending.begin());
-          ++next_observe;
+    std::exception_ptr error;
+    std::vector<double> shard_seconds;
+
+    const auto claimable = [&] {
+      return error == nullptr && next_trial < last_trial &&
+             !(next_trial % kShardTrials == 0 && stop != nullptr &&
+               stop->load(std::memory_order_relaxed));
+    };
+    const auto work = [&] {
+      std::unique_lock<std::mutex> lock(mu, std::defer_lock);
+      try {
+        Scratch scratch{};  // per worker; it must not influence results
+        lock.lock();
+        while (claimable()) {
+          const std::uint64_t trial = next_trial++;
+          util::Xoshiro256 rng(master());
+          lock.unlock();
+          const Clock::time_point start =
+              metrics != nullptr ? Clock::now() : Clock::time_point{};
+          Result result{};
+          body(trial, rng, result, scratch);
+          const double seconds =
+              metrics != nullptr
+                  ? std::chrono::duration<double>(Clock::now() - start).count()
+                  : 0.0;
+          lock.lock();
+          if (error != nullptr) break;
+          const std::uint64_t begin = trial / kShardTrials * kShardTrials;
+          OpenShard& shard = open[trial / kShardTrials];
+          if (shard.trials.empty())
+            shard.trials.resize(std::min(begin + kShardTrials, trials) - begin);
+          shard.trials[trial - begin] = std::move(result);
+          shard.seconds += seconds;
+          ++shard.done;
+          for (auto it = open.find(next_observe);
+               it != open.end() && it->second.done == it->second.trials.size();
+               it = open.find(next_observe)) {
+            Result sum{};
+            for (const Result& r : it->second.trials) sum += r;
+            if (metrics != nullptr) shard_seconds.push_back(it->second.seconds);
+            open.erase(it);
+            observer(next_observe, sum);
+            ++next_observe;
+          }
         }
-      };
-      auto launch = [workers](auto&& worker) {
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
-        for (auto& t : pool) t.join();
-      };
-      if constexpr (MergesPerTrial<Result>) {
-        // Trial-granular claims: a slow trial or a descheduled worker
-        // holds the call up by one trial, not by the rest of its shard.
-        // Each trial accumulates into its own Result; whoever finishes a
-        // shard's last trial folds them in trial order, which
-        // MergesPerTrial makes equal to the shard-serial accumulation.
-        // `stop` is honoured only at a shard's first trial, so a shard
-        // once begun is always finished.
-        std::atomic<std::uint64_t> next_trial{first_trial};
-        struct Partial {
-          std::vector<Result> trials;
-          std::uint64_t done = 0;
-          double seconds = 0.0;
-        };
-        std::map<std::uint64_t, Partial> partial;
-        auto claim = [&](std::uint64_t& trial) {
-          std::uint64_t t = next_trial.load(std::memory_order_relaxed);
-          do {
-            if (t >= last_trial || (t % kShardTrials == 0 && stopped()))
-              return false;
-          } while (!next_trial.compare_exchange_weak(
-              t, t + 1, std::memory_order_relaxed));
-          trial = t;
-          return true;
-        };
-        launch([&] {
-          Scratch scratch{};  // per worker; it must not influence results
-          std::uint64_t trial = 0;
-          while (claim(trial)) {
-            const Clock::time_point start =
-                metrics != nullptr ? Clock::now() : Clock::time_point{};
-            Result result{};
-            util::Xoshiro256 rng(trial_seeds[trial - first_trial]);
-            body(trial, rng, result, scratch);
-            const double seconds =
-                metrics != nullptr
-                    ? std::chrono::duration<double>(Clock::now() - start)
-                          .count()
-                    : 0.0;
-            const std::uint64_t shard = trial / kShardTrials;
-            const std::uint64_t begin = shard * kShardTrials;
-            const std::uint64_t size =
-                std::min(begin + kShardTrials, trials) - begin;
-            std::lock_guard<std::mutex> lock(mu);
-            Partial& p = partial[shard];
-            if (p.trials.empty()) p.trials.resize(size);
-            p.trials[trial - begin] = std::move(result);
-            p.seconds += seconds;
-            if (++p.done < size) continue;
-            Result total{};
-            for (const Result& r : p.trials) total += r;
-            if (metrics != nullptr)
-              shard_seconds[shard - first_shard] = p.seconds;
-            partial.erase(shard);
-            complete(shard, std::move(total));
-          }
-        });
-      } else {
-        std::atomic<std::uint64_t> next_claim{first_shard};
-        launch([&] {
-          for (;;) {
-            if (stopped()) return;
-            const std::uint64_t shard =
-                next_claim.fetch_add(1, std::memory_order_relaxed);
-            if (shard >= end_shard) return;
-            Result result{};
-            run_shard(shard, result);
-            std::lock_guard<std::mutex> lock(mu);
-            complete(shard, std::move(result));
-          }
-        });
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
+        if (error == nullptr) error = std::current_exception();
       }
+    };
+
+    const unsigned workers = static_cast<unsigned>(std::max<std::uint64_t>(
+        1, std::min<std::uint64_t>(threads_, last_trial - first_trial)));
+    if (workers == 1) {
+      work();
+    } else {
+      std::vector<std::thread> pool;
+      try {
+        pool.reserve(workers);
+        for (unsigned w = 0; w < workers; ++w) pool.emplace_back(work);
+      } catch (...) {  // the workers already started must still be joined
+        const std::lock_guard<std::mutex> lock(mu);
+        if (error == nullptr) error = std::current_exception();
+      }
+      for (auto& t : pool) t.join();
     }
+    if (error != nullptr) std::rethrow_exception(error);
 
     if (metrics != nullptr) {
-      metrics->workers = std::max(1u, workers);
+      metrics->workers = workers;
       metrics->trials =
           std::min(next_observe * kShardTrials, trials) - first_trial;
       metrics->shards = next_observe - first_shard;
       metrics->wall_seconds =
           std::chrono::duration<double>(Clock::now() - run_start).count();
-      shard_seconds.resize(next_observe - first_shard);
       metrics->shard_seconds = std::move(shard_seconds);
     }
     return next_observe;

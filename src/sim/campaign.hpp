@@ -78,12 +78,9 @@ struct FleetSpec {
 };
 
 /// Shard accumulator for system campaigns (the sim-layer analogue of
-/// reliability::ScenarioShardState).
+/// reliability::ScenarioShardState): integer counters and fixed-bucket
+/// histograms, merged fieldwise.
 struct SystemShardState {
-  /// Integer counters and fixed-bucket histograms only: the engine may
-  /// spread a shard's trials over workers (reliability::MergesPerTrial).
-  static constexpr bool kMergesPerTrial = true;
-
   SystemStats stats;
   reliability::TrialTelemetry tel;
 

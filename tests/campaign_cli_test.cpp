@@ -349,6 +349,14 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
        "flag --burst: must be positive"},
       {{"system", "--trace-gen", "batch", "--hot-rows", "65"},
        "flag --hot-rows: must be in [1, 64]"},
+      // A checkpoint write that fails in a worker thread: these aborted
+      // ("terminate called ...", exit 134) while one thread exited 1.
+      {{"campaign", "run", "--mode", "reliability", "--checkpoint",
+        TempPath("missing/c.ckpt"), "--trials", "200", "--threads", "4"},
+       "cannot create"},
+      {{"campaign", "run", "--mode", "system", "--checkpoint",
+        TempPath("missing/c.ckpt"), "--trials", "200", "--threads", "4"},
+       "cannot create"},
   };
   int i = 0;
   for (const Case& c : cases) {
