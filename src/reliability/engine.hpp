@@ -178,12 +178,20 @@ class TrialEngine {
   /// A shard's Result is therefore the same trial-ordered fold whichever
   /// workers ran its trials.
   ///
+  /// The observer runs without the engine's lock, so the other workers
+  /// keep claiming and running trials while it works (a checkpoint fsync
+  /// stalls one worker, not all). Its calls never overlap: one worker at a
+  /// time observes, handing over through the lock, so consecutive calls
+  /// are ordered (happens-before) even when different threads make them.
+  /// The observer must not call back into the engine.
+  ///
   /// `stop` (optional) requests graceful interruption: it is polled at
   /// each shard's first trial, so a shard once begun always finishes and is
   /// observed, and the claimed range stays dense — no observed shard is
   /// ever discarded. Returns one past the last observed shard (== end_shard
-  /// when the range completed). The observer runs with the engine's lock
-  /// held and must not call back into the engine.
+  /// when the range completed). An observer that raises `stop` ends the
+  /// run right after its shard only with one worker; with more, the
+  /// workers may already have begun later shards, which then finish.
   ///
   /// The first exception thrown by a trial or by the observer stops all
   /// further claims and observer calls, and is rethrown here once every
@@ -222,7 +230,9 @@ class TrialEngine {
     for (std::uint64_t t = 0; t < first_trial; ++t) master();
 
     // Everything below is guarded by `mu`. A shard enters `open` at its
-    // first finished trial and leaves it when observed.
+    // first finished trial and leaves it when handed to the observer.
+    // `observing` is set while one worker folds and observes shards with
+    // `mu` released, so observer calls never overlap and stay in order.
     struct OpenShard {
       std::vector<Result> trials;  // by position in the shard
       std::uint64_t done = 0;
@@ -232,6 +242,7 @@ class TrialEngine {
     std::map<std::uint64_t, OpenShard> open;
     std::uint64_t next_trial = first_trial;
     std::uint64_t next_observe = first_shard;
+    bool observing = false;
     std::exception_ptr error;
     std::vector<double> shard_seconds;
 
@@ -266,16 +277,28 @@ class TrialEngine {
           shard.trials[trial - begin] = std::move(result);
           shard.seconds += seconds;
           ++shard.done;
+          if (observing) continue;  // that worker observes this shard too
+          observing = true;
           for (auto it = open.find(next_observe);
-               it != open.end() && it->second.done == it->second.trials.size();
+               error == nullptr && it != open.end() &&
+               it->second.done == it->second.trials.size();
                it = open.find(next_observe)) {
-            Result sum{};
-            for (const Result& r : it->second.trials) sum += r;
+            const std::uint64_t shard_index = next_observe;
+            const std::vector<Result> trials_done =
+                std::move(it->second.trials);
             if (metrics != nullptr) shard_seconds.push_back(it->second.seconds);
             open.erase(it);
-            observer(next_observe, sum);
+            // Fold and observe without the lock: the other workers keep
+            // claiming and running trials meanwhile (a checkpoint write
+            // stalls only this worker).
+            lock.unlock();
+            Result sum{};
+            for (const Result& r : trials_done) sum += r;
+            observer(shard_index, sum);
+            lock.lock();
             ++next_observe;
           }
+          observing = false;
         }
       } catch (...) {
         if (!lock.owns_lock()) lock.lock();

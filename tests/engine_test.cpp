@@ -477,6 +477,74 @@ TEST(RunShardsObserved, StopInTheFirstTrialOfAHugeRangeEndsAfterOneShard) {
   }
 }
 
+// The observer runs without the engine's lock: while observer(0) waits,
+// the other workers go on to run trials of later shards. The wait is
+// bounded, so an engine that observes under its lock fails here after the
+// deadline instead of hanging.
+TEST(RunShardsObserved, TrialsOfLaterShardsRunWhileTheObserverWorks) {
+  constexpr std::uint64_t kTrials = 160;
+  for (const unsigned threads : {2u, 4u}) {
+    std::atomic<bool> later_shard_ran{false};
+    bool timed_out = false;
+    std::vector<std::uint64_t> observed;
+    TrialEngine(threads).RunShardsObserved<TrialList, int>(
+        11, kTrials, 0, TrialEngine::ShardCount(kTrials),
+        [&later_shard_ran](std::uint64_t trial, util::Xoshiro256&,
+                           TrialList& acc, int&) {
+          if (trial >= 2 * TrialEngine::kShardTrials) later_shard_ran = true;
+          acc.trials.push_back(trial);
+        },
+        [&](std::uint64_t shard, const TrialList&) {
+          observed.push_back(shard);
+          if (shard != 0) return;
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (!later_shard_ran &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          timed_out = !later_shard_ran;
+        });
+    EXPECT_FALSE(timed_out) << "threads=" << threads;
+    ASSERT_EQ(observed.size(), TrialEngine::ShardCount(kTrials));
+    for (std::uint64_t i = 0; i < observed.size(); ++i)
+      EXPECT_EQ(observed[i], i) << "threads=" << threads;
+  }
+}
+
+// One observer call at a time, in shard order, whichever worker makes it;
+// trials of uneven length make different workers finish shards.
+TEST(RunShardsObserved, ObserverCallsNeverOverlapAndArriveInShardOrder) {
+  constexpr std::uint64_t kTrials = 400;  // 25 shards
+  std::vector<std::uint64_t> in_order(kTrials);
+  for (std::uint64_t t = 0; t < kTrials; ++t) in_order[t] = t;
+  for (unsigned threads = 1; threads <= 16; ++threads) {
+    std::atomic<int> inside{0};
+    std::atomic<bool> overlapped{false};
+    std::vector<std::uint64_t> observed;
+    TrialList merged;
+    TrialEngine(threads).RunShardsObserved<TrialList, int>(
+        13, kTrials, 0, TrialEngine::ShardCount(kTrials),
+        [](std::uint64_t trial, util::Xoshiro256&, TrialList& acc, int&) {
+          if (trial % 7 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          acc.trials.push_back(trial);
+        },
+        [&](std::uint64_t shard, const TrialList& result) {
+          if (inside.fetch_add(1) != 0) overlapped = true;
+          observed.push_back(shard);
+          merged += result;
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          inside.fetch_sub(1);
+        });
+    EXPECT_FALSE(overlapped) << "threads=" << threads;
+    ASSERT_EQ(observed.size(), TrialEngine::ShardCount(kTrials))
+        << "threads=" << threads;
+    for (std::uint64_t i = 0; i < observed.size(); ++i)
+      EXPECT_EQ(observed[i], i) << "threads=" << threads;
+    EXPECT_EQ(merged.trials, in_order) << "threads=" << threads;
+  }
+}
+
 TEST(EngineConfig, ResolveThreads) {
   EXPECT_EQ(TrialEngine::ResolveThreads(3), 3u);
   EXPECT_GE(TrialEngine::ResolveThreads(0), 1u);
