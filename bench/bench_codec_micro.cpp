@@ -83,7 +83,7 @@ void BM_GfMul(benchmark::State& state) {
 BENCHMARK(BM_GfMul);
 
 void BM_RsEncode(benchmark::State& state) {
-  const auto code = rs::RsCode::Gf256(static_cast<unsigned>(state.range(0)) + 4,
+  const auto code = rs::Gf256Code(static_cast<unsigned>(state.range(0)) + 4,
                                       static_cast<unsigned>(state.range(0)));
   util::Xoshiro256 rng(2);
   std::vector<gf::Elem> data(code.k());
@@ -96,7 +96,7 @@ void BM_RsEncode(benchmark::State& state) {
 BENCHMARK(BM_RsEncode)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_RsDecodeClean(benchmark::State& state) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   util::Xoshiro256 rng(3);
   std::vector<gf::Elem> data(code.k());
   for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
@@ -113,7 +113,7 @@ BENCHMARK(BM_RsDecodeClean);
 // reusable DecodeScratch. With PAIR_ALLOC_COUNTER=ON the "allocs_per_decode"
 // counter proves the warm path allocates nothing.
 void BM_RsDecodeCleanScratch(benchmark::State& state) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   util::Xoshiro256 rng(3);
   std::vector<gf::Elem> data(code.k());
   for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
@@ -140,7 +140,7 @@ void BM_RsDecodeCleanScratch(benchmark::State& state) {
 BENCHMARK(BM_RsDecodeCleanScratch);
 
 void BM_RsDecodeErrors(benchmark::State& state) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   util::Xoshiro256 rng(4);
   std::vector<gf::Elem> data(code.k());
   for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
@@ -157,7 +157,7 @@ void BM_RsDecodeErrors(benchmark::State& state) {
 BENCHMARK(BM_RsDecodeErrors)->Arg(1)->Arg(2);
 
 void BM_RsParityDelta(benchmark::State& state) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   unsigned i = 0;
   for (auto _ : state) {
     auto d = code.ParityDelta(i % code.k(), static_cast<gf::Elem>(i | 1));
@@ -346,10 +346,10 @@ bool RunBatchCodecSection() {
     rs::RsCode code;
   };
   const Shape shapes[] = {
-      {"PAIR-2 (34,32)", rs::RsCode::Gf256(34, 32)},
-      {"PAIR-4 (68,64)", rs::RsCode::Gf256(68, 64)},
-      {"DUO (76,64)", rs::RsCode::Gf256(76, 64)},
-      {"PAIR-4 expanded (132,128)", rs::RsCode::Gf256(68, 64).Expanded(128)},
+      {"PAIR-2 (34,32)", rs::Gf256Code(34, 32)},
+      {"PAIR-4 (68,64)", rs::Gf256Code(68, 64)},
+      {"DUO (76,64)", rs::Gf256Code(76, 64)},
+      {"PAIR-4 expanded (132,128)", rs::Gf256Code(68, 64).Expanded(128)},
   };
   util::Table eq({"shape", "n", "k", "t", "batch sizes", "kernels_ok"});
   util::Xoshiro256 rng(0xBA7C4);
@@ -369,7 +369,7 @@ bool RunBatchCodecSection() {
 
   // Throughput: lines/sec per kernel x batch size at the PAIR-4 shape.
   // Machine-dependent, so terminal + report "timing" section only.
-  rs::RsCode code = rs::RsCode::Gf256(68, 64);
+  rs::RsCode code = rs::Gf256Code(68, 64);
   util::Table thr({"kernel", "batch", "encode Mlines/s", "syndrome Mlines/s",
                    "decode(clean) Mlines/s"});
   double scalar_enc256 = 0.0, scalar_syn256 = 0.0;

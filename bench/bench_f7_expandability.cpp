@@ -28,7 +28,7 @@ int main() {
     cfg.data_symbols = k;
     cfg.check_symbols = 4;
 
-    const auto code = rs::RsCode::Gf256(k + 4, k);
+    const auto code = rs::Gf256Code(k + 4, k);
     util::Xoshiro256 rng(bench::kBenchSeed + k);
     unsigned sdc_trials = 0, due_trials = 0;
     unsigned cw_per_pin = 0;

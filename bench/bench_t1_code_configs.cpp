@@ -30,7 +30,7 @@ int main() {
             "1 chip erasure", "cache line across 9 chips",
             "on-die spare + XOR chip", "6.25% + 12.5%"});
 
-  const auto duo = rs::RsCode::Gf256(76, 64);
+  const auto duo = rs::Gf256Code(76, 64);
   t.AddRow({"DUO", "RS (76,64) over GF(2^8)", "8 bit",
             std::to_string(duo.t()) + " symbols",
             "cache line (64 symbols, one per chip-beat)",
@@ -58,7 +58,7 @@ int main() {
 
   std::cout << "Expandability headroom: the PAIR-4 generator serves any k up "
                "to "
-            << rs::RsCode::Gf256(68, 64).MaxK()
+            << rs::Gf256Code(68, 64).MaxK()
             << " data symbols at the same 4 check symbols.\n";
   return 0;
 }

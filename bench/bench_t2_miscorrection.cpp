@@ -40,9 +40,9 @@ int main() {
       rs::RsCode code;
     };
     const Row rows[] = {
-        {"PAIR-2 RS(34,32) t=1", rs::RsCode::Gf256(34, 32)},
-        {"PAIR-4 RS(68,64) t=2", rs::RsCode::Gf256(68, 64)},
-        {"DUO RS(76,64) t=6", rs::RsCode::Gf256(76, 64)},
+        {"PAIR-2 RS(34,32) t=1", rs::Gf256Code(34, 32)},
+        {"PAIR-4 RS(68,64) t=2", rs::Gf256Code(68, 64)},
+        {"DUO RS(76,64) t=6", rs::Gf256Code(76, 64)},
     };
     for (const auto& row : rows) {
       for (unsigned e = 1; e <= row.code.t() + 2; ++e) {
@@ -59,11 +59,11 @@ int main() {
   {
     util::Table t({"code", "random-garbage miscorrection bound V_t(n)/q^r"});
     t.AddRow({"PAIR-2 RS(34,32)", util::Table::Sci(
-        reliability::RsRandomWordMiscorrectionBound(rs::RsCode::Gf256(34, 32)))});
+        reliability::RsRandomWordMiscorrectionBound(rs::Gf256Code(34, 32)))});
     t.AddRow({"PAIR-4 RS(68,64)", util::Table::Sci(
-        reliability::RsRandomWordMiscorrectionBound(rs::RsCode::Gf256(68, 64)))});
+        reliability::RsRandomWordMiscorrectionBound(rs::Gf256Code(68, 64)))});
     t.AddRow({"DUO RS(76,64)", util::Table::Sci(
-        reliability::RsRandomWordMiscorrectionBound(rs::RsCode::Gf256(76, 64)))});
+        reliability::RsRandomWordMiscorrectionBound(rs::Gf256Code(76, 64)))});
     report.Emit("garbage_bound", t);
   }
 

@@ -46,7 +46,7 @@ int main() {
 
   // The raw codec: expandability lets one generator serve any k at the
   // same check-symbol count...
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   const auto wide = code.Expanded(128);
   std::cout << "expanded sibling: RS(" << wide.n() << "," << wide.k()
             << "), overhead " << wide.Overhead() * 100 << "%\n";

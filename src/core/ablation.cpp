@@ -132,7 +132,7 @@ class InterleavedRsScheme final : public ecc::Scheme {
   static constexpr unsigned kChunkBits = 512;
 
   explicit InterleavedRsScheme(dram::Rank& rank)
-      : Scheme(rank), code_(rs::RsCode::Gf256(68, 64)) {
+      : Scheme(rank), code_(rs::Gf256Code(68, 64)) {
     const auto& g = rank.geometry().device;
     PAIR_CHECK(!(g.row_bits % kChunkBits != 0), "InterleavedRs: chunks must tile the row");
     chunks_ = g.row_bits / kChunkBits;
@@ -228,7 +228,7 @@ class InterleavedRsScheme final : public ecc::Scheme {
   }
 
  private:
-  rs::RsCode code_;
+  const rs::RsCode& code_;
   unsigned chunks_ = 0;
 };
 

@@ -80,13 +80,24 @@ void Unpack8(std::uint64_t v, Elem* lanes, unsigned count) {
     lanes[i] = static_cast<Elem>((v >> (8 * i)) & 0xFF);
 }
 
+/// One past the last address of the run that starts at `begin`: the
+/// consecutive addresses on the (bank, row) of addrs[begin].
+std::size_t RunEnd(std::span<const dram::Address> addrs, std::size_t begin) {
+  PAIR_DCHECK(begin < addrs.size(), "RunEnd: run start past the batch");
+  std::size_t end = begin + 1;
+  while (end < addrs.size() && addrs[end].bank == addrs[begin].bank &&
+         addrs[end].row == addrs[begin].row)
+    ++end;
+  return end;
+}
+
 }  // namespace
 
 PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
     : Scheme(rank),
       config_(config),
-      code_(rs::RsCode::Gf256(config.data_symbols + config.check_symbols,
-                              config.data_symbols)) {
+      code_(rs::Gf256Code(config.data_symbols + config.check_symbols,
+                          config.data_symbols)) {
   config_.Validate();
   const auto& g = rank.geometry().device;
   PAIR_CHECK(!(g.burst_length % kSymbolBits != 0), "PAIR: burst length must be a whole number of symbols");
@@ -232,28 +243,77 @@ void PairScheme::StoreMarked(unsigned bank, unsigned row,
   }
 }
 
-void PairScheme::DoWriteLine(const dram::Address& addr,
-                             const util::BitVec& line) {
-  const auto& g = rank().geometry().device;
-  const unsigned pins = g.dq_pins;
-  const unsigned k = code_.k();
+bool PairScheme::RowHasStuckBits(unsigned bank, unsigned row) const {
+  for (unsigned d = 0; d < rank().DataDevices(); ++d)
+    if (rank().device(d).HasStuckBits(bank, row)) return true;
+  return false;
+}
+
+std::pair<unsigned, unsigned> PairScheme::CoveringCodewords(
+    std::span<const dram::Address> run) const {
+  PAIR_DCHECK(!run.empty(), "CoveringCodewords: empty run");
+  unsigned first = cw_per_pin_, end = 0;
+  for (const dram::Address& addr : run) {
+    const auto [f, count] = CoveringCodewords(addr.col);
+    first = std::min(first, f);
+    end = std::max(end, f + count);
+  }
+  return {first, end - first};
+}
+
+void PairScheme::DoWriteLines(std::span<const dram::Address> addrs,
+                              std::span<const util::BitVec> lines) {
+  PAIR_DCHECK(addrs.size() == lines.size(), "span extents rechecked in NVI");
+  for (std::size_t begin = 0; begin < addrs.size();) {
+    const std::size_t end = RunEnd(addrs, begin);
+    // A stuck cell's storage takes the write, but the next staging reads
+    // the stuck value, so on such a row the block after one line is not
+    // what the next line would stage: stage afresh per line there.
+    const std::size_t step =
+        RowHasStuckBits(addrs[begin].bank, addrs[begin].row) ? 1
+                                                             : end - begin;
+    for (; begin < end; begin += step)
+      WriteRun(addrs.subspan(begin, step), lines.subspan(begin, step));
+  }
+}
+
+void PairScheme::WriteRun(std::span<const dram::Address> run,
+                          std::span<const util::BitVec> lines) {
+  PAIR_DCHECK(!run.empty() && run.size() == lines.size(),
+              "WriteRun: " << run.size() << " addresses, " << lines.size()
+                           << " lines");
   const unsigned r = code_.r();
-  const auto [w_begin, wcount] = CoveringCodewords(addr.col);
-  const rs::CodewordBlock block =
-      StageCodewords(addr.bank, addr.row, w_begin, wcount);
+  const auto [w_begin, wcount] = CoveringCodewords(run);
+  const unsigned bank = run.front().bank, row = run.front().row;
+  const rs::CodewordBlock block = StageCodewords(bank, row, w_begin, wcount);
   const unsigned lanes = block.lines;
   // Decodes the dirty lanes (and lanes with erasures); clean lanes stay as
   // received. The received syndromes it leaves in the scratch classify
   // every lane exactly as IsCodeword would.
   DecodeStaged(block, w_begin, wcount);
-  const auto dirty = [&](unsigned l) {
-    if (config_.scrub_on_write) return true;
-    for (unsigned j = 0; j < r; ++j)
-      if (scratch_.batch_syn[std::size_t{j} * lanes + l] != 0) return true;
-    return false;
-  };
+  consistent_.assign(lanes, 0);
+  if (!config_.scrub_on_write) {
+    for (unsigned l = 0; l < lanes; ++l) {
+      bool zero = true;
+      for (unsigned j = 0; j < r; ++j)
+        zero = zero && scratch_.batch_syn[std::size_t{j} * lanes + l] == 0;
+      consistent_[l] = zero;
+    }
+  }
   store_.assign(std::size_t{code_.n()} * lanes, 0);
+  for (std::size_t i = 0; i < run.size(); ++i)
+    WriteStaged(block, w_begin, run[i], lines[i]);
+  StoreMarked(bank, row, block, w_begin, wcount);
+}
 
+void PairScheme::WriteStaged(const rs::CodewordBlock& block, unsigned w_begin,
+                             const dram::Address& addr,
+                             const util::BitVec& line) {
+  const auto& g = rank().geometry().device;
+  const unsigned pins = g.dq_pins;
+  const unsigned k = code_.k();
+  const unsigned r = code_.r();
+  const unsigned lanes = block.lines;
   const unsigned s0 = addr.col * subsymbols_per_col_;
   for (unsigned d = 0; d < rank().DataDevices(); ++d) {
     for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
@@ -270,8 +330,8 @@ void PairScheme::DoWriteLine(const dram::Address& addr,
           Elem& sym = block.Row(pos)[l];
           const Elem delta = sym ^ new_sym;
           sym = new_sym;
-          if (delta == 0 || dirty(l)) continue;
-          // Clean lane, changed symbol: move the parity by the delta.
+          if (delta == 0 || consistent_[l] == 0) continue;
+          // Consistent lane, changed symbol: move the parity by the delta.
           code_.ParityDeltaInto(pos, delta, pdelta_);
           store_[std::size_t{pos} * lanes + l] = 0xFF;
           for (unsigned j = 0; j < r; ++j) {
@@ -283,54 +343,84 @@ void PairScheme::DoWriteLine(const dram::Address& addr,
     }
   }
 
-  // Slow path: re-encode the decoded, spliced lane and rewrite all of it.
-  for (unsigned l = 0; l < lanes; ++l) {
-    if (!dirty(l)) continue;
+  // Slow path: re-encode each of the line's inconsistent lanes (decoded,
+  // spliced) and rewrite all of it. It is a codeword from now on, unless
+  // scrub_on_write sends every write down this path.
+  const auto [first, count] = CoveringCodewords(addr.col);
+  const unsigned lane_end = Lane(first + count - w_begin, 0, 0);
+  for (unsigned l = Lane(first - w_begin, 0, 0); l < lane_end; ++l) {
+    if (consistent_[l] != 0) continue;
     for (unsigned i = 0; i < k; ++i) word_[i] = block.Row(i)[l];
     code_.ComputeParityInto(std::span<const Elem>(word_.data(), k),
                             std::span<Elem>(word_.data() + k, r));
     for (unsigned j = 0; j < r; ++j) block.Row(k + j)[l] = word_[k + j];
     MarkLane(l, lanes);
+    consistent_[l] = !config_.scrub_on_write;
   }
-  StoreMarked(addr.bank, addr.row, block, w_begin, wcount);
 }
 
-ecc::ReadResult PairScheme::DoReadLine(const dram::Address& addr) {
+void PairScheme::DoReadLines(std::span<const dram::Address> addrs,
+                             std::span<ecc::ReadResult> results) {
+  PAIR_DCHECK(addrs.size() == results.size(), "span extents rechecked in NVI");
   const auto& g = rank().geometry().device;
   const unsigned pins = g.dq_pins;
   const unsigned k = code_.k();
-  // With decode_full_pin_line every codeword of the pin is checked (they
-  // are all in the sense amplifiers); otherwise only the ones covering the
-  // addressed column.
-  const auto [w_begin, wcount] =
-      config_.decode_full_pin_line
-          ? std::pair<unsigned, unsigned>{0, cw_per_pin_}
-          : CoveringCodewords(addr.col);
-  const rs::CodewordBlock block =
-      StageCodewords(addr.bank, addr.row, w_begin, wcount);
-  DecodeStaged(block, w_begin, wcount);
+  for (std::size_t begin = 0; begin < addrs.size();) {
+    const std::size_t end = RunEnd(addrs, begin);
+    const std::span<const dram::Address> run =
+        addrs.subspan(begin, end - begin);
+    // With decode_full_pin_line every codeword of the pin is checked (they
+    // are all in the sense amplifiers); otherwise only the ones covering
+    // the run's columns, and each line folds only its own.
+    const auto [w_begin, wcount] =
+        config_.decode_full_pin_line
+            ? std::pair<unsigned, unsigned>{0, cw_per_pin_}
+            : CoveringCodewords(run);
+    const rs::CodewordBlock block =
+        StageCodewords(run.front().bank, run.front().row, w_begin, wcount);
+    DecodeStaged(block, w_begin, wcount);
 
-  ecc::ReadResult result;
-  for (const rs::BatchLineResult& lane : line_res_)
-    result.Fold(lane.status, lane.corrected);
+    // Lines with the same lanes share one fold.
+    ecc::ReadResult claim;
+    unsigned lane_begin = 0, lane_end = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const dram::Address& addr = addrs[i];
+      const auto [first, count] = config_.decode_full_pin_line
+                                      ? std::pair<unsigned, unsigned>{0, wcount}
+                                      : CoveringCodewords(addr.col);
+      const unsigned lo = Lane(first - w_begin, 0, 0);
+      const unsigned hi = Lane(first + count - w_begin, 0, 0);
+      if (i == begin || lo != lane_begin || hi != lane_end) {
+        claim = {};
+        for (unsigned l = lo; l < hi; ++l)
+          claim.Fold(line_res_[l].status, line_res_[l].corrected);
+        lane_begin = lo;
+        lane_end = hi;
+      }
+      ecc::ReadResult& result = results[i];
+      result = claim;
 
-  // Deliver the addressed column's symbols. DecodeBatch wrote corrected
-  // lanes back into the block and left failed lanes as received.
-  result.data = util::BitVec(rank().geometry().LineBits());
-  const unsigned s0 = addr.col * subsymbols_per_col_;
-  for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-    for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
-      const unsigned s = s0 + q;
-      const unsigned l0 = Lane(s / k - w_begin, d, 0);
-      for (unsigned p = 0; p < pins; p += 8) {
-        const unsigned gp = std::min(8u, pins - p);
-        StoreSymbols(result.data,
-                     d * g.AccessBits() + q * kSymbolBits * pins, pins, p,
-                     Pack8(block.Row(s % k) + l0 + p, gp), ~std::uint64_t{0});
+      // Deliver the addressed column's symbols. DecodeBatch wrote
+      // corrected lanes back into the block and left failed lanes as
+      // received.
+      result.data = util::BitVec(rank().geometry().LineBits());
+      const unsigned s0 = addr.col * subsymbols_per_col_;
+      for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+        for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
+          const unsigned s = s0 + q;
+          const unsigned l0 = Lane(s / k - w_begin, d, 0);
+          for (unsigned p = 0; p < pins; p += 8) {
+            const unsigned gp = std::min(8u, pins - p);
+            StoreSymbols(result.data,
+                         d * g.AccessBits() + q * kSymbolBits * pins, pins, p,
+                         Pack8(block.Row(s % k) + l0 + p, gp),
+                         ~std::uint64_t{0});
+          }
+        }
       }
     }
+    begin = end;
   }
-  return result;
 }
 
 PairScheme::ScrubStats PairScheme::ScrubCodewords(unsigned bank, unsigned row,

@@ -21,10 +21,15 @@
 //    miscorrected — while conventional bit-interleaved SEC smears the same
 //    fault across every codeword as a miscorrectable multi-bit pattern.
 //
-// A read decodes, for every device and pin, the codeword covering the
-// addressed column (the rest of the codeword is available in the sense
-// amplifiers of the open row). The line's claim aggregates all
-// dq_pins * data_devices decodes; any failing decode poisons the line.
+// A read decodes, for every device and pin, every codeword of the pin line
+// under decode_full_pin_line (the default: the whole pin line is latched in
+// the sense amplifiers of the open row), else the codewords covering the
+// addressed column. The line's claim aggregates those decodes; any failing
+// decode poisons the line. Consecutive accesses to one row share one
+// staging of the row and one batch decode (DoReadLines / DoWriteLines).
+//
+// The code is the process-wide rs::Gf256Code of the configured shape, built
+// once and shared by every instance.
 //
 // Known-bad cells/columns can be registered per codeword position
 // (MarkSymbolErased) and are handed to the decoder as erasures, raising
@@ -84,10 +89,18 @@ class PairScheme final : public ecc::Scheme {
                                    unsigned w_begin, unsigned wcount);
 
  protected:
-  /// One line path: stage the codewords the access covers, decode them as
-  /// one rs::DecodeBatch block (lanes with registered erasures decode with
-  /// their lists), then deliver or store them with word operations. The
-  /// inherited batch entry points loop these.
+  /// The line path, row-batched: each run of consecutive addresses on one
+  /// (bank, row) stages the codewords it covers once, decodes them as one
+  /// rs::DecodeBatch block (lanes with registered erasures decode with
+  /// their lists), then delivers or stores them with word operations. The
+  /// per-line virtuals are one-lane calls into the same bodies, so a batch
+  /// is observably the per-line sequence: same stored bits, results and
+  /// counters.
+  ///
+  /// A read run stages every codeword of the row under
+  /// decode_full_pin_line (the whole pin line is latched in the open row's
+  /// sense amplifiers), else the union of the lines' covering codewords;
+  /// each line folds its claim over its own lanes.
   ///
   /// A write takes, per covering codeword, the delta-parity fast path when
   /// the codeword is currently consistent: the parity moves by the
@@ -98,10 +111,24 @@ class PairScheme final : public ecc::Scheme {
   /// so a dirty codeword takes the slow path: decode, splice, re-encode.
   /// The syndrome check reuses the read datapath and errors are rare, so
   /// the slow path is off the performance model (scrub_on_write forces it
-  /// always, with the RMW timing cost, as the F6 ablation).
+  /// always, with the RMW timing cost, as the F6 ablation). A write run
+  /// applies its lines to the staged block in order, each to its own
+  /// lanes, tracking which lanes are consistent, and stores every changed
+  /// symbol once. On a row with a stuck cell the block would drift from
+  /// what the array returns, so there each line stages afresh.
+  void DoWriteLines(std::span<const dram::Address> addrs,
+                    std::span<const util::BitVec> lines) override;
+  void DoReadLines(std::span<const dram::Address> addrs,
+                   std::span<ecc::ReadResult> results) override;
   void DoWriteLine(const dram::Address& addr,
-                   const util::BitVec& line) override;
-  ecc::ReadResult DoReadLine(const dram::Address& addr) override;
+                   const util::BitVec& line) override {
+    DoWriteLines({&addr, 1}, {&line, 1});
+  }
+  ecc::ReadResult DoReadLine(const dram::Address& addr) override {
+    ecc::ReadResult result;
+    DoReadLines({&addr, 1}, {&result, 1});
+    return result;
+  }
 
   /// In-DRAM patrol scrub of the codewords covering `addr`: decode and
   /// restore data AND check symbols (the delta-parity write path cannot
@@ -126,6 +153,22 @@ class PairScheme final : public ecc::Scheme {
   /// Codewords of a pin holding column `col`'s symbols: [first, first +
   /// count).
   std::pair<unsigned, unsigned> CoveringCodewords(unsigned col) const;
+  /// The smallest such range covering every column of `run`.
+  std::pair<unsigned, unsigned> CoveringCodewords(
+      std::span<const dram::Address> run) const;
+
+  /// True when any data device has a stuck bit in (bank, row).
+  bool RowHasStuckBits(unsigned bank, unsigned row) const;
+
+  /// Writes `lines` to `run` (one row) from one staging.
+  void WriteRun(std::span<const dram::Address> run,
+                std::span<const util::BitVec> lines);
+
+  /// Applies one line to its lanes of the staged block: delta parity on
+  /// consistent lanes, splice and re-encode on the others; marks what
+  /// changed in store_.
+  void WriteStaged(const rs::CodewordBlock& block, unsigned w_begin,
+                   const dram::Address& addr, const util::BitVec& line);
 
   /// Staged lane of codeword (w_begin + wi, device, pin).
   unsigned Lane(unsigned wi, unsigned device, unsigned pin) const;
@@ -154,7 +197,7 @@ class PairScheme final : public ecc::Scheme {
                    unsigned wcount);
 
   PairConfig config_;
-  rs::RsCode code_;
+  const rs::RsCode& code_;
   unsigned symbols_per_pin_;      // per row
   unsigned cw_per_pin_;           // per row
   unsigned subsymbols_per_col_;   // burst_length / 8
@@ -172,6 +215,8 @@ class PairScheme final : public ecc::Scheme {
   std::vector<rs::BatchLineResult> line_res_;
   std::vector<std::span<const unsigned>> lane_erasures_;
   std::vector<std::uint8_t> store_;
+  // Per staged lane of a write run: nonzero while the lane is a codeword.
+  std::vector<std::uint8_t> consistent_;
 };
 
 }  // namespace pair_ecc::core

@@ -130,6 +130,11 @@ void Device::SetStuck(unsigned bank, unsigned row, unsigned bit, bool value) {
   state.stuck_value.Set(bit, value);
 }
 
+bool Device::HasStuckBits(unsigned bank, unsigned row) const {
+  const RowState* state = FindRow(bank, row);
+  return state != nullptr && !state->stuck_mask.empty();
+}
+
 void Device::ClearStuck() {
   for (auto& [key, state] : rows_) {
     state.stuck_mask = util::BitVec();

@@ -73,6 +73,10 @@ class Device {
   /// Drops all stuck-at entries (used between Monte-Carlo trials).
   void ClearStuck();
 
+  /// True when (bank, row) has at least one stuck bit: then a read of the
+  /// row may differ from what was last written to it.
+  bool HasStuckBits(unsigned bank, unsigned row) const;
+
   /// Number of stuck bits currently registered (diagnostics).
   std::size_t StuckCount() const noexcept { return stuck_count_; }
 

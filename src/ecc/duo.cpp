@@ -33,7 +33,7 @@ class DuoScheme final : public Scheme {
 
   explicit DuoScheme(dram::Rank& rank)
       : Scheme(rank),
-        code_(rs::RsCode::Gf256(
+        code_(rs::Gf256Code(
             rank.geometry().LineBits() / kSymbolBits + kSidecarSymbols +
                 kSpareSymbols,
             rank.geometry().LineBits() / kSymbolBits)) {
@@ -176,7 +176,7 @@ class DuoScheme final : public Scheme {
   }
 
  private:
-  rs::RsCode code_;
+  const rs::RsCode& code_;
   std::vector<unsigned> erased_devices_;
   // Reusable hot-path buffers; a Scheme instance is single-threaded (the
   // trial engine builds one per worker).

@@ -172,12 +172,12 @@ class Scheme {
   // Batch data path. Semantically identical to calling the per-line
   // wrappers once per address, in order — same stored state, same results,
   // same counter totals. Each scheme implements each operation once: a
-  // per-line scheme (No-ECC, IECC, SEC-DED, XED, PAIR and the ablations)
+  // per-line scheme (No-ECC, IECC, SEC-DED, XED and the ablations)
   // overrides DoWriteLine/DoReadLine and inherits the batch loops, while
-  // DUO overrides DoWriteLines/DoReadLines — one EncodeBatchInto or
-  // rs::DecodeBatch over many lines — and its per-line virtuals are
-  // one-lane calls into them. (PAIR's per-line body already decodes each
-  // address's codewords as one batch.)
+  // DUO and PAIR override DoWriteLines/DoReadLines and their per-line
+  // virtuals are one-lane calls into them. DUO runs one EncodeBatchInto or
+  // rs::DecodeBatch over many lines; PAIR stages each run of addresses on
+  // one row once and decodes all its codewords as one batch.
 
   /// Writes lines[i] to addrs[i] for every i, in order.
   void WriteLines(std::span<const dram::Address> addrs,

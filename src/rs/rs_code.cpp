@@ -1,10 +1,31 @@
 #include "rs/rs_code.hpp"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <utility>
 
 #include "util/contract.hpp"
 
 namespace pair_ecc::rs {
+
+const RsCode& Gf256Code(unsigned n, unsigned k) {
+  // PAIR_ANALYZE_ALLOW(THR-STATIC: lock for the interning cache below)
+  static std::mutex mu;
+  // Entries are immutable after construction and every access holds `mu`;
+  // a shape whose construction throws leaves no entry behind.
+  // PAIR_ANALYZE_ALLOW(THR-STATIC: write-once (n, k) code cache behind `mu`)
+  static std::map<std::pair<unsigned, unsigned>, std::unique_ptr<RsCode>> cache;
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = cache.find({n, k});
+  if (it == cache.end())
+    it = cache
+             .emplace(std::pair{n, k},
+                      std::make_unique<RsCode>(GfField::Get(8), n, k))
+             .first;
+  return *it->second;
+}
 
 RsCode::RsCode(const GfField& field, unsigned n, unsigned k)
     : field_(field), n_(n), k_(k) {

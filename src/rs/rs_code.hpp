@@ -109,10 +109,6 @@ class RsCode {
   /// k >= 1, n > k, and n <= 2^m - 1. Throws std::invalid_argument otherwise.
   RsCode(const GfField& field, unsigned n, unsigned k);
 
-  /// Convenience: code over GF(2^8) (the PAIR symbol size).
-  static RsCode Gf256(unsigned n, unsigned k) {
-    return RsCode(GfField::Get(8), n, k);
-  }
 
   const GfField& field() const noexcept { return field_; }
   unsigned n() const noexcept { return n_; }
@@ -240,5 +236,15 @@ class RsCode {
   std::vector<gf::MulTables> syn_tables_;
   const gf::BatchKernels* kernels_;
 };
+
+/// The process-wide (n, k) code over GF(2^8) (the PAIR symbol size), built
+/// on first use and shared by every later caller. A code is immutable after
+/// construction, so every scheme instance of one shape holds the same
+/// `const RsCode&` instead of rebuilding its generator and k*r + r
+/// multiplier tables per trial. Write-once: an entry is never replaced or
+/// freed, so the reference stays valid for the life of the process.
+/// Thread-safe. A caller that needs a code of its own (to re-point its
+/// kernels) copies it.
+const RsCode& Gf256Code(unsigned n, unsigned k);
 
 }  // namespace pair_ecc::rs

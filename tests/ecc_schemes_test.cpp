@@ -3,11 +3,15 @@
 // silent-miscorrection SDC vs chip-level reconstruction, DUO rank-level RS
 // correction), and performance-descriptor sanity.
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "ecc/scheme.hpp"
 #include "util/atomic_file.hpp"
@@ -138,11 +142,12 @@ TEST_P(SchemeParamTest, PerfDescriptorIsSane) {
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeParamTest,
                          ::testing::ValuesIn(AllSchemeKinds()), KindName);
 
-// DUO implements the batch virtuals and runs its per-line ones as one-lane
-// batches; every other scheme implements the per-line virtuals and inherits
-// the batch loops. IECC stays here as a per-line scheme whose lines share
-// on-die codewords (the buddy column), so a batch of its lines must still
-// equal the per-line sequence.
+// DUO and PAIR implement the batch virtuals and run their per-line ones as
+// one-lane batches; every other scheme implements the per-line virtuals and
+// inherits the batch loops. IECC stays here as a per-line scheme whose
+// lines share on-die codewords (the buddy column), so a batch of its lines
+// must still equal the per-line sequence. PAIR's row runs, with stuck cells
+// and every config knob, are pinned by PairBatchTest (pair_test.cpp).
 class SchemeBatchTest : public SchemeParamTest {};
 
 TEST_P(SchemeBatchTest, BatchOverridesMatchPerLineBitwise) {
@@ -215,7 +220,9 @@ TEST_P(SchemeBatchTest, BatchOverridesMatchPerLineBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchOverrides, SchemeBatchTest,
-                         ::testing::Values(SchemeKind::kIecc, SchemeKind::kDuo),
+                         ::testing::Values(SchemeKind::kIecc, SchemeKind::kDuo,
+                                           SchemeKind::kPair2,
+                                           SchemeKind::kPair4),
                          KindName);
 
 // ------------------------------------------------------ pinned codec outputs
@@ -683,6 +690,60 @@ TEST(SchemeFactory, NamesAreDistinct) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+// Every scheme of one shape holds the one process-wide code of that shape
+// (rs::Gf256Code), so nothing rebuilds a code per scheme or per trial.
+TEST(SchemeFactory, PairSchemesOfOneShapeShareOneCode) {
+  RankGeometry rg;
+  Rank a(rg), b(rg);
+  const auto first = MakeScheme(SchemeKind::kPair4, a);
+  const auto second = MakeScheme(SchemeKind::kPair4, b);
+  const auto& pair_a = dynamic_cast<const core::PairScheme&>(*first);
+  const auto& pair_b = dynamic_cast<const core::PairScheme&>(*second);
+  EXPECT_EQ(&pair_a.code(), &pair_b.code());
+  EXPECT_EQ(&pair_a.code(), &rs::Gf256Code(68, 64));
+  Rank c(rg);
+  const auto pair2 = MakeScheme(SchemeKind::kPair2, c);
+  EXPECT_EQ(&dynamic_cast<const core::PairScheme&>(*pair2).code(),
+            &rs::Gf256Code(34, 32));
+}
+
+// Every SchemeKind built from 8 threads at once, each on its own rank, the
+// first build of each code shape racing the others: each scheme round-trips
+// a line, and the PAIR schemes of one shape all hold the same code.
+TEST(SchemeFactory, EverySchemeKindBuildsFromEightThreadsAtOnce) {
+  constexpr unsigned kThreads = 8;
+  const RankGeometry rg;
+  std::vector<std::vector<const rs::RsCode*>> pair4_codes(kThreads);
+  std::vector<unsigned> failures(kThreads, 0);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      ++ready;
+      while (ready < kThreads) std::this_thread::yield();
+      Xoshiro256 rng(900 + t);
+      for (const SchemeKind kind : AllSchemeKinds()) {
+        Rank rank(rg);
+        const auto scheme = MakeScheme(kind, rank);
+        const Address addr{t % 2, t, (t * 13) % 128};
+        const BitVec line = BitVec::Random(rg.LineBits(), rng);
+        scheme->WriteLine(addr, line);
+        const ReadResult r = scheme->ReadLine(addr);
+        failures[t] += r.claim != Claim::kClean || !(r.data == line);
+        if (kind == SchemeKind::kPair4)
+          pair4_codes[t].push_back(
+              &dynamic_cast<const core::PairScheme&>(*scheme).code());
+      }
+    });
+  }
+  for (std::thread& thread : pool) thread.join();
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0u) << "thread " << t;
+    ASSERT_EQ(pair4_codes[t].size(), 1u);
+    EXPECT_EQ(pair4_codes[t][0], &rs::Gf256Code(68, 64)) << "thread " << t;
+  }
 }
 
 TEST(SchemeFactory, SidecarSchemesRequireEccDevice) {

@@ -141,10 +141,10 @@ struct CodeShape {
 std::vector<rs::RsCode> AllCodes() {
   std::vector<rs::RsCode> codes;
   for (CodeShape s : {CodeShape{34, 32}, CodeShape{68, 64}, CodeShape{76, 64}})
-    codes.push_back(rs::RsCode::Gf256(s.n, s.k));
-  codes.push_back(rs::RsCode::Gf256(34, 32).Expanded(64));
-  codes.push_back(rs::RsCode::Gf256(68, 64).Expanded(128));
-  codes.push_back(rs::RsCode::Gf256(76, 64).Expanded(100));
+    codes.push_back(rs::Gf256Code(s.n, s.k));
+  codes.push_back(rs::Gf256Code(34, 32).Expanded(64));
+  codes.push_back(rs::Gf256Code(68, 64).Expanded(128));
+  codes.push_back(rs::Gf256Code(76, 64).Expanded(100));
   return codes;
 }
 
@@ -315,7 +315,7 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
 TEST(RsBatchTest, BatchOfOneIsThePerLinePath) {
   // The per-line API is literally a batch of one — spot-check the layout
   // contract that makes that true (stride 1, lines 1).
-  const rs::RsCode code = rs::RsCode::Gf256(68, 64);
+  const rs::RsCode code = rs::Gf256Code(68, 64);
   Xoshiro256 rng(0x0B1);
   std::vector<Elem> data(code.k());
   for (auto& s : data)

@@ -6,6 +6,7 @@
 
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -604,6 +605,157 @@ INSTANTIATE_TEST_SUITE_P(Geometries, PairStagingTest,
                          [](const auto& param_info) {
                            return std::string(param_info.param.name);
                          });
+
+// ------------------------------------------------- row-batched line path
+//
+// WriteLines/ReadLines stage a run of addresses on one row once; WriteLine
+// and ReadLine are one-line runs. A batch must store exactly the bits, and
+// return exactly the results and counters, of the per-line sequence: for
+// runs that write a codeword's lanes several times, overwrite lines within
+// the run, over dirty codewords, and on a row whose stuck cells read back
+// other values than were written there (the block would drift from the
+// array if such a row were staged once per run).
+
+struct BatchVariant {
+  const char* name;
+  PairConfig config;
+  bool erasures;
+};
+
+std::vector<BatchVariant> BatchVariants() {
+  PairConfig scrub = PairConfig::Pair4();
+  scrub.scrub_on_write = true;
+  PairConfig covering = PairConfig::Pair4();
+  covering.decode_full_pin_line = false;
+  return {{"pair4", PairConfig::Pair4(), false},
+          {"scrub_on_write", scrub, false},
+          {"covering_only", covering, false},
+          {"erasures", PairConfig::Pair4(), true},
+          {"pair2", PairConfig::Pair2(), false}};
+}
+
+void PrintTo(const BatchVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+class PairBatchTest : public ::testing::TestWithParam<
+                          std::tuple<StagingGeometry, BatchVariant>> {};
+
+TEST_P(PairBatchTest, RowRunsMatchThePerLineSequenceBitwise) {
+  const RankGeometry& rg = std::get<0>(GetParam()).rg;
+  const BatchVariant& variant = std::get<1>(GetParam());
+  const auto& g = rg.device;
+  Rank line_rank(rg), batch_rank(rg);
+  PairScheme per_line(line_rank, variant.config);
+  PairScheme batch(batch_rank, variant.config);
+  const unsigned cw = per_line.CodewordsPerPin();
+  if (variant.erasures) {
+    for (PairScheme* s : {&per_line, &batch}) {
+      s->MarkSymbolErased(0, 0, 0, 5);
+      s->MarkSymbolErased(1, g.dq_pins - 1, cw - 1, s->code().k() + 1);
+    }
+  }
+
+  // Rows a and c are stuck-free; row b has stuck cells on data device 1.
+  // Row b gets one run and nothing after it: a later write re-encoding
+  // the stuck codeword from what the array returns would hide a block
+  // that drifted from the array.
+  const unsigned cols = g.ColumnsPerRow();
+  const Address a0{0, 5, 0}, b0{1, 6, 0}, c0{1, 7, 0};
+  const auto at = [](Address row, unsigned col) {
+    row.col = col;
+    return row;
+  };
+  const std::vector<Address> addrs = {
+      at(a0, 1), at(a0, cols / 2), at(a0, 2), at(a0, cols - 1), at(a0, 1),
+      at(b0, 1), at(b0, 2),        at(b0, 3), at(b0, 5),        at(b0, 2),
+      at(a0, 3), at(c0, cols / 2)};
+  Xoshiro256 rng(700);
+  std::vector<BitVec> lines;
+  for (std::size_t i = 0; i < addrs.size(); ++i)
+    lines.push_back(BitVec::Random(rg.LineBits(), rng));
+
+  // Stuck at the complement of the first bit each of b's columns 1, 2, 3
+  // and 5 gets on pin 0 of device 1: four symbol errors in one codeword,
+  // beyond t, whose storage takes the writes underneath. Plus random stuck
+  // cells among that codeword's check symbols.
+  const unsigned d = 1;
+  for (const std::size_t i : {5u, 6u, 7u, 8u}) {
+    const unsigned bit = addrs[i].col * g.AccessBits();
+    const bool value = !lines[i].Get(d * g.AccessBits());
+    line_rank.device(d).SetStuck(b0.bank, b0.row, bit, value);
+    batch_rank.device(d).SetStuck(b0.bank, b0.row, bit, value);
+  }
+  for (unsigned j = 0; j < 6; ++j) {
+    const unsigned bit = RefParityBit(
+        g, per_line, 0, 0,
+        static_cast<unsigned>(rng.UniformBelow(per_line.code().r())),
+        static_cast<unsigned>(rng.UniformBelow(8)));
+    const bool value = rng.UniformBelow(2) != 0;
+    line_rank.device(d).SetStuck(b0.bank, b0.row, bit, value);
+    batch_rank.device(d).SetStuck(b0.bank, b0.row, bit, value);
+  }
+
+  const auto write = [&] {
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+      per_line.WriteLine(addrs[i], lines[i]);
+    batch.WriteLines(addrs, lines);
+  };
+  std::vector<ecc::ReadResult> results(addrs.size());
+  const auto expect_same = [&](const char* phase) {
+    batch.ReadLines(addrs, results);
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      const ecc::ReadResult r = per_line.ReadLine(addrs[i]);
+      SCOPED_TRACE(std::string(phase) + " line " + std::to_string(i));
+      EXPECT_EQ(results[i].claim, r.claim);
+      EXPECT_EQ(results[i].corrected_units, r.corrected_units);
+      EXPECT_EQ(results[i].data, r.data);
+    }
+    EXPECT_EQ(batch.counters(), per_line.counters()) << phase;
+    for (const Address& row : {a0, b0, c0}) {
+      for (unsigned dev = 0; dev < line_rank.DataDevices(); ++dev) {
+        const BitVec* want =
+            line_rank.device(dev).FindStoredRow(row.bank, row.row);
+        const BitVec* got =
+            batch_rank.device(dev).FindStoredRow(row.bank, row.row);
+        ASSERT_EQ(got == nullptr, want == nullptr) << phase;
+        if (want != nullptr) {
+          EXPECT_EQ(*got, *want)
+              << phase << ": stored bits of bank " << row.bank << " row "
+              << row.row << " device " << dev;
+        }
+      }
+    }
+  };
+  write();
+  expect_same("written");
+
+  // Transient flips in both rows, the same in both ranks.
+  for (int f = 0; f < 24; ++f) {
+    const Address& row = f % 3 == 0 ? a0 : f % 3 == 1 ? b0 : c0;
+    const auto dev =
+        static_cast<unsigned>(rng.UniformBelow(line_rank.DataDevices()));
+    const auto bit =
+        static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
+    line_rank.device(dev).InjectFlip(row.bank, row.row, bit);
+    batch_rank.device(dev).InjectFlip(row.bank, row.row, bit);
+  }
+  expect_same("faulty");
+
+  // Overwrite every line over the dirty codewords.
+  for (BitVec& line : lines) line = BitVec::Random(rg.LineBits(), rng);
+  write();
+  expect_same("overwritten");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GeometriesAndConfigs, PairBatchTest,
+    ::testing::Combine(::testing::ValuesIn(StagingGeometries()),
+                       ::testing::ValuesIn(BatchVariants())),
+    [](const auto& param_info) {
+      return std::string(std::get<0>(param_info.param).name) + "_" +
+             std::get<1>(param_info.param).name;
+    });
 
 TEST(PairExpandability, WiderKLowersOverheadAndStillWorks) {
   // k = 128: one codeword per pin, overhead 4/128 = 3.1% — half the budget.

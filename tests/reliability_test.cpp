@@ -198,7 +198,7 @@ TEST(CombinePoisson, MonotoneInLambda) {
 // ----------------------------------------------------------------- Analytic
 
 TEST(Analytic, WithinBudgetAlwaysCorrects) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   for (unsigned e = 1; e <= code.t(); ++e) {
     const auto b = RsErrorBreakdown(code, e, 300, 5);
     EXPECT_DOUBLE_EQ(b.corrected, 1.0) << e;
@@ -207,7 +207,7 @@ TEST(Analytic, WithinBudgetAlwaysCorrects) {
 }
 
 TEST(Analytic, BeyondBudgetMostlyDetects) {
-  const auto code = rs::RsCode::Gf256(68, 64);
+  const auto code = rs::Gf256Code(68, 64);
   const auto b = RsErrorBreakdown(code, code.t() + 1, 2000, 6);
   EXPECT_DOUBLE_EQ(b.corrected, 0.0);
   EXPECT_GT(b.detected, 0.9);
@@ -218,8 +218,8 @@ TEST(Analytic, BeyondBudgetMostlyDetects) {
 
 TEST(Analytic, T1CodeMiscorrectsMoreThanT2OnDoubleErrors) {
   // The reason PAIR-4 is the paper's default over PAIR-2.
-  const auto pair2 = rs::RsCode::Gf256(34, 32);
-  const auto pair4 = rs::RsCode::Gf256(68, 64);
+  const auto pair2 = rs::Gf256Code(34, 32);
+  const auto pair4 = rs::Gf256Code(68, 64);
   const auto b2 = RsErrorBreakdown(pair2, 2, 3000, 7);
   const auto b4 = RsErrorBreakdown(pair4, 2, 3000, 7);
   EXPECT_DOUBLE_EQ(b4.corrected, 1.0);
@@ -235,9 +235,9 @@ TEST(Analytic, RandomWordBoundMatchesHandComputation) {
 
 TEST(Analytic, BoundShrinksWithRedundancy) {
   const double loose =
-      RsRandomWordMiscorrectionBound(rs::RsCode::Gf256(34, 32));
+      RsRandomWordMiscorrectionBound(rs::Gf256Code(34, 32));
   const double tight =
-      RsRandomWordMiscorrectionBound(rs::RsCode::Gf256(76, 64));
+      RsRandomWordMiscorrectionBound(rs::Gf256Code(76, 64));
   EXPECT_GT(loose, tight * 100.0);
 }
 
@@ -291,7 +291,7 @@ TEST(Analytic, OverwhelmGapExplainsTheHeadlineRatio) {
 }
 
 TEST(Analytic, HeavyGarbageMiscorrectionApproachesSphereBound) {
-  const auto code = rs::RsCode::Gf256(34, 32);
+  const auto code = rs::Gf256Code(34, 32);
   const auto b = RsErrorBreakdown(code, 20, 4000, 8);
   const double bound = RsRandomWordMiscorrectionBound(code);
   EXPECT_NEAR(b.miscorrected, bound, bound);  // same order of magnitude

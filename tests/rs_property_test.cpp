@@ -70,7 +70,7 @@ std::vector<unsigned> InjectErrors(const GfField& f, std::vector<Elem>& word,
 TEST(RsProperty, CorrectableErrorsRoundTripExactly) {
   for (const auto& config : kConfigs) {
     SCOPED_TRACE(config.name);
-    const RsCode code = RsCode::Gf256(config.n, config.k);
+    const RsCode code = Gf256Code(config.n, config.k);
     Xoshiro256 rng(0x5EED0000ull + config.n * 1000 + config.k);
     DecodeScratch scratch;
 
@@ -108,7 +108,7 @@ TEST(RsProperty, CorrectableErrorsRoundTripExactly) {
 TEST(RsProperty, BeyondTNeverSilentlyMiscorrects) {
   for (const auto& config : kConfigs) {
     SCOPED_TRACE(config.name);
-    const RsCode code = RsCode::Gf256(config.n, config.k);
+    const RsCode code = Gf256Code(config.n, config.k);
     Xoshiro256 rng(0xBAD0000ull + config.n * 1000 + config.k);
     DecodeScratch scratch;
 
@@ -152,7 +152,7 @@ TEST(RsProperty, BeyondTNeverSilentlyMiscorrects) {
 TEST(RsProperty, ScratchAndAllocatingDecodesAgree) {
   // The allocation-free scratch path must be observationally identical to
   // the allocating one — same status, same corrections, same output word.
-  const RsCode code = RsCode::Gf256(68, 64);
+  const RsCode code = Gf256Code(68, 64);
   Xoshiro256 rng(0xA11A5ull);
   DecodeScratch scratch;
   for (unsigned round = 0; round < 60; ++round) {

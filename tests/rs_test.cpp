@@ -145,7 +145,7 @@ TEST(RsCode, RejectsInvalidParameters) {
 }
 
 TEST(RsCode, ParametersAndOverhead) {
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   EXPECT_EQ(code.n(), 68u);
   EXPECT_EQ(code.k(), 64u);
   EXPECT_EQ(code.r(), 4u);
@@ -322,7 +322,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ------------------------------------------------------------- Expandability
 
 TEST(RsExpandability, ExpandedCodeKeepsRedundancyAndT) {
-  const auto base = RsCode::Gf256(34, 32);
+  const auto base = Gf256Code(34, 32);
   const auto wide = base.Expanded(128);
   EXPECT_EQ(wide.r(), base.r());
   EXPECT_EQ(wide.t(), base.t());
@@ -336,7 +336,7 @@ TEST(RsExpandability, ZeroPaddedDataGivesSameParity) {
   // that lets PAIR grow a codeword along the pin line while reusing the
   // encoder/decoder hardware.
   Xoshiro256 rng(2000);
-  const auto short_code = RsCode::Gf256(34, 32);
+  const auto short_code = Gf256Code(34, 32);
   const auto long_code = short_code.Expanded(64);
   const auto& f = short_code.field();
   const auto data = RandomData(f, 32, rng);
@@ -348,7 +348,7 @@ TEST(RsExpandability, ZeroPaddedDataGivesSameParity) {
 }
 
 TEST(RsExpandability, OverheadShrinksAsKGrows) {
-  const auto base = RsCode::Gf256(20, 16);
+  const auto base = Gf256Code(20, 16);
   double prev = base.Overhead();
   for (unsigned k : {32u, 64u, 128u, base.MaxK()}) {
     const auto code = base.Expanded(k);
@@ -359,7 +359,7 @@ TEST(RsExpandability, OverheadShrinksAsKGrows) {
 
 TEST(RsExpandability, ExpandedStillCorrectsTErrors) {
   Xoshiro256 rng(2001);
-  const auto code = RsCode::Gf256(34, 32).Expanded(251);  // max expansion
+  const auto code = Gf256Code(34, 32).Expanded(251);  // max expansion
   EXPECT_EQ(code.n(), 253u);
   const auto data = RandomData(code.field(), code.k(), rng);
   const auto clean = code.Encode(data);
@@ -370,7 +370,7 @@ TEST(RsExpandability, ExpandedStillCorrectsTErrors) {
 }
 
 TEST(RsExpandability, RejectsOverExpansion) {
-  const auto code = RsCode::Gf256(34, 32);
+  const auto code = Gf256Code(34, 32);
   EXPECT_THROW(code.Expanded(code.MaxK() + 1), std::invalid_argument);
 }
 
@@ -380,7 +380,7 @@ TEST(RsParityDelta, SequenceOfUpdatesStaysConsistent) {
   // Models PAIR's write path: many independent symbol writes into the same
   // codeword, parity maintained incrementally throughout.
   Xoshiro256 rng(3001);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   const auto& f = code.field();
   auto data = RandomData(f, code.k(), rng);
   auto parity = code.ComputeParity(data);
@@ -398,13 +398,13 @@ TEST(RsParityDelta, SequenceOfUpdatesStaysConsistent) {
 }
 
 TEST(RsParityDelta, ZeroDeltaIsNoOp) {
-  const auto code = RsCode::Gf256(34, 32);
+  const auto code = Gf256Code(34, 32);
   const auto d = code.ParityDelta(5, 0);
   EXPECT_TRUE(std::all_of(d.begin(), d.end(), [](Elem e) { return e == 0; }));
 }
 
 TEST(RsParityDelta, RejectsOutOfRangeIndex) {
-  const auto code = RsCode::Gf256(34, 32);
+  const auto code = Gf256Code(34, 32);
   EXPECT_THROW(code.ParityDelta(32, 1), std::invalid_argument);
 }
 
@@ -476,7 +476,7 @@ INSTANTIATE_TEST_SUITE_P(TwentyShapes, RsShapeFuzzTest,
 // ------------------------------------------------------------------- Decode
 
 TEST(RsDecode, RejectsWrongLengthAndBadErasures) {
-  const auto code = RsCode::Gf256(34, 32);
+  const auto code = Gf256Code(34, 32);
   std::vector<Elem> too_short(10, 0);
   EXPECT_THROW(code.Decode(too_short), std::invalid_argument);
   std::vector<Elem> word(34, 0);
@@ -485,7 +485,7 @@ TEST(RsDecode, RejectsWrongLengthAndBadErasures) {
 }
 
 TEST(RsDecode, RejectsDuplicateErasures) {
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   std::vector<Elem> word(68, 0);
   const std::vector<unsigned> dup = {3, 7, 3};
   EXPECT_THROW(code.Decode(word, dup), std::invalid_argument);
@@ -493,7 +493,7 @@ TEST(RsDecode, RejectsDuplicateErasures) {
 
 TEST(RsDecode, DecodeIsDeterministic) {
   Xoshiro256 rng(4242);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   const auto clean = code.Encode(RandomData(code.field(), 64, rng));
   auto w1 = clean, w2 = clean;
   InjectErrors(code.field(), w1, 3, rng);  // beyond t
@@ -509,7 +509,7 @@ TEST(RsDecode, ShortenedAndExpandedAgreeOnSharedPrefix) {
   // expanded word with zero padding — the invariant that lets PAIR reuse
   // one decoder for every k.
   Xoshiro256 rng(4343);
-  const auto short_code = RsCode::Gf256(34, 32);
+  const auto short_code = Gf256Code(34, 32);
   const auto long_code = short_code.Expanded(64);
   const auto data = RandomData(short_code.field(), 32, rng);
   auto short_word = short_code.Encode(data);
@@ -529,7 +529,7 @@ TEST(RsDecode, ShortenedAndExpandedAgreeOnSharedPrefix) {
 
 TEST(RsDecode, MoreErasuresThanRFails) {
   Xoshiro256 rng(4000);
-  const auto code = RsCode::Gf256(34, 32);
+  const auto code = Gf256Code(34, 32);
   auto word = code.Encode(RandomData(code.field(), 32, rng));
   std::vector<unsigned> erasures = {0, 1, 2};  // r = 2
   word[0] ^= 1;
@@ -538,7 +538,7 @@ TEST(RsDecode, MoreErasuresThanRFails) {
 
 TEST(RsDecode, ErasureFlagOnCleanWordIsNoError) {
   Xoshiro256 rng(4001);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   auto word = code.Encode(RandomData(code.field(), 64, rng));
   const std::vector<unsigned> erasures = {3, 10};
   EXPECT_EQ(code.Decode(word, erasures).status, DecodeStatus::kNoError);
@@ -548,7 +548,7 @@ TEST(RsDecode, BurstWithinOneSymbolIsOneSymbolError) {
   // An 8-bit burst confined to one symbol is a single symbol error — the
   // alignment property PAIR builds on.
   Xoshiro256 rng(4002);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   const auto clean = code.Encode(RandomData(code.field(), 64, rng));
   auto word = clean;
   word[17] ^= 0xFF;  // all 8 bits of the symbol flipped
@@ -560,7 +560,7 @@ TEST(RsDecode, BurstWithinOneSymbolIsOneSymbolError) {
 
 TEST(RsDecode, CorrectionsReportAccuratePositionsAndMagnitudes) {
   Xoshiro256 rng(4003);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   const auto clean = code.Encode(RandomData(code.field(), 64, rng));
   auto word = clean;
   word[5] ^= 0x3C;
@@ -583,7 +583,7 @@ TEST(RsDecode, CorrectionsReportAccuratePositionsAndMagnitudes) {
 
 TEST(RsDecode, ParityOnlyErrorsAreCorrected) {
   Xoshiro256 rng(4004);
-  const auto code = RsCode::Gf256(68, 64);
+  const auto code = Gf256Code(68, 64);
   const auto clean = code.Encode(RandomData(code.field(), 64, rng));
   auto word = clean;
   word[64] ^= 0x10;

@@ -52,13 +52,10 @@ using pair_ecc::util::Xoshiro256;
 
 const RsCode& PickCode(std::uint8_t selector) {
   // The three code shapes the study leans on: PAIR-2, PAIR-4, DUO-like.
-  static const RsCode pair2 = RsCode::Gf256(34, 32);
-  static const RsCode pair4 = RsCode::Gf256(68, 64);
-  static const RsCode duo = RsCode::Gf256(76, 64);
   switch (selector % 3) {
-    case 0: return pair2;
-    case 1: return pair4;
-    default: return duo;
+    case 0: return pair_ecc::rs::Gf256Code(34, 32);
+    case 1: return pair_ecc::rs::Gf256Code(68, 64);
+    default: return pair_ecc::rs::Gf256Code(76, 64);
   }
 }
 
