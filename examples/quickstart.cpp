@@ -58,8 +58,8 @@ int main() {
   data[10] = 0xAB;  // one symbol (= one write burst on one pin) changes
   const auto delta = code.ParityDelta(10, 0x00 ^ 0xAB);
   for (unsigned j = 0; j < code.r(); ++j) parity[j] ^= delta[j];
-  std::cout << "delta-updated parity "
-            << (parity == code.ComputeParity(data) ? "matches" : "DIFFERS")
+  const bool delta_ok = parity == code.ComputeParity(data);
+  std::cout << "delta-updated parity " << (delta_ok ? "matches" : "DIFFERS")
             << " full re-encode\n";
-  return 0;
+  return read.data == line && delta_ok ? 0 : 1;
 }

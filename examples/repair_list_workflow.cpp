@@ -9,14 +9,15 @@
 //   3. subsequent reads decode the marked symbols as erasures (up to r = 4
 //      per codeword) and data flows again — no row remapping needed.
 //
-// A second section repeats the scenario with the closed-loop RasController
-// (core/ras.hpp), which runs the same diagnose-and-erase flow automatically
-// after a configurable number of detected errors.
+// A second section repeats the scenario automatically, through the repair
+// policy every system campaign runs (sim/repair_policy.hpp): detected
+// errors are counted per row, and at the threshold the march diagnosis
+// finds the stuck cells and puts them on the repair list.
 #include <iostream>
 
 #include "core/pair_scheme.hpp"
-#include "core/ras.hpp"
 #include "dram/rank.hpp"
+#include "sim/repair_policy.hpp"
 #include "util/rng.hpp"
 
 using namespace pair_ecc;
@@ -74,11 +75,13 @@ int main() {
   // ---- the same scenario, fully automatic --------------------------------
   dram::Rank rank2(geometry);
   core::PairScheme pair2(rank2, core::PairConfig::Pair4());
-  core::RasController ras(pair2, {/*due_threshold=*/2, /*enable_sparing=*/true});
+  sim::RepairConfig policy_config;
+  policy_config.due_threshold = 2;
+  sim::RepairPolicy policy(policy_config, /*total_rows=*/1);
   std::vector<util::BitVec> lines2;
   for (unsigned col = 0; col < 128; ++col) {
     lines2.push_back(util::BitVec::Random(geometry.LineBits(), rng));
-    ras.Write({kBank, kRow, col}, lines2.back());
+    pair2.WriteLine({kBank, kRow, col}, lines2.back());
   }
   for (unsigned col : bad_columns) {
     for (unsigned j = 0; j < 8; ++j) {
@@ -87,16 +90,26 @@ int main() {
           kBank, kRow, bit, !rank2.device(kDevice).ReadBit(kBank, kRow, bit));
     }
   }
-  // Two reads trip the policy; the second is already served corrected.
-  const auto r1 = ras.Read({kBank, kRow, 3});
-  const auto r2 = ras.Read({kBank, kRow, 3});
+  // Two detected reads trip the policy; the maintenance runs, and the
+  // re-read is served corrected.
+  const auto r1 = pair2.ReadLine({kBank, kRow, 3});
+  const bool fired1 =
+      r1.claim == ecc::Claim::kDetected && policy.OnDue(/*slot=*/0);
+  const auto r2 = pair2.ReadLine({kBank, kRow, 3});
+  const bool fired2 =
+      r2.claim == ecc::Claim::kDetected && policy.OnDue(/*slot=*/0);
+  if (fired2) policy.Execute(/*slot=*/0, pair2, kBank, kRow);
+  const auto r3 = pair2.ReadLine({kBank, kRow, 3});
   std::cout << "automatic    : read#1 " << ecc::ToString(r1.claim)
-            << ", read#2 " << ecc::ToString(r2.claim) << " (data "
-            << (r2.data == lines2[3] ? "correct" : "WRONG") << "); "
-            << ras.stats().diagnoses << " diagnosis, "
-            << ras.stats().symbols_marked << " symbols on the repair list\n";
+            << ", read#2 " << ecc::ToString(r2.claim) << " -> "
+            << policy.counters().repairs_attempted << " repair, "
+            << policy.counters().symbols_marked
+            << " symbols on the repair list; re-read "
+            << ecc::ToString(r3.claim) << " (data "
+            << (r3.data == lines2[3] ? "correct" : "WRONG") << ")\n";
 
-  const bool auto_good =
-      r2.claim != ecc::Claim::kDetected && r2.data == lines2[3];
+  const bool auto_good = !fired1 && fired2 &&
+                         r3.claim != ecc::Claim::kDetected &&
+                         r3.data == lines2[3];
   return (all_good && auto_good) ? 0 : 1;
 }

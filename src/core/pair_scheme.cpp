@@ -146,6 +146,25 @@ unsigned PairScheme::ParityBitOffset(unsigned pin, unsigned w,
          ((pin * cw_per_pin_ + w) * config_.check_symbols + j) * kSymbolBits;
 }
 
+std::optional<PairScheme::SymbolRef> PairScheme::SymbolOfBit(
+    unsigned bit) const {
+  const auto& g = rank().geometry().device;
+  PAIR_CHECK_RANGE(bit < g.TotalRowBits(),
+                   "PairScheme::SymbolOfBit: bit " << bit << " of "
+                                                   << g.TotalRowBits());
+  const unsigned k = code_.k();
+  if (bit < g.row_bits) {
+    const unsigned symbol = dram::PinLineIndex(g, bit) / kSymbolBits;
+    return SymbolRef{dram::PinOfBit(g, bit), symbol / k, symbol % k};
+  }
+  const unsigned group = (bit - g.row_bits) / kSymbolBits;
+  const unsigned r = config_.check_symbols;
+  const unsigned codeword = group / r;  // pin * cw_per_pin_ + w
+  if (codeword >= g.dq_pins * cw_per_pin_) return std::nullopt;
+  return SymbolRef{codeword / cw_per_pin_, codeword % cw_per_pin_,
+                   k + group % r};
+}
+
 bool PairScheme::MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
                                   unsigned position) {
   const auto& g = rank().geometry().device;

@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -66,6 +67,18 @@ class PairScheme final : public ecc::Scheme {
   bool MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
                         unsigned position);
   void ClearErasures() { erasures_.clear(); }
+
+  /// The codeword symbol a row bit is stored in: pin, codeword w and
+  /// position (0..n-1), the coordinates MarkSymbolErased takes.
+  struct SymbolRef {
+    unsigned pin;
+    unsigned w;
+    unsigned position;
+  };
+  /// Maps `bit` of a device row (spare region included) to its symbol, or
+  /// to nothing for a spare cell past the check symbols (an RS(n, k) whose
+  /// parity does not fill the spare region leaves such cells unused).
+  std::optional<SymbolRef> SymbolOfBit(unsigned bit) const;
 
   /// Patrol scrub: decodes every codeword of the row and writes corrected
   /// data + parity back, clearing accumulated transient errors.

@@ -1,6 +1,8 @@
 #include "core/repair.hpp"
 
+#include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 namespace pair_ecc::core {
@@ -10,9 +12,7 @@ RepairReport DiagnoseAndRepairRow(PairScheme& scheme, unsigned bank,
   RepairReport report;
   auto& rank = scheme.rank();
   const auto& g = rank.geometry().device;
-  const unsigned k = scheme.code().k();
   const unsigned r = scheme.code().r();
-  const unsigned cw_per_pin = scheme.CodewordsPerPin();
 
   for (unsigned d = 0; d < rank.DataDevices(); ++d) {
     auto& dev = rank.device(d);
@@ -30,39 +30,19 @@ RepairReport DiagnoseAndRepairRow(PairScheme& scheme, unsigned bank,
     const util::BitVec defects = readback ^ inverted;
     if (!defects.AnySet()) continue;
 
-    // Group defective bits by codeword position.
-    struct Key {
-      unsigned pin, w;
-      bool operator<(const Key& o) const {
-        return std::tie(pin, w) < std::tie(o.pin, o.w);
-      }
-    };
-    std::map<Key, std::vector<unsigned>> per_codeword;
+    // Group defective bits by codeword (pin, w), positions in bit order.
+    std::map<std::pair<unsigned, unsigned>, std::vector<unsigned>>
+        per_codeword;
     for (const auto bit : defects.SetBits()) {
       ++report.defective_bits;
-      unsigned pin, w, position;
-      if (bit < g.row_bits) {
-        pin = static_cast<unsigned>(bit) % g.dq_pins;
-        const unsigned symbol = static_cast<unsigned>(bit) / g.dq_pins / 8;
-        w = symbol / k;
-        position = symbol % k;
-      } else {
-        // Spare region: offsets follow PairScheme's parity layout,
-        // ((pin * cw_per_pin + w) * r + j) * 8.
-        const unsigned group = (static_cast<unsigned>(bit) - g.row_bits) / 8;
-        const unsigned j = group % r;
-        const unsigned linear = group / r;
-        pin = linear / cw_per_pin;
-        w = linear % cw_per_pin;
-        position = k + j;
-      }
-      auto& list = per_codeword[{pin, w}];
-      bool seen = false;
-      for (unsigned p : list) seen |= p == position;
-      if (!seen) list.push_back(position);
+      const auto symbol = scheme.SymbolOfBit(static_cast<unsigned>(bit));
+      if (!symbol) continue;  // a spare cell no codeword stores in
+      auto& list = per_codeword[{symbol->pin, symbol->w}];
+      if (std::find(list.begin(), list.end(), symbol->position) == list.end())
+        list.push_back(symbol->position);
     }
 
-    for (const auto& [key, positions] : per_codeword) {
+    for (const auto& [codeword, positions] : per_codeword) {
       if (positions.size() > r) {
         // Beyond the erasure budget: marking would only hurt (f > r always
         // fails); leave the codeword to detection and flag it for sparing.
@@ -70,8 +50,8 @@ RepairReport DiagnoseAndRepairRow(PairScheme& scheme, unsigned bank,
         continue;
       }
       for (unsigned position : positions)
-        report.symbols_marked +=
-            scheme.MarkSymbolErased(d, key.pin, key.w, position);
+        report.symbols_marked += scheme.MarkSymbolErased(
+            d, codeword.first, codeword.second, position);
     }
   }
   return report;
@@ -87,22 +67,23 @@ SparingReport SpareRow(PairScheme& scheme, unsigned bank, unsigned row) {
   for (unsigned d = 0; d < rank.DataDevices(); ++d)
     if (rank.device(d).SpareRowsLeft(bank) == 0) return report;
 
-  // Salvage pass: capture every line as best the code can deliver it.
-  struct Saved {
-    util::BitVec data;
-    bool lost;
-  };
-  std::vector<Saved> lines;
-  lines.reserve(g.ColumnsPerRow());
-  for (unsigned col = 0; col < g.ColumnsPerRow(); ++col) {
-    auto read = scheme.ReadLine({bank, row, col});
-    const bool lost = read.claim == ecc::Claim::kDetected;
-    lines.push_back({std::move(read.data), lost});
-    if (lost) {
+  // Salvage pass: capture every line as best the code can deliver it, as
+  // one batch over the row.
+  std::vector<dram::Address> addrs;
+  addrs.reserve(g.ColumnsPerRow());
+  for (unsigned col = 0; col < g.ColumnsPerRow(); ++col)
+    addrs.push_back({bank, row, col});
+  std::vector<ecc::ReadResult> reads(addrs.size());
+  scheme.ReadLines(addrs, reads);
+  std::vector<util::BitVec> lines;
+  lines.reserve(reads.size());
+  for (ecc::ReadResult& read : reads) {
+    if (read.claim == ecc::Claim::kDetected) {
       ++report.lines_lost;
     } else {
       ++report.lines_salvaged;
     }
+    lines.push_back(std::move(read.data));
   }
 
   for (unsigned d = 0; d < rank.DataDevices(); ++d) {
@@ -111,8 +92,7 @@ SparingReport SpareRow(PairScheme& scheme, unsigned bank, unsigned row) {
   }
 
   // Re-encode everything into the fresh row.
-  for (unsigned col = 0; col < g.ColumnsPerRow(); ++col)
-    scheme.WriteLine({bank, row, col}, lines[col].data);
+  scheme.WriteLines(addrs, lines);
 
   report.repaired = true;
   return report;

@@ -6,10 +6,11 @@
 // device it saves the raw row image, writes its complement, reads back,
 // and restores. Any cell that cannot hold both values is permanently
 // defective; the complement test exposes every stuck bit regardless of the
-// data it happened to match. Defective data cells map to codeword symbol
-// positions, defective spare cells to check-symbol positions, and each is
-// registered on the scheme's erasure list — lifting correction power
-// toward r per codeword for exactly the damaged locations.
+// data it happened to match. PairScheme::SymbolOfBit maps each defective
+// cell to its codeword symbol (data or check), which is registered on the
+// scheme's erasure list — lifting correction power toward r per codeword
+// for exactly the damaged locations. A defective spare cell that no
+// codeword uses is counted and left alone.
 //
 // Codewords with more defects than the erasure budget are reported as
 // unrepairable (candidates for row sparing / post-package repair).
@@ -36,9 +37,10 @@ RepairReport DiagnoseAndRepairRow(PairScheme& scheme, unsigned bank,
 /// Post-package repair (row sparing) for damage beyond the erasure budget —
 /// the JEDEC hPPR flow: salvage every line that still decodes, retire the
 /// defective physical row on every data device, and re-write the salvaged
-/// content into the fresh spare row. Lines whose codewords were
-/// uncorrectable are re-written best-effort but counted as lost (the host
-/// restores them from a higher level).
+/// content into the fresh spare row (one ReadLines and one WriteLines over
+/// the row's columns). Lines whose codewords were uncorrectable are
+/// re-written best-effort but counted as lost (the host restores them from
+/// a higher level).
 struct SparingReport {
   bool repaired = false;         ///< false: some device was out of spares
   unsigned lines_salvaged = 0;   ///< decoded clean/corrected before sparing

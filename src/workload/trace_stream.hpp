@@ -48,9 +48,6 @@ class StreamingTraceParser final : public timing::RequestSource {
   bool Next(timing::Request& out) override;
   void Reset() override;
 
-  /// Lines consumed so far (including blanks/comments).
-  std::uint64_t lines_seen() const noexcept { return line_no_; }
-
  private:
   /// Assembles the next line (without terminator) into `line_`; false at
   /// end of stream.

@@ -374,6 +374,22 @@ TEST(AnalyzeThr, ConstConstexprAndFunctionsDoNotFire) {
   EXPECT_TRUE(result.findings.empty());
 }
 
+TEST(AnalyzeThr, ConstOnlyInsideTemplateArgumentsFires) {
+  const auto result = RunOn(
+      "src/util/x.cpp",
+      "static std::map<int, std::unique_ptr<const Code>> cache;\n");
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].rule, "THR-STATIC");
+}
+
+TEST(AnalyzeThr, ConstContainersDoNotFire) {
+  const auto result = RunOn(
+      "src/util/x.cpp",
+      "static const std::vector<int> kSizes = {1, 2};\n"
+      "static constexpr std::array<std::pair<int, int>, 2> kPairs{};\n");
+  EXPECT_TRUE(result.findings.empty());
+}
+
 TEST(AnalyzeThr, SuppressionDischarges) {
   const auto result = RunOn(
       "src/util/x.cpp",

@@ -600,6 +600,65 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
         << GetParam().name << " device " << d;
 }
 
+TEST_P(PairStagingTest, SymbolOfBitNamesTheOneStagedSymbolABitReaches) {
+  // Stick each bit of the row at its complement in turn: staging must change
+  // exactly the symbol SymbolOfBit names, or nothing for an unused spare
+  // cell. The expanded RS(132,128) leaves half the spare region unused
+  // where 128 symbols tile a pin line. The map is per device row, so two
+  // data devices (bit b on device b % 2) cover it at a fraction of the
+  // staging cost of a full rank.
+  RankGeometry rg = GetParam().rg;
+  rg.data_devices = 2;
+  const auto& g = rg.device;
+  PairConfig expanded = PairConfig::Pair4();
+  expanded.data_symbols = 128;
+  std::vector<PairConfig> configs = {PairConfig::Pair2(), PairConfig::Pair4()};
+  if (g.PinLineBits() / 8 % expanded.data_symbols == 0)
+    configs.push_back(expanded);
+  for (const PairConfig& config : configs) {
+    Rank rank(rg);
+    PairScheme scheme(rank, config);
+    const unsigned n = scheme.code().n();
+    const unsigned cw = scheme.CodewordsPerPin();
+    const unsigned bank = 1, row = 3;
+    Xoshiro256 rng(502);
+    for (unsigned d = 0; d < rank.DataDevices(); ++d)
+      rank.device(d).WriteBits(bank, row, 0,
+                               BitVec::Random(g.TotalRowBits(), rng));
+    const rs::CodewordBlock staged = scheme.StageCodewords(bank, row, 0, cw);
+    ASSERT_EQ(staged.stride, staged.lines);  // positions are contiguous
+    const std::size_t lanes = staged.lines;
+    const std::vector<gf::Elem> clean(staged.Row(0),
+                                      staged.Row(0) + n * lanes);
+    unsigned unused = 0;
+    for (unsigned bit = 0; bit < g.TotalRowBits(); ++bit) {
+      const unsigned d = bit % rank.DataDevices();
+      auto& dev = rank.device(d);
+      dev.SetStuck(bank, row, bit, !dev.ReadBit(bank, row, bit));
+      const rs::CodewordBlock block = scheme.StageCodewords(bank, row, 0, cw);
+      dev.ClearStuck();
+      std::vector<std::size_t> changed;
+      for (std::size_t i = 0; i < clean.size(); ++i)
+        if (block.Row(0)[i] != clean[i]) changed.push_back(i);
+      const auto symbol = scheme.SymbolOfBit(bit);
+      if (!symbol) {
+        ++unused;
+        ASSERT_TRUE(changed.empty()) << config.Name() << " bit " << bit;
+        continue;
+      }
+      const std::size_t lane =
+          (std::size_t{symbol->w} * rank.DataDevices() + d) * g.dq_pins +
+          symbol->pin;
+      ASSERT_EQ(changed, (std::vector<std::size_t>{symbol->position * lanes +
+                                                   lane}))
+          << GetParam().name << " " << config.Name() << " k "
+          << scheme.code().k() << " bit " << bit;
+    }
+    const unsigned parity_bits = g.dq_pins * cw * (n - scheme.code().k()) * 8;
+    EXPECT_EQ(unused, g.spare_row_bits - parity_bits) << config.Name();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Geometries, PairStagingTest,
                          ::testing::ValuesIn(StagingGeometries()),
                          [](const auto& param_info) {

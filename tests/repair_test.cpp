@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pair_scheme.hpp"
-#include "core/ras.hpp"
 #include "core/repair.hpp"
 #include "dram/rank.hpp"
 #include "ecc/scheme.hpp"
@@ -105,6 +104,28 @@ TEST_F(RepairTest, SpareRegionDefectsMapToCheckSymbols) {
   EXPECT_EQ(report.symbols_marked, 1u);
 }
 
+TEST(RepairUnusedSpare, StuckCellPastTheCheckSymbolsIsCountedNotMarked) {
+  // RS(132,128) on an x8 die: one codeword per pin, so the parity fills
+  // 8 * 4 * 8 = 256 of the 512 spare bits. A stuck cell in the other half
+  // belongs to no codeword.
+  RankGeometry rg;
+  Rank rank(rg);
+  PairConfig config = PairConfig::Pair4();
+  config.data_symbols = 128;
+  PairScheme scheme(rank, config);
+  ASSERT_EQ(scheme.code().n(), 132u);
+  Xoshiro256 rng(9);
+  scheme.WriteLine({0, 1, 0}, BitVec::Random(rg.LineBits(), rng));
+  const unsigned bit = rg.device.row_bits + 300;
+  rank.device(0).SetStuck(0, 1, bit, !rank.device(0).ReadBit(0, 1, bit));
+  RepairReport report;
+  ASSERT_NO_THROW(report = DiagnoseAndRepairRow(scheme, 0, 1));
+  EXPECT_EQ(report.defective_bits, 1u);
+  EXPECT_EQ(report.symbols_marked, 0u);
+  EXPECT_EQ(report.unrepairable_codewords, 0u);
+  EXPECT_EQ(scheme.ReadLine({0, 1, 0}).claim, Claim::kClean);
+}
+
 TEST_F(RepairTest, WholePinFaultIsUnrepairable) {
   Xoshiro256 rng(6);
   scheme_.WriteLine({0, 1, 0}, BitVec::Random(rg_.LineBits(), rng));
@@ -189,19 +210,58 @@ TEST_F(RepairTest, SpareRowRecoversFromRowFault) {
 }
 
 TEST_F(RepairTest, SpareRowSalvagesCorrectableContent) {
+  // A reference rank, identical to rank_, is spared by the per-line flow:
+  // one ReadLine per column, PPR, one WriteLine per column. SpareRow's
+  // batched salvage and restore must be observably the same.
+  Rank ref_rank(rg_);
+  PairScheme ref_scheme(ref_rank, PairConfig::Pair4());
   Xoshiro256 rng(21);
   std::vector<BitVec> lines;
   for (unsigned col = 0; col < 128; ++col) {
     lines.push_back(BitVec::Random(rg_.LineBits(), rng));
     scheme_.WriteLine({0, 1, col}, lines.back());
+    ref_scheme.WriteLine({0, 1, col}, lines.back());
   }
   // Damage within budget (one stuck cell): every line stays decodable, so
   // sparing must preserve all content exactly.
-  StickBit(5, 40 * 64 + 9);
+  const unsigned stuck = 40 * 64 + 9;
+  StickBit(5, stuck);
+  ref_rank.device(5).SetStuck(0, 1, stuck, rank_.device(5).ReadBit(0, 1, stuck));
   const auto report = SpareRow(scheme_, 0, 1);
   EXPECT_TRUE(report.repaired);
   EXPECT_EQ(report.lines_lost, 0u);
   EXPECT_EQ(report.lines_salvaged, 128u);
+
+  SparingReport ref_report;
+  std::vector<BitVec> salvaged;
+  for (unsigned col = 0; col < 128; ++col) {
+    auto read = ref_scheme.ReadLine({0, 1, col});
+    if (read.claim == Claim::kDetected) {
+      ++ref_report.lines_lost;
+    } else {
+      ++ref_report.lines_salvaged;
+    }
+    salvaged.push_back(std::move(read.data));
+  }
+  for (unsigned d = 0; d < ref_rank.DataDevices(); ++d)
+    ASSERT_TRUE(ref_rank.device(d).PostPackageRepair(0, 1));
+  for (unsigned col = 0; col < 128; ++col)
+    ref_scheme.WriteLine({0, 1, col}, salvaged[col]);
+  ref_report.repaired = true;
+
+  EXPECT_EQ(report.repaired, ref_report.repaired);
+  EXPECT_EQ(report.lines_salvaged, ref_report.lines_salvaged);
+  EXPECT_EQ(report.lines_lost, ref_report.lines_lost);
+  EXPECT_EQ(scheme_.counters(), ref_scheme.counters());
+  for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
+    const BitVec* stored = rank_.device(d).FindStoredRow(0, 1);
+    const BitVec* ref_stored = ref_rank.device(d).FindStoredRow(0, 1);
+    ASSERT_NE(stored, nullptr) << d;
+    ASSERT_NE(ref_stored, nullptr) << d;
+    EXPECT_EQ(*stored, *ref_stored) << "device " << d;
+    EXPECT_EQ(rank_.device(d).SpareRowsLeft(0),
+              ref_rank.device(d).SpareRowsLeft(0));
+  }
   for (unsigned col = 0; col < 128; ++col) {
     const auto r = scheme_.ReadLine({0, 1, col});
     EXPECT_EQ(r.claim, Claim::kClean) << col;
@@ -283,83 +343,6 @@ TEST_F(RepairTest, AccumulatingFaultsOverflowErasureBudget) {
   // Escalation works: sparing retires the worn-out physical row.
   const auto sparing = SpareRow(scheme_, 0, 1);
   EXPECT_TRUE(sparing.repaired);
-}
-
-// ---------------------------------------------------------- RAS controller
-
-TEST_F(RepairTest, RasControllerAutoRepairsWeakColumn) {
-  RasController ras(scheme_, {/*due_threshold=*/2, /*enable_sparing=*/true});
-  Xoshiro256 rng(30);
-  std::vector<BitVec> lines;
-  for (unsigned col = 0; col < 64; ++col) {
-    lines.push_back(BitVec::Random(rg_.LineBits(), rng));
-    ras.Write({0, 1, col}, lines.back());
-  }
-  // Four defective symbols in one codeword: beyond t, within erasure budget.
-  for (unsigned col : {1u, 11u, 21u, 31u})
-    StickBit(2, dram::PinLineBit(rg_.device, 4, col * 8 + 2));
-
-  // First DUE: poison delivered, counter armed.
-  const auto first = ras.Read({0, 1, 1});
-  EXPECT_EQ(first.claim, Claim::kDetected);
-  EXPECT_EQ(ras.stats().diagnoses, 0u);
-
-  // Second DUE trips the policy: diagnosis + erasure repair + retry.
-  const auto second = ras.Read({0, 1, 1});
-  EXPECT_NE(second.claim, Claim::kDetected);
-  EXPECT_EQ(second.data, lines[1]);
-  EXPECT_EQ(ras.stats().diagnoses, 1u);
-  EXPECT_EQ(ras.stats().symbols_marked, 4u);
-  EXPECT_EQ(ras.stats().rows_spared, 0u);
-
-  // Every later access is served transparently.
-  for (unsigned col = 0; col < 64; ++col) {
-    const auto r = ras.Read({0, 1, col});
-    EXPECT_NE(r.claim, Claim::kDetected) << col;
-    EXPECT_EQ(r.data, lines[col]) << col;
-  }
-}
-
-TEST_F(RepairTest, RasControllerSparesStructurallyDeadRows) {
-  RasController ras(scheme_, {/*due_threshold=*/2, /*enable_sparing=*/true});
-  Xoshiro256 rng(31);
-  BitVec line = BitVec::Random(rg_.LineBits(), rng);
-  ras.Write({0, 1, 5}, line);
-  // Whole-pin death: beyond the erasure budget -> sparing territory.
-  for (unsigned i = 0; i < rg_.device.PinLineBits(); ++i)
-    StickBit(6, dram::PinLineBit(rg_.device, 1, i));
-
-  EXPECT_EQ(ras.Read({0, 1, 5}).claim, Claim::kDetected);
-  // The threshold read still returns poison (content is lost), but the row
-  // gets spared behind it.
-  EXPECT_EQ(ras.Read({0, 1, 5}).claim, Claim::kDetected);
-  EXPECT_EQ(ras.stats().rows_spared, 1u);
-
-  // The address is healthy for new data.
-  line = BitVec::Random(rg_.LineBits(), rng);
-  ras.Write({0, 1, 5}, line);
-  const auto r = ras.Read({0, 1, 5});
-  EXPECT_EQ(r.claim, Claim::kClean);
-  EXPECT_EQ(r.data, line);
-}
-
-TEST_F(RepairTest, RasControllerReportsDeniedSparing) {
-  for (unsigned d = 0; d < rank_.DataDevices(); ++d)
-    for (unsigned i = 0; i < dram::Device::kSpareRowsPerBank; ++i)
-      ASSERT_TRUE(rank_.device(d).PostPackageRepair(0, 200 + i));
-  RasController ras(scheme_, {/*due_threshold=*/1, /*enable_sparing=*/true});
-  Xoshiro256 rng(32);
-  ras.Write({0, 1, 0}, BitVec::Random(rg_.LineBits(), rng));
-  for (unsigned i = 0; i < rg_.device.PinLineBits(); ++i)
-    StickBit(0, dram::PinLineBit(rg_.device, 0, i));
-  EXPECT_EQ(ras.Read({0, 1, 0}).claim, Claim::kDetected);
-  EXPECT_EQ(ras.stats().sparing_denied, 1u);
-  EXPECT_EQ(ras.stats().rows_spared, 0u);
-}
-
-TEST_F(RepairTest, RasControllerValidatesConfig) {
-  EXPECT_THROW(RasController(scheme_, {/*due_threshold=*/0, true}),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ DUO chipkill

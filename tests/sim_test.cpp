@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
@@ -185,6 +186,76 @@ TEST(RepairPolicy, SparingExhaustionIsCounted) {
   EXPECT_EQ(policy.counters().repairs_attempted, 1u);
   EXPECT_EQ(policy.counters().sparing_exhausted, 1u);
   EXPECT_EQ(policy.counters().rows_spared, 0u);
+}
+
+/// Sticks `bit` of (device, bank 0, row 1) at the inverse of what it reads.
+void StickInverse(dram::Rank& rank, unsigned device, unsigned bit) {
+  rank.device(device).SetStuck(0, 1, bit,
+                               !rank.device(device).ReadBit(0, 1, bit));
+}
+
+TEST(RepairPolicy, WeakColumnIsMarkedAndServedWithoutSparing) {
+  dram::RankGeometry rg;
+  dram::Rank rank(rg);
+  core::PairScheme scheme(rank, core::PairConfig::Pair4());
+  Xoshiro256 rng(30);
+  std::vector<BitVec> lines;
+  for (unsigned col = 0; col < rg.device.ColumnsPerRow(); ++col) {
+    lines.push_back(BitVec::Random(rg.LineBits(), rng));
+    scheme.WriteLine({0, 1, col}, lines.back());
+  }
+  // Four stuck symbols in codeword (device 2, pin 4, w 0): beyond t = 2,
+  // within the r = 4 erasure budget.
+  for (unsigned col : {1u, 11u, 21u, 31u})
+    StickInverse(rank, 2, dram::PinLineBit(rg.device, 4, col * 8 + 2));
+
+  RepairConfig cfg;
+  cfg.due_threshold = 2;
+  RepairPolicy policy(cfg, 1);
+  ASSERT_EQ(scheme.ReadLine({0, 1, 1}).claim, ecc::Claim::kDetected);
+  EXPECT_FALSE(policy.OnDue(0));
+  ASSERT_EQ(scheme.ReadLine({0, 1, 1}).claim, ecc::Claim::kDetected);
+  ASSERT_TRUE(policy.OnDue(0));
+  policy.Execute(0, scheme, 0, 1);
+  EXPECT_EQ(policy.counters().symbols_marked, 4u);
+  EXPECT_EQ(policy.counters().rows_spared, 0u);
+  EXPECT_EQ(policy.counters().sparing_exhausted, 0u);
+
+  for (unsigned col = 0; col < rg.device.ColumnsPerRow(); ++col) {
+    const ecc::ReadResult r = scheme.ReadLine({0, 1, col});
+    EXPECT_NE(r.claim, ecc::Claim::kDetected) << col;
+    EXPECT_EQ(r.data, lines[col]) << col;
+  }
+}
+
+TEST(RepairPolicy, DeadPinRowIsSparedAndServesNewData) {
+  dram::RankGeometry rg;
+  dram::Rank rank(rg);
+  core::PairScheme scheme(rank, core::PairConfig::Pair4());
+  Xoshiro256 rng(31);
+  const dram::Address addr{0, 1, 5};
+  scheme.WriteLine(addr, BitVec::Random(rg.LineBits(), rng));
+  // Whole-pin death: beyond the erasure budget, so the row is spared.
+  for (unsigned i = 0; i < rg.device.PinLineBits(); ++i)
+    StickInverse(rank, 6, dram::PinLineBit(rg.device, 1, i));
+  ASSERT_EQ(scheme.ReadLine(addr).claim, ecc::Claim::kDetected);
+
+  RepairConfig cfg;
+  cfg.due_threshold = 1;
+  RepairPolicy policy(cfg, 1);
+  ASSERT_TRUE(policy.OnDue(0));
+  policy.Execute(0, scheme, 0, 1);
+  EXPECT_EQ(policy.counters().rows_spared, 1u);
+  EXPECT_EQ(policy.counters().sparing_exhausted, 0u);
+  // Every line of the row has a codeword on the dead pin, so none decodes.
+  EXPECT_EQ(policy.counters().lines_lost, rg.device.ColumnsPerRow());
+
+  // The address is healthy for new data.
+  const BitVec line = BitVec::Random(rg.LineBits(), rng);
+  scheme.WriteLine(addr, line);
+  const ecc::ReadResult r = scheme.ReadLine(addr);
+  EXPECT_EQ(r.claim, ecc::Claim::kClean);
+  EXPECT_EQ(r.data, line);
 }
 
 // -------------------------------------------------------------- MemorySystem

@@ -667,8 +667,9 @@ class ThreadStaticRule final : public Rule {
     ForEachIdent(code, 0, code.size(), [&](std::size_t b, std::size_t e) {
       if (code.substr(b, e - b) != "static") return;
       // Classify by the tokens between `static` and the first structural
-      // delimiter: a '(' before '=' / ';' / '{' means a function; const or
-      // constexpr anywhere in the head means immutable.
+      // delimiter: a '(' before '=' / ';' / '{' means a function; const,
+      // constexpr or constinit outside template arguments means immutable
+      // (`std::map<K, const T*>` is a mutable map).
       bool is_const = false;
       bool is_function = false;
       std::size_t i = e;
@@ -686,7 +687,8 @@ class ThreadStaticRule final : public Rule {
           std::size_t j = i;
           while (j < code.size() && IsIdentChar(code[j])) ++j;
           const std::string tok = code.substr(i, j - i);
-          if (tok == "const" || tok == "constexpr" || tok == "constinit")
+          if (angle_depth == 0 &&
+              (tok == "const" || tok == "constexpr" || tok == "constinit"))
             is_const = true;
           if (tok == "assert" || tok == "cast") is_function = true;
           i = j;
