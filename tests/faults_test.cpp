@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "dram/rank.hpp"
 #include "faults/injector.hpp"
+#include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
 namespace pair_ecc::faults {
@@ -297,6 +299,111 @@ TEST_F(TouchHookTest, HookDrawsNoRandomness) {
   EXPECT_EQ(a(), b());
   EXPECT_EQ(injector_.counters(), plain.counters());
   EXPECT_FALSE(calls_.empty());
+}
+
+// ------------------------------------------------------- footprint digests
+//
+// Pins what every fault type leaves in the devices, bit for bit, on five
+// geometries: the raw stored row (or its absence), the array view, the
+// stuck count and stuck-row flag, the touch-hook calls, the returned
+// records, the counters and where the RNG stream stands afterwards. Any
+// change to a footprint, a hit rule or the order of the draws changes
+// these values.
+
+void AppendU64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+}
+
+std::uint64_t BitsCrc(const BitVec& bits) {
+  std::string words;
+  for (std::size_t b = 0; b < bits.size(); b += 64)
+    AppendU64(words,
+              bits.GetWord(b, std::min<std::size_t>(64, bits.size() - b)));
+  return util::Crc32(words);
+}
+
+void AppendFault(std::string& out, const InjectedFault& f) {
+  for (unsigned v : {static_cast<unsigned>(f.type), unsigned{f.permanent},
+                     f.device, f.bank, f.row, f.bit, f.length})
+    AppendU64(out, v);
+}
+
+void AppendDevices(std::string& out, const Rank& rank,
+                   const std::vector<RowRef>& rows) {
+  const unsigned total = rank.geometry().device.TotalRowBits();
+  for (unsigned d = 0; d < rank.TotalDevices(); ++d) {
+    const dram::Device& dev = rank.device(d);
+    AppendU64(out, dev.StuckCount());
+    for (const RowRef& r : rows) {
+      const BitVec* stored = dev.FindStoredRow(r.bank, r.row);
+      AppendU64(out, stored == nullptr ? ~std::uint64_t{0} : BitsCrc(*stored));
+      AppendU64(out, BitsCrc(dev.ReadBits(r.bank, r.row, 0, total)));
+      AppendU64(out, dev.HasStuckBits(r.bank, r.row));
+    }
+  }
+}
+
+std::string FootprintDigest(const RankGeometry& rg) {
+  const std::vector<RowRef> rows = {{0, 10}, {0, 11}, {1, 20}, {0, 3}, {1, 7}};
+  std::string out;
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    Rank rank(rg);
+    std::vector<std::size_t> calls;
+    Injector injector(rank, rows, [&](std::size_t i) { calls.push_back(i); });
+    Xoshiro256 rng(seed);
+    // Half the devices hold data in every working row; the rest start
+    // untouched, so row creation shows in the digest too.
+    for (unsigned d = 0; d < rank.TotalDevices(); d += 2)
+      for (const RowRef& r : rows)
+        rank.device(d).WriteBits(
+            r.bank, r.row, 0, BitVec::Random(rg.device.TotalRowBits(), rng));
+    const auto record = [&](const InjectedFault& f) {
+      AppendFault(out, f);
+      AppendU64(out, calls.size());
+      for (std::size_t i : calls) AppendU64(out, i);
+      calls.clear();
+      AppendDevices(out, rank, rows);
+    };
+    for (FaultType type : kAllFaultTypes)
+      for (bool permanent : {true, false})
+        for (int rep = 0; rep < 2; ++rep)
+          record(injector.Inject(type, permanent, rng));
+    for (unsigned length = 1; length <= 16; ++length)
+      record(injector.InjectPinBurst(length % rank.TotalDevices(), length, rng));
+    const InjectionCounters& c = injector.counters();
+    for (std::uint64_t v : {c.total, c.permanent, c.transient}) AppendU64(out, v);
+    for (std::uint64_t v : c.by_type) AppendU64(out, v);
+    AppendU64(out, rng());
+  }
+  return util::Crc32Hex(out);
+}
+
+TEST(InjectorFootprint, StorageMatchesPinnedDigests) {
+  struct Pin {
+    const char* name;
+    RankGeometry rg;
+    const char* digest;
+  };
+  RankGeometry x4, x8, x16, ddr5, hbm3;
+  x4.device.dq_pins = 4;
+  x4.data_devices = 16;
+  x16.device.dq_pins = 16;
+  x16.data_devices = 4;
+  ddr5.device = dram::DeviceGeometry::Ddr5x8();
+  hbm3.device = dram::DeviceGeometry::Hbm3();
+  hbm3.data_devices = 4;
+  const Pin pins[] = {
+      {"x4", x4, "ee146dec"},
+      {"x8", x8, "ed762468"},
+      {"x16", x16, "c1c0a611"},
+      // Footprints depend on the pin count and the row size only, so the
+      // BL16 and HBM3 dies pin the digests of x8 and x16.
+      {"ddr5_bl16", ddr5, "ed762468"},
+      {"hbm3", hbm3, "c1c0a611"},
+  };
+  for (const Pin& pin : pins)
+    EXPECT_EQ(FootprintDigest(pin.rg), pin.digest) << pin.name;
 }
 
 // ------------------------------------------------------------------ FaultMix
