@@ -66,7 +66,6 @@ class PairScheme final : public ecc::Scheme {
   /// as an erasure. Returns false when the position was already registered.
   bool MarkSymbolErased(unsigned device, unsigned pin, unsigned w,
                         unsigned position);
-  void ClearErasures() { erasures_.clear(); }
 
   /// The codeword symbol a row bit is stored in: pin, codeword w and
   /// position (0..n-1), the coordinates MarkSymbolErased takes.

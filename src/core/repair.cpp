@@ -21,8 +21,10 @@ RepairReport DiagnoseAndRepairRow(PairScheme& scheme, unsigned bank,
     // March: write the complement, read back. A cell that cannot represent
     // the complement of whatever it held is defective.
     util::BitVec inverted(original.size());
-    for (unsigned i = 0; i < original.size(); ++i)
-      inverted.Set(i, !original.Get(i));
+    for (unsigned at = 0; at < original.size(); at += 64) {
+      const unsigned n = std::min(64u, g.TotalRowBits() - at);
+      inverted.SetWord(at, n, ~original.GetWord(at, n));
+    }
     dev.WriteBits(bank, row, 0, inverted);
     const util::BitVec readback = dev.ReadBits(bank, row, 0, g.TotalRowBits());
     dev.WriteBits(bank, row, 0, original);  // restore stored state

@@ -111,36 +111,35 @@ void Device::WriteColumn(const Address& addr, const util::BitVec& data) {
   WriteBits(addr.bank, addr.row, addr.col * geom_.AccessBits(), data);
 }
 
-void Device::InjectFlip(unsigned bank, unsigned row, unsigned bit) {
-  PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::InjectFlip: bit out of range");
-  GetRow(bank, row).data.Flip(bit);
-}
-
-void Device::SetStuck(unsigned bank, unsigned row, unsigned bit, bool value) {
-  PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::SetStuck: bit out of range");
-  RowState& state = GetRow(bank, row);
+void Device::Corrupt(unsigned bank, unsigned row, unsigned offset,
+                     unsigned count, std::uint64_t flip, std::uint64_t stuck,
+                     std::uint64_t value) {
+  const std::uint64_t hit = flip | stuck;
+  PAIR_CHECK_RANGE(count <= 64 && offset + count <= geom_.TotalRowBits() &&
+                       (count == 64 || hit >> count == 0),
+                   "Device::Corrupt: bits out of row");
+  if (hit == 0) {
+    CheckAddress(bank, row);
+    return;
+  }
+  RowState& state = GetRow(bank, row);  // checks the address
+  if (flip != 0)
+    state.data.SetWord(offset, count, state.data.GetWord(offset, count) ^ flip);
+  if (stuck == 0) return;
   if (state.stuck_mask.empty()) {
     state.stuck_mask = util::BitVec(geom_.TotalRowBits());
     state.stuck_value = util::BitVec(geom_.TotalRowBits());
   }
-  if (!state.stuck_mask.Get(bit)) {
-    state.stuck_mask.Set(bit, true);
-    ++stuck_count_;
-  }
-  state.stuck_value.Set(bit, value);
+  const std::uint64_t was_stuck = state.stuck_mask.GetWord(offset, count);
+  stuck_count_ += static_cast<std::size_t>(__builtin_popcountll(stuck & ~was_stuck));
+  state.stuck_mask.SetWord(offset, count, was_stuck | stuck);
+  const std::uint64_t forced = state.stuck_value.GetWord(offset, count);
+  state.stuck_value.SetWord(offset, count, (forced & ~stuck) | (value & stuck));
 }
 
 bool Device::HasStuckBits(unsigned bank, unsigned row) const {
   const RowState* state = FindRow(bank, row);
   return state != nullptr && !state->stuck_mask.empty();
-}
-
-void Device::ClearStuck() {
-  for (auto& [key, state] : rows_) {
-    state.stuck_mask = util::BitVec();
-    state.stuck_value = util::BitVec();
-  }
-  stuck_count_ = 0;
 }
 
 }  // namespace pair_ecc::dram

@@ -64,14 +64,26 @@ class Device {
 
   // -- fault overlay -------------------------------------------------------
 
-  /// Inverts the stored value once (transient fault).
-  void InjectFlip(unsigned bank, unsigned row, unsigned bit);
+  /// The one overlay writer: corrupts up to 64 bits [offset, offset + count)
+  /// of the row, bit `offset` being each mask's least-significant bit. Bits
+  /// set in `flip` have their stored value inverted once (transient fault);
+  /// bits set in `stuck` read as the matching bit of `value` forever
+  /// (permanent fault). Sticking a stuck bit again changes only its value,
+  /// so StuckCount counts newly stuck bits. Masks with no bit set create
+  /// no row. Throws std::out_of_range for an address or range outside the
+  /// row, and for a mask bit at or past `count`.
+  void Corrupt(unsigned bank, unsigned row, unsigned offset, unsigned count,
+               std::uint64_t flip, std::uint64_t stuck, std::uint64_t value);
 
-  /// Forces the bit to read as `value` forever (permanent fault).
-  void SetStuck(unsigned bank, unsigned row, unsigned bit, bool value);
+  /// One-bit Corrupt: inverts the stored value once.
+  void InjectFlip(unsigned bank, unsigned row, unsigned bit) {
+    Corrupt(bank, row, bit, 1, 1, 0, 0);
+  }
 
-  /// Drops all stuck-at entries (used between Monte-Carlo trials).
-  void ClearStuck();
+  /// One-bit Corrupt: the bit reads as `value` forever.
+  void SetStuck(unsigned bank, unsigned row, unsigned bit, bool value) {
+    Corrupt(bank, row, bit, 1, 0, 1, value ? 1 : 0);
+  }
 
   /// True when (bank, row) has at least one stuck bit: then a read of the
   /// row may differ from what was last written to it.

@@ -42,8 +42,4 @@ void Rank::SetDeviceSlice(util::BitVec& line, unsigned d,
   line.Splice(d * width, slice);
 }
 
-void Rank::ClearStuck() {
-  for (auto& dev : devices_) dev->ClearStuck();
-}
-
 }  // namespace pair_ecc::dram

@@ -40,9 +40,6 @@ class Rank {
   void SetDeviceSlice(util::BitVec& line, unsigned d,
                       const util::BitVec& slice) const;
 
-  /// Clears every device's stuck-at overlay.
-  void ClearStuck();
-
  private:
   RankGeometry geom_;
   std::vector<std::unique_ptr<Device>> devices_;

@@ -223,12 +223,11 @@ class Scheme {
     return supported;
   }
 
-  /// Codec telemetry accumulated since construction (or ResetCounters).
+  /// Codec telemetry accumulated since construction.
   /// Note: reads/writes issued internally by Do* implementations (e.g. a
   /// scrub's read-decode-writeback) do not re-enter the public wrappers, so
   /// each host operation counts exactly once.
   const CodecCounters& counters() const noexcept { return counters_; }
-  void ResetCounters() noexcept { counters_ = CodecCounters{}; }
 
   dram::Rank& rank() noexcept { return rank_; }
   const dram::Rank& rank() const noexcept { return rank_; }

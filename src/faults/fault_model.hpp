@@ -10,14 +10,13 @@
 //
 // Spatial semantics (within one device):
 //   kSingleBit  — one cell anywhere in a row (data or spare region)
-//   kSingleWord — one aligned 128-bit internal-fetch word; each bit
-//                 corrupted with p = 0.5 (failed local wordline driver)
+//   kSingleWord — one aligned 128-bit internal-fetch word (failed local
+//                 wordline driver)
 //   kSinglePin  — one DQ pin's entire pin line within a row (broken column
-//                 select / local I/O); each bit stuck at a random value.
-//                 Affects the data region only: spare (parity) cells are fed
-//                 by their own column lines and survive a DQ-path defect
-//   kSingleRow  — every bit of one row (failed master wordline); each bit
-//                 stuck at a random value
+//                 select / local I/O). Affects the data region only: spare
+//                 (parity) cells are fed by their own column lines and
+//                 survive a DQ-path defect
+//   kSingleRow  — every bit of one row (failed master wordline)
 //   kSingleBank — a row-fault footprint in every *touched* row of one bank
 //                 (failed bank-level logic; restricted to the working set
 //                 for tractability — untouched rows are never read, so the
@@ -25,6 +24,23 @@
 //   kPinBurst   — L consecutive bits along one pin line flipped (transient
 //                 burst noise on the array-to-I/O path; the burst-error
 //                 class the abstract's claim C3 targets)
+//
+// Footprints and hit rules. Every footprint is `count` row bits from
+// `first`, `stride` apart. Each cell is hit either always or with p = 1/2.
+// A hit cell is flipped (transient) or stuck at a Bernoulli(1/2) value
+// drawn right after its hit draw (permanent):
+//
+//   type         first bit               count           stride   cells hit
+//   single-bit   drawn bit               1               1        every
+//   single-word  128 * w                 128             1        p = 1/2
+//   single-pin   pin                     PinLineBits()   dq_pins  (a)
+//   single-row   0                       TotalRowBits()  1        (a)
+//   single-bank  single-row's, on each working row of the bank in turn;
+//                the touch hook runs before each row
+//   pin-burst    PinLineBit(pin, start)  L               dq_pins  every
+//
+//   (a) permanent: every cell; transient: each cell with p = 1/2.
+//   A pin burst is always transient.
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include "faults/injector.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/contract.hpp"
@@ -62,129 +63,74 @@ std::size_t Injector::RandomRow(util::Xoshiro256& rng) const {
   return static_cast<std::size_t>(rng.UniformBelow(rows_.size()));
 }
 
-RowRef Injector::Touch(std::size_t i) {
+void Injector::Corrupt(unsigned device, std::size_t i, const Footprint& cells,
+                       bool permanent, util::Xoshiro256& rng) {
   if (on_touch_) on_touch_(i);
-  return rows_[i];
-}
-
-void Injector::CorruptBit(unsigned device, const RowRef& where, unsigned bit,
-                          bool permanent, util::Xoshiro256& rng) {
+  const RowRef where = rows_[i];
   auto& dev = rank_.device(device);
-  if (permanent) {
-    dev.SetStuck(where.bank, where.row, bit, rng.Bernoulli(0.5));
-  } else {
-    dev.InjectFlip(where.bank, where.row, bit);
-  }
-}
-
-void Injector::ApplySingleBit(InjectedFault& f, util::Xoshiro256& rng) {
-  const auto& g = rank_.geometry().device;
-  const RowRef where = Touch(RandomRow(rng));
-  f.bank = where.bank;
-  f.row = where.row;
-  f.bit = static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
-  if (f.permanent) {
-    CorruptBit(f.device, where, f.bit, true, rng);
-  } else {
-    // A transient cell flip is a definite inversion.
-    rank_.device(f.device).InjectFlip(where.bank, where.row, f.bit);
-  }
-}
-
-void Injector::ApplySingleWord(InjectedFault& f, util::Xoshiro256& rng) {
-  const auto& g = rank_.geometry().device;
-  constexpr unsigned kWordBits = 128;
-  const RowRef where = Touch(RandomRow(rng));
-  f.bank = where.bank;
-  f.row = where.row;
-  const unsigned words = g.row_bits / kWordBits;
-  const unsigned word = static_cast<unsigned>(rng.UniformBelow(words));
-  f.bit = word * kWordBits;
-  for (unsigned i = 0; i < kWordBits; ++i)
-    if (rng.Bernoulli(0.5))
-      CorruptBit(f.device, where, f.bit + i, f.permanent, rng);
-}
-
-void Injector::ApplySinglePin(InjectedFault& f, util::Xoshiro256& rng) {
-  const auto& g = rank_.geometry().device;
-  const RowRef where = Touch(RandomRow(rng));
-  f.bank = where.bank;
-  f.row = where.row;
-  const unsigned pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));
-  f.bit = pin;  // record the pin index
-  for (unsigned i = 0; i < g.PinLineBits(); ++i) {
-    const unsigned bit = dram::PinLineBit(g, pin, i);
-    if (f.permanent) {
-      CorruptBit(f.device, where, bit, true, rng);
-    } else if (rng.Bernoulli(0.5)) {
-      rank_.device(f.device).InjectFlip(where.bank, where.row, bit);
+  const unsigned row_bits = rank_.geometry().device.TotalRowBits();
+  unsigned word = cells.first / 64;
+  std::uint64_t flip = 0, stuck = 0, value = 0;
+  std::uint64_t& hit = permanent ? stuck : flip;
+  const auto write = [&] {
+    const unsigned offset = word * 64;
+    dev.Corrupt(where.bank, where.row, offset, std::min(64u, row_bits - offset),
+                flip, stuck, value);
+    flip = stuck = value = 0;
+  };
+  for (unsigned n = 0, bit = cells.first; n < cells.count;
+       ++n, bit += cells.stride) {
+    if (bit / 64 != word) {
+      write();
+      word = bit / 64;
     }
+    if (!cells.every && !rng.Bernoulli(0.5)) continue;
+    const std::uint64_t cell = std::uint64_t{1} << (bit % 64);
+    hit |= cell;
+    if (permanent && rng.Bernoulli(0.5)) value |= cell;
   }
-}
-
-void Injector::ApplyRowFootprint(unsigned device, const RowRef& where,
-                                 bool permanent, util::Xoshiro256& rng) {
-  const auto& g = rank_.geometry().device;
-  for (unsigned bit = 0; bit < g.TotalRowBits(); ++bit) {
-    if (permanent) {
-      CorruptBit(device, where, bit, true, rng);
-    } else if (rng.Bernoulli(0.5)) {
-      rank_.device(device).InjectFlip(where.bank, where.row, bit);
-    }
-  }
-}
-
-void Injector::ApplySingleRow(InjectedFault& f, util::Xoshiro256& rng) {
-  const RowRef where = Touch(RandomRow(rng));
-  f.bank = where.bank;
-  f.row = where.row;
-  f.bit = 0;
-  ApplyRowFootprint(f.device, where, f.permanent, rng);
-}
-
-void Injector::ApplySingleBank(InjectedFault& f, util::Xoshiro256& rng) {
-  const RowRef seed = rows_[RandomRow(rng)];
-  f.bank = seed.bank;
-  f.row = seed.row;
-  f.bit = 0;
-  for (std::size_t i = 0; i < rows_.size(); ++i)
-    if (rows_[i].bank == seed.bank)
-      ApplyRowFootprint(f.device, Touch(i), f.permanent, rng);
-}
-
-void Injector::ApplyPinBurst(InjectedFault& f, util::Xoshiro256& rng) {
-  const auto& g = rank_.geometry().device;
-  const RowRef where = Touch(RandomRow(rng));
-  f.bank = where.bank;
-  f.row = where.row;
-  const unsigned pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));
-  PAIR_CHECK(!(f.length == 0 || f.length > g.PinLineBits()), "Injector: bad pin-burst length");
-  const unsigned start = static_cast<unsigned>(
-      rng.UniformBelow(g.PinLineBits() - f.length + 1));
-  f.bit = start;
-  // A burst is a definite corruption of consecutive beats on the pin.
-  for (unsigned i = 0; i < f.length; ++i)
-    rank_.device(f.device).InjectFlip(where.bank, where.row,
-                                      dram::PinLineBit(g, pin, start + i));
+  write();
 }
 
 InjectedFault Injector::Inject(FaultType type, bool permanent,
                                util::Xoshiro256& rng) {
-  InjectedFault f;
-  f.type = type;
-  f.permanent = permanent;
-  f.device = static_cast<unsigned>(rng.UniformBelow(rank_.TotalDevices()));
+  const auto device =
+      static_cast<unsigned>(rng.UniformBelow(rank_.TotalDevices()));
+  if (type == FaultType::kPinBurst)
+    return InjectPinBurst(
+        device, 2 + static_cast<unsigned>(rng.UniformBelow(15)), rng);  // 2..16
+  const auto& g = rank_.geometry().device;
+  const std::size_t i = RandomRow(rng);
+  InjectedFault f{type, permanent, device, rows_[i].bank, rows_[i].row};
+  // Footprints and hit rules: the table in fault_model.hpp. Row and bank
+  // faults keep this whole-row footprint.
+  Footprint cells{0, g.TotalRowBits(), 1, permanent};
   switch (type) {
-    case FaultType::kSingleBit:  ApplySingleBit(f, rng); break;
-    case FaultType::kSingleWord: ApplySingleWord(f, rng); break;
-    case FaultType::kSinglePin:  ApplySinglePin(f, rng); break;
-    case FaultType::kSingleRow:  ApplySingleRow(f, rng); break;
-    case FaultType::kSingleBank: ApplySingleBank(f, rng); break;
-    case FaultType::kPinBurst:
-      f.permanent = false;  // bursts are transfer-path transients
-      f.length = 2 + static_cast<unsigned>(rng.UniformBelow(15));  // 2..16
-      ApplyPinBurst(f, rng);
+    case FaultType::kSingleBit:
+      f.bit = static_cast<unsigned>(rng.UniformBelow(g.TotalRowBits()));
+      cells = {f.bit, 1, 1, true};
       break;
+    case FaultType::kSingleWord: {
+      constexpr unsigned kWordBits = 128;
+      f.bit = kWordBits *
+              static_cast<unsigned>(rng.UniformBelow(g.row_bits / kWordBits));
+      cells = {f.bit, kWordBits, 1, false};
+      break;
+    }
+    case FaultType::kSinglePin:
+      f.bit = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));  // the pin
+      cells = {f.bit, g.PinLineBits(), g.dq_pins, permanent};
+      break;
+    case FaultType::kSingleRow:
+    case FaultType::kSingleBank:
+    case FaultType::kPinBurst:
+      break;
+  }
+  if (type == FaultType::kSingleBank) {
+    for (std::size_t j = 0; j < rows_.size(); ++j)
+      if (rows_[j].bank == f.bank) Corrupt(device, j, cells, permanent, rng);
+  } else {
+    Corrupt(device, i, cells, permanent, rng);
   }
   counters_.Record(f);
   return f;
@@ -199,12 +145,18 @@ InjectedFault Injector::InjectFromMix(const FaultMix& mix,
 
 InjectedFault Injector::InjectPinBurst(unsigned device, unsigned length,
                                        util::Xoshiro256& rng) {
-  InjectedFault f;
-  f.type = FaultType::kPinBurst;
-  f.permanent = false;
-  f.device = device;
-  f.length = length;
-  ApplyPinBurst(f, rng);
+  const auto& g = rank_.geometry().device;
+  const std::size_t i = RandomRow(rng);
+  const auto pin = static_cast<unsigned>(rng.UniformBelow(g.dq_pins));
+  PAIR_CHECK(!(length == 0 || length > g.PinLineBits()), "Injector: bad pin-burst length");
+  const auto start =
+      static_cast<unsigned>(rng.UniformBelow(g.PinLineBits() - length + 1));
+  // A burst is a definite flip of consecutive beats on the pin, a
+  // transfer-path transient.
+  const InjectedFault f{FaultType::kPinBurst, false, device, rows_[i].bank,
+                        rows_[i].row, start, length};
+  Corrupt(device, i, {dram::PinLineBit(g, pin, start), length, g.dq_pins, true},
+          false, rng);
   counters_.Record(f);
   return f;
 }

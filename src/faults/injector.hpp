@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "dram/rank.hpp"
@@ -88,19 +87,22 @@ class Injector {
   const InjectionCounters& counters() const noexcept { return counters_; }
 
  private:
+  /// The cells a fault reaches in one row (fault_model.hpp's table):
+  /// `count` bits from `first`, `stride` apart. Each is hit (`every`) or
+  /// hit with p = 1/2.
+  struct Footprint {
+    unsigned first;
+    unsigned count;
+    unsigned stride;
+    bool every;
+  };
+
   std::size_t RandomRow(util::Xoshiro256& rng) const;
-  /// Runs the touch hook for working row `i`; returns the row.
-  RowRef Touch(std::size_t i);
-  void CorruptBit(unsigned device, const RowRef& where, unsigned bit,
-                  bool permanent, util::Xoshiro256& rng);
-  void ApplySingleBit(InjectedFault& f, util::Xoshiro256& rng);
-  void ApplySingleWord(InjectedFault& f, util::Xoshiro256& rng);
-  void ApplySinglePin(InjectedFault& f, util::Xoshiro256& rng);
-  void ApplyRowFootprint(unsigned device, const RowRef& where, bool permanent,
-                         util::Xoshiro256& rng);
-  void ApplySingleRow(InjectedFault& f, util::Xoshiro256& rng);
-  void ApplySingleBank(InjectedFault& f, util::Xoshiro256& rng);
-  void ApplyPinBurst(InjectedFault& f, util::Xoshiro256& rng);
+  /// Runs the touch hook for working row `i`, then walks `cells` in order,
+  /// drawing each hit and, for a permanent fault, the hit cell's stuck
+  /// value right after it; one overlay write per 64-bit word.
+  void Corrupt(unsigned device, std::size_t i, const Footprint& cells,
+               bool permanent, util::Xoshiro256& rng);
 
   dram::Rank& rank_;
   std::vector<RowRef> rows_;

@@ -44,13 +44,6 @@ Poly Mul(const GfField& f, const Poly& a, const Poly& b) {
   return out;
 }
 
-Poly Scale(const GfField& f, const Poly& p, Elem c) {
-  Poly out(p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) out[i] = f.Mul(p[i], c);
-  Normalize(out);
-  return out;
-}
-
 Poly ShiftUp(const Poly& p, unsigned k) {
   if (Degree(p) < 0) return {};
   Poly out(p.size() + k, 0);

@@ -32,9 +32,6 @@ Poly Add(const Poly& a, const Poly& b);
 /// a * b (schoolbook; code polynomials here are short).
 Poly Mul(const GfField& f, const Poly& a, const Poly& b);
 
-/// p * scalar c.
-Poly Scale(const GfField& f, const Poly& p, Elem c);
-
 /// p * x^k (shift up by k).
 Poly ShiftUp(const Poly& p, unsigned k);
 

@@ -60,7 +60,6 @@ class JsonValue {
   static JsonValue MakeObject() { JsonValue v; v.value_ = Object{}; return v; }
 
   Kind kind() const noexcept { return static_cast<Kind>(value_.index()); }
-  bool IsNull() const noexcept { return kind() == Kind::kNull; }
   bool IsNumber() const noexcept {
     return kind() == Kind::kInt || kind() == Kind::kReal;
   }

@@ -47,10 +47,6 @@ class BitVec {
     words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
   }
 
-  void Clear() noexcept {
-    for (auto& w : words_) w = 0;
-  }
-
   /// Number of set bits.
   std::size_t Popcount() const noexcept {
     std::size_t n = 0;

@@ -1,50 +1,14 @@
-// Lightweight statistics accumulators for simulation output: streaming
-// mean/variance (Welford), min/max, binomial proportions with Wilson score
-// confidence intervals (the right interval for the very small failure
-// probabilities reliability simulation produces), and fixed-bin histograms.
+// Confidence bounds for simulation output: binomial proportions with Wilson
+// score intervals (the right interval for the very small failure
+// probabilities reliability simulation produces), the variance-driven
+// interval for weighted estimators, and the zero-event upper bound.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <vector>
-
-#include "util/contract.hpp"
 
 namespace pair_ecc::util {
-
-/// Streaming scalar accumulator (Welford's online algorithm).
-class RunningStat {
- public:
-  void Add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-    sum_ += x;
-  }
-
-  std::uint64_t Count() const noexcept { return n_; }
-  double Sum() const noexcept { return sum_; }
-  double Mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double Variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double StdDev() const noexcept { return std::sqrt(Variance()); }
-  double Min() const noexcept { return n_ ? min_ : 0.0; }
-  double Max() const noexcept { return n_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Wilson score interval for a binomial proportion.
 struct Proportion {
@@ -109,49 +73,5 @@ inline double ZeroEventUpperBound(std::uint64_t trials, double alpha = 0.05) {
   if (trials == 0) return 1.0;
   return 1.0 - std::pow(alpha, 1.0 / static_cast<double>(trials));
 }
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bin so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins)
-      : lo_(lo), hi_(hi), counts_(bins, 0) {
-    PAIR_DCHECK(hi > lo && bins > 0,
-                "histogram needs hi > lo and bins > 0");
-  }
-
-  void Add(double x) noexcept {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-    bin = std::clamp<std::int64_t>(bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-  }
-
-  std::size_t Bins() const noexcept { return counts_.size(); }
-  std::uint64_t BinCount(std::size_t i) const noexcept { return counts_[i]; }
-  std::uint64_t Total() const noexcept { return total_; }
-  double BinLow(std::size_t i) const noexcept {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-
-  /// p in [0,1]; returns the lower edge of the bin containing that quantile.
-  double Quantile(double p) const noexcept {
-    if (total_ == 0) return lo_;
-    const auto target = static_cast<std::uint64_t>(p * static_cast<double>(total_));
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      cum += counts_[i];
-      if (cum > target) return BinLow(i);
-    }
-    return hi_;
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
 
 }  // namespace pair_ecc::util

@@ -57,14 +57,6 @@ bool GzipSupported() noexcept {
 #endif
 }
 
-bool ZstdSupported() noexcept {
-#if PAIR_HAVE_ZSTD
-  return true;
-#else
-  return false;
-#endif
-}
-
 #if PAIR_HAVE_ZLIB
 namespace {
 

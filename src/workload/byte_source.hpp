@@ -59,9 +59,8 @@ class MemoryByteSource final : public ByteSource {
   std::size_t pos_ = 0;
 };
 
-/// True when the matching decompression backend was compiled in.
+/// True when the gzip/zlib backend (zlib) was compiled in.
 bool GzipSupported() noexcept;
-bool ZstdSupported() noexcept;
 
 /// Wraps `inner` (a gzip or zlib stream) in an inflating reader. `name`
 /// labels error messages. Throws std::runtime_error when built without

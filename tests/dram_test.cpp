@@ -3,6 +3,7 @@
 // rank line assembly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <tuple>
@@ -170,14 +171,13 @@ TEST_F(DeviceTest, StuckAppearsInBulkReads) {
   EXPECT_EQ(read.Get(5), !data.Get(5));
 }
 
-TEST_F(DeviceTest, ClearStuckRestoresStoredValues) {
+TEST_F(DeviceTest, StorageUnderStuckBitKeepsWrites) {
   dev_.WriteBit(0, 0, 9, true);
   dev_.SetStuck(0, 0, 9, false);
   EXPECT_FALSE(dev_.ReadBit(0, 0, 9));
   EXPECT_EQ(dev_.StuckCount(), 1u);
-  dev_.ClearStuck();
-  EXPECT_EQ(dev_.StuckCount(), 0u);
-  EXPECT_TRUE(dev_.ReadBit(0, 0, 9));
+  ASSERT_NE(dev_.FindStoredRow(0, 0), nullptr);
+  EXPECT_TRUE(dev_.FindStoredRow(0, 0)->Get(9));
 }
 
 TEST_F(DeviceTest, StuckCountDoesNotDoubleCount) {
@@ -185,6 +185,77 @@ TEST_F(DeviceTest, StuckCountDoesNotDoubleCount) {
   dev_.SetStuck(0, 0, 1, false);  // re-assign same bit
   EXPECT_EQ(dev_.StuckCount(), 1u);
   EXPECT_FALSE(dev_.ReadBit(0, 0, 1));
+}
+
+TEST_F(DeviceTest, WordCorruptEqualsPerBitSequence) {
+  // Overlapping word writes, row-end words and bits both flipped and stuck:
+  // each Corrupt must leave what the per-bit InjectFlip/SetStuck sequence
+  // leaves, stored row and stuck count included.
+  Device per_bit(g_);
+  Xoshiro256 rng(21);
+  const BitVec data = BitVec::Random(g_.TotalRowBits(), rng);
+  dev_.WriteBits(1, 4, 0, data);
+  per_bit.WriteBits(1, 4, 0, data);
+  for (int op = 0; op < 400; ++op) {
+    const unsigned row = 4 + static_cast<unsigned>(rng.UniformBelow(2));
+    const auto offset =
+        static_cast<unsigned>(rng.UniformBelow(g_.TotalRowBits()));
+    const unsigned count = std::min(64u, g_.TotalRowBits() - offset);
+    const std::uint64_t in_range =
+        count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
+    const std::uint64_t flip = rng() & rng() & in_range;
+    const std::uint64_t stuck = rng() & rng() & in_range;
+    const std::uint64_t value = rng();
+    dev_.Corrupt(1, row, offset, count, flip, stuck, value);
+    for (unsigned i = 0; i < count; ++i) {
+      if ((flip >> i) & 1u) per_bit.InjectFlip(1, row, offset + i);
+      if ((stuck >> i) & 1u)
+        per_bit.SetStuck(1, row, offset + i, ((value >> i) & 1u) != 0);
+    }
+    ASSERT_EQ(dev_.StuckCount(), per_bit.StuckCount()) << op;
+    for (unsigned r : {4u, 5u}) {
+      ASSERT_EQ(dev_.HasStuckBits(1, r), per_bit.HasStuckBits(1, r)) << op;
+      ASSERT_EQ(dev_.FindStoredRow(1, r) == nullptr,
+                per_bit.FindStoredRow(1, r) == nullptr) << op;
+      if (dev_.FindStoredRow(1, r) != nullptr) {
+        ASSERT_EQ(*dev_.FindStoredRow(1, r), *per_bit.FindStoredRow(1, r))
+            << op;
+      }
+      ASSERT_EQ(dev_.ReadBits(1, r, 0, g_.TotalRowBits()),
+                per_bit.ReadBits(1, r, 0, g_.TotalRowBits())) << op;
+    }
+  }
+}
+
+TEST_F(DeviceTest, RestickingAWordChangesValuesNotCount) {
+  dev_.Corrupt(0, 3, 64, 64, 0, 0xF0, 0xA0);
+  EXPECT_EQ(dev_.StuckCount(), 4u);
+  EXPECT_EQ(dev_.ReadBits(0, 3, 64, 64).GetWord(0, 64), 0xA0u);
+  dev_.Corrupt(0, 3, 64, 64, 0, 0x3C, 0x0C);  // two stuck again, two new
+  EXPECT_EQ(dev_.StuckCount(), 6u);
+  EXPECT_EQ(dev_.ReadBits(0, 3, 64, 64).GetWord(0, 64), 0x8Cu);
+}
+
+TEST_F(DeviceTest, CorruptWithZeroMasksCreatesNoRow) {
+  dev_.Corrupt(2, 9, 128, 64, 0, 0, ~std::uint64_t{0});
+  EXPECT_EQ(dev_.FindStoredRow(2, 9), nullptr);
+  EXPECT_FALSE(dev_.HasStuckBits(2, 9));
+  EXPECT_EQ(dev_.StuckCount(), 0u);
+  // Only the stored value changes under a flip: no overlay is created.
+  dev_.Corrupt(2, 9, 128, 64, 1, 0, 0);
+  ASSERT_NE(dev_.FindStoredRow(2, 9), nullptr);
+  EXPECT_FALSE(dev_.HasStuckBits(2, 9));
+  EXPECT_TRUE(dev_.ReadBit(2, 9, 128));
+}
+
+TEST_F(DeviceTest, CorruptRejectsBitsOutsideTheRow) {
+  EXPECT_THROW(dev_.Corrupt(16, 0, 0, 1, 0, 0, 0), std::out_of_range);
+  EXPECT_THROW(dev_.Corrupt(0, 0, 8700, 5, 1, 0, 0), std::out_of_range);
+  EXPECT_THROW(dev_.Corrupt(0, 0, 8700, 4, 0x10, 0, 0), std::out_of_range);
+  EXPECT_THROW(dev_.Corrupt(0, 0, 0, 65, 1, 0, 0), std::out_of_range);
+  EXPECT_THROW(dev_.InjectFlip(0, 0, g_.TotalRowBits()), std::out_of_range);
+  EXPECT_THROW(dev_.SetStuck(0, 0, g_.TotalRowBits(), true), std::out_of_range);
+  EXPECT_EQ(dev_.FindStoredRow(0, 0), nullptr);
 }
 
 // ---------------------------------------------------------------------- Rank
@@ -234,14 +305,6 @@ TEST_F(RankTest, SidecarDeviceNotPartOfLine) {
 TEST_F(RankTest, RejectsWrongLineWidth) {
   EXPECT_THROW(rank_.WriteLine({0, 0, 0}, BitVec(100)), std::invalid_argument);
   EXPECT_THROW(rank_.DeviceSlice(BitVec(100), 0), std::invalid_argument);
-}
-
-TEST_F(RankTest, ClearStuckClearsAllDevices) {
-  rank_.device(0).SetStuck(0, 0, 0, true);
-  rank_.device(8).SetStuck(0, 0, 0, true);
-  rank_.ClearStuck();
-  EXPECT_EQ(rank_.device(0).StuckCount(), 0u);
-  EXPECT_EQ(rank_.device(8).StuckCount(), 0u);
 }
 
 // ------------------------------------------------------------- Device fuzz

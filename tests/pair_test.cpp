@@ -129,10 +129,11 @@ TEST_F(PairTest, LongBurstIsDetectedNeverSilent) {
 
 TEST_F(PairTest, PinFaultIsContainedAndDetected) {
   Xoshiro256 rng(103);
-  faults::Injector injector(rank_, {{0, 4}});
   int sdc = 0, detected = 0;
-  for (int trial = 0; trial < 30; ++trial) {
-    const Address addr{0, 4, 60};
+  for (unsigned trial = 0; trial < 30; ++trial) {
+    // A fresh row per trial, so no earlier trial's stuck pin remains.
+    const Address addr{0, 4 + trial, 60};
+    faults::Injector injector(rank_, {{addr.bank, addr.row}});
     const BitVec line = WriteRandom(addr, rng);
     injector.Inject(faults::FaultType::kSinglePin, true, rng);
     const auto r = scheme_.ReadLine(addr);
@@ -148,9 +149,6 @@ TEST_F(PairTest, PinFaultIsContainedAndDetected) {
     } else if (r.data != line) {
       ++sdc;
     }
-    rank_.ClearStuck();
-    scheme_.WriteLine(addr, line);
-    scheme_.ScrubRow(0, 4);
   }
   EXPECT_EQ(sdc, 0);
   EXPECT_GT(detected, 20);  // a stuck pin is essentially always caught
@@ -228,7 +226,6 @@ TEST_F(PairTest, MarkSymbolErasedValidatesArguments) {
   // Duplicate registration is idempotent, not an error.
   scheme_.MarkSymbolErased(0, 0, 0, 5);
   scheme_.MarkSymbolErased(0, 0, 0, 5);
-  scheme_.ClearErasures();
 }
 
 TEST_F(PairTest, ScrubRowClearsAccumulatedTransients) {
@@ -525,7 +522,7 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
   // pin A: stuck at the value read, with the storage underneath flipped.
   // Reads, and so every codeword, stay clean. Overwrites that keep pin A's
   // data must write only the other pins' changed symbols and their parity;
-  // after ClearStuck the raw storage must equal the per-bit reference.
+  // the raw stored rows must equal the per-bit reference.
   const RankGeometry& rg = GetParam().rg;
   const auto& g = rg.device;
   Rank rank(rg);
@@ -594,19 +591,18 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
       }
     }
   }
-  rank.ClearStuck();
   for (unsigned d = 0; d < rank.DataDevices(); ++d)
-    EXPECT_EQ(rank.device(d).ReadBits(bank, row, 0, g.TotalRowBits()), ref[d])
+    EXPECT_EQ(*rank.device(d).FindStoredRow(bank, row), ref[d])
         << GetParam().name << " device " << d;
 }
 
 TEST_P(PairStagingTest, SymbolOfBitNamesTheOneStagedSymbolABitReaches) {
-  // Stick each bit of the row at its complement in turn: staging must change
-  // exactly the symbol SymbolOfBit names, or nothing for an unused spare
-  // cell. The expanded RS(132,128) leaves half the spare region unused
-  // where 128 symbols tile a pin line. The map is per device row, so two
-  // data devices (bit b on device b % 2) cover it at a fraction of the
-  // staging cost of a full rank.
+  // Stick each bit of the row at its complement in turn, then back at the
+  // value it read: staging must change exactly the symbol SymbolOfBit
+  // names, or nothing for an unused spare cell. The expanded RS(132,128)
+  // leaves half the spare region unused where 128 symbols tile a pin line.
+  // The map is per device row, so two data devices (bit b on device b % 2)
+  // cover it at a fraction of the staging cost of a full rank.
   RankGeometry rg = GetParam().rg;
   rg.data_devices = 2;
   const auto& g = rg.device;
@@ -634,9 +630,10 @@ TEST_P(PairStagingTest, SymbolOfBitNamesTheOneStagedSymbolABitReaches) {
     for (unsigned bit = 0; bit < g.TotalRowBits(); ++bit) {
       const unsigned d = bit % rank.DataDevices();
       auto& dev = rank.device(d);
-      dev.SetStuck(bank, row, bit, !dev.ReadBit(bank, row, bit));
+      const bool reads = dev.ReadBit(bank, row, bit);
+      dev.SetStuck(bank, row, bit, !reads);
       const rs::CodewordBlock block = scheme.StageCodewords(bank, row, 0, cw);
-      dev.ClearStuck();
+      dev.SetStuck(bank, row, bit, reads);
       std::vector<std::size_t> changed;
       for (std::size_t i = 0; i < clean.size(); ++i)
         if (block.Row(0)[i] != clean[i]) changed.push_back(i);
