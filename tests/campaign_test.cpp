@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -650,6 +651,165 @@ TEST(Campaign, ZeroFailureFleetUsesOneSidedBound) {
   EXPECT_EQ(lo->AsReal(), 0.0);
   EXPECT_DOUBLE_EQ(hi->AsReal(),
                    util::ZeroEventUpperBound(trials));  // 1 - 0.05^(1/64)
+}
+
+// ------------------------------------------------ every kind, pinned
+
+sim::CampaignSpec SystemSpec(unsigned threads, double faults_per_mcycle,
+                             const std::string& path,
+                             sim::ShardSlice slice = {}) {
+  sim::CampaignSpec spec;
+  spec.mode = sim::CampaignMode::kSystem;
+  spec.system.seed = 9;
+  spec.system.threads = threads;
+  spec.system.faults_per_mcycle = faults_per_mcycle;
+  workload::StreamConfig wl;
+  wl.kind = workload::StreamKind::kRandom;
+  wl.read_fraction = 0.67;
+  wl.num_requests = 50;
+  wl.intensity = 0.05;
+  wl.seed = spec.system.seed;
+  spec.demand =
+      sim::VectorSourceFactory(timing::Materialize(*workload::MakeStream(wl)));
+  spec.trials = 64;
+  spec.slice = slice;
+  spec.checkpoint_every = 1;
+  spec.checkpoint_path = path;
+  JsonValue fp = JsonValue::MakeObject();
+  fp.Set("mode", JsonValue("system"));
+  fp.Set("seed", JsonValue(spec.system.seed));
+  fp.Set("trials", JsonValue(spec.trials));
+  fp.Set("faults_per_mcycle", JsonValue(faults_per_mcycle));
+  fp.Set("tck_ns", JsonValue(spec.system.timing.tck_ns));
+  spec.fingerprint = fp;
+  return spec;
+}
+
+sim::CampaignSpec SplitCampaignSpec(unsigned threads, double faults_per_mcycle,
+                            const std::string& path,
+                            sim::ShardSlice slice = {}) {
+  sim::CampaignSpec spec = SystemSpec(threads, faults_per_mcycle, path, slice);
+  spec.split.thresholds = {1, 2};
+  spec.split.replicas = 3;
+  reliability::AddSplitFingerprint(spec.fingerprint, spec.split);
+  return spec;
+}
+
+/// One spec per campaign kind, parameterised by thread count, checkpoint
+/// path and slice.
+using KindSpec = std::function<sim::CampaignSpec(
+    unsigned threads, const std::string& path, sim::ShardSlice slice)>;
+
+std::string StateCrc(const std::string& path) {
+  const JsonValue body = telemetry::ReadCheckpointFile(path);
+  return util::Crc32Hex(body.Find("state")->Dump());
+}
+
+sim::FleetSpec PinFleet() {
+  sim::FleetSpec fleet;
+  fleet.devices = 1e6;
+  fleet.years = 5.0;
+  fleet.trial_years = 5.0;
+  return fleet;
+}
+
+/// Runs `kind` straight at one thread, then as two slices at three threads
+/// with slice 0 interrupted after one shard and resumed; both must merge
+/// to the same report. Records CRCs of every final checkpoint state and of
+/// the merged report under `name`.
+void PinKind(const std::string& name, const KindSpec& kind,
+             std::map<std::string, std::string>& actual) {
+  const std::string straight = TempPath("pin_" + name + "_straight.json");
+  ASSERT_TRUE(sim::RunCampaign(kind(1, straight, {})).complete) << name;
+
+  const std::string s0 = TempPath("pin_" + name + "_s0.json");
+  const std::string s1 = TempPath("pin_" + name + "_s1.json");
+  // One worker makes the stop exact; the resume runs on three.
+  const sim::CampaignProgress part =
+      sim::RunCampaign(kind(1, s0, {0, 2}), nullptr, /*max_shards=*/1);
+  ASSERT_FALSE(part.complete) << name;
+  ASSERT_EQ(part.next_shard, 1u) << name;
+  const sim::CampaignProgress rest = sim::RunCampaign(kind(3, s0, {0, 2}));
+  ASSERT_TRUE(rest.complete && rest.resumed) << name;
+  ASSERT_TRUE(sim::RunCampaign(kind(3, s1, {1, 2})).complete) << name;
+
+  const std::string whole =
+      sim::MergeCampaignCheckpoints({straight}, PinFleet()).ToJson(false).Dump();
+  const std::string merged = sim::MergeCampaignCheckpoints({s0, s1}, PinFleet())
+                                 .ToJson(false)
+                                 .Dump();
+  EXPECT_EQ(merged, whole) << name;
+  actual[name + "/state"] = StateCrc(straight);
+  actual[name + "/slice0_state"] = StateCrc(s0);
+  actual[name + "/slice1_state"] = StateCrc(s1);
+  actual[name + "/report"] = util::Crc32Hex(whole);
+}
+
+// Every campaign kind's checkpoint states and merged report (fleet
+// projection on) are pinned, so a change to how kinds are described must
+// leave checkpoint bytes and reports bit-exact. The zero-failure split
+// campaign pins the split fleet's one-sided bound.
+TEST(Campaign, EveryKindIsPinned) {
+  const std::map<std::string, std::string> expected = {
+      {"scenario/report", "9e89797c"},
+      {"scenario/slice0_state", "5442a535"},
+      {"scenario/slice1_state", "2aeb9f3b"},
+      {"scenario/state", "5363f3d1"},
+      {"split/report", "42e2786c"},
+      {"split/slice0_state", "1b8a8b9e"},
+      {"split/slice1_state", "1cb62a59"},
+      {"split/state", "9042f140"},
+      {"split_zero/report", "3ddf6990"},
+      {"split_zero/state", "3bf46429"},
+      {"system/report", "79516479"},
+      {"system/slice0_state", "193883da"},
+      {"system/slice1_state", "59e71783"},
+      {"system/state", "1ae5ed6b"},
+      {"tilted/report", "c2823f73"},
+      {"tilted/slice0_state", "118f33c7"},
+      {"tilted/slice1_state", "a3fe4fc2"},
+      {"tilted/state", "80d7d7ad"},
+  };
+  std::map<std::string, std::string> actual;
+  PinKind("scenario",
+          [](unsigned threads, const std::string& path, sim::ShardSlice slice) {
+            return ScenarioSpec(SmallScenario(threads), 64, path, slice);
+          },
+          actual);
+  PinKind("tilted",
+          [](unsigned threads, const std::string& path, sim::ShardSlice slice) {
+            return TiltedSpec(SmallScenario(threads), 64, path, slice);
+          },
+          actual);
+  PinKind("system",
+          [](unsigned threads, const std::string& path, sim::ShardSlice slice) {
+            return SystemSpec(threads, 200.0, path, slice);
+          },
+          actual);
+  PinKind("split",
+          [](unsigned threads, const std::string& path, sim::ShardSlice slice) {
+            return SplitCampaignSpec(threads, 200.0, path, slice);
+          },
+          actual);
+
+  const std::string zero = TempPath("pin_split_zero.json");
+  ASSERT_TRUE(sim::RunCampaign(SplitCampaignSpec(2, 0.0, zero)).complete);
+  const telemetry::Report report =
+      sim::MergeCampaignCheckpoints({zero}, PinFleet());
+  const JsonValue json = report.ToJson(false);
+  const JsonValue* metrics = json.Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->Find("split.p_failure")->AsReal(), 0.0);
+  EXPECT_EQ(metrics->Find("fleet.p_trial_failure_lo")->AsReal(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics->Find("fleet.p_trial_failure_hi")->AsReal(),
+                   util::ZeroEventUpperBound(64));
+  actual["split_zero/state"] = StateCrc(zero);
+  actual["split_zero/report"] = util::Crc32Hex(json.Dump());
+
+  for (const auto& [key, crc] : actual)
+    EXPECT_EQ(crc, expected.count(key) ? expected.at(key) : "")
+        << "{\"" << key << "\", \"" << crc << "\"},";
+  EXPECT_EQ(actual.size(), expected.size());
 }
 
 TEST(Campaign, WeightedFleetIntervalBracketsEstimate) {
