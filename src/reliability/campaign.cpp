@@ -10,7 +10,6 @@
 namespace pair_ecc::reliability {
 
 using telemetry::JsonValue;
-using telemetry::RequireField;
 
 WorkingSet MakeScenarioWorkingSet(const ScenarioConfig& config) {
   return MakeWorkingSet(config.geometry, config.working_rows,
@@ -55,37 +54,13 @@ void RunScenarioTrial(const ScenarioConfig& config, const WorkingSet& ws,
   acc.tel.injection += injector.counters();
 }
 
-JsonValue OutcomeCountsToJson(const OutcomeCounts& counts) {
-  return telemetry::FieldsToJson(counts);
-}
-
-OutcomeCounts OutcomeCountsFromJson(const JsonValue& value) {
-  return telemetry::FieldsFromJson<OutcomeCounts>(value,
-                                                  "checkpoint outcome counts");
-}
-
-JsonValue TrialTelemetryToJson(const TrialTelemetry& tel) {
-  return telemetry::FieldsToJson(tel);
-}
-
-TrialTelemetry TrialTelemetryFromJson(const JsonValue& value) {
-  return telemetry::FieldsFromJson<TrialTelemetry>(
-      value, "checkpoint trial telemetry");
-}
-
 JsonValue ScenarioStateToJson(const ScenarioShardState& state) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("counts", OutcomeCountsToJson(state.counts));
-  obj.Set("telemetry", TrialTelemetryToJson(state.tel));
-  return obj;
+  return telemetry::FieldsToJson(state);
 }
 
 ScenarioShardState ScenarioStateFromJson(const JsonValue& value) {
-  const std::string what = "checkpoint scenario state";
-  ScenarioShardState state;
-  state.counts = OutcomeCountsFromJson(RequireField(value, "counts", what));
-  state.tel = TrialTelemetryFromJson(RequireField(value, "telemetry", what));
-  return state;
+  return telemetry::FieldsFromJson<ScenarioShardState>(
+      value, "checkpoint scenario state");
 }
 
 }  // namespace pair_ecc::reliability

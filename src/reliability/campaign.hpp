@@ -10,11 +10,13 @@
 // delegates to it.
 //
 // Serialization is exact: every accumulator member is a uint64 count (or a
-// fixed-bucket histogram of them), so ToJson/FromJson round-trips state
+// fixed-bucket histogram of them), written through the field tables
+// (util/fields.hpp), so ToJson/FromJson round-trips state
 // with no precision loss and a resumed accumulator continues from exactly
 // the in-memory value the checkpoint captured.
 #pragma once
 
+#include <tuple>
 #include <vector>
 
 #include "ecc/scheme.hpp"
@@ -22,20 +24,25 @@
 #include "reliability/monte_carlo.hpp"
 #include "reliability/telemetry.hpp"
 #include "telemetry/json.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::reliability {
 
 /// Shard accumulator for scenario campaigns: the headline counts plus the
 /// per-trial telemetry, merged together in shard order so both honour the
-/// same determinism contract.
+/// same determinism contract. Its checkpoint form is FieldsToJson of the
+/// table; both members report unprefixed.
 struct ScenarioShardState {
   OutcomeCounts counts;
   TrialTelemetry tel;
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&ScenarioShardState::counts, "counts", ""},
+      util::Field{&ScenarioShardState::tel, "telemetry", ""},
+  };
+
   ScenarioShardState& operator+=(const ScenarioShardState& other) {
-    counts += other.counts;
-    tel += other.tel;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const ScenarioShardState&,
@@ -73,12 +80,6 @@ void RunScenarioTrial(const ScenarioConfig& config, const WorkingSet& ws,
                       ScenarioScratch& scratch, unsigned faults);
 
 // ---- exact JSON round-trip of the accumulator (checkpoint state) ----
-
-telemetry::JsonValue OutcomeCountsToJson(const OutcomeCounts& counts);
-OutcomeCounts OutcomeCountsFromJson(const telemetry::JsonValue& value);
-
-telemetry::JsonValue TrialTelemetryToJson(const TrialTelemetry& tel);
-TrialTelemetry TrialTelemetryFromJson(const telemetry::JsonValue& value);
 
 telemetry::JsonValue ScenarioStateToJson(const ScenarioShardState& state);
 ScenarioShardState ScenarioStateFromJson(const telemetry::JsonValue& value);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 
 #include "reliability/engine.hpp"
@@ -13,6 +14,8 @@
 
 namespace pair_ecc::reliability {
 
+using telemetry::CountsFromJson;
+using telemetry::CountsToJson;
 using telemetry::JsonValue;
 using telemetry::RequireField;
 using telemetry::RequireU64;
@@ -29,26 +32,37 @@ std::vector<double> PoissonPmf(double lambda, unsigned max) {
   return pmf;
 }
 
-// PAIR_ANALYZE_ALLOW(CON-SPAN: whole-span iteration, any extent is legal)
-JsonValue U64VecToJson(std::span<const std::uint64_t> values) {
-  JsonValue arr = JsonValue::MakeArray();
-  for (const std::uint64_t v : values) arr.Append(JsonValue(v));
-  return arr;
+unsigned RequireUnsigned(const JsonValue& object, std::string_view key,
+                         const std::string& what) {
+  const std::uint64_t v = RequireU64(object, key, what);
+  if (v > std::numeric_limits<unsigned>::max())
+    throw std::runtime_error(what + ": field '" + std::string(key) + "' is " +
+                             std::to_string(v) + ", above the unsigned range");
+  return static_cast<unsigned>(v);
 }
 
-std::vector<std::uint64_t> U64VecFromJson(const JsonValue& value,
-                                          const std::string& what) {
-  if (value.kind() != JsonValue::Kind::kArray)
-    throw std::runtime_error(what + ": expected an array");
-  std::vector<std::uint64_t> out;
-  out.reserve(value.AsArray().size());
-  for (const JsonValue& entry : value.AsArray()) {
-    if (entry.kind() != JsonValue::Kind::kInt || entry.AsInt() < 0)
-      throw std::runtime_error(what +
-                               ": entries must be non-negative integers");
-    out.push_back(static_cast<std::uint64_t>(entry.AsInt()));
+/// The finish both weighted estimators share, over est.trials (> 0)
+/// samples whose values sum to `sum` and their squares to `sum_sq`; ESS is
+/// over `ess_sum`/`ess_sum_sq`, acceleration charged against `cost` (0: none).
+void FinishEstimate(WeightedEstimate& est, double sum, double sum_sq,
+                    double ess_sum, double ess_sum_sq, double cost) {
+  const double n = static_cast<double>(est.trials);
+  est.estimate = sum / n;
+  if (est.trials > 1) {
+    // Var(mean) = S^2 / n with the Bessel-corrected sample variance of the
+    // per-sample values.
+    const double s2 =
+        std::max(0.0, (sum_sq - n * est.estimate * est.estimate) / (n - 1.0));
+    est.variance = s2 / n;
   }
-  return out;
+  est.std_error = std::sqrt(est.variance);
+  est.ess = ess_sum_sq > 0.0 ? ess_sum * ess_sum / ess_sum_sq : 0.0;
+  est.relative_variance =
+      est.estimate > 0.0 ? est.variance / (est.estimate * est.estimate) : 0.0;
+  est.naive_equiv_trials =
+      est.variance > 0.0 ? est.estimate * (1.0 - est.estimate) / est.variance
+                         : 0.0;
+  est.acceleration = cost > 0.0 ? est.naive_equiv_trials / cost : 0.0;
 }
 
 double RequireReal(const JsonValue& object, std::string_view key,
@@ -149,43 +163,67 @@ unsigned TiltSampler::Sample(util::Xoshiro256& rng) const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// WeightedTally + estimators
+// ClassCounts + estimators
 // ---------------------------------------------------------------------------
 
-void WeightedTally::Record(unsigned cls, bool failed, bool any_sdc,
-                           bool any_due) {
-  const std::size_t need = static_cast<std::size_t>(cls) + 1;
-  if (trials.size() < need) {
-    trials.resize(need);
-    failures.resize(need);
-    sdc.resize(need);
-    due.resize(need);
-  }
-  ++trials[cls];
+void ClassCounts::Grow(std::size_t classes) {
+  if (Classes() >= classes) return;
+  samples.resize(classes);
+  failures.resize(classes);
+  sdc.resize(classes);
+  due.resize(classes);
+}
+
+void ClassCounts::Record(std::size_t cls, bool failed, bool any_sdc,
+                         bool any_due) {
+  Grow(cls + 1);
+  ++samples[cls];
   failures[cls] += failed;
   sdc[cls] += any_sdc;
   due[cls] += any_due;
 }
 
-std::uint64_t WeightedTally::TotalTrials() const noexcept {
-  std::uint64_t total = 0;
-  for (const std::uint64_t t : trials) total += t;
-  return total;
+const std::vector<std::uint64_t>& ClassCounts::Events(
+    WeightedEvent event) const noexcept {
+  if (event == WeightedEvent::kSdc) return sdc;
+  if (event == WeightedEvent::kDue) return due;
+  return failures;
 }
 
-WeightedTally& WeightedTally::operator+=(const WeightedTally& other) {
-  const std::size_t need = std::max(trials.size(), other.trials.size());
-  trials.resize(need);
-  failures.resize(need);
-  sdc.resize(need);
-  due.resize(need);
-  for (std::size_t c = 0; c < other.trials.size(); ++c) {
-    trials[c] += other.trials[c];
+ClassCounts& ClassCounts::operator+=(const ClassCounts& other) {
+  Grow(other.Classes());
+  for (std::size_t c = 0; c < other.Classes(); ++c) {
+    samples[c] += other.samples[c];
     failures[c] += other.failures[c];
     sdc[c] += other.sdc[c];
     due[c] += other.due[c];
   }
   return *this;
+}
+
+void ClassCountsToJson(const ClassCounts& counts, std::string_view samples_key,
+                       JsonValue& obj) {
+  obj.Set(std::string(samples_key), CountsToJson(counts.samples));
+  obj.Set("failures", CountsToJson(counts.failures));
+  obj.Set("sdc", CountsToJson(counts.sdc));
+  obj.Set("due", CountsToJson(counts.due));
+}
+
+ClassCounts ClassCountsFromJson(const JsonValue& obj,
+                                std::string_view samples_key,
+                                const std::string& what) {
+  ClassCounts counts;
+  counts.samples = CountsFromJson(RequireField(obj, samples_key, what), what);
+  counts.failures = CountsFromJson(RequireField(obj, "failures", what), what);
+  counts.sdc = CountsFromJson(RequireField(obj, "sdc", what), what);
+  counts.due = CountsFromJson(RequireField(obj, "due", what), what);
+  const std::size_t classes = counts.Classes();
+  if (counts.failures.size() != classes || counts.sdc.size() != classes ||
+      counts.due.size() != classes)
+    throw std::runtime_error(what + ": '" + std::string(samples_key) +
+                             "', 'failures', 'sdc' and 'due' must have "
+                             "equal lengths");
+  return counts;
 }
 
 WeightedEstimate EstimateFromClassCounts(
@@ -195,7 +233,6 @@ WeightedEstimate EstimateFromClassCounts(
              "EstimateFromClassCounts: class-count size mismatch ("
                  << weights.size() << " weights, " << trials.size()
                  << " trial classes, " << events.size() << " event classes)");
-  WeightedEstimate est;
   double sum_w = 0.0, sum_w2 = 0.0, sum_wf = 0.0, sum_w2f = 0.0;
   std::uint64_t total = 0;
   for (std::size_t c = 0; c < trials.size(); ++c) {
@@ -208,36 +245,20 @@ WeightedEstimate EstimateFromClassCounts(
     sum_wf += w * f;
     sum_w2f += w * w * f;
   }
+  WeightedEstimate est;
   est.trials = total;
-  if (total == 0) return est;
-  const double n = static_cast<double>(total);
-  est.estimate = sum_wf / n;
-  if (total > 1) {
-    // Var(mean) = S^2 / n with the Bessel-corrected sample variance of the
-    // per-trial values w * 1[event].
-    const double s2 =
-        std::max(0.0, (sum_w2f - n * est.estimate * est.estimate) / (n - 1.0));
-    est.variance = s2 / n;
-  }
-  est.std_error = std::sqrt(est.variance);
-  est.ess = sum_w2 > 0.0 ? sum_w * sum_w / sum_w2 : 0.0;
-  est.relative_variance =
-      est.estimate > 0.0 ? est.variance / (est.estimate * est.estimate) : 0.0;
-  est.naive_equiv_trials =
-      est.variance > 0.0 ? est.estimate * (1.0 - est.estimate) / est.variance
-                         : 0.0;
-  est.acceleration = est.naive_equiv_trials / n;
+  // A trial's value is w * 1[event]; ESS is over the weights themselves.
+  if (total != 0)
+    FinishEstimate(est, sum_wf, sum_w2f, sum_w, sum_w2,
+                   static_cast<double>(total));
   return est;
 }
 
 WeightedEstimate EstimateWeightedRate(const TiltSampler& sampler,
                                       const WeightedTally& tally,
                                       WeightedEvent event) {
-  const std::vector<std::uint64_t>* events = &tally.failures;
-  if (event == WeightedEvent::kSdc) events = &tally.sdc;
-  if (event == WeightedEvent::kDue) events = &tally.due;
-  WeightedEstimate est =
-      EstimateFromClassCounts(sampler.Weights(), tally.trials, *events);
+  WeightedEstimate est = EstimateFromClassCounts(
+      sampler.Weights(), tally.samples, tally.Events(event));
   est.tail_mass_below = sampler.TailMassBelow();
   est.tail_mass_above = sampler.TailMassAbove();
   return est;
@@ -290,40 +311,20 @@ WeightedScenarioState RunWeightedMonteCarlo(const ScenarioConfig& config,
 // JSON round-trip
 // ---------------------------------------------------------------------------
 
-JsonValue WeightedTallyToJson(const WeightedTally& tally) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("trials", U64VecToJson(tally.trials));
-  obj.Set("failures", U64VecToJson(tally.failures));
-  obj.Set("sdc", U64VecToJson(tally.sdc));
-  obj.Set("due", U64VecToJson(tally.due));
-  return obj;
-}
-
-WeightedTally WeightedTallyFromJson(const JsonValue& value) {
-  const std::string what = "checkpoint weighted tally";
-  WeightedTally tally;
-  tally.trials = U64VecFromJson(RequireField(value, "trials", what), what);
-  tally.failures = U64VecFromJson(RequireField(value, "failures", what), what);
-  tally.sdc = U64VecFromJson(RequireField(value, "sdc", what), what);
-  tally.due = U64VecFromJson(RequireField(value, "due", what), what);
-  if (tally.failures.size() != tally.trials.size() ||
-      tally.sdc.size() != tally.trials.size() ||
-      tally.due.size() != tally.trials.size())
-    throw std::runtime_error(what + ": class arrays must have equal lengths");
-  return tally;
-}
-
 JsonValue WeightedScenarioStateToJson(const WeightedScenarioState& state) {
   JsonValue obj = ScenarioStateToJson(state.base);
-  obj.Set("weighted", WeightedTallyToJson(state.tally));
+  JsonValue weighted = JsonValue::MakeObject();
+  ClassCountsToJson(state.tally, "trials", weighted);
+  obj.Set("weighted", std::move(weighted));
   return obj;
 }
 
 WeightedScenarioState WeightedScenarioStateFromJson(const JsonValue& value) {
   WeightedScenarioState state;
   state.base = ScenarioStateFromJson(value);
-  state.tally = WeightedTallyFromJson(
-      RequireField(value, "weighted", "checkpoint weighted scenario state"));
+  state.tally = ClassCountsFromJson(
+      RequireField(value, "weighted", "checkpoint weighted scenario state"),
+      "trials", "checkpoint weighted tally");
   return state;
 }
 
@@ -348,10 +349,8 @@ TiltSpec TiltSpecFromFingerprint(const JsonValue& fingerprint) {
   tilt.kind = TiltKindFromString(kind->AsString());
   tilt.lambda = RequireReal(fingerprint, "tilt_lambda", what);
   tilt.proposal_lambda = RequireReal(fingerprint, "tilt_proposal", what);
-  tilt.min_faults =
-      static_cast<unsigned>(RequireU64(fingerprint, "tilt_min", what));
-  tilt.max_faults =
-      static_cast<unsigned>(RequireU64(fingerprint, "tilt_max", what));
+  tilt.min_faults = RequireUnsigned(fingerprint, "tilt_min", what);
+  tilt.max_faults = RequireUnsigned(fingerprint, "tilt_max", what);
   tilt.Validate();
   return tilt;
 }
@@ -359,18 +358,15 @@ TiltSpec TiltSpecFromFingerprint(const JsonValue& fingerprint) {
 void AddWeightedMetrics(telemetry::Report& report, const TiltSpec& tilt,
                         const WeightedTally& tally) {
   const TiltSampler sampler(tilt);
-  const WeightedEstimate fail =
-      EstimateWeightedRate(sampler, tally, WeightedEvent::kFailure);
-  const WeightedEstimate sdc =
-      EstimateWeightedRate(sampler, tally, WeightedEvent::kSdc);
-  const WeightedEstimate due =
-      EstimateWeightedRate(sampler, tally, WeightedEvent::kDue);
-  report.AddMetric("is.p_failure", fail.estimate);
-  report.AddMetric("is.p_failure_std_error", fail.std_error);
-  report.AddMetric("is.p_sdc", sdc.estimate);
-  report.AddMetric("is.p_sdc_std_error", sdc.std_error);
-  report.AddMetric("is.p_due", due.estimate);
-  report.AddMetric("is.p_due_std_error", due.std_error);
+  const auto add = [&](WeightedEvent event, const std::string& name) {
+    const WeightedEstimate est = EstimateWeightedRate(sampler, tally, event);
+    report.AddMetric("is.p_" + name, est.estimate);
+    report.AddMetric("is.p_" + name + "_std_error", est.std_error);
+    return est;
+  };
+  add(WeightedEvent::kSdc, "sdc");
+  add(WeightedEvent::kDue, "due");
+  const WeightedEstimate fail = add(WeightedEvent::kFailure, "failure");
   report.AddMetric("is.ess", fail.ess);
   report.AddMetric("is.relative_variance", fail.relative_variance);
   report.AddMetric("is.tail_mass_below", fail.tail_mass_below);
@@ -436,11 +432,8 @@ std::string FormatSplitLevels(std::span<const std::uint64_t> thresholds) {
 namespace {
 
 void EnsureDepths(SplitTally& tally, std::size_t depths) {
-  if (tally.leaves.size() >= depths) return;
-  tally.leaves.resize(depths);
-  tally.failures.resize(depths);
-  tally.sdc.resize(depths);
-  tally.due.resize(depths);
+  if (tally.Classes() >= depths) return;
+  tally.Grow(depths);
   for (auto& row : tally.failure_cross) row.resize(depths);
   tally.failure_cross.resize(depths,
                              std::vector<std::uint64_t>(depths, 0));
@@ -449,7 +442,7 @@ void EnsureDepths(SplitTally& tally, std::size_t depths) {
 }  // namespace
 
 void SplitTally::RecordRootTrial(const SplitTreeCounts& tree) {
-  const std::size_t depths = tree.leaves.size();
+  const std::size_t depths = tree.Classes();
   PAIR_CHECK(tree.failures.size() == depths && tree.sdc.size() == depths &&
                  tree.due.size() == depths,
              "SplitTreeCounts depth vectors must have equal lengths");
@@ -457,29 +450,21 @@ void SplitTally::RecordRootTrial(const SplitTreeCounts& tree) {
   ++root_trials;
   nodes += tree.nodes;
   splits += tree.splits;
-  for (std::size_t d = 0; d < depths; ++d) {
-    leaves[d] += tree.leaves[d];
-    failures[d] += tree.failures[d];
-    sdc[d] += tree.sdc[d];
-    due[d] += tree.due[d];
+  ClassCounts::operator+=(tree);
+  for (std::size_t d = 0; d < depths; ++d)
     for (std::size_t e = 0; e < depths; ++e)
       failure_cross[d][e] += tree.failures[d] * tree.failures[e];
-  }
 }
 
 SplitTally& SplitTally::operator+=(const SplitTally& other) {
-  EnsureDepths(*this, other.leaves.size());
+  EnsureDepths(*this, other.Classes());
   root_trials += other.root_trials;
   nodes += other.nodes;
   splits += other.splits;
-  for (std::size_t d = 0; d < other.leaves.size(); ++d) {
-    leaves[d] += other.leaves[d];
-    failures[d] += other.failures[d];
-    sdc[d] += other.sdc[d];
-    due[d] += other.due[d];
-    for (std::size_t e = 0; e < other.leaves.size(); ++e)
+  ClassCounts::operator+=(other);
+  for (std::size_t d = 0; d < other.Classes(); ++d)
+    for (std::size_t e = 0; e < other.Classes(); ++e)
       failure_cross[d][e] += other.failure_cross[d][e];
-  }
   return *this;
 }
 
@@ -488,7 +473,7 @@ WeightedEstimate EstimateSplitRate(const SplitSpec& spec,
   WeightedEstimate est;
   est.trials = tally.root_trials;
   if (tally.root_trials == 0) return est;
-  const std::size_t depths = tally.leaves.size();
+  const std::size_t depths = tally.Classes();
   std::vector<double> rinv(depths);
   double p = 1.0;
   for (std::size_t d = 0; d < depths; ++d) {
@@ -502,39 +487,22 @@ WeightedEstimate EstimateSplitRate(const SplitSpec& spec,
       sum_x2 +=
           static_cast<double>(tally.failure_cross[d][e]) * rinv[d] * rinv[e];
   }
-  const double n = static_cast<double>(tally.root_trials);
-  est.estimate = sum_x / n;
-  if (tally.root_trials > 1) {
-    const double s2 =
-        std::max(0.0, (sum_x2 - n * est.estimate * est.estimate) / (n - 1.0));
-    est.variance = s2 / n;
-  }
-  est.std_error = std::sqrt(est.variance);
-  est.ess = sum_x2 > 0.0 ? sum_x * sum_x / sum_x2 : 0.0;
-  est.relative_variance =
-      est.estimate > 0.0 ? est.variance / (est.estimate * est.estimate) : 0.0;
-  est.naive_equiv_trials =
-      est.variance > 0.0 ? est.estimate * (1.0 - est.estimate) / est.variance
-                         : 0.0;
-  // Cost-honest acceleration: each tree node is one functional pass, the
-  // same unit of work as one naive trial.
-  est.acceleration = tally.nodes > 0
-                         ? est.naive_equiv_trials /
-                               static_cast<double>(tally.nodes)
-                         : 0.0;
+  // A root's value is its weighted failure-leaf count X_i. Acceleration is
+  // cost-honest: each tree node is one functional pass, the same unit of
+  // work as one naive trial.
+  FinishEstimate(est, sum_x, sum_x2, sum_x, sum_x2,
+                 static_cast<double>(tally.nodes));
   return est;
 }
 
 double SplitEventEstimate(const SplitSpec& spec, const SplitTally& tally,
                           WeightedEvent event) {
   if (tally.root_trials == 0) return 0.0;
-  const std::vector<std::uint64_t>* counts = &tally.failures;
-  if (event == WeightedEvent::kSdc) counts = &tally.sdc;
-  if (event == WeightedEvent::kDue) counts = &tally.due;
+  const std::vector<std::uint64_t>& counts = tally.Events(event);
   double sum = 0.0;
   double rinv = 1.0;
-  for (std::size_t d = 0; d < counts->size(); ++d) {
-    sum += static_cast<double>((*counts)[d]) * rinv;
+  for (std::size_t d = 0; d < counts.size(); ++d) {
+    sum += static_cast<double>(counts[d]) * rinv;
     rinv /= static_cast<double>(spec.replicas);
   }
   return sum / static_cast<double>(tally.root_trials);
@@ -545,12 +513,9 @@ JsonValue SplitTallyToJson(const SplitTally& tally) {
   obj.Set("root_trials", JsonValue(tally.root_trials));
   obj.Set("nodes", JsonValue(tally.nodes));
   obj.Set("splits", JsonValue(tally.splits));
-  obj.Set("leaves", U64VecToJson(tally.leaves));
-  obj.Set("failures", U64VecToJson(tally.failures));
-  obj.Set("sdc", U64VecToJson(tally.sdc));
-  obj.Set("due", U64VecToJson(tally.due));
+  ClassCountsToJson(tally, "leaves", obj);
   JsonValue cross = JsonValue::MakeArray();
-  for (const auto& row : tally.failure_cross) cross.Append(U64VecToJson(row));
+  for (const auto& row : tally.failure_cross) cross.Append(CountsToJson(row));
   obj.Set("failure_cross", std::move(cross));
   return obj;
 }
@@ -561,27 +526,19 @@ SplitTally SplitTallyFromJson(const JsonValue& value) {
   tally.root_trials = RequireU64(value, "root_trials", what);
   tally.nodes = RequireU64(value, "nodes", what);
   tally.splits = RequireU64(value, "splits", what);
-  tally.leaves = U64VecFromJson(RequireField(value, "leaves", what), what);
-  tally.failures = U64VecFromJson(RequireField(value, "failures", what), what);
-  tally.sdc = U64VecFromJson(RequireField(value, "sdc", what), what);
-  tally.due = U64VecFromJson(RequireField(value, "due", what), what);
-  const std::size_t depths = tally.leaves.size();
-  if (tally.failures.size() != depths || tally.sdc.size() != depths ||
-      tally.due.size() != depths)
-    throw std::runtime_error(what + ": depth arrays must have equal lengths");
+  static_cast<ClassCounts&>(tally) = ClassCountsFromJson(value, "leaves", what);
+  const std::size_t depths = tally.Classes();
   const JsonValue& cross = RequireField(value, "failure_cross", what);
+  const auto not_square = [&what] {
+    return std::runtime_error(what + ": failure_cross must be a square "
+                                     "matrix with one row per depth");
+  };
   if (cross.kind() != JsonValue::Kind::kArray ||
       cross.AsArray().size() != depths)
-    throw std::runtime_error(what +
-                             ": failure_cross must be a square matrix with "
-                             "one row per depth");
+    throw not_square();
   for (const JsonValue& row : cross.AsArray()) {
-    std::vector<std::uint64_t> r = U64VecFromJson(row, what);
-    if (r.size() != depths)
-      throw std::runtime_error(what +
-                               ": failure_cross must be a square matrix with "
-                               "one row per depth");
-    tally.failure_cross.push_back(std::move(r));
+    tally.failure_cross.push_back(CountsFromJson(row, what));
+    if (tally.failure_cross.back().size() != depths) throw not_square();
   }
   return tally;
 }
@@ -595,13 +552,10 @@ void AddSplitFingerprint(JsonValue& fingerprint, const SplitSpec& split) {
 SplitSpec SplitSpecFromFingerprint(const JsonValue& fingerprint) {
   SplitSpec split;
   const JsonValue* levels = fingerprint.Find("split_levels");
-  if (levels == nullptr) {
-    split.thresholds.clear();
-    return split;
-  }
+  if (levels == nullptr) return split;
   split.thresholds = ParseSplitLevels(levels->AsString());
-  split.replicas = static_cast<unsigned>(RequireU64(
-      fingerprint, "split_replicas", "campaign fingerprint split"));
+  split.replicas = RequireUnsigned(fingerprint, "split_replicas",
+                                   "campaign fingerprint split");
   split.Validate();
   return split;
 }
@@ -609,7 +563,7 @@ SplitSpec SplitSpecFromFingerprint(const JsonValue& fingerprint) {
 void AddSplitMetrics(telemetry::Report& report, const SplitSpec& split,
                      const SplitTally& tally) {
   std::uint64_t total_leaves = 0, total_failures = 0;
-  for (const std::uint64_t v : tally.leaves) total_leaves += v;
+  for (const std::uint64_t v : tally.samples) total_leaves += v;
   for (const std::uint64_t v : tally.failures) total_failures += v;
   auto& c = report.counters();
   c.Set("split.root_trials", tally.root_trials);

@@ -20,13 +20,13 @@
 // (deliberate, usually negligible) truncation bias is visible.
 //
 // Weight determinism contract. Per-trial weights are NEVER accumulated in
-// floating point. The shard accumulator (WeightedTally) holds exact uint64
-// counts per fault-count class; weights are a pure function of the
-// TiltSpec applied at report time. Shard merge is therefore integer
-// addition — bitwise identical for any thread count, resume point, or
-// slice order, exactly like the unweighted engine. The identity tilt runs
-// the unweighted trial body verbatim (zero extra RNG draws), so it
-// reproduces existing goldens bitwise.
+// floating point. The shard accumulator (WeightedTally, a ClassCounts)
+// holds exact uint64 counts per fault-count class; weights are a pure
+// function of the TiltSpec applied at report time. Shard merge is
+// therefore integer addition — bitwise identical for any thread count,
+// resume point, or slice order, exactly like the unweighted engine. The
+// identity tilt runs the unweighted trial body verbatim (zero extra RNG
+// draws), so it reproduces existing goldens bitwise.
 //
 // Multilevel splitting. For the system simulator a trial's "distance to
 // failure" is measured by a monotone level function (cumulative non-clean
@@ -34,15 +34,20 @@
 // re-simulated children that share its history up to the crossing (same
 // seeds) and diverge after it (fresh seed); each leaf at depth d carries
 // weight replicas^-d. SplitTally keeps exact integer leaf counts by depth
+// (the same ClassCounts block, a depth standing for a fault-count class)
 // plus the per-root cross-moment matrix, so both the estimate and its
-// variance are pure functions of integer state — same determinism contract
-// as the tilted path. The tree runner itself lives in sim/splitting.{hpp,
-// cpp} (the statistics here are simulator-agnostic).
+// variance are pure functions of integer state — same determinism
+// contract as the tilted path. Both estimators end in one shared finish
+// (variance, std error, ESS, relative variance, naive-equivalent trials,
+// acceleration). The tree runner itself lives in sim/splitting.{hpp,cpp}
+// (the statistics here are simulator-agnostic).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "reliability/campaign.hpp"
@@ -124,23 +129,41 @@ class TiltSampler {
   double tail_mass_above_ = 0.0;
 };
 
-/// Exact weighted accumulator: per fault-count-class uint64 tallies. All
-/// floating-point estimator math happens at report time from these counts,
-/// so shard merge (integer +=) preserves the engine's bitwise-determinism
-/// contract. Vectors grow lazily to the highest class a trial sampled;
-/// merging runs with identical trial populations yields identical sizes.
-struct WeightedTally {
-  std::vector<std::uint64_t> trials;    ///< trials per class
-  std::vector<std::uint64_t> failures;  ///< trials with any SDC or DUE
-  std::vector<std::uint64_t> sdc;       ///< trials with any SDC
-  std::vector<std::uint64_t> due;       ///< trials with any DUE
+enum class WeightedEvent : std::uint8_t { kFailure, kSdc, kDue };
 
-  void Record(unsigned cls, bool failed, bool any_sdc, bool any_due);
-  std::uint64_t TotalTrials() const noexcept;
+/// Exact per-class outcome counts, the block importance sampling (class =
+/// fault count in the tilt window, `samples` = trials, key "trials") and
+/// splitting (class = tree depth, `samples` = leaves, key "leaves") share.
+/// The four vectors have equal lengths and grow lazily to the highest class
+/// recorded; merge is integer +=, so it keeps the engine's determinism.
+struct ClassCounts {
+  std::vector<std::uint64_t> samples;
+  std::vector<std::uint64_t> failures;  ///< samples with any SDC or DUE
+  std::vector<std::uint64_t> sdc;       ///< samples with any SDC
+  std::vector<std::uint64_t> due;       ///< samples with any DUE
 
-  WeightedTally& operator+=(const WeightedTally& other);
-  friend bool operator==(const WeightedTally&, const WeightedTally&) = default;
+  std::size_t Classes() const noexcept { return samples.size(); }
+  /// Grows all four vectors to at least `classes` entries.
+  void Grow(std::size_t classes);
+  void Record(std::size_t cls, bool failed, bool any_sdc, bool any_due);
+  /// The per-class counts of one event kind.
+  const std::vector<std::uint64_t>& Events(WeightedEvent event) const noexcept;
+
+  ClassCounts& operator+=(const ClassCounts& other);
+  friend bool operator==(const ClassCounts&, const ClassCounts&) = default;
 };
+
+/// Appends the four vectors to `obj`, the first under `samples_key`.
+void ClassCountsToJson(const ClassCounts& counts, std::string_view samples_key,
+                       telemetry::JsonValue& obj);
+/// Inverse of ClassCountsToJson; throws "<what>: ..." unless all four are
+/// arrays of non-negative integers with equal lengths.
+ClassCounts ClassCountsFromJson(const telemetry::JsonValue& obj,
+                                std::string_view samples_key,
+                                const std::string& what);
+
+/// A tilted run's accumulator; all estimator math happens at report time.
+using WeightedTally = ClassCounts;
 
 /// Report-time estimator summary for a weighted (IS or splitting) run.
 struct WeightedEstimate {
@@ -165,8 +188,6 @@ struct WeightedEstimate {
 WeightedEstimate EstimateFromClassCounts(std::span<const double> weights,
                                          std::span<const std::uint64_t> trials,
                                          std::span<const std::uint64_t> events);
-
-enum class WeightedEvent : std::uint8_t { kFailure, kSdc, kDue };
 
 /// Full IS estimate (including tail-mass and acceleration diagnostics) for
 /// one event kind of a tilted run.
@@ -207,9 +228,6 @@ WeightedScenarioState RunWeightedMonteCarlo(const ScenarioConfig& config,
                                             ScenarioTelemetry* telemetry = nullptr);
 
 // ---- exact JSON round-trip (checkpoint state) ----
-
-telemetry::JsonValue WeightedTallyToJson(const WeightedTally& tally);
-WeightedTally WeightedTallyFromJson(const telemetry::JsonValue& value);
 
 /// Scenario state + a "weighted" sub-object — untilted checkpoints stay
 /// byte-identical to the pre-IS format.
@@ -259,29 +277,22 @@ struct SplitSpec {
 std::vector<std::uint64_t> ParseSplitLevels(const std::string& text);
 std::string FormatSplitLevels(std::span<const std::uint64_t> thresholds);
 
-/// One root trial's tree, filled by the sim-layer runner: per-depth leaf
-/// tallies plus node/split counts.
-struct SplitTreeCounts {
-  std::vector<std::uint64_t> leaves;    ///< completed leaves by depth
-  std::vector<std::uint64_t> failures;  ///< failure leaves by depth
-  std::vector<std::uint64_t> sdc;
-  std::vector<std::uint64_t> due;
+/// One root trial's tree, filled by the sim-layer runner: completed leaves
+/// by depth plus node/split counts.
+struct SplitTreeCounts : ClassCounts {
   std::uint64_t nodes = 0;
   std::uint64_t splits = 0;
 };
 
-/// Exact splitting accumulator. `failure_cross[d][d']` sums, over root
-/// trials, the product of failure-leaf counts at depths d and d' — the
-/// integer cross moments that make the estimator variance exact:
+/// Exact splitting accumulator: leaves by depth plus the root, node and
+/// split counts. `failure_cross[d][d']` sums, over root trials, the product
+/// of failure-leaf counts at depths d and d' — the integer cross moments
+/// that make the estimator variance exact:
 ///   X_i = sum_d c_{i,d} R^-d,  sum_i X_i^2 = sum_{d,d'} R^-(d+d') cross.
-struct SplitTally {
+struct SplitTally : ClassCounts {
   std::uint64_t root_trials = 0;
   std::uint64_t nodes = 0;
   std::uint64_t splits = 0;
-  std::vector<std::uint64_t> leaves;
-  std::vector<std::uint64_t> failures;
-  std::vector<std::uint64_t> sdc;
-  std::vector<std::uint64_t> due;
   std::vector<std::vector<std::uint64_t>> failure_cross;
 
   void RecordRootTrial(const SplitTreeCounts& tree);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "sim/splitting.hpp"
@@ -61,29 +62,13 @@ reliability::WorkingSet MakeSystemWorkingSet(const SystemConfig& config) {
                                      /*row_mul=*/37, /*row_off=*/5);
 }
 
-JsonValue SystemStatsToJson(const SystemStats& stats) {
-  return telemetry::FieldsToJson(stats);
-}
-
-SystemStats SystemStatsFromJson(const JsonValue& value) {
-  return telemetry::FieldsFromJson<SystemStats>(value,
-                                                "checkpoint system stats");
-}
-
 JsonValue SystemStateToJson(const SystemShardState& state) {
-  JsonValue obj = JsonValue::MakeObject();
-  obj.Set("stats", SystemStatsToJson(state.stats));
-  obj.Set("telemetry", reliability::TrialTelemetryToJson(state.tel));
-  return obj;
+  return telemetry::FieldsToJson(state);
 }
 
 SystemShardState SystemStateFromJson(const JsonValue& value) {
-  const std::string what = "checkpoint system state";
-  SystemShardState state;
-  state.stats = SystemStatsFromJson(RequireField(value, "stats", what));
-  state.tel = reliability::TrialTelemetryFromJson(
-      RequireField(value, "telemetry", what));
-  return state;
+  return telemetry::FieldsFromJson<SystemShardState>(
+      value, "checkpoint system state");
 }
 
 namespace {
@@ -116,19 +101,6 @@ unsigned CampaignThreads(const CampaignSpec& spec) {
                                                  : spec.system.threads;
 }
 
-/// Trials covered by shards [first, next) of a `trials`-trial campaign.
-std::uint64_t TrialsInShards(std::uint64_t trials, std::uint64_t first,
-                             std::uint64_t next) {
-  const std::uint64_t a =
-      std::min(first * TrialEngine::kShardTrials, trials);
-  const std::uint64_t b = std::min(next * TrialEngine::kShardTrials, trials);
-  return b - a;
-}
-
-bool FileExists(const std::string& path) {
-  return std::ifstream(path).good();
-}
-
 bool RequireBool(const JsonValue& object, std::string_view key,
                  const std::string& what) {
   const JsonValue& v = RequireField(object, key, what);
@@ -159,15 +131,270 @@ JsonValue MakeCheckpointBody(const CampaignSpec& spec,
   return body;
 }
 
-/// Mode-agnostic driver. `StateTraits` supplies the accumulator type, its
-/// (de)serializers, and the per-trial body.
-template <typename State, typename Scratch, typename TrialFn,
-          typename StateToJson, typename StateFromJson>
-CampaignProgress RunCampaignImpl(const CampaignSpec& spec,
-                                 const std::atomic<bool>* stop,
-                                 std::uint64_t max_shards, TrialFn&& trial_fn,
-                                 StateToJson&& state_to_json,
-                                 StateFromJson&& state_from_json) {
+/// One checkpoint file as resume and merge read it; `what` ("checkpoint
+/// '<path>'") prefixes every diagnostic about it.
+struct SliceDoc {
+  std::string path;
+  std::string what;
+  std::string mode;
+  std::string config_hash;
+  std::uint64_t total = 0;
+  std::uint64_t first = 0;
+  std::uint64_t end = 0;
+  std::uint64_t next = 0;
+  bool complete = false;
+  JsonValue config;
+  JsonValue state;
+};
+
+/// Reads `path`, refusing a checkpoint that disagrees with itself: its
+/// config_hash is not its config's CRC32 (one was edited), or it is marked
+/// complete short of its end_shard.
+SliceDoc ReadSlice(const std::string& path) {
+  const JsonValue body = telemetry::ReadCheckpointFile(path);
+  SliceDoc doc;
+  doc.path = path;
+  doc.what = "checkpoint '" + path + "'";
+  const std::string& what = doc.what;
+  doc.mode = RequireString(body, "mode", what);
+  doc.config_hash = RequireString(body, "config_hash", what);
+  doc.config = RequireField(body, "config", what);
+  const std::string own = util::Crc32Hex(doc.config.Dump());
+  if (own != doc.config_hash)
+    throw std::runtime_error(what + ": config_hash " + doc.config_hash +
+                             " is not the CRC32 of its own config (" + own +
+                             ") — refusing an edited checkpoint");
+  doc.total = RequireU64(body, "total_shards", what);
+  doc.first = RequireU64(body, "first_shard", what);
+  doc.end = RequireU64(body, "end_shard", what);
+  doc.next = RequireU64(body, "next_shard", what);
+  doc.complete = RequireBool(body, "complete", what);
+  if (doc.complete && doc.next != doc.end)
+    throw std::runtime_error(what + ": marked complete, but next_shard " +
+                             std::to_string(doc.next) + " is not end_shard " +
+                             std::to_string(doc.end));
+  doc.state = RequireField(body, "state", what);
+  return doc;
+}
+
+// The four campaign kinds (campaign.hpp); WithKind picks one.
+
+struct NoScratch {};
+
+/// Wilson, or the exact one-sided upper bound when no trial failed (the
+/// symmetric interval's upper limit would be an artifact of z).
+util::Proportion CountedInterval(std::uint64_t failures,
+                                 std::uint64_t trials) {
+  if (failures != 0 || trials == 0)
+    return util::WilsonInterval(failures, trials);
+  util::Proportion p;
+  p.upper = util::ZeroEventUpperBound(trials);
+  return p;
+}
+
+/// Wilson from a weighted estimator's variance; with no failure weight seen,
+/// the zero-event bound scaled by the largest per-trial value, plus
+/// `allowance` for target mass the estimand leaves out.
+util::Proportion WeightedInterval(const reliability::WeightedEstimate& est,
+                                  double max_value, double allowance) {
+  util::Proportion p;
+  if (est.trials > 0 && est.estimate <= 0.0)
+    p.upper = std::min(
+        1.0, max_value * util::ZeroEventUpperBound(est.trials) + allowance);
+  else if (est.trials > 0)
+    p = util::WilsonIntervalFromVariance(est.estimate, est.variance);
+  return p;
+}
+
+/// Untilted scenario campaign.
+struct ScenarioKind {
+  using State = ScenarioShardState;
+  using Scratch = ScenarioScratch;
+  static constexpr auto Save = &reliability::ScenarioStateToJson;
+
+  auto Trial(const CampaignSpec& spec) const {
+    spec.scenario.geometry.Validate();
+    return [&spec, ws = reliability::MakeScenarioWorkingSet(spec.scenario)](
+               std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch& s) {
+      reliability::RunScenarioTrial(spec.scenario, ws, rng, acc, s);
+    };
+  }
+  State Load(const JsonValue& state, const std::string&) const {
+    return reliability::ScenarioStateFromJson(state);
+  }
+  void Report(telemetry::Report& report, const State& total,
+              const JsonValue&) const {
+    reliability::AddScenarioCounters(report, total.counts);
+    reliability::AddTrialTelemetry(report, total.tel);
+  }
+  util::Proportion FailureInterval(const State& total) const {
+    return CountedInterval(total.counts.trials_with_failure,
+                           total.counts.trials);
+  }
+};
+
+/// Importance-sampled scenario campaign: the untilted sections plus the
+/// exact weighted tally.
+struct TiltedKind {
+  using State = reliability::WeightedScenarioState;
+  using Scratch = ScenarioScratch;
+  static constexpr auto Save = &reliability::WeightedScenarioStateToJson;
+  reliability::TiltSpec tilt;
+
+  auto Trial(const CampaignSpec& spec) const {
+    spec.scenario.geometry.Validate();
+    reliability::WorkingSet ws =
+        reliability::MakeScenarioWorkingSet(spec.scenario);
+    reliability::TiltSampler sampler(tilt);
+    return [&spec, ws = std::move(ws), sampler = std::move(sampler)](
+               std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch& s) {
+      reliability::RunWeightedScenarioTrial(spec.scenario, sampler, ws, rng,
+                                            acc, s);
+    };
+  }
+  State Load(const JsonValue& state, const std::string& what) const {
+    State loaded = reliability::WeightedScenarioStateFromJson(state);
+    if (loaded.tally.Classes() > tilt.Classes())
+      throw std::runtime_error(
+          what + ": weighted tally has " +
+          std::to_string(loaded.tally.Classes()) +
+          " classes, more than the tilt window [" +
+          std::to_string(tilt.min_faults) + ", " +
+          std::to_string(tilt.max_faults) + "] holds");
+    return loaded;
+  }
+  void Report(telemetry::Report& report, const State& total,
+              const JsonValue& fingerprint) const {
+    ScenarioKind{}.Report(report, total.base, fingerprint);
+    reliability::AddWeightedMetrics(report, tilt, total.tally);
+  }
+  /// A trial's value is at most the largest likelihood ratio; the excluded
+  /// upper-tail target mass is the conservative bias allowance.
+  util::Proportion FailureInterval(const State& total) const {
+    const reliability::TiltSampler sampler(tilt);
+    return WeightedInterval(
+        reliability::EstimateWeightedRate(sampler, total.tally,
+                                          reliability::WeightedEvent::kFailure),
+        sampler.MaxWeight(), sampler.TailMassAbove());
+  }
+};
+
+/// The config a system trial runs: the horizon a zero horizon_cycles
+/// resolves to is run state, not campaign identity, so the fingerprint
+/// and config hash never see it.
+SystemConfig ResolvedSystem(const CampaignSpec& spec) {
+  SystemConfig system = spec.system;
+  system.horizon_cycles = ScanDemand(spec.system, spec.demand).horizon_cycles;
+  return system;
+}
+
+/// Full-system lifetime campaign.
+struct SystemKind {
+  using State = SystemShardState;
+  using Scratch = NoScratch;
+  static constexpr auto Save = &SystemStateToJson;
+
+  auto Trial(const CampaignSpec& spec) const {
+    SystemConfig system = ResolvedSystem(spec);
+    reliability::WorkingSet ws = MakeSystemWorkingSet(system);
+    return [&spec, system = std::move(system), ws = std::move(ws)](
+               std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch&) {
+      const std::unique_ptr<timing::RequestSource> source = spec.demand();
+      MemorySystem(system, ws, *source, rng).Run(acc.stats, acc.tel);
+    };
+  }
+  State Load(const JsonValue& state, const std::string&) const {
+    return SystemStateFromJson(state);
+  }
+  void Report(telemetry::Report& report, const State& total,
+              const JsonValue& fingerprint) const {
+    const JsonValue* tck = fingerprint.Find("tck_ns");
+    if (tck == nullptr || !tck->IsNumber())
+      throw std::runtime_error(
+          "merge: system campaign fingerprint is missing 'tck_ns'");
+    AddSystemStats(report, total.stats, tck->AsReal());
+    reliability::AddTrialTelemetry(report, total.tel);
+  }
+  util::Proportion FailureInterval(const State& total) const {
+    return CountedInterval(total.stats.trials_with_failure,
+                           total.stats.trials);
+  }
+};
+
+/// Multilevel-split system campaign. It reports the splitting estimator
+/// only: interior and per-node system stats are biased by construction
+/// (trees oversample near-failure trajectories) and are not kept.
+struct SplitKind {
+  using State = reliability::SplitTally;
+  using Scratch = NoScratch;
+  reliability::SplitSpec split;
+
+  auto Trial(const CampaignSpec& spec) const {
+    SystemConfig system = ResolvedSystem(spec);
+    reliability::WorkingSet ws = MakeSystemWorkingSet(system);
+    split.Validate();
+    return [this, &spec, system = std::move(system), ws = std::move(ws)](
+               std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch&) {
+      // One draw from the engine's per-trial stream seeds the whole
+      // splitting tree; the tree re-derives node streams itself.
+      const std::uint64_t root_seed = rng();
+      const std::unique_ptr<timing::RequestSource> source = spec.demand();
+      RunSplitTrial(system, ws, *source, split, root_seed, acc);
+    };
+  }
+  JsonValue Save(const State& state) const {
+    JsonValue obj = JsonValue::MakeObject();
+    obj.Set("split", reliability::SplitTallyToJson(state));
+    return obj;
+  }
+  State Load(const JsonValue& state, const std::string& what) const {
+    State loaded = reliability::SplitTallyFromJson(
+        RequireField(state, "split", what + " split state"));
+    if (loaded.Classes() != 0 && loaded.Classes() != split.Depths())
+      throw std::runtime_error(
+          what + ": split tally has " + std::to_string(loaded.Classes()) +
+          " depths, but split levels " +
+          reliability::FormatSplitLevels(split.thresholds) + " make " +
+          std::to_string(split.Depths()));
+    return loaded;
+  }
+  void Report(telemetry::Report& report, const State& total,
+              const JsonValue&) const {
+    reliability::AddSplitMetrics(report, split, total);
+  }
+  /// A root's leaf weights sum to exactly 1, so its value lies in [0, 1].
+  util::Proportion FailureInterval(const State& total) const {
+    return WeightedInterval(reliability::EstimateSplitRate(split, total), 1.0,
+                            0.0);
+  }
+};
+
+/// Calls `fn` with the kind that (mode, tilt, split) describe. A tilt
+/// belongs to reliability mode and a split to system mode; the other two
+/// combinations describe no kind and are refused under `what`.
+template <typename Fn>
+auto WithKind(CampaignMode mode, const reliability::TiltSpec& tilt,
+              const reliability::SplitSpec& split, const std::string& what,
+              Fn&& fn) {
+  if (mode == CampaignMode::kSystem && tilt.Active())
+    throw std::runtime_error(what + ": a tilt applies to reliability "
+                                    "campaigns, not to system mode");
+  if (mode == CampaignMode::kReliability && split.Active())
+    throw std::runtime_error(what + ": a split applies to system "
+                                    "campaigns, not to reliability mode");
+  if (tilt.Active()) return fn(TiltedKind{tilt});
+  if (split.Active()) return fn(SplitKind{split});
+  if (mode == CampaignMode::kReliability) return fn(ScenarioKind{});
+  return fn(SystemKind{});
+}
+
+/// The one run/resume body over every kind.
+template <typename Kind>
+CampaignProgress RunKind(const Kind& kind, const CampaignSpec& spec,
+                         const std::atomic<bool>* stop,
+                         std::uint64_t max_shards) {
+  using State = typename Kind::State;
+  const auto trial = kind.Trial(spec);
   const SliceBounds bounds = ComputeSlice(spec.trials, spec.slice);
   const std::string config_hash = util::Crc32Hex(spec.fingerprint.Dump());
   if (spec.checkpoint_path.empty())
@@ -176,42 +403,38 @@ CampaignProgress RunCampaignImpl(const CampaignSpec& spec,
   State total{};
   std::uint64_t next = bounds.first;
   bool resumed = false;
-  if (FileExists(spec.checkpoint_path)) {
-    const JsonValue body = telemetry::ReadCheckpointFile(spec.checkpoint_path);
-    const std::string what = "checkpoint '" + spec.checkpoint_path + "'";
-    const std::string mode = RequireString(body, "mode", what);
-    if (mode != ToString(spec.mode))
-      throw std::runtime_error(what + ": records mode '" + mode +
+  if (std::ifstream(spec.checkpoint_path).good()) {
+    const SliceDoc doc = ReadSlice(spec.checkpoint_path);
+    const std::string& what = doc.what;
+    if (doc.mode != ToString(spec.mode))
+      throw std::runtime_error(what + ": records mode '" + doc.mode +
                                "' but this run is mode '" +
                                std::string(ToString(spec.mode)) + "'");
-    const std::string stored_hash = RequireString(body, "config_hash", what);
-    if (stored_hash != config_hash)
+    if (doc.config_hash != config_hash)
       throw std::runtime_error(
-          what + ": config hash mismatch (checkpoint " + stored_hash +
+          what + ": config hash mismatch (checkpoint " + doc.config_hash +
           ", current run " + config_hash +
           ") — refusing to resume with different parameters");
-    const std::uint64_t first = RequireU64(body, "first_shard", what);
-    const std::uint64_t end = RequireU64(body, "end_shard", what);
-    if (first != bounds.first || end != bounds.end)
+    if (doc.first != bounds.first || doc.end != bounds.end)
       throw std::runtime_error(
-          what + ": covers shards [" + std::to_string(first) + ", " +
-          std::to_string(end) + ") but this run's slice is [" +
+          what + ": covers shards [" + std::to_string(doc.first) + ", " +
+          std::to_string(doc.end) + ") but this run's slice is [" +
           std::to_string(bounds.first) + ", " + std::to_string(bounds.end) +
           ")");
-    next = RequireU64(body, "next_shard", what);
+    next = doc.next;
     if (next < bounds.first || next > bounds.end)
       throw std::runtime_error(what + ": next_shard " + std::to_string(next) +
                                " outside the slice [" +
                                std::to_string(bounds.first) + ", " +
                                std::to_string(bounds.end) + "]");
-    total = state_from_json(RequireField(body, "state", what));
+    total = kind.Load(doc.state, what);
     resumed = true;
   }
 
   const auto write_checkpoint = [&](std::uint64_t next_shard) {
     telemetry::WriteCheckpointFile(
         MakeCheckpointBody(spec, config_hash, bounds, next_shard,
-                           state_to_json(total)),
+                           kind.Save(total)),
         spec.checkpoint_path);
   };
 
@@ -223,8 +446,8 @@ CampaignProgress RunCampaignImpl(const CampaignSpec& spec,
     std::atomic<bool> halt{false};
     std::uint64_t shards_done = 0;
     const TrialEngine engine(CampaignThreads(spec));
-    next = engine.RunShardsObserved<State, Scratch>(
-        CampaignSeed(spec), spec.trials, next, bounds.end, trial_fn,
+    next = engine.RunShardsObserved<State, typename Kind::Scratch>(
+        CampaignSeed(spec), spec.trials, next, bounds.end, trial,
         [&](std::uint64_t shard, const State& shard_state) {
           total += shard_state;
           ++shards_done;
@@ -250,7 +473,10 @@ CampaignProgress RunCampaignImpl(const CampaignSpec& spec,
   progress.first_shard = bounds.first;
   progress.end_shard = bounds.end;
   progress.next_shard = next;
-  progress.trials_done = TrialsInShards(spec.trials, bounds.first, next);
+  const auto trials_before = [&spec](std::uint64_t shard) {
+    return std::min(shard * TrialEngine::kShardTrials, spec.trials);
+  };
+  progress.trials_done = trials_before(next) - trials_before(bounds.first);
   return progress;
 }
 
@@ -259,90 +485,13 @@ CampaignProgress RunCampaignImpl(const CampaignSpec& spec,
 CampaignProgress RunCampaign(const CampaignSpec& spec,
                              const std::atomic<bool>* stop,
                              std::uint64_t max_shards) {
-  if (spec.mode == CampaignMode::kReliability) {
-    spec.scenario.geometry.Validate();
-    const reliability::WorkingSet ws =
-        reliability::MakeScenarioWorkingSet(spec.scenario);
-    if (spec.tilt.Active()) {
-      const reliability::TiltSampler sampler(spec.tilt);
-      return RunCampaignImpl<reliability::WeightedScenarioState,
-                             ScenarioScratch>(
-          spec, stop, max_shards,
-          [&spec, &sampler, &ws](std::uint64_t /*trial*/,
-                                 util::Xoshiro256& rng,
-                                 reliability::WeightedScenarioState& acc,
-                                 ScenarioScratch& scratch) {
-            reliability::RunWeightedScenarioTrial(spec.scenario, sampler, ws,
-                                                  rng, acc, scratch);
-          },
-          [](const reliability::WeightedScenarioState& s) {
-            return reliability::WeightedScenarioStateToJson(s);
-          },
-          [](const JsonValue& v) {
-            return reliability::WeightedScenarioStateFromJson(v);
-          });
-    }
-    return RunCampaignImpl<ScenarioShardState, ScenarioScratch>(
-        spec, stop, max_shards,
-        [&spec, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                     ScenarioShardState& acc, ScenarioScratch& scratch) {
-          reliability::RunScenarioTrial(spec.scenario, ws, rng, acc, scratch);
-        },
-        [](const ScenarioShardState& s) {
-          return reliability::ScenarioStateToJson(s);
-        },
-        [](const JsonValue& v) {
-          return reliability::ScenarioStateFromJson(v);
-        });
-  }
-
-  // The horizon a zero horizon_cycles resolves to is run state, not
-  // campaign identity: the fingerprint and config hash never see it.
-  SystemConfig system = spec.system;
-  system.horizon_cycles = ScanDemand(spec.system, spec.demand).horizon_cycles;
-  const reliability::WorkingSet ws = MakeSystemWorkingSet(system);
-  struct None {};
-  if (spec.split.Active()) {
-    spec.split.Validate();
-    return RunCampaignImpl<reliability::SplitTally, None>(
-        spec, stop, max_shards,
-        [&spec, &system, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                              reliability::SplitTally& acc, None&) {
-          // One draw from the engine's per-trial stream seeds the whole
-          // splitting tree; the tree re-derives node streams itself.
-          const std::uint64_t root_seed = rng();
-          const std::unique_ptr<timing::RequestSource> source = spec.demand();
-          RunSplitTrial(system, ws, *source, spec.split, root_seed, acc);
-        },
-        [](const reliability::SplitTally& s) {
-          JsonValue obj = JsonValue::MakeObject();
-          obj.Set("split", reliability::SplitTallyToJson(s));
-          return obj;
-        },
-        [](const JsonValue& v) {
-          return reliability::SplitTallyFromJson(
-              RequireField(v, "split", "checkpoint split state"));
-        });
-  }
-  return RunCampaignImpl<SystemShardState, None>(
-      spec, stop, max_shards,
-      [&spec, &system, &ws](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                            SystemShardState& acc, None&) {
-        const std::unique_ptr<timing::RequestSource> source = spec.demand();
-        MemorySystem(system, ws, *source, rng).Run(acc.stats, acc.tel);
-      },
-      [](const SystemShardState& s) { return SystemStateToJson(s); },
-      [](const JsonValue& v) { return SystemStateFromJson(v); });
+  return WithKind(spec.mode, spec.tilt, spec.split, "campaign",
+                  [&](const auto& kind) {
+                    return RunKind(kind, spec, stop, max_shards);
+                  });
 }
 
 namespace {
-
-struct SliceDoc {
-  std::string path;
-  std::uint64_t first = 0;
-  std::uint64_t end = 0;
-  JsonValue state;
-};
 
 /// Meta section from the fingerprint's scalar entries, in insertion order
 /// — the campaign analogue of the per-tool Build*Report meta blocks.
@@ -376,11 +525,11 @@ bool FleetEnabled(const FleetSpec& fleet) {
   return true;
 }
 
-/// Shared fleet.* emitter: scales a per-trial failure interval up to the
-/// fleet. One trial models `trial_years` device-years; a device surviving
-/// `years` must survive years/trial_years independent trials.
-void EmitFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
-                         const util::Proportion& p) {
+/// The fleet.* emitter: scales a kind's per-trial failure interval up to
+/// the fleet. One trial models `trial_years` device-years; a device
+/// surviving `years` must survive years/trial_years independent trials.
+void AddFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
+                        const util::Proportion& p) {
   const auto project = [&fleet](double prob) {
     return fleet.devices *
            (1.0 - std::pow(1.0 - prob, fleet.years / fleet.trial_years));
@@ -396,65 +545,6 @@ void EmitFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
   report.AddMetric("fleet.expected_failures_hi", project(p.upper));
 }
 
-void AddFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
-                        std::uint64_t trials_with_failure,
-                        std::uint64_t trials) {
-  if (!FleetEnabled(fleet)) return;
-  util::Proportion p;
-  if (trials_with_failure == 0 && trials > 0) {
-    // Zero observed failures: the symmetric Wilson interval is the wrong
-    // shape (its upper limit is an artifact of z, not of the data). Report
-    // the exact one-sided upper bound instead.
-    p.upper = util::ZeroEventUpperBound(trials);
-  } else {
-    p = util::WilsonInterval(trials_with_failure, trials);
-  }
-  EmitFleetProjection(report, fleet, p);
-}
-
-/// Weighted (importance-sampled) fleet projection: the CI comes from the
-/// weighted estimator's actual variance, not unit-weight binomial counts.
-void AddWeightedFleetProjection(telemetry::Report& report,
-                                const FleetSpec& fleet,
-                                const reliability::TiltSpec& tilt,
-                                const reliability::WeightedTally& tally) {
-  if (!FleetEnabled(fleet)) return;
-  const reliability::TiltSampler sampler(tilt);
-  const reliability::WeightedEstimate est = reliability::EstimateWeightedRate(
-      sampler, tally, reliability::WeightedEvent::kFailure);
-  util::Proportion p;
-  if (est.trials > 0 && est.estimate <= 0.0) {
-    // No weighted failure mass observed. Per-trial values are bounded by
-    // the largest likelihood ratio, so the one-sided zero-event bound on
-    // the proposal's failure rate scales by that weight; the excluded
-    // upper-tail target mass is added as a conservative bias allowance.
-    p.upper = std::min(1.0, sampler.MaxWeight() *
-                                    util::ZeroEventUpperBound(est.trials) +
-                                sampler.TailMassAbove());
-  } else if (est.trials > 0) {
-    p = util::WilsonIntervalFromVariance(est.estimate, est.variance);
-  }
-  EmitFleetProjection(report, fleet, p);
-}
-
-/// Splitting fleet projection. Per-root contributions lie in [0, 1] (leaf
-/// weights under one root sum to exactly 1), so the unscaled zero-event
-/// bound applies when no failure leaf was seen.
-void AddSplitFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
-                             const reliability::SplitSpec& split,
-                             const reliability::SplitTally& tally) {
-  if (!FleetEnabled(fleet)) return;
-  const reliability::WeightedEstimate est =
-      reliability::EstimateSplitRate(split, tally);
-  util::Proportion p;
-  if (est.trials > 0 && est.estimate <= 0.0) {
-    p.upper = util::ZeroEventUpperBound(est.trials);
-  } else if (est.trials > 0) {
-    p = util::WilsonIntervalFromVariance(est.estimate, est.variance);
-  }
-  EmitFleetProjection(report, fleet, p);
-}
-
 }  // namespace
 
 telemetry::Report MergeCampaignCheckpoints(
@@ -462,54 +552,35 @@ telemetry::Report MergeCampaignCheckpoints(
   if (paths.empty())
     throw std::runtime_error("merge: no checkpoint files given");
 
-  std::string mode;
-  std::string config_hash;
-  std::string reference_path;
-  std::uint64_t total_shards = 0;
-  JsonValue fingerprint;
   std::vector<SliceDoc> docs;
   docs.reserve(paths.size());
-
   for (const std::string& path : paths) {
-    const JsonValue body = telemetry::ReadCheckpointFile(path);
-    const std::string what = "checkpoint '" + path + "'";
-    SliceDoc doc;
-    doc.path = path;
-    doc.first = RequireU64(body, "first_shard", what);
-    doc.end = RequireU64(body, "end_shard", what);
-    const std::uint64_t next = RequireU64(body, "next_shard", what);
-    if (!RequireBool(body, "complete", what))
+    SliceDoc doc = ReadSlice(path);
+    const std::string& what = doc.what;
+    if (!doc.complete)
       throw std::runtime_error(
           what + ": slice incomplete (resumable at shard " +
-          std::to_string(next) +
+          std::to_string(doc.next) +
           ") — resume it to completion before merging");
-    const std::string doc_mode = RequireString(body, "mode", what);
-    const std::string doc_hash = RequireString(body, "config_hash", what);
-    const std::uint64_t doc_total = RequireU64(body, "total_shards", what);
     if (docs.empty()) {
-      CampaignModeFromString(doc_mode);  // reject unknown modes up front
-      mode = doc_mode;
-      config_hash = doc_hash;
-      total_shards = doc_total;
-      reference_path = path;
-      fingerprint = RequireField(body, "config", what);
+      CampaignModeFromString(doc.mode);  // reject unknown modes up front
     } else {
-      if (doc_mode != mode)
-        throw std::runtime_error(what + ": mode '" + doc_mode +
-                                 "' differs from '" + mode + "' in '" +
-                                 reference_path + "'");
-      if (doc_hash != config_hash)
+      const SliceDoc& ref = docs.front();
+      if (doc.mode != ref.mode)
+        throw std::runtime_error(what + ": mode '" + doc.mode +
+                                 "' differs from '" + ref.mode + "' in '" +
+                                 ref.path + "'");
+      if (doc.config_hash != ref.config_hash)
         throw std::runtime_error(
-            what + ": config hash mismatch (" + doc_hash + " vs " +
-            config_hash + " from '" + reference_path +
+            what + ": config hash mismatch (" + doc.config_hash + " vs " +
+            ref.config_hash + " from '" + ref.path +
             "') — slices from different campaigns cannot be merged");
-      if (doc_total != total_shards)
+      if (doc.total != ref.total)
         throw std::runtime_error(
-            what + ": total_shards " + std::to_string(doc_total) +
-            " differs from " + std::to_string(total_shards) + " in '" +
-            reference_path + "'");
+            what + ": total_shards " + std::to_string(doc.total) +
+            " differs from " + std::to_string(ref.total) + " in '" +
+            ref.path + "'");
     }
-    doc.state = RequireField(body, "state", what);
     docs.push_back(std::move(doc));
   }
 
@@ -517,6 +588,10 @@ telemetry::Report MergeCampaignCheckpoints(
             [](const SliceDoc& a, const SliceDoc& b) {
               return a.first < b.first;
             });
+  // Every slice agrees with itself and with the first, so all carry the
+  // same config bytes, mode and shard count.
+  const std::uint64_t total_shards = docs.front().total;
+  const JsonValue& fingerprint = docs.front().config;
   std::uint64_t cursor = 0;
   for (const SliceDoc& doc : docs) {
     if (doc.first > cursor)
@@ -542,55 +617,17 @@ telemetry::Report MergeCampaignCheckpoints(
   AddFingerprintMeta(report, fingerprint);
   report.MetaInt("shards", static_cast<std::int64_t>(total_shards));
 
-  if (mode == "reliability") {
-    // An active tilt in the fingerprint means every slice carries the
-    // weighted tally (the config hash guarantees slices agree on it).
-    const reliability::TiltSpec tilt =
-        reliability::TiltSpecFromFingerprint(fingerprint);
-    if (tilt.Active()) {
-      reliability::WeightedScenarioState total;
-      for (const SliceDoc& doc : docs)
-        total += reliability::WeightedScenarioStateFromJson(doc.state);
-      reliability::AddScenarioCounters(report, total.base.counts);
-      reliability::AddTrialTelemetry(report, total.base.tel);
-      reliability::AddWeightedMetrics(report, tilt, total.tally);
-      AddWeightedFleetProjection(report, fleet, tilt, total.tally);
-    } else {
-      ScenarioShardState total;
-      for (const SliceDoc& doc : docs)
-        total += reliability::ScenarioStateFromJson(doc.state);
-      reliability::AddScenarioCounters(report, total.counts);
-      reliability::AddTrialTelemetry(report, total.tel);
-      AddFleetProjection(report, fleet, total.counts.trials_with_failure,
-                         total.counts.trials);
-    }
-  } else {
-    const reliability::SplitSpec split =
-        reliability::SplitSpecFromFingerprint(fingerprint);
-    if (split.Active()) {
-      // Split campaigns report the splitting estimator only: interior and
-      // per-node system stats are biased by construction (trees oversample
-      // near-failure trajectories) and are deliberately not kept.
-      reliability::SplitTally total;
-      for (const SliceDoc& doc : docs)
-        total += reliability::SplitTallyFromJson(RequireField(
-            doc.state, "split", "checkpoint '" + doc.path + "' split state"));
-      reliability::AddSplitMetrics(report, split, total);
-      AddSplitFleetProjection(report, fleet, split, total);
-    } else {
-      SystemShardState total;
-      for (const SliceDoc& doc : docs)
-        total += SystemStateFromJson(doc.state);
-      const JsonValue* tck = fingerprint.Find("tck_ns");
-      if (tck == nullptr || !tck->IsNumber())
-        throw std::runtime_error(
-            "merge: system campaign fingerprint is missing 'tck_ns'");
-      AddSystemStats(report, total.stats, tck->AsReal());
-      reliability::AddTrialTelemetry(report, total.tel);
-      AddFleetProjection(report, fleet, total.stats.trials_with_failure,
-                         total.stats.trials);
-    }
-  }
+  WithKind(CampaignModeFromString(docs.front().mode),
+           reliability::TiltSpecFromFingerprint(fingerprint),
+           reliability::SplitSpecFromFingerprint(fingerprint),
+           docs.front().what, [&](const auto& kind) {
+             typename std::remove_cvref_t<decltype(kind)>::State total{};
+             for (const SliceDoc& doc : docs)
+               total += kind.Load(doc.state, doc.what);
+             kind.Report(report, total, fingerprint);
+             if (FleetEnabled(fleet))
+               AddFleetProjection(report, fleet, kind.FailureInterval(total));
+           });
   return report;
 }
 

@@ -28,17 +28,28 @@
 // an accumulator bitwise identical to the uninterrupted run, and the
 // merge report (timing section excluded) is byte-identical.
 //
+// Campaign kinds: untilted scenario, tilted scenario (reliability mode),
+// system and split system (system mode). campaign.cpp describes each kind
+// once (state, scratch, trial body, state codec, report section, failure
+// interval); RunCampaign picks it from the spec, the merge from the
+// checkpoint's mode and fingerprint. A tilt in system mode or a split in
+// reliability mode is no kind and is refused.
+//
 // Graceful degradation: RunCampaign polls `stop` between shards; on
 // interruption the in-flight shard completes, a final checkpoint is
 // flushed, and the caller sees complete == false — rerunning the same
 // command resumes at next_shard. Merging refuses incomplete, corrupt,
-// overlapping, or gapped slices with distinct diagnostics.
+// overlapping, or gapped slices with distinct diagnostics, and resume
+// and merge both refuse a checkpoint that disagrees with itself (a
+// config_hash that is not its config's CRC32, a tally shaped unlike its
+// tilt window or split levels).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "reliability/campaign.hpp"
@@ -47,6 +58,7 @@
 #include "sim/memory_system.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/report.hpp"
+#include "util/fields.hpp"
 
 namespace pair_ecc::sim {
 
@@ -79,15 +91,19 @@ struct FleetSpec {
 
 /// Shard accumulator for system campaigns (the sim-layer analogue of
 /// reliability::ScenarioShardState): integer counters and fixed-bucket
-/// histograms, merged fieldwise.
+/// histograms, merged fieldwise. Its checkpoint form is FieldsToJson of
+/// the table; the stats report under "system.".
 struct SystemShardState {
   SystemStats stats;
   reliability::TrialTelemetry tel;
 
+  static constexpr auto kFields = std::tuple{
+      util::Field{&SystemShardState::stats, "stats", "system."},
+      util::Field{&SystemShardState::tel, "telemetry", ""},
+  };
+
   SystemShardState& operator+=(const SystemShardState& other) {
-    stats += other.stats;
-    tel += other.tel;
-    return *this;
+    return util::MergeFields(*this, other);
   }
 
   friend bool operator==(const SystemShardState&,
@@ -100,9 +116,6 @@ struct SystemShardState {
 reliability::WorkingSet MakeSystemWorkingSet(const SystemConfig& config);
 
 // ---- exact JSON round-trip of the system accumulator ----
-
-telemetry::JsonValue SystemStatsToJson(const SystemStats& stats);
-SystemStats SystemStatsFromJson(const telemetry::JsonValue& value);
 
 telemetry::JsonValue SystemStateToJson(const SystemShardState& state);
 SystemShardState SystemStateFromJson(const telemetry::JsonValue& value);
@@ -127,12 +140,14 @@ struct CampaignSpec {
   /// the checkpoint state carry the exact weighted tally. The identity
   /// tilt takes the pre-existing unweighted path verbatim (bitwise).
   /// Tilt parameters must appear in `fingerprint` (AddTiltFingerprint) so
-  /// mismatched tilts refuse to resume/merge via the config hash.
+  /// mismatched tilts refuse to resume/merge via the config hash. An
+  /// active tilt in kSystem mode is refused.
   reliability::TiltSpec tilt;
   /// Multilevel splitting for kSystem mode: an active split runs each
   /// engine trial as a splitting tree (sim/splitting.hpp) and the state
   /// becomes the exact SplitTally. Must appear in `fingerprint` via
-  /// AddSplitFingerprint, same refusal contract as tilt.
+  /// AddSplitFingerprint, same refusal contract as tilt. An active split
+  /// in kReliability mode is refused.
   reliability::SplitSpec split;
   std::uint64_t trials = 0;
   ShardSlice slice;

@@ -79,11 +79,8 @@ void RunNode(const SystemConfig& config, const reliability::WorkingSet& ws,
       seeds.pop_back();
     }
   } else {
-    const bool failed = observer.any_sdc() || observer.any_due();
-    ++tree.leaves[depth];
-    tree.failures[depth] += failed;
-    tree.sdc[depth] += observer.any_sdc();
-    tree.due[depth] += observer.any_due();
+    tree.Record(depth, observer.any_sdc() || observer.any_due(),
+                observer.any_sdc(), observer.any_due());
   }
 }
 
@@ -97,10 +94,7 @@ void RunSplitTrial(const SystemConfig& config,
   PAIR_CHECK(split.Active(), "RunSplitTrial requires an active split spec");
   const std::size_t depths = split.Depths();
   reliability::SplitTreeCounts tree;
-  tree.leaves.resize(depths);
-  tree.failures.resize(depths);
-  tree.sdc.resize(depths);
-  tree.due.resize(depths);
+  tree.Grow(depths);
 
   std::vector<std::uint64_t> seeds;
   seeds.reserve(depths);

@@ -69,40 +69,47 @@ void WriteCheckpointFile(const JsonValue& body, const std::string& path) {
 
 JsonValue HistogramToJson(const Histogram& histogram) {
   JsonValue entry = JsonValue::MakeObject();
-  JsonValue bounds = JsonValue::MakeArray();
-  for (const auto b : histogram.bounds()) bounds.Append(JsonValue(b));
-  JsonValue counts = JsonValue::MakeArray();
-  for (const auto c : histogram.counts()) counts.Append(JsonValue(c));
-  entry.Set("bounds", std::move(bounds));
-  entry.Set("counts", std::move(counts));
+  entry.Set("bounds", CountsToJson(histogram.bounds()));
+  entry.Set("counts", CountsToJson(histogram.counts()));
   entry.Set("sum", JsonValue(histogram.Sum()));
   return entry;
 }
 
 Histogram HistogramFromJson(const JsonValue& value, const std::string& what) {
-  const auto fail = [&what](const std::string& why) {
-    throw std::runtime_error(what + ": " + why);
+  if (value.kind() != JsonValue::Kind::kObject)
+    throw std::runtime_error(what + ": not an object");
+  const auto counts_of = [&](std::string_view key) {
+    return CountsFromJson(RequireField(value, key, what),
+                          what + ": field '" + std::string(key) + "'");
   };
-  if (value.kind() != JsonValue::Kind::kObject) fail("not an object");
-  const auto as_u64_vector = [&](std::string_view key) {
-    const JsonValue& arr = RequireField(value, key, what);
-    if (arr.kind() != JsonValue::Kind::kArray)
-      fail("field '" + std::string(key) + "' is not an array");
-    std::vector<std::uint64_t> out;
-    out.reserve(arr.AsArray().size());
-    for (const JsonValue& v : arr.AsArray()) {
-      if (v.kind() != JsonValue::Kind::kInt || v.AsInt() < 0)
-        fail("field '" + std::string(key) + "' holds a non-count entry");
-      out.push_back(static_cast<std::uint64_t>(v.AsInt()));
-    }
-    return out;
-  };
-  std::vector<std::uint64_t> bounds = as_u64_vector("bounds");
-  std::vector<std::uint64_t> counts = as_u64_vector("counts");
+  std::vector<std::uint64_t> bounds = counts_of("bounds");
+  std::vector<std::uint64_t> counts = counts_of("counts");
   const std::uint64_t sum = RequireU64(value, "sum", what);
   if (!counts.empty() && counts.size() != bounds.size() + 1)
-    fail("counts/bounds size mismatch");
+    throw std::runtime_error(what + ": counts/bounds size mismatch");
   return Histogram::FromParts(std::move(bounds), std::move(counts), sum);
+}
+
+// PAIR_ANALYZE_ALLOW(CON-SPAN: whole-span iteration, any extent is legal)
+JsonValue CountsToJson(std::span<const std::uint64_t> counts) {
+  JsonValue array = JsonValue::MakeArray();
+  for (const std::uint64_t n : counts) array.Append(JsonValue(n));
+  return array;
+}
+
+std::vector<std::uint64_t> CountsFromJson(const JsonValue& value,
+                                          const std::string& what) {
+  if (value.kind() != JsonValue::Kind::kArray)
+    throw std::runtime_error(what + ": expected an array");
+  std::vector<std::uint64_t> out;
+  out.reserve(value.AsArray().size());
+  for (const JsonValue& entry : value.AsArray()) {
+    if (entry.kind() != JsonValue::Kind::kInt || entry.AsInt() < 0)
+      throw std::runtime_error(what +
+                               ": entries must be non-negative integers");
+    out.push_back(static_cast<std::uint64_t>(entry.AsInt()));
+  }
+  return out;
 }
 
 const JsonValue& RequireField(const JsonValue& object, std::string_view key,

@@ -29,8 +29,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -63,6 +65,12 @@ void WriteCheckpointFile(const JsonValue& body, const std::string& path);
 /// pair-report "histograms" section uses.
 JsonValue HistogramToJson(const Histogram& histogram);
 Histogram HistogramFromJson(const JsonValue& value, const std::string& what);
+
+/// A JSON array of counts, and back. The reader throws "<what>: ..."
+/// unless `value` is an array of non-negative integers.
+JsonValue CountsToJson(std::span<const std::uint64_t> counts);
+std::vector<std::uint64_t> CountsFromJson(const JsonValue& value,
+                                          const std::string& what);
 
 /// Typed required-field lookups; throw std::runtime_error
 /// "<what>: missing field '<key>'" / "<what>: field '<key>' has the wrong

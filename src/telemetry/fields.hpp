@@ -4,15 +4,18 @@
 // counters.<prefix><name> per counter and histograms.<prefix><name> per
 // histogram that recorded. Read errors are RequireField/RequireU64's
 // "<what>: missing field" / "wrong type" lines; a nested table reports
-// under the same `what`, a histogram under "<what>: <key>".
+// under the same `what`, a histogram under "<what>: <key>" and an array
+// under "<what>: field '<key>'".
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "telemetry/checkpoint.hpp"
 #include "telemetry/json.hpp"
@@ -35,9 +38,7 @@ JsonValue FieldsToJson(const T& value) {
     } else if constexpr (util::HasFields<M>) {
       obj.Set(f.key, FieldsToJson(m));
     } else {
-      JsonValue array = JsonValue::MakeArray();
-      for (const std::uint64_t n : m) array.Append(JsonValue(n));
-      obj.Set(f.key, std::move(array));
+      obj.Set(f.key, CountsToJson(m));
     }
   });
   return obj;
@@ -58,21 +59,13 @@ T FieldsFromJson(const JsonValue& json, const std::string& what) {
     } else if constexpr (util::HasFields<M>) {
       m = FieldsFromJson<M>(RequireField(json, f.key, what), what);
     } else {
-      const auto fail = [&](const std::string& why) {
-        throw std::runtime_error(what + ": field '" + std::string(f.key) +
-                                 "' " + why);
-      };
-      const JsonValue& array = RequireField(json, f.key, what);
-      if (array.kind() != JsonValue::Kind::kArray ||
-          array.AsArray().size() != m.size())
-        fail("must be an array with one entry per " +
-             std::string(f.element_noun));
-      for (std::size_t i = 0; i < m.size(); ++i) {
-        const JsonValue& entry = array.AsArray()[i];
-        if (entry.kind() != JsonValue::Kind::kInt || entry.AsInt() < 0)
-          fail("entries must be non-negative integers");
-        m[i] = static_cast<std::uint64_t>(entry.AsInt());
-      }
+      const std::string field = what + ": field '" + std::string(f.key) + "'";
+      const std::vector<std::uint64_t> counts =
+          CountsFromJson(RequireField(json, f.key, what), field);
+      if (counts.size() != m.size())
+        throw std::runtime_error(field + " must have one entry per " +
+                                 std::string(f.element_noun));
+      std::copy(counts.begin(), counts.end(), m.begin());
     }
   });
   return out;

@@ -733,11 +733,13 @@ void PinKind(const std::string& name, const KindSpec& kind,
   ASSERT_TRUE(rest.complete && rest.resumed) << name;
   ASSERT_TRUE(sim::RunCampaign(kind(3, s1, {1, 2})).complete) << name;
 
-  const std::string whole =
-      sim::MergeCampaignCheckpoints({straight}, PinFleet()).ToJson(false).Dump();
-  const std::string merged = sim::MergeCampaignCheckpoints({s0, s1}, PinFleet())
-                                 .ToJson(false)
-                                 .Dump();
+  const auto report = [](const std::vector<std::string>& paths) {
+    return sim::MergeCampaignCheckpoints(paths, PinFleet())
+        .ToJson(false)
+        .Dump();
+  };
+  const std::string whole = report({straight});
+  const std::string merged = report({s0, s1});
   EXPECT_EQ(merged, whole) << name;
   actual[name + "/state"] = StateCrc(straight);
   actual[name + "/slice0_state"] = StateCrc(s0);
@@ -810,6 +812,177 @@ TEST(Campaign, EveryKindIsPinned) {
     EXPECT_EQ(crc, expected.count(key) ? expected.at(key) : "")
         << "{\"" << key << "\", \"" << crc << "\"},";
   EXPECT_EQ(actual.size(), expected.size());
+}
+
+// ------------------------------------ checkpoints that disagree with
+// themselves or with their spec
+
+JsonValue& Member(JsonValue& object, std::string_view key) {
+  for (auto& [name, value] : object.AsObject())
+    if (name == key) return value;
+  ADD_FAILURE() << "no member '" << key << "'";
+  static JsonValue none;
+  return none;
+}
+
+/// Edits a checkpoint's body and reseals it, as a hand edit would.
+void Reseal(const std::string& path,
+            const std::function<void(JsonValue& body)>& edit) {
+  JsonValue body = telemetry::ReadCheckpointFile(path);
+  edit(body);
+  telemetry::WriteCheckpointFile(body, path);
+}
+
+/// Gives the body a config_hash that matches its (edited) config.
+void Rehash(JsonValue& body) {
+  const std::string crc = util::Crc32Hex(Member(body, "config").Dump());
+  body.Set("config_hash", JsonValue(crc));
+}
+
+/// `run` must throw one line that names `path` and contains `expect`.
+void ExpectRefusal(const std::function<void()>& run, const std::string& path,
+                   const std::string& expect) {
+  try {
+    run();
+    ADD_FAILURE() << "accepted: expected '" << expect << "'";
+  } catch (const std::exception& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(expect), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+}
+
+TEST(Campaign, MergeAndResumeRefuseAConfigThatIsNotItsHash) {
+  const std::string path = TempPath("edited_config.json");
+  const sim::CampaignSpec spec = TiltedSpec(SmallScenario(), 64, path);
+  ASSERT_TRUE(sim::RunCampaign(spec).complete);
+  // Genuine checkpoints re-hash to their stored value.
+  ASSERT_NO_THROW(sim::MergeCampaignCheckpoints({path}));
+
+  Reseal(path, [](JsonValue& body) {
+    Member(body, "config").Set("tilt_max",
+                               JsonValue(std::uint64_t{4294967302}));
+  });
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "is not the CRC32 of its own config");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "is not the CRC32 of its own config");
+
+  // Re-hashed to agree with itself, a tilt window bound or a replica count
+  // beyond `unsigned` is refused by name instead of wrapping.
+  for (const char* field : {"tilt_min", "tilt_max", "split_replicas"}) {
+    const sim::CampaignSpec fresh =
+        std::string(field) == "split_replicas"
+            ? SplitCampaignSpec(2, 200.0, TempPath("edited_config.json"))
+            : TiltedSpec(SmallScenario(), 64, TempPath("edited_config.json"));
+    ASSERT_TRUE(sim::RunCampaign(fresh).complete);
+    Reseal(path, [&](JsonValue& body) {
+      Member(body, "config").Set(field, JsonValue(std::uint64_t{4294967302}));
+      Rehash(body);
+    });
+    try {
+      sim::MergeCampaignCheckpoints({path});
+      ADD_FAILURE() << field << " 4294967302 merged";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + field + "'"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("unsigned"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Campaign, MergeAndResumeRefuseATallyWiderThanTheTiltWindow) {
+  const std::string path = TempPath("wide_tally.json");
+  const sim::CampaignSpec spec = TiltedSpec(SmallScenario(), 64, path);
+  ASSERT_TRUE(sim::RunCampaign(spec).complete);
+  Reseal(path, [](JsonValue& body) {
+    JsonValue& weighted = Member(Member(body, "state"), "weighted");
+    for (const char* key : {"trials", "failures", "sdc", "due"})
+      Member(weighted, key).Append(JsonValue(std::uint64_t{0}));
+  });
+  // The window [2, 6] holds 5 classes.
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "weighted tally has 6");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "weighted tally has 6");
+}
+
+TEST(Campaign, MergeAndResumeRefuseASplitTallyOfTheWrongDepth) {
+  const std::string path = TempPath("deep_tally.json");
+  const sim::CampaignSpec spec = SplitCampaignSpec(2, 200.0, path);
+  ASSERT_TRUE(sim::RunCampaign(spec).complete);
+  Reseal(path, [](JsonValue& body) {
+    JsonValue& split = Member(Member(body, "state"), "split");
+    for (const char* key : {"leaves", "failures", "sdc", "due"})
+      Member(split, key).Append(JsonValue(std::uint64_t{1}));
+    JsonValue& cross = Member(split, "failure_cross");
+    for (JsonValue& row : cross.AsArray())
+      row.Append(JsonValue(std::uint64_t{0}));
+    JsonValue last = cross.AsArray().back();
+    cross.Append(std::move(last));
+  });
+  // Levels 1,2 make 3 depths.
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "split tally has 4 depths");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "split tally has 4 depths");
+}
+
+TEST(Campaign, MergeRefusesACompleteFlagThatDisagreesWithNextShard) {
+  const std::string path = TempPath("early_complete.json");
+  sim::RunCampaign(ScenarioSpec(SmallScenario(/*threads=*/1), 64, path),
+                   nullptr, /*max_shards=*/1);
+  Reseal(path, [](JsonValue& body) { body.Set("complete", JsonValue(true)); });
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "next_shard 1");
+}
+
+// A tilt belongs to reliability mode and a split to system mode; the other
+// two combinations describe no campaign kind.
+TEST(Campaign, KindlessCombinationsAreRefused) {
+  sim::CampaignSpec split_reliability =
+      ScenarioSpec(SmallScenario(), 64, TempPath("kindless_r.json"));
+  split_reliability.split.thresholds = {1, 2};
+  sim::CampaignSpec tilted_system =
+      SystemSpec(2, 200.0, TempPath("kindless_s.json"));
+  tilted_system.tilt = CampaignTilt();
+  for (const sim::CampaignSpec* spec : {&split_reliability, &tilted_system}) {
+    try {
+      sim::RunCampaign(*spec);
+      ADD_FAILURE() << "ran a " << sim::ToString(spec->mode)
+                    << " campaign it has no kind for";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(spec->mode == sim::CampaignMode::kSystem
+                              ? "tilt"
+                              : "split"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+
+  // The same combinations written into checkpoints that agree with
+  // themselves.
+  const std::string r = TempPath("kindless_r_ck.json");
+  const std::string s = TempPath("kindless_s_ck.json");
+  ASSERT_TRUE(sim::RunCampaign(ScenarioSpec(SmallScenario(), 64, r)).complete);
+  ASSERT_TRUE(sim::RunCampaign(SystemSpec(2, 200.0, s)).complete);
+  Reseal(r, [](JsonValue& body) {
+    reliability::SplitSpec split;
+    split.thresholds = {1, 2};
+    reliability::AddSplitFingerprint(Member(body, "config"), split);
+    Rehash(body);
+  });
+  Reseal(s, [](JsonValue& body) {
+    reliability::AddTiltFingerprint(Member(body, "config"), CampaignTilt());
+    Rehash(body);
+  });
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({r}); }, r, "split");
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({s}); }, s, "tilt");
 }
 
 TEST(Campaign, WeightedFleetIntervalBracketsEstimate) {

@@ -79,17 +79,6 @@ std::size_t ListedBytes() {
   return bytes;
 }
 
-template <>
-std::size_t ListedBytes<reliability::ScenarioShardState>() {
-  return sizeof(reliability::OutcomeCounts) +
-         sizeof(reliability::TrialTelemetry);
-}
-
-template <>
-std::size_t ListedBytes<sim::SystemShardState>() {
-  return sizeof(sim::SystemStats) + sizeof(reliability::TrialTelemetry);
-}
-
 // ---- one case per struct: its public checkpoint and report entry points
 
 template <typename T>
@@ -100,11 +89,9 @@ struct Case<reliability::OutcomeCounts> {
   using T = reliability::OutcomeCounts;
   static constexpr const char* kName = "OutcomeCounts";
   static constexpr const char* kPrefix = "";
-  static JsonValue ToJson(const T& x) {
-    return reliability::OutcomeCountsToJson(x);
-  }
+  static JsonValue ToJson(const T& x) { return telemetry::FieldsToJson(x); }
   static T FromJson(const JsonValue& v) {
-    return reliability::OutcomeCountsFromJson(v);
+    return telemetry::FieldsFromJson<T>(v, "outcome counts");
   }
   static void Report(telemetry::Report& r, const T& x) {
     reliability::AddScenarioCounters(r, x);
@@ -116,11 +103,9 @@ struct Case<reliability::TrialTelemetry> {
   using T = reliability::TrialTelemetry;
   static constexpr const char* kName = "TrialTelemetry";
   static constexpr const char* kPrefix = "";
-  static JsonValue ToJson(const T& x) {
-    return reliability::TrialTelemetryToJson(x);
-  }
+  static JsonValue ToJson(const T& x) { return telemetry::FieldsToJson(x); }
   static T FromJson(const JsonValue& v) {
-    return reliability::TrialTelemetryFromJson(v);
+    return telemetry::FieldsFromJson<T>(v, "trial telemetry");
   }
   static void Report(telemetry::Report& r, const T& x) {
     reliability::AddTrialTelemetry(r, x);
@@ -132,8 +117,10 @@ struct Case<sim::SystemStats> {
   using T = sim::SystemStats;
   static constexpr const char* kName = "SystemStats";
   static constexpr const char* kPrefix = "system.";
-  static JsonValue ToJson(const T& x) { return sim::SystemStatsToJson(x); }
-  static T FromJson(const JsonValue& v) { return sim::SystemStatsFromJson(v); }
+  static JsonValue ToJson(const T& x) { return telemetry::FieldsToJson(x); }
+  static T FromJson(const JsonValue& v) {
+    return telemetry::FieldsFromJson<T>(v, "system stats");
+  }
   static void Report(telemetry::Report& r, const T& x) {
     sim::AddSystemStats(r, x, /*tck_ns=*/1.0);
   }
@@ -178,18 +165,8 @@ struct Case<sim::RepairCounters>
   static constexpr const char* kPrefix = "system.repair.";
 };
 
-// The shard accumulators compose two tables by hand.
-
-void Fill(reliability::ScenarioShardState& s, std::uint64_t& next) {
-  Fill(s.counts, next);
-  Fill(s.tel, next);
-}
-
-void Collect(const reliability::ScenarioShardState& s, const std::string&,
-             Leaves& out) {
-  Collect(s.counts, "", out);
-  Collect(s.tel, "", out);
-}
+// The shard accumulators' tables nest the two above: their checkpoint
+// entry points are the campaign state codecs.
 
 template <>
 struct Case<reliability::ScenarioShardState> {
@@ -207,17 +184,6 @@ struct Case<reliability::ScenarioShardState> {
     reliability::AddTrialTelemetry(r, x.tel);
   }
 };
-
-void Fill(sim::SystemShardState& s, std::uint64_t& next) {
-  Fill(s.stats, next);
-  Fill(s.tel, next);
-}
-
-void Collect(const sim::SystemShardState& s, const std::string&,
-             Leaves& out) {
-  Collect(s.stats, "system.", out);
-  Collect(s.tel, "", out);
-}
 
 template <>
 struct Case<sim::SystemShardState> {

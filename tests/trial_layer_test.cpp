@@ -31,6 +31,7 @@
 #include "sim/campaign.hpp"
 #include "sim/memory_system.hpp"
 #include "sim/splitting.hpp"
+#include "telemetry/fields.hpp"
 #include "timing/presets.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contract.hpp"
@@ -306,7 +307,7 @@ std::string LifetimeDigest(const reliability::LifetimeStats& stats,
        << stats.trials_with_due << ' ' << stats.total_corrections << ' '
        << stats.total_scrub_writebacks << ' ' << std::hexfloat
        << stats.mean_sdc_epoch << ' '
-       << reliability::TrialTelemetryToJson(tel).Dump();
+       << telemetry::FieldsToJson(tel).Dump();
   return util::Crc32Hex(text.str());
 }
 
