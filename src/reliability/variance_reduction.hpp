@@ -243,7 +243,7 @@ WeightedScenarioState WeightedScenarioStateFromJson(
 void AddTiltFingerprint(telemetry::JsonValue& fingerprint,
                         const TiltSpec& tilt);
 /// Reconstructs the TiltSpec from a fingerprint; identity when absent.
-/// Throws std::runtime_error on malformed fields.
+/// Throws std::runtime_error on malformed fields, naming the field.
 TiltSpec TiltSpecFromFingerprint(const telemetry::JsonValue& fingerprint);
 
 /// Adds the is.* metrics (estimates, std errors, ESS, relative variance,

@@ -148,8 +148,8 @@ struct SliceDoc {
 };
 
 /// Reads `path`, refusing a checkpoint that disagrees with itself: its
-/// config_hash is not its config's CRC32 (one was edited), or it is marked
-/// complete short of its end_shard.
+/// config_hash is not its config's CRC32 (one was edited), its next_shard
+/// lies outside its slice, or it is marked complete short of its end.
 SliceDoc ReadSlice(const std::string& path) {
   const JsonValue body = telemetry::ReadCheckpointFile(path);
   SliceDoc doc;
@@ -169,6 +169,11 @@ SliceDoc ReadSlice(const std::string& path) {
   doc.end = RequireU64(body, "end_shard", what);
   doc.next = RequireU64(body, "next_shard", what);
   doc.complete = RequireBool(body, "complete", what);
+  if (doc.next < doc.first || doc.next > doc.end)
+    throw std::runtime_error(what + ": next_shard " + std::to_string(doc.next) +
+                             " outside its slice [" +
+                             std::to_string(doc.first) + ", " +
+                             std::to_string(doc.end) + "]");
   if (doc.complete && doc.next != doc.end)
     throw std::runtime_error(what + ": marked complete, but next_shard " +
                              std::to_string(doc.next) + " is not end_shard " +
@@ -422,11 +427,6 @@ CampaignProgress RunKind(const Kind& kind, const CampaignSpec& spec,
           std::to_string(bounds.first) + ", " + std::to_string(bounds.end) +
           ")");
     next = doc.next;
-    if (next < bounds.first || next > bounds.end)
-      throw std::runtime_error(what + ": next_shard " + std::to_string(next) +
-                               " outside the slice [" +
-                               std::to_string(bounds.first) + ", " +
-                               std::to_string(bounds.end) + "]");
     total = kind.Load(doc.state, what);
     resumed = true;
   }

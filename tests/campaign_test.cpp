@@ -885,11 +885,12 @@ TEST(Campaign, MergeAndResumeRefuseAConfigThatIsNotItsHash) {
       sim::MergeCampaignCheckpoints({path});
       ADD_FAILURE() << field << " 4294967302 merged";
     } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(std::string("'") + field + "'"),
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("field '") + field +
+                          "' is 4294967302, above the unsigned range"),
                 std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("unsigned"), std::string::npos)
-          << e.what();
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }
   }
 }
@@ -931,13 +932,28 @@ TEST(Campaign, MergeAndResumeRefuseASplitTallyOfTheWrongDepth) {
                 "split tally has 4 depths");
 }
 
-TEST(Campaign, MergeRefusesACompleteFlagThatDisagreesWithNextShard) {
+TEST(Campaign, MergeAndResumeRefuseACursorThatDisagreesWithItsSlice) {
   const std::string path = TempPath("early_complete.json");
-  sim::RunCampaign(ScenarioSpec(SmallScenario(/*threads=*/1), 64, path),
-                   nullptr, /*max_shards=*/1);
+  const sim::CampaignSpec spec =
+      ScenarioSpec(SmallScenario(/*threads=*/1), 64, path);
+  sim::RunCampaign(spec, nullptr, /*max_shards=*/1);
   Reseal(path, [](JsonValue& body) { body.Set("complete", JsonValue(true)); });
   ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
-                "next_shard 1");
+                "marked complete, but next_shard 1 is not end_shard 4");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "marked complete, but next_shard 1 is not end_shard 4");
+
+  // A cursor past the end of its slice.
+  ASSERT_TRUE(sim::RunCampaign(ScenarioSpec(SmallScenario(), 64,
+                                            TempPath("early_complete.json")))
+                  .complete);
+  Reseal(path, [](JsonValue& body) {
+    body.Set("next_shard", JsonValue(std::uint64_t{5}));
+  });
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "next_shard 5 outside its slice [0, 4]");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "next_shard 5 outside its slice [0, 4]");
 }
 
 // A tilt belongs to reliability mode and a split to system mode; the other
