@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -686,8 +687,8 @@ sim::CampaignSpec SystemSpec(unsigned threads, double faults_per_mcycle,
 }
 
 sim::CampaignSpec SplitCampaignSpec(unsigned threads, double faults_per_mcycle,
-                            const std::string& path,
-                            sim::ShardSlice slice = {}) {
+                                    const std::string& path,
+                                    sim::ShardSlice slice = {}) {
   sim::CampaignSpec spec = SystemSpec(threads, faults_per_mcycle, path, slice);
   spec.split.thresholds = {1, 2};
   spec.split.replicas = 3;
