@@ -131,12 +131,23 @@ JsonValue MakeCheckpointBody(const CampaignSpec& spec,
   return body;
 }
 
+/// Returns `parse()`; an error it throws is rethrown prefixed with `what`,
+/// so a parser that does not know the checkpoint file still names it.
+template <typename Fn>
+auto Under(const std::string& what, Fn&& parse) {
+  try {
+    return parse();
+  } catch (const std::exception& e) {
+    throw std::runtime_error(what + ": " + e.what());
+  }
+}
+
 /// One checkpoint file as resume and merge read it; `what` ("checkpoint
 /// '<path>'") prefixes every diagnostic about it.
 struct SliceDoc {
   std::string path;
   std::string what;
-  std::string mode;
+  CampaignMode mode = CampaignMode::kReliability;
   std::string config_hash;
   std::uint64_t total = 0;
   std::uint64_t first = 0;
@@ -156,7 +167,8 @@ SliceDoc ReadSlice(const std::string& path) {
   doc.path = path;
   doc.what = "checkpoint '" + path + "'";
   const std::string& what = doc.what;
-  doc.mode = RequireString(body, "mode", what);
+  const std::string mode = RequireString(body, "mode", what);
+  doc.mode = Under(what, [&] { return CampaignModeFromString(mode); });
   doc.config_hash = RequireString(body, "config_hash", what);
   doc.config = RequireField(body, "config", what);
   const std::string own = util::Crc32Hex(doc.config.Dump());
@@ -284,14 +296,20 @@ struct TiltedKind {
   }
 };
 
-/// The config a system trial runs: the horizon a zero horizon_cycles
-/// resolves to is run state, not campaign identity, so the fingerprint
-/// and config hash never see it.
-SystemConfig ResolvedSystem(const CampaignSpec& spec) {
-  SystemConfig system = spec.system;
-  system.horizon_cycles = ScanDemand(spec.system, spec.demand).horizon_cycles;
-  return system;
-}
+/// What a system trial runs, from one scan of the demand: the config with
+/// its horizon resolved, and the demand every trial pulls. The horizon a
+/// zero horizon_cycles resolves to is run state, not campaign identity, so
+/// the fingerprint and config hash never see it.
+struct ResolvedSystem {
+  SystemConfig system;
+  RequestSourceFactory demand;
+
+  explicit ResolvedSystem(const CampaignSpec& spec) : system(spec.system) {
+    const StreamingDemandInfo scan = ScanDemand(spec.system, spec.demand);
+    system.horizon_cycles = scan.horizon_cycles;
+    demand = scan.TrialDemand(spec.demand);
+  }
+};
 
 /// Full-system lifetime campaign.
 struct SystemKind {
@@ -300,12 +318,12 @@ struct SystemKind {
   static constexpr auto Save = &SystemStateToJson;
 
   auto Trial(const CampaignSpec& spec) const {
-    SystemConfig system = ResolvedSystem(spec);
-    reliability::WorkingSet ws = MakeSystemWorkingSet(system);
-    return [&spec, system = std::move(system), ws = std::move(ws)](
+    ResolvedSystem run(spec);
+    reliability::WorkingSet ws = MakeSystemWorkingSet(run.system);
+    return [run = std::move(run), ws = std::move(ws)](
                std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch&) {
-      const std::unique_ptr<timing::RequestSource> source = spec.demand();
-      MemorySystem(system, ws, *source, rng).Run(acc.stats, acc.tel);
+      const std::unique_ptr<timing::RequestSource> source = run.demand();
+      MemorySystem(run.system, ws, *source, rng).Run(acc.stats, acc.tel);
     };
   }
   State Load(const JsonValue& state, const std::string&) const {
@@ -335,16 +353,16 @@ struct SplitKind {
   reliability::SplitSpec split;
 
   auto Trial(const CampaignSpec& spec) const {
-    SystemConfig system = ResolvedSystem(spec);
-    reliability::WorkingSet ws = MakeSystemWorkingSet(system);
+    ResolvedSystem run(spec);
+    reliability::WorkingSet ws = MakeSystemWorkingSet(run.system);
     split.Validate();
-    return [this, &spec, system = std::move(system), ws = std::move(ws)](
+    return [this, run = std::move(run), ws = std::move(ws)](
                std::uint64_t, util::Xoshiro256& rng, State& acc, Scratch&) {
       // One draw from the engine's per-trial stream seeds the whole
       // splitting tree; the tree re-derives node streams itself.
       const std::uint64_t root_seed = rng();
-      const std::unique_ptr<timing::RequestSource> source = spec.demand();
-      RunSplitTrial(system, ws, *source, split, root_seed, acc);
+      const std::unique_ptr<timing::RequestSource> source = run.demand();
+      RunSplitTrial(run.system, ws, *source, split, root_seed, acc);
     };
   }
   JsonValue Save(const State& state) const {
@@ -411,8 +429,9 @@ CampaignProgress RunKind(const Kind& kind, const CampaignSpec& spec,
   if (std::ifstream(spec.checkpoint_path).good()) {
     const SliceDoc doc = ReadSlice(spec.checkpoint_path);
     const std::string& what = doc.what;
-    if (doc.mode != ToString(spec.mode))
-      throw std::runtime_error(what + ": records mode '" + doc.mode +
+    if (doc.mode != spec.mode)
+      throw std::runtime_error(what + ": records mode '" +
+                               std::string(ToString(doc.mode)) +
                                "' but this run is mode '" +
                                std::string(ToString(spec.mode)) + "'");
     if (doc.config_hash != config_hash)
@@ -562,13 +581,13 @@ telemetry::Report MergeCampaignCheckpoints(
           what + ": slice incomplete (resumable at shard " +
           std::to_string(doc.next) +
           ") — resume it to completion before merging");
-    if (docs.empty()) {
-      CampaignModeFromString(doc.mode);  // reject unknown modes up front
-    } else {
+    if (!docs.empty()) {
       const SliceDoc& ref = docs.front();
       if (doc.mode != ref.mode)
-        throw std::runtime_error(what + ": mode '" + doc.mode +
-                                 "' differs from '" + ref.mode + "' in '" +
+        throw std::runtime_error(what + ": mode '" +
+                                 std::string(ToString(doc.mode)) +
+                                 "' differs from '" +
+                                 std::string(ToString(ref.mode)) + "' in '" +
                                  ref.path + "'");
       if (doc.config_hash != ref.config_hash)
         throw std::runtime_error(
@@ -617,10 +636,17 @@ telemetry::Report MergeCampaignCheckpoints(
   AddFingerprintMeta(report, fingerprint);
   report.MetaInt("shards", static_cast<std::int64_t>(total_shards));
 
-  WithKind(CampaignModeFromString(docs.front().mode),
-           reliability::TiltSpecFromFingerprint(fingerprint),
-           reliability::SplitSpecFromFingerprint(fingerprint),
-           docs.front().what, [&](const auto& kind) {
+  // Every slice's config is the first one's, so a malformed tilt or split
+  // is reported against the first checkpoint.
+  const std::string& what = docs.front().what;
+  const auto tilt = Under(what, [&] {
+    return reliability::TiltSpecFromFingerprint(fingerprint);
+  });
+  const auto split = Under(what, [&] {
+    return reliability::SplitSpecFromFingerprint(fingerprint);
+  });
+  WithKind(docs.front().mode, tilt, split, what,
+           [&](const auto& kind) {
              typename std::remove_cvref_t<decltype(kind)>::State total{};
              for (const SliceDoc& doc : docs)
                total += kind.Load(doc.state, doc.what);

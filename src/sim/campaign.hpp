@@ -123,7 +123,8 @@ SystemShardState SystemStateFromJson(const telemetry::JsonValue& value);
 /// Everything RunCampaign needs. `scenario` drives kReliability mode;
 /// `system` + `demand` drive kSystem mode (the other is ignored). In
 /// kSystem mode RunCampaign scans the demand once (ScanDemand) for
-/// validation and the horizon, then builds one source per trial.
+/// validation and the horizon, then every trial takes its source from the
+/// scan (StreamingDemandInfo::TrialDemand).
 /// `fingerprint` is the campaign's config identity: a flat JSON object of
 /// scalars (scheme, seed, trials, ... — built by the CLI) whose serialized
 /// CRC becomes config_hash, and whose entries become the merge report's

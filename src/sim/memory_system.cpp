@@ -74,6 +74,13 @@ class MergedSource final : public timing::RequestSource {
   std::size_t pos_ = 0;
 };
 
+/// One timing::VectorSource per call, over a trace the factory shares.
+RequestSourceFactory ReplayFactory(std::shared_ptr<const timing::Trace> trace) {
+  return [trace = std::move(trace)] {
+    return std::make_unique<timing::VectorSource>(*trace);
+  };
+}
+
 }  // namespace
 
 void SystemConfig::Validate() const {
@@ -329,8 +336,12 @@ void MemorySystem::Run(SystemStats& stats, reliability::TrialTelemetry& tel,
 }
 
 RequestSourceFactory VectorSourceFactory(timing::Trace trace) {
-  auto shared = std::make_shared<const timing::Trace>(std::move(trace));
-  return [shared] { return std::make_unique<timing::VectorSource>(*shared); };
+  return ReplayFactory(std::make_shared<const timing::Trace>(std::move(trace)));
+}
+
+RequestSourceFactory StreamingDemandInfo::TrialDemand(
+    const RequestSourceFactory& factory) const {
+  return kept != nullptr ? ReplayFactory(kept) : factory;
 }
 
 StreamingDemandInfo ScanDemand(const SystemConfig& config,
@@ -340,7 +351,12 @@ StreamingDemandInfo ScanDemand(const SystemConfig& config,
   const std::unique_ptr<timing::RequestSource> source = factory();
   PAIR_CHECK(source != nullptr, "RequestSourceFactory returned null");
   source->Reset();
-  // One request of look-back: the scan never materializes the stream.
+  // Trials read the requests up to the horizon: an explicit one is known
+  // now, and a derived one lies past the last arrival.
+  const std::uint64_t keep_through = config.horizon_cycles != 0
+                                         ? config.horizon_cycles
+                                         : ~std::uint64_t{0};
+  auto kept = std::make_shared<timing::Trace>();
   timing::Request req;
   std::uint64_t count = 0;
   std::uint64_t last_arrival = 0;
@@ -357,12 +373,19 @@ StreamingDemandInfo ScanDemand(const SystemConfig& config,
                                                                   << ")");
     last_arrival = req.arrival;
     ++count;
+    if (kept != nullptr && req.arrival <= keep_through) {
+      if (kept->size() == kMaxKeptDemandRequests)
+        kept.reset();  // over the cap: every trial streams instead
+      else
+        kept->push_back(req);
+    }
   }
   StreamingDemandInfo info;
   info.requests = count;
   info.horizon_cycles = config.horizon_cycles != 0
                             ? config.horizon_cycles
                             : last_arrival + kDrainMarginCycles;
+  info.kept = std::move(kept);
   return info;
 }
 
@@ -372,6 +395,7 @@ SystemStats RunSystemCampaignStreaming(const SystemConfig& config,
                                        reliability::ScenarioTelemetry* telemetry,
                                        StreamingDemandInfo* info) {
   const StreamingDemandInfo scan = ScanDemand(config, factory);
+  const RequestSourceFactory demand = scan.TrialDemand(factory);
   if (info != nullptr) *info = scan;
   SystemConfig cfg = config;
   cfg.horizon_cycles = scan.horizon_cycles;
@@ -380,11 +404,11 @@ SystemStats RunSystemCampaignStreaming(const SystemConfig& config,
   const reliability::TrialEngine engine(cfg.threads);
   SystemShardState accum = engine.Run<SystemShardState>(
       cfg.seed, trials,
-      [&cfg, &ws, &factory](std::uint64_t /*trial*/, util::Xoshiro256& rng,
-                            SystemShardState& acc) {
+      [&cfg, &ws, &demand](std::uint64_t /*trial*/, util::Xoshiro256& rng,
+                           SystemShardState& acc) {
         // Each trial owns a fresh source: worker threads never share
         // stream state, and every source replays the same sequence.
-        const std::unique_ptr<timing::RequestSource> source = factory();
+        const std::unique_ptr<timing::RequestSource> source = demand();
         MemorySystem system(cfg, ws, *source, rng);
         system.Run(acc.stats, acc.tel);
       },

@@ -261,11 +261,6 @@ std::unique_ptr<ByteSource> OpenByteSource(const std::string& path) {
   return file;
 }
 
-bool IsCompressedFile(const std::string& path) {
-  FileByteSource file(path);
-  return SniffMagic(file) != Sniff::kPlain;
-}
-
 void GzipWriteFile(const std::string& path, std::string_view bytes) {
 #if PAIR_HAVE_ZLIB
   gzFile f = gzopen(path.c_str(), "wb");

@@ -79,11 +79,6 @@ std::unique_ptr<ByteSource> MakeZstdSource(std::unique_ptr<ByteSource> inner,
 /// needed backend is not compiled in.
 std::unique_ptr<ByteSource> OpenByteSource(const std::string& path);
 
-/// True when `path` starts with a gzip or zstd magic (the same sniff
-/// OpenByteSource uses). Lets callers route compressed traces onto the
-/// streaming path by content, not extension. Throws on open failure.
-bool IsCompressedFile(const std::string& path);
-
 /// Writes `bytes` to `path` as a gzip member (tests and trace tooling).
 /// Throws std::runtime_error when built without zlib or on I/O failure.
 void GzipWriteFile(const std::string& path, std::string_view bytes);

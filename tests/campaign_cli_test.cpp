@@ -295,9 +295,10 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
        "flag --reads: not used with --trace"},
       {{"system", "--trace", trace, "--requests", "10"},
        "flag --requests: not used with --trace"},
-      {{"system", "--stream", "1"}, "flag --stream: requires --trace"},
-      {{"system", "--trace-gen", "tensor", "--stream", "1"},
-       "flag --stream: requires --trace"},
+      // The demand scan decides from the input's length whether trials
+      // replay it from memory; there is no flag for it.
+      {{"system", "--trace", trace, "--stream", "1"},
+       "unknown flag --stream"},
       {{"campaign", "run", "--mode", "system", "--checkpoint",
         TempPath("d6.json"), "--hot-rows", "8"},
        "flag --hot-rows: requires --trace-gen"},
@@ -629,7 +630,7 @@ TEST(PairsimCli, EveryNumericFlagRejectsMalformedValuesFast) {
       {{"perf"},
        {"scheme", "pattern", "reads", "requests", "intensity", "stride",
         "xor-hash", "ranks", "seed", "trace", "save-trace"}},
-      {{"system"}, join({scenario, system, {"stream", "json"}})},
+      {{"system"}, join({scenario, system, {"json"}})},
       {{"trace"},
        {"gen", "requests", "ranks", "banks", "rows", "cols",
         "stream-intensity", "reads", "burst", "gap", "hot-rows", "seed",

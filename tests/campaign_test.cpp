@@ -871,29 +871,47 @@ TEST(Campaign, MergeAndResumeRefuseAConfigThatIsNotItsHash) {
                 "is not the CRC32 of its own config");
 
   // Re-hashed to agree with itself, a tilt window bound or a replica count
-  // beyond `unsigned` is refused by name instead of wrapping.
-  for (const char* field : {"tilt_min", "tilt_max", "split_replicas"}) {
+  // beyond `unsigned` is refused by name instead of wrapping, and so is a
+  // tilt window TiltSpec::Validate refuses. The merge names the checkpoint;
+  // a resume refuses its config hash, also naming the checkpoint.
+  const std::uint64_t kWide = 4294967302;
+  const struct {
+    const char* field;
+    std::uint64_t value;
+    std::string expect;
+  } edits[] = {
+      {"tilt_min", kWide, "field 'tilt_min' is 4294967302, above the unsigned"},
+      {"tilt_max", kWide, "field 'tilt_max' is 4294967302, above the unsigned"},
+      {"split_replicas", kWide,
+       "field 'split_replicas' is 4294967302, above the unsigned"},
+      {"tilt_min", 7, "tilt: min_faults 7 exceeds max_faults 6"},
+  };
+  for (const auto& edit : edits) {
     const sim::CampaignSpec fresh =
-        std::string(field) == "split_replicas"
+        std::string(edit.field) == "split_replicas"
             ? SplitCampaignSpec(2, 200.0, TempPath("edited_config.json"))
             : TiltedSpec(SmallScenario(), 64, TempPath("edited_config.json"));
     ASSERT_TRUE(sim::RunCampaign(fresh).complete);
     Reseal(path, [&](JsonValue& body) {
-      Member(body, "config").Set(field, JsonValue(std::uint64_t{4294967302}));
+      Member(body, "config").Set(edit.field, JsonValue(edit.value));
       Rehash(body);
     });
-    try {
-      sim::MergeCampaignCheckpoints({path});
-      ADD_FAILURE() << field << " 4294967302 merged";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(std::string("field '") + field +
-                          "' is 4294967302, above the unsigned range"),
-                std::string::npos)
-          << what;
-      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
-    }
+    ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                  edit.expect);
+    ExpectRefusal([&] { sim::RunCampaign(fresh); }, path,
+                  "config hash mismatch");
   }
+}
+
+TEST(Campaign, MergeAndResumeRefuseAnUnknownMode) {
+  const std::string path = TempPath("unknown_mode.json");
+  const sim::CampaignSpec spec = ScenarioSpec(SmallScenario(), 64, path);
+  ASSERT_TRUE(sim::RunCampaign(spec).complete);
+  Reseal(path, [](JsonValue& body) { body.Set("mode", JsonValue("bogus")); });
+  ExpectRefusal([&] { sim::MergeCampaignCheckpoints({path}); }, path,
+                "unknown campaign mode 'bogus'");
+  ExpectRefusal([&] { sim::RunCampaign(spec); }, path,
+                "unknown campaign mode 'bogus'");
 }
 
 TEST(Campaign, MergeAndResumeRefuseATallyWiderThanTheTiltWindow) {

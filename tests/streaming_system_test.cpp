@@ -1,19 +1,24 @@
 // Streaming end-to-end differentials: every synthetic stream generator and
 // a compressed on-disk trace produce byte-identical SystemStats whether
-// the demand is materialized up front and replayed from memory
-// (RunSystemCampaign, a VectorSource per trial) or regenerated / re-parsed
-// per trial (RunSystemCampaignStreaming) — at more than one thread count,
-// since trial-parallel campaigns re-create the stream per trial. Also pins
-// the generators' own determinism contract and MemorySystem's
-// explicit-horizon precondition.
+// the demand is materialized up front (RunSystemCampaign) or handed over
+// as a factory that regenerates / re-parses it (RunSystemCampaignStreaming)
+// — at more than one thread count, since trial-parallel campaigns create a
+// source per trial. Pins what the demand scan keeps (the requests up to the
+// horizon, at most kMaxKeptDemandRequests) by counting factory calls, the
+// generators' own determinism contract and MemorySystem's explicit-horizon
+// precondition.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "sim/campaign.hpp"
 #include "sim/memory_system.hpp"
+#include "telemetry/json.hpp"
 #include "timing/request_source.hpp"
 #include "util/rng.hpp"
 #include "workload/byte_source.hpp"
@@ -113,6 +118,145 @@ TEST(StreamingCampaign, ExplicitHorizonMatchesBetweenPaths) {
   ExpectStreamingMatchesMaterialized(
       cfg, demand, [&stream] { return workload::MakeStream(stream); },
       "pinned horizon");
+}
+
+// ------------------------------------------------ what the demand scan keeps
+
+/// `n` requests, one every 16 cycles, eight to a row across the 16 banks: a
+/// cheap sorted stream of exactly the length a test picks.
+class CountedStream final : public timing::RequestSource {
+ public:
+  explicit CountedStream(std::uint64_t n) : n_(n) {}
+
+  bool Next(timing::Request& out) override {
+    if (i_ == n_) return false;
+    out = timing::Request{};
+    out.arrival = 16 * i_;
+    out.op = i_ % 4 == 3 ? timing::Op::kWrite : timing::Op::kRead;
+    out.addr = {static_cast<unsigned>(i_ / 8 % 16),
+                static_cast<unsigned>(i_ / 128 % 64),
+                static_cast<unsigned>(i_ % 8)};
+    ++i_;
+    return true;
+  }
+
+  void Reset() override { i_ = 0; }
+
+ private:
+  std::uint64_t n_;
+  std::uint64_t i_ = 0;
+};
+
+/// CountedStream(n) sources; `calls` counts them, from any worker thread.
+RequestSourceFactory CountingFactory(std::uint64_t n,
+                                     std::atomic<unsigned>& calls) {
+  return [n, &calls] {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return std::make_unique<CountedStream>(n);
+  };
+}
+
+/// No faults and no patrol scrub: trials over a long stream stay cheap.
+SystemConfig QuietConfig() {
+  SystemConfig cfg;
+  cfg.faults_per_mcycle = 0.0;
+  cfg.scrub.interval_cycles = 0;
+  cfg.threads = 3;
+  return cfg;
+}
+
+constexpr std::uint64_t kCapTrials = 3;
+
+TEST(StreamingCampaign, DemandAtTheCapIsReadOnce) {
+  std::atomic<unsigned> calls{0};
+  StreamingDemandInfo info;
+  const SystemStats stats = RunSystemCampaignStreaming(
+      QuietConfig(), CountingFactory(kMaxKeptDemandRequests, calls),
+      kCapTrials, nullptr, &info);
+  EXPECT_EQ(calls.load(), 1u);
+  EXPECT_EQ(info.requests, kMaxKeptDemandRequests);
+  ASSERT_NE(info.kept, nullptr);
+  EXPECT_EQ(info.kept->size(), kMaxKeptDemandRequests);
+  EXPECT_EQ(stats.demand_reads + stats.demand_writes,
+            kCapTrials * kMaxKeptDemandRequests);
+}
+
+TEST(StreamingCampaign, DemandAboveTheCapStreamsEveryTrial) {
+  SystemConfig cfg = QuietConfig();
+  std::atomic<unsigned> calls{0};
+  StreamingDemandInfo info;
+  const SystemStats stats = RunSystemCampaignStreaming(
+      cfg, CountingFactory(kMaxKeptDemandRequests + 1, calls), kCapTrials,
+      nullptr, &info);
+  EXPECT_EQ(calls.load(), 1u + kCapTrials);
+  EXPECT_EQ(info.requests, kMaxKeptDemandRequests + 1);
+  EXPECT_EQ(info.kept, nullptr);
+  EXPECT_EQ(stats.demand_reads + stats.demand_writes,
+            kCapTrials * (kMaxKeptDemandRequests + 1));
+
+  // The streamed trials are the trials a replay from memory runs (the
+  // timing stats see every request): trial i draws its stream from the
+  // i-th output of Xoshiro256(seed), as the engine derives it.
+  cfg.horizon_cycles = info.horizon_cycles;
+  const reliability::WorkingSet ws = MakeSystemWorkingSet(cfg);
+  CountedStream stream(kMaxKeptDemandRequests + 1);
+  const timing::Trace demand = timing::Materialize(stream);
+  util::Xoshiro256 master(cfg.seed);
+  SystemStats replayed;
+  reliability::TrialTelemetry tel;
+  for (std::uint64_t t = 0; t < kCapTrials; ++t) {
+    util::Xoshiro256 rng(master());
+    timing::VectorSource source(demand);
+    MemorySystem(cfg, ws, source, rng).Run(replayed, tel);
+  }
+  EXPECT_EQ(stats, replayed);
+}
+
+TEST(StreamingCampaign, ExplicitHorizonKeepsOnlyItsPrefix) {
+  // A stream past the cap whose horizon ends at request 99: the trials
+  // read requests 0..99 only, so the scan keeps those and nothing else.
+  SystemConfig cfg = QuietConfig();
+  cfg.horizon_cycles = 16 * 99;
+  std::atomic<unsigned> calls{0};
+  StreamingDemandInfo info;
+  const SystemStats stats = RunSystemCampaignStreaming(
+      cfg, CountingFactory(kMaxKeptDemandRequests + 1, calls), kCapTrials,
+      nullptr, &info);
+  EXPECT_EQ(calls.load(), 1u);
+  EXPECT_EQ(info.requests, kMaxKeptDemandRequests + 1);
+  EXPECT_EQ(info.horizon_cycles, cfg.horizon_cycles);
+  ASSERT_NE(info.kept, nullptr);
+  CountedStream prefix(100);
+  const timing::Trace want = timing::Materialize(prefix);
+  ASSERT_EQ(info.kept->size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ((*info.kept)[i].arrival, want[i].arrival) << i;
+    EXPECT_EQ((*info.kept)[i].op, want[i].op) << i;
+    EXPECT_EQ((*info.kept)[i].addr, want[i].addr) << i;
+  }
+  EXPECT_EQ(stats.demand_reads + stats.demand_writes, kCapTrials * 100);
+}
+
+TEST(StreamingCampaign, SystemAndSplitCampaignsReadTheDemandOnce) {
+  for (const bool split : {false, true}) {
+    std::atomic<unsigned> calls{0};
+    CampaignSpec spec;
+    spec.mode = CampaignMode::kSystem;
+    spec.system = QuietConfig();
+    spec.system.faults_per_mcycle = 200.0;
+    spec.demand = CountingFactory(400, calls);
+    spec.trials = 40;
+    spec.checkpoint_path =
+        ::testing::TempDir() + "/pair_demand_read_once.json";
+    std::remove(spec.checkpoint_path.c_str());
+    spec.fingerprint = telemetry::JsonValue::MakeObject();
+    if (split) {
+      spec.split.thresholds = {1, 2};
+      spec.split.replicas = 3;
+    }
+    ASSERT_TRUE(RunCampaign(spec).complete) << "split " << split;
+    EXPECT_EQ(calls.load(), 1u) << "split " << split;
+  }
 }
 
 // ------------------------------------------------------- stream generators

@@ -163,7 +163,6 @@ TEST(StreamingTraceParser, OpensPlainFilesViaSniffingOpener) {
   const timing::Trace trace = timing::Materialize(*MakeStream(cfg));
   const std::string path = ::testing::TempDir() + "/pair_stream_plain.txt";
   WriteTraceFile(trace, path);
-  EXPECT_FALSE(IsCompressedFile(path));
   const auto parser = OpenTraceStream(path);
   ExpectSameTrace(Drain(*parser), trace);
 }
@@ -183,7 +182,6 @@ TEST(ByteSource, GzipRoundTripThroughSniffingOpener) {
   WriteTrace(trace, buffer);
   const std::string path = ::testing::TempDir() + "/pair_stream_trace.gz";
   GzipWriteFile(path, buffer.str());
-  EXPECT_TRUE(IsCompressedFile(path));
   const auto parser = OpenTraceStream(path);
   ExpectSameTrace(Drain(*parser), trace);
   // Reset rewinds through the decompressor too.

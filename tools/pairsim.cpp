@@ -640,7 +640,6 @@ struct SystemOptions {
   workload::StreamConfig stream;  ///< the demand unless --trace is given
   workload::StreamConfig shape;   ///< the shape flags, for --trace-gen
   std::uint64_t trials = 0;
-  bool force_stream = false;
 };
 
 /// The system group, up to the demand.
@@ -727,7 +726,6 @@ void ResolveSystem(SystemOptions& o, const Invocation& in) {
   reject({"pattern", "intensity"}, !o.gen.empty(), "not used with --trace-gen");
   reject({"pattern", "intensity", "reads", "requests"}, !o.trace.empty(),
          "not used with --trace");
-  reject({"stream"}, o.trace.empty(), "requires --trace");
 
   workload::StreamConfig& stream = o.stream;
   stream.kind = workload::StreamKindFromString(o.pattern);
@@ -770,18 +768,15 @@ void PrintSystemSummary(const sim::SystemStats& s,
   t.Print(std::cout);
 }
 
-/// The demand of `system` and `campaign run --mode system`. Synthetic
-/// kinds stream from the generator and compressed (or --stream 1) trace
-/// files are re-read per trial, both in constant memory. Plain trace
-/// files — and everything when `replay_from_memory` is set — are read
-/// once and replayed from memory, trading RAM for a single parse.
+/// The demand of `system` and `campaign run --mode system`: a generator
+/// or a trace file, opened afresh by every call of `factory`. The demand
+/// scan decides, from its length, whether trials replay it from memory.
 struct Demand {
   sim::RequestSourceFactory factory;
   std::string name;  ///< the report's demand_source
-  bool streamed = false;
 };
 
-Demand MakeDemand(const SystemOptions& o, bool replay_from_memory) {
+Demand MakeDemand(const SystemOptions& o) {
   Demand demand;
   if (o.trace.empty()) {
     const workload::StreamConfig stream = o.stream;
@@ -794,13 +789,7 @@ Demand MakeDemand(const SystemOptions& o, bool replay_from_memory) {
       return workload::OpenTraceStream(path);
     };
     demand.name = path;
-    replay_from_memory = replay_from_memory ||
-                         (!o.force_stream && !workload::IsCompressedFile(path));
   }
-  demand.streamed = !replay_from_memory;
-  if (replay_from_memory)
-    demand.factory =
-        sim::VectorSourceFactory(timing::Materialize(*demand.factory()));
   return demand;
 }
 
@@ -808,16 +797,13 @@ int CmdSystem(Invocation& in) {
   SystemOptions o;
   std::string json_path;
   if (!in.Parse(Join({SystemFlags(o), PatternFlags(o.stream, o.pattern),
-                      TraceGenFlags(o),
-                      {{"stream", &o.force_stream, "0",
-                        "re-read a plain --trace in every trial"},
-                       JsonFlag(json_path)}})))
+                      TraceGenFlags(o), {JsonFlag(json_path)}})))
     return 0;
   ResolveSystem(o, in);
   const sim::SystemConfig& cfg = o.cfg;
   const std::uint64_t trials = o.trials;
 
-  const Demand demand = MakeDemand(o, /*replay_from_memory=*/false);
+  const Demand demand = MakeDemand(o);
 
   const auto start = std::chrono::steady_clock::now();
   reliability::ScenarioTelemetry tel;
@@ -830,7 +816,8 @@ int CmdSystem(Invocation& in) {
   std::cout << "threads "
             << reliability::TrialEngine::ResolveThreads(cfg.threads) << ", "
             << trials << " trials x " << dinfo.requests
-            << (demand.streamed ? " streamed requests in " : " requests in ")
+            << (dinfo.kept == nullptr ? " streamed requests in "
+                                      : " requests in ")
             << util::Table::Fixed(elapsed.count(), 2) << " s\n";
   PrintSystemSummary(s, cfg);
 
@@ -986,20 +973,19 @@ int CmdCampaignRun(Invocation& in) {
     s.trials = ResolveTrials(s.trials);
     spec.system = s.cfg;
     spec.trials = s.trials;
-    // Campaigns are about crash-safety, not trace scale (use `pairsim
-    // system` for multi-GB streams): they replay their demand from memory
-    // in every trial.
-    spec.demand = MakeDemand(s, /*replay_from_memory=*/true).factory;
+    spec.demand = MakeDemand(s).factory;
     AddFingerprint(fp, Join({common, SystemFlags(s)}));
     if (!s.trace.empty()) {
+      const sim::StreamingDemandInfo scan =
+          sim::ScanDemand(spec.system, spec.demand);
+      // The campaign's own scan then reads what this one kept, not the file.
+      spec.demand = scan.TrialDemand(spec.demand);
       // The demand trace is part of the campaign's identity: slices run
       // against different trace bytes must never merge.
       fp.Set("trace_crc32",
              telemetry::JsonValue(
                  util::Crc32Hex(ReadFileBytes(s.trace, "trace"))));
-      fp.Set("trace_requests",
-             telemetry::JsonValue(
-                 sim::ScanDemand(spec.system, spec.demand).requests));
+      fp.Set("trace_requests", telemetry::JsonValue(scan.requests));
     } else {
       AddFingerprint(fp, s.gen.empty() ? PatternFlags(s.stream, s.pattern)
                                        : TraceGenFlags(s));
