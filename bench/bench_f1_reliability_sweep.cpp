@@ -37,11 +37,15 @@ int main() {
       cfg.seed = bench::kBenchSeed + n;
       conditional.push_back(reliability::RunMonteCarlo(cfg, kTrials));
       const auto ci = conditional.back().TrialSdcInterval();
+      std::string interval = "[";
+      interval.append(util::Table::Sci(ci.lower))
+          .append(", ")
+          .append(util::Table::Sci(ci.upper))
+          .append("]");
       cond.AddRow({ecc::ToString(kind), std::to_string(n),
                    util::Table::Sci(conditional.back().TrialSdcRate()),
                    util::Table::Sci(conditional.back().TrialDueRate()),
-                   "[" + util::Table::Sci(ci.lower) + ", " +
-                       util::Table::Sci(ci.upper) + "]"});
+                   interval});
     }
     for (const double lambda : lambdas) {
       const auto est = reliability::CombinePoisson(conditional, lambda);

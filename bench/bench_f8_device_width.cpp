@@ -81,7 +81,9 @@ int main() {
       }
     }
     const unsigned parity_bits = pins * cw_per_pin * 4 * 8;
-    t.AddRow({"x" + std::to_string(pins),
+    std::string width = "x";
+    width.append(std::to_string(pins));
+    t.AddRow({width,
               std::to_string(rg.data_devices),
               std::to_string(cw_per_pin), std::to_string(parity_bits),
               util::Table::Fixed(static_cast<double>(pin_due) / kTrials, 3),

@@ -90,7 +90,7 @@ void FlattenTables(const JsonValue* section,
       }
       if (key.empty()) key = "row";
       const unsigned n = seen[key]++;
-      if (n > 0) key += "#" + std::to_string(n);
+      if (n > 0) key.append("#").append(std::to_string(n));
       for (std::size_t c = 0; c < cells.size() && c < cols.size(); ++c) {
         double value = 0.0;
         if (!ParseNumericCell(cells[c].AsString(), &value)) continue;
