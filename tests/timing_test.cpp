@@ -628,6 +628,24 @@ void AppendDouble(std::string& out, double v) {
   AppendU64(out, bits);
 }
 
+// One configuration's record: every request's (issue, complete) stamp,
+// every SimStats field and the number of commands the checker saw.
+void AppendPinnedRecord(std::string& record, const Trace& trace,
+                        const SimStats& s, const Controller& ctrl) {
+  for (const auto& req : trace) {
+    AppendU64(record, req.issue);
+    AppendU64(record, req.complete);
+  }
+  for (std::uint64_t v :
+       {s.cycles, s.reads, s.writes, s.row_hits, s.row_misses,
+        s.row_conflicts, s.refreshes, s.rfm_commands,
+        ctrl.checker().commands_checked()})
+    AppendU64(record, v);
+  AppendDouble(record, s.avg_read_latency);
+  AppendDouble(record, s.p99_read_latency);
+  AppendDouble(record, s.bus_utilization);
+}
+
 struct DemandShape {
   StreamKind kind;
   double intensity;
@@ -680,20 +698,8 @@ std::string PinnedGroupDigest(GeometryPreset preset_kind,
             const SimStats s = ctrl.Run(trace);
             EXPECT_TRUE(ctrl.checker().violations().empty())
                 << ctrl.checker().violations().front();
-
             std::string record;
-            for (const auto& req : trace) {
-              AppendU64(record, req.issue);
-              AppendU64(record, req.complete);
-            }
-            for (std::uint64_t v :
-                 {s.cycles, s.reads, s.writes, s.row_hits, s.row_misses,
-                  s.row_conflicts, s.refreshes, s.rfm_commands,
-                  ctrl.checker().commands_checked()})
-              AppendU64(record, v);
-            AppendDouble(record, s.avg_read_latency);
-            AppendDouble(record, s.p99_read_latency);
-            AppendDouble(record, s.bus_utilization);
+            AppendPinnedRecord(record, trace, s, ctrl);
             AppendU64(group, util::Crc32(record));
           }
         }
@@ -723,6 +729,97 @@ TEST(Controller, StampsMatchPinnedDigests) {
   for (const auto& pin : pins)
     EXPECT_EQ(PinnedGroupDigest(pin.preset, pin.scheduler), pin.digest)
         << ToString(pin.preset) << " " << ToString(pin.scheduler);
+}
+
+// Reorder windows other than 1 and 16, over demand that leaves the window
+// partly empty and demand that keeps it full (random and write-heavy batch
+// inference at intensity 0.9), so scheduling that depends on how full the
+// window is cannot go unpinned. One digest per (preset, scheduler, window)
+// folds the per-configuration records' CRCs in grid order.
+std::string WindowSweepDigest(GeometryPreset preset_kind,
+                              SchedulerKind scheduler, unsigned window) {
+  constexpr DemandShape kShapes[] = {
+      {StreamKind::kRandom, 0.02, 0.6},
+      {StreamKind::kTensorStream, 0.25, 0.9},
+      {StreamKind::kBatchInference, 0.3, 0.5},
+      {StreamKind::kRandom, 0.9, 0.5},
+      {StreamKind::kBatchInference, 0.9, 0.1},
+  };
+  // IECC (write RMW) and PAIR-4 (decode latency, no RMW).
+  std::vector<ecc::PerfDescriptor> perfs;
+  for (auto kind : {ecc::SchemeKind::kIecc, ecc::SchemeKind::kPair4}) {
+    dram::RankGeometry rg;
+    dram::Rank rank(rg);
+    perfs.push_back(ecc::MakeScheme(kind, rank)->Perf());
+  }
+  std::string group;
+  for (auto policy : {PagePolicy::kOpen, PagePolicy::kClosed}) {
+    for (unsigned ranks : {1u, 2u}) {
+      for (bool refresh : {true, false}) {
+        for (const auto& perf : perfs) {
+          for (const auto& shape : kShapes) {
+            TimingParams t = MakePreset(preset_kind).timing;
+            t.ranks = ranks;
+            t.enable_refresh = refresh;
+            t.rfm_threshold = 4;
+            Controller ctrl(t, SchemeTiming::FromPerf(perf, t), window,
+                            policy, scheduler);
+            StreamConfig cfg;
+            cfg.kind = shape.kind;
+            cfg.num_requests = 1000;
+            cfg.ranks = ranks;
+            cfg.banks = t.banks;
+            cfg.intensity = shape.intensity;
+            cfg.read_fraction = shape.read_fraction;
+            cfg.burst_len = 128;
+            cfg.seed = 71;
+            Trace trace = timing::Materialize(*workload::MakeStream(cfg));
+            const SimStats s = ctrl.Run(trace);
+            EXPECT_TRUE(ctrl.checker().violations().empty())
+                << ctrl.checker().violations().front();
+            std::string record;
+            AppendPinnedRecord(record, trace, s, ctrl);
+            AppendU64(group, util::Crc32(record));
+          }
+        }
+      }
+    }
+  }
+  return util::Crc32Hex(group);
+}
+
+TEST(Controller, WindowSweepMatchesPinnedDigests) {
+  struct Pin {
+    GeometryPreset preset;
+    SchedulerKind scheduler;
+    unsigned window;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kFrFcfs, 2, "61bcca72"},
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kFrFcfs, 5, "93d21c0f"},
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kFrFcfs, 32, "461834f0"},
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kPrac, 2, "ed1cba28"},
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kPrac, 5, "d538ea1e"},
+      {GeometryPreset::kDdr4_3200, SchedulerKind::kPrac, 32, "47ceaf88"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kFrFcfs, 2, "69ca7349"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kFrFcfs, 5, "94ac8a85"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kFrFcfs, 32, "18a32832"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kPrac, 2, "6ff6dee0"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kPrac, 5, "17696481"},
+      {GeometryPreset::kDdr5_4800, SchedulerKind::kPrac, 32, "593eb719"},
+      {GeometryPreset::kHbm3, SchedulerKind::kFrFcfs, 2, "d83cfb55"},
+      {GeometryPreset::kHbm3, SchedulerKind::kFrFcfs, 5, "b3b294d1"},
+      {GeometryPreset::kHbm3, SchedulerKind::kFrFcfs, 32, "f49d661b"},
+      {GeometryPreset::kHbm3, SchedulerKind::kPrac, 2, "ab9b4280"},
+      {GeometryPreset::kHbm3, SchedulerKind::kPrac, 5, "914233bd"},
+      {GeometryPreset::kHbm3, SchedulerKind::kPrac, 32, "a9a5c976"},
+  };
+  for (const auto& pin : pins)
+    EXPECT_EQ(WindowSweepDigest(pin.preset, pin.scheduler, pin.window),
+              pin.digest)
+        << ToString(pin.preset) << " " << ToString(pin.scheduler)
+        << " window " << pin.window;
 }
 
 // FCFS is FR-FCFS with a reorder window of one, and a window of zero is
@@ -765,18 +862,7 @@ TEST(Controller, FcfsIsFrFcfsAtWindowOne) {
             const SimStats s = run.Run(trace);
             EXPECT_TRUE(run.checker().violations().empty())
                 << run.checker().violations().front();
-            for (const auto& req : trace) {
-              AppendU64(record, req.issue);
-              AppendU64(record, req.complete);
-            }
-            for (std::uint64_t v :
-                 {s.cycles, s.reads, s.writes, s.row_hits, s.row_misses,
-                  s.row_conflicts, s.refreshes, s.rfm_commands,
-                  run.checker().commands_checked()})
-              AppendU64(record, v);
-            AppendDouble(record, s.avg_read_latency);
-            AppendDouble(record, s.p99_read_latency);
-            AppendDouble(record, s.bus_utilization);
+            AppendPinnedRecord(record, trace, s, run);
           }
           records.push_back(record);
         }
