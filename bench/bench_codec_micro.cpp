@@ -18,6 +18,7 @@
 #include "hamming/hamming.hpp"
 #include "rs/rs_code.hpp"
 #include "timing/controller.hpp"
+#include "timing/presets.hpp"
 #include "util/rng.hpp"
 #include "workload/streams.hpp"
 
@@ -240,6 +241,35 @@ void BM_ControllerThroughput(benchmark::State& state) {
                           cfg.num_requests);
 }
 BENCHMARK(BM_ControllerThroughput);
+
+// The backlogged case: a write-heavy batch-inference stream at high
+// intensity keeps the reorder window full, on DDR5-4800 with IECC's write
+// read-modify-write under FR-FCFS. The stream is generated once; each
+// iteration times one controller over it.
+void BM_ControllerBacklogged(benchmark::State& state) {
+  const timing::SystemPreset preset =
+      timing::MakePreset(timing::GeometryPreset::kDdr5_4800);
+  dram::RankGeometry rg = preset.geometry;
+  dram::Rank rank(rg);
+  const auto scheme = timing::SchemeTiming::FromPerf(
+      ecc::MakeScheme(ecc::SchemeKind::kIecc, rank)->Perf(), preset.timing);
+  workload::StreamConfig cfg;
+  cfg.kind = workload::StreamKind::kBatchInference;
+  cfg.read_fraction = 0.1;
+  cfg.intensity = 0.9;
+  cfg.num_requests = 5000;
+  cfg.banks = preset.timing.banks;
+  const timing::Trace trace = timing::Materialize(*workload::MakeStream(cfg));
+  for (auto _ : state) {
+    timing::Controller ctrl(preset.timing, scheme);
+    timing::VectorSource source(trace);
+    auto stats = ctrl.Run(source);
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          cfg.num_requests);
+}
+BENCHMARK(BM_ControllerBacklogged);
 
 // ---------------------------------------------------------------- batch ----
 // Span-of-lines codec section: throughput of EncodeBatchInto /
