@@ -15,6 +15,7 @@
 #include "util/atomic_file.hpp"
 #include "util/parse.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace pair_ecc::sim {
 
@@ -223,6 +224,18 @@ util::Proportion WeightedInterval(const reliability::WeightedEstimate& est,
   return p;
 }
 
+/// "campaign totals: T trials, F with failure (P(failure)/trial = p)".
+std::string CountedTotals(std::uint64_t failures, std::uint64_t trials) {
+  std::string line = "campaign totals: " + std::to_string(trials) +
+                     " trials, " + std::to_string(failures) + " with failure";
+  if (trials != 0)
+    line += " (P(failure)/trial = " +
+            util::Table::Sci(static_cast<double>(failures) /
+                             static_cast<double>(trials)) +
+            ")";
+  return line + "\n";
+}
+
 /// Untilted scenario campaign.
 struct ScenarioKind {
   using State = ScenarioShardState;
@@ -247,6 +260,10 @@ struct ScenarioKind {
   util::Proportion FailureInterval(const State& total) const {
     return CountedInterval(total.counts.trials_with_failure,
                            total.counts.trials);
+  }
+  std::string Totals(const State& total) const {
+    return CountedTotals(total.counts.trials_with_failure,
+                         total.counts.trials);
   }
 };
 
@@ -293,6 +310,18 @@ struct TiltedKind {
         reliability::EstimateWeightedRate(sampler, total.tally,
                                           reliability::WeightedEvent::kFailure),
         sampler.MaxWeight(), sampler.TailMassAbove());
+  }
+  /// The raw counts live in the proposal measure; the importance-sampled
+  /// estimate is the physical one.
+  std::string Totals(const State& total) const {
+    const reliability::WeightedEstimate fail =
+        reliability::EstimateWeightedRate(reliability::TiltSampler(tilt),
+                                          total.tally,
+                                          reliability::WeightedEvent::kFailure);
+    return ScenarioKind{}.Totals(total.base) +
+           "importance-sampled P(failure)/trial = " +
+           util::Table::Sci(fail.estimate) + " +/- " +
+           util::Table::Sci(fail.std_error) + "\n";
   }
 };
 
@@ -342,6 +371,9 @@ struct SystemKind {
     return CountedInterval(total.stats.trials_with_failure,
                            total.stats.trials);
   }
+  std::string Totals(const State& total) const {
+    return CountedTotals(total.stats.trials_with_failure, total.stats.trials);
+  }
 };
 
 /// Multilevel-split system campaign. It reports the splitting estimator
@@ -389,6 +421,19 @@ struct SplitKind {
   util::Proportion FailureInterval(const State& total) const {
     return WeightedInterval(reliability::EstimateSplitRate(split, total), 1.0,
                             0.0);
+  }
+  /// Interior nodes are partial re-simulations, so the weighted estimate
+  /// is the only meaningful failure rate. An empty campaign reads like any
+  /// other kind's.
+  std::string Totals(const State& total) const {
+    if (total.root_trials == 0) return CountedTotals(0, 0);
+    const reliability::WeightedEstimate fail =
+        reliability::EstimateSplitRate(split, total);
+    return "campaign totals: " + std::to_string(total.root_trials) +
+           " root trials over " + std::to_string(total.nodes) +
+           " simulated nodes (P(failure)/trial = " +
+           util::Table::Sci(fail.estimate) + " +/- " +
+           util::Table::Sci(fail.std_error) + ")\n";
   }
 };
 
@@ -567,7 +612,8 @@ void AddFleetProjection(telemetry::Report& report, const FleetSpec& fleet,
 }  // namespace
 
 telemetry::Report MergeCampaignCheckpoints(
-    const std::vector<std::string>& paths, const FleetSpec& fleet) {
+    const std::vector<std::string>& paths, const FleetSpec& fleet,
+    std::string* totals) {
   if (paths.empty())
     throw std::runtime_error("merge: no checkpoint files given");
 
@@ -651,6 +697,7 @@ telemetry::Report MergeCampaignCheckpoints(
              for (const SliceDoc& doc : docs)
                total += kind.Load(doc.state, doc.what);
              kind.Report(report, total, fingerprint);
+             if (totals != nullptr) *totals = kind.Totals(total);
              if (FleetEnabled(fleet))
                AddFleetProjection(report, fleet, kind.FailureInterval(total));
            });

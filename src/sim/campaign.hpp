@@ -186,8 +186,11 @@ CampaignProgress RunCampaign(const CampaignSpec& spec,
 /// overlaps, incomplete or corrupt slices are distinct errors. States are
 /// folded in shard order, so the report's deterministic sections are
 /// byte-identical to an uninterrupted single-process run. `fleet` adds
-/// fleet.* projection metrics when enabled.
+/// fleet.* projection metrics when enabled. `totals`, when given, receives
+/// the kind's totals line(s) for a terminal ("campaign totals: ...",
+/// newline-terminated).
 telemetry::Report MergeCampaignCheckpoints(
-    const std::vector<std::string>& paths, const FleetSpec& fleet = {});
+    const std::vector<std::string>& paths, const FleetSpec& fleet = {},
+    std::string* totals = nullptr);
 
 }  // namespace pair_ecc::sim

@@ -877,49 +877,6 @@ extern "C" void HandleStopSignal(int /*signum*/) {
   g_stop_requested.store(true, std::memory_order_relaxed);
 }
 
-void PrintCampaignReportSummary(const telemetry::Report& report) {
-  const auto& c = report.counters();
-  const telemetry::JsonValue json = report.ToJson(/*include_timing=*/false);
-  const telemetry::JsonValue* metrics = json.Find("metrics");
-  if (c.Get("split.root_trials") != 0) {
-    // Splitting campaign: interior nodes are partial re-simulations, so the
-    // weighted split.* estimate is the only meaningful failure rate.
-    std::cout << "campaign totals: " << c.Get("split.root_trials")
-              << " root trials over " << c.Get("split.nodes")
-              << " simulated nodes (P(failure)/trial = "
-              << util::Table::Sci(
-                     metrics->Find("split.p_failure")->AsReal())
-              << " +/- "
-              << util::Table::Sci(
-                     metrics->Find("split.p_failure_std_error")->AsReal())
-              << ")\n";
-    return;
-  }
-  const bool system = c.Get("system.trials") != 0 || c.Get("trials") == 0;
-  const std::uint64_t trials =
-      system ? c.Get("system.trials") : c.Get("trials");
-  const std::uint64_t failures = system ? c.Get("system.trials_with_failure")
-                                        : c.Get("trials_with_failure");
-  std::cout << "campaign totals: " << trials << " trials, " << failures
-            << " with failure";
-  if (trials != 0)
-    std::cout << " (P(failure)/trial = "
-              << util::Table::Sci(static_cast<double>(failures) /
-                                  static_cast<double>(trials))
-              << ")";
-  std::cout << "\n";
-  const telemetry::JsonValue* is_p =
-      metrics == nullptr ? nullptr : metrics->Find("is.p_failure");
-  if (is_p != nullptr)
-    // Tilted campaign: the raw counts above live in the proposal measure;
-    // the importance-sampled estimate is the physical one.
-    std::cout << "importance-sampled P(failure)/trial = "
-              << util::Table::Sci(is_p->AsReal()) << " +/- "
-              << util::Table::Sci(
-                     metrics->Find("is.p_failure_std_error")->AsReal())
-              << "\n";
-}
-
 int CmdCampaignRun(Invocation& in) {
   sim::CampaignSpec spec;
   std::string mode_name, shard_spec, json_path, split_levels;
@@ -1036,9 +993,10 @@ int CmdCampaignRun(Invocation& in) {
             << spec.checkpoint_path << "'\n";
 
   if (!json_path.empty()) {
+    std::string totals;
     const telemetry::Report report =
-        sim::MergeCampaignCheckpoints({spec.checkpoint_path}, fleet);
-    PrintCampaignReportSummary(report);
+        sim::MergeCampaignCheckpoints({spec.checkpoint_path}, fleet, &totals);
+    std::cout << totals;
     WriteReport(report, json_path);
   }
   return 0;
@@ -1055,10 +1013,10 @@ int CmdCampaignMerge(Invocation& in) {
         "campaign merge: no checkpoint files given (pass them as "
         "positional arguments)");
 
+  std::string totals;
   const telemetry::Report report =
-      sim::MergeCampaignCheckpoints(paths, fleet);
-  std::cout << "merged " << paths.size() << " checkpoint(s)\n";
-  PrintCampaignReportSummary(report);
+      sim::MergeCampaignCheckpoints(paths, fleet, &totals);
+  std::cout << "merged " << paths.size() << " checkpoint(s)\n" << totals;
   if (fleet.devices > 0.0 && fleet.years > 0.0) {
     const double expected = report.ToJson(false)
                                 .Find("metrics")
