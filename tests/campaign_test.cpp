@@ -815,6 +815,37 @@ TEST(Campaign, EveryKindIsPinned) {
   EXPECT_EQ(actual.size(), expected.size());
 }
 
+// Each kind writes the totals line `pairsim campaign run --json` and
+// `campaign merge` print; an empty campaign reads the same in every kind.
+TEST(Campaign, EveryKindWritesItsTotalsLine) {
+  const auto totals = [](const sim::CampaignSpec& spec) {
+    EXPECT_TRUE(sim::RunCampaign(spec).complete);
+    std::string line;
+    sim::MergeCampaignCheckpoints({spec.checkpoint_path}, {}, &line);
+    return line;
+  };
+  EXPECT_EQ(totals(ScenarioSpec(SmallScenario(), 64,
+                                TempPath("totals_scenario.json"))),
+            "campaign totals: 64 trials, 19 with failure "
+            "(P(failure)/trial = 2.97e-01)\n");
+  EXPECT_EQ(totals(TiltedSpec(SmallScenario(), 64,
+                              TempPath("totals_tilted.json"))),
+            "campaign totals: 64 trials, 29 with failure "
+            "(P(failure)/trial = 4.53e-01)\n"
+            "importance-sampled P(failure)/trial = 8.02e-02 +/- 1.55e-02\n");
+  EXPECT_EQ(totals(SystemSpec(2, 200.0, TempPath("totals_system.json"))),
+            "campaign totals: 64 trials, 2 with failure "
+            "(P(failure)/trial = 3.12e-02)\n");
+  EXPECT_EQ(
+      totals(SplitCampaignSpec(2, 200.0, TempPath("totals_split.json"))),
+      "campaign totals: 64 root trials over 112 simulated nodes "
+      "(P(failure)/trial = 1.56e-02 +/- 1.56e-02)\n");
+  sim::CampaignSpec empty =
+      SplitCampaignSpec(2, 200.0, TempPath("totals_split_empty.json"));
+  empty.trials = 0;
+  EXPECT_EQ(totals(empty), "campaign totals: 0 trials, 0 with failure\n");
+}
+
 // ------------------------------------ checkpoints that disagree with
 // themselves or with their spec
 
