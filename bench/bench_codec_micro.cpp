@@ -181,47 +181,76 @@ void BM_HammingDecode136(benchmark::State& state) {
 }
 BENCHMARK(BM_HammingDecode136);
 
-void BM_SchemeWriteLine(benchmark::State& state) {
-  dram::RankGeometry rg;
+// The scheme benchmarks run on the default DDR4 x8 BL8 rank, where IECC's
+// 64-bit columns are half an on-die word, and (the *Ddr5 variants) on the
+// DDR5 x8 BL16 rank of the DDR5-4800 preset, where a column is the word.
+dram::RankGeometry Ddr5Rank() {
+  return timing::MakePreset(timing::GeometryPreset::kDdr5_4800).geometry;
+}
+
+void SchemeWriteLine(benchmark::State& state, const dram::RankGeometry& rg) {
   dram::Rank rank(rg);
   auto scheme =
       ecc::MakeScheme(static_cast<ecc::SchemeKind>(state.range(0)), rank);
   util::Xoshiro256 rng(6);
   const auto line = util::BitVec::Random(rg.LineBits(), rng);
+  const unsigned columns = rg.device.ColumnsPerRow();
   unsigned col = 0;
   for (auto _ : state) {
     scheme->WriteLine({0, 0, col}, line);
-    col = (col + 1) % 128;
+    col = (col + 1) % columns;
   }
   state.SetLabel(scheme->Name());
 }
+
+void BM_SchemeWriteLine(benchmark::State& state) {
+  SchemeWriteLine(state, dram::RankGeometry{});
+}
 BENCHMARK(BM_SchemeWriteLine)
     ->Arg(static_cast<int>(ecc::SchemeKind::kIecc))
+    ->Arg(static_cast<int>(ecc::SchemeKind::kIeccSecDed))
     ->Arg(static_cast<int>(ecc::SchemeKind::kXed))
     ->Arg(static_cast<int>(ecc::SchemeKind::kDuo))
     ->Arg(static_cast<int>(ecc::SchemeKind::kPair4));
 
-void BM_SchemeReadLine(benchmark::State& state) {
-  dram::RankGeometry rg;
+void BM_SchemeWriteLineDdr5(benchmark::State& state) {
+  SchemeWriteLine(state, Ddr5Rank());
+}
+BENCHMARK(BM_SchemeWriteLineDdr5)
+    ->Arg(static_cast<int>(ecc::SchemeKind::kIecc));
+
+void SchemeReadLine(benchmark::State& state, const dram::RankGeometry& rg) {
   dram::Rank rank(rg);
   auto scheme =
       ecc::MakeScheme(static_cast<ecc::SchemeKind>(state.range(0)), rank);
   util::Xoshiro256 rng(7);
-  for (unsigned col = 0; col < 128; ++col)
+  const unsigned columns = rg.device.ColumnsPerRow();
+  for (unsigned col = 0; col < columns; ++col)
     scheme->WriteLine({0, 0, col}, util::BitVec::Random(rg.LineBits(), rng));
   unsigned col = 0;
   for (auto _ : state) {
     auto r = scheme->ReadLine({0, 0, col});
     benchmark::DoNotOptimize(r);
-    col = (col + 1) % 128;
+    col = (col + 1) % columns;
   }
   state.SetLabel(scheme->Name());
 }
+
+void BM_SchemeReadLine(benchmark::State& state) {
+  SchemeReadLine(state, dram::RankGeometry{});
+}
 BENCHMARK(BM_SchemeReadLine)
     ->Arg(static_cast<int>(ecc::SchemeKind::kIecc))
+    ->Arg(static_cast<int>(ecc::SchemeKind::kIeccSecDed))
     ->Arg(static_cast<int>(ecc::SchemeKind::kXed))
     ->Arg(static_cast<int>(ecc::SchemeKind::kDuo))
     ->Arg(static_cast<int>(ecc::SchemeKind::kPair4));
+
+void BM_SchemeReadLineDdr5(benchmark::State& state) {
+  SchemeReadLine(state, Ddr5Rank());
+}
+BENCHMARK(BM_SchemeReadLineDdr5)
+    ->Arg(static_cast<int>(ecc::SchemeKind::kIecc));
 
 void BM_ControllerThroughput(benchmark::State& state) {
   const timing::TimingParams params;

@@ -46,6 +46,15 @@ class Device {
   void WriteBits(unsigned bank, unsigned row, unsigned offset,
                  const util::BitVec& bits);
 
+  /// ReadBits of `count` <= 64 bits as an integer, bit `offset` being the
+  /// least-significant bit; allocates nothing.
+  std::uint64_t ReadWord(unsigned bank, unsigned row, unsigned offset,
+                         unsigned count) const;
+
+  /// WriteBits of the low `count` <= 64 bits of `value` at `offset`.
+  void WriteWord(unsigned bank, unsigned row, unsigned offset, unsigned count,
+                 std::uint64_t value);
+
   /// The row's underlying storage (spare region included), created
   /// zero-filled on first touch. For callers that write many scattered
   /// bits of one row: writes through the reference are storage writes,
@@ -114,6 +123,16 @@ class Device {
     // their forced values. Both stay empty until the row's first stuck bit.
     util::BitVec stuck_mask;
     util::BitVec stuck_value;
+
+    /// The one stuck-at merge: bits [offset, offset + count), count <= 64,
+    /// as a read delivers them (a stuck bit reads its forced value, every
+    /// other bit its stored one).
+    std::uint64_t Read(unsigned offset, unsigned count) const {
+      const std::uint64_t stored = data.GetWord(offset, count);
+      if (stuck_mask.empty()) return stored;
+      const std::uint64_t mask = stuck_mask.GetWord(offset, count);
+      return (stored & ~mask) | (stuck_value.GetWord(offset, count) & mask);
+    }
   };
 
   std::uint64_t RowKey(unsigned bank, unsigned row) const {

@@ -119,18 +119,18 @@ class IeccScheme final : public Scheme {
   }
 
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
+    const unsigned access = rank().geometry().device.AccessBits();
     for (unsigned d = 0; d < rank().DataDevices(); ++d)
-      sec_.WriteColumn(rank().device(d), addr, rank().DeviceSlice(line, d));
+      sec_.WriteColumn(rank().device(d), addr, line, d * access);
   }
 
   ReadResult DoReadLine(const dram::Address& addr) override {
+    const unsigned access = rank().geometry().device.AccessBits();
     ReadResult result;
     result.data = util::BitVec(rank().geometry().LineBits());
-    for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      const OnDieSec::Column col = sec_.ReadColumn(rank().device(d), addr);
-      result.Fold(col.status);
-      rank().SetDeviceSlice(result.data, d, col.bits);
-    }
+    for (unsigned d = 0; d < rank().DataDevices(); ++d)
+      result.Fold(sec_.ReadColumn(rank().device(d), addr, result.data,
+                                  d * access));
     return result;
   }
 
@@ -172,14 +172,13 @@ class RankSecDedScheme final : public Scheme {
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
     inner_->WriteLine(addr, line);
     const auto& g = rank().geometry().device;
-    util::BitVec parity_col(g.AccessBits());
     for (unsigned beat = 0; beat < g.burst_length; ++beat) {
-      const util::BitVec data = GatherBeat(line, beat);
-      const util::BitVec cw = code_.Encode(data);
-      parity_col.Splice(beat * g.dq_pins,
-                        cw.Slice(code_.k(), code_.ParityBits()));
+      GatherBeat(line, beat);
+      code_.EncodeInPlace(cw_);
+      parity_col_.SpliceFrom(beat * g.dq_pins, cw_, code_.k(),
+                             code_.ParityBits());
     }
-    rank().device(EccDevice()).WriteColumn(addr, parity_col);
+    rank().device(EccDevice()).WriteColumn(addr, parity_col_);
   }
 
   void DoScrubLine(const dram::Address& addr) override {
@@ -199,11 +198,10 @@ class RankSecDedScheme final : public Scheme {
     const util::BitVec parity_col =
         rank().device(EccDevice()).ReadColumn(addr);
     for (unsigned beat = 0; beat < g.burst_length; ++beat) {
-      util::BitVec& cw = cw_;  // fully overwritten below
-      cw.Splice(0, GatherBeat(result.data, beat));
-      cw.Splice(code_.k(),
-                parity_col.Slice(beat * g.dq_pins, code_.ParityBits()));
-      const auto decode = code_.Decode(cw);
+      GatherBeat(result.data, beat);
+      cw_.SpliceFrom(code_.k(), parity_col, beat * g.dq_pins,
+                     code_.ParityBits());
+      const auto decode = code_.Decode(cw_);
       if (decode.status == hamming::HammingStatus::kCorrected &&
           decode.corrected_bit < code_.k())
         result.data.Flip(LineBitOf(beat, decode.corrected_bit));
@@ -223,18 +221,23 @@ class RankSecDedScheme final : public Scheme {
     return device * g.AccessBits() + beat * g.dq_pins + pin;
   }
 
-  util::BitVec GatherBeat(const util::BitVec& line, unsigned beat) const {
-    util::BitVec out(code_.k());
-    for (unsigned lane = 0; lane < code_.k(); ++lane)
-      out.Set(lane, line.Get(LineBitOf(beat, lane)));
-    return out;
+  /// Copies one beat's k bus lanes of `line` into cw_'s data bits: each
+  /// device's dq_pins lanes of the beat are adjacent in the line.
+  void GatherBeat(const util::BitVec& line, unsigned beat) {
+    const auto& g = rank().geometry().device;
+    for (unsigned d = 0; d < rank().DataDevices(); ++d)
+      cw_.SetWord(d * g.dq_pins, g.dq_pins,
+                  line.GetWord(d * g.AccessBits() + beat * g.dq_pins,
+                               g.dq_pins));
   }
 
   std::unique_ptr<Scheme> inner_;
   hamming::HammingCode code_;
-  // Reusable beat codeword; single-threaded per instance, fully overwritten
-  // on every use.
+  // Reusable beat codeword and parity column; single-threaded per
+  // instance. cw_ is fully overwritten on every use; parity_col_'s lanes
+  // past each beat's parity bits stay zero.
   util::BitVec cw_{code_.n()};
+  util::BitVec parity_col_{rank().geometry().device.AccessBits()};
 };
 
 }  // namespace
@@ -249,38 +252,45 @@ OnDieSec::OnDieSec(const dram::DeviceGeometry& g)
              "on-die SEC: spare region too small for parity");
 }
 
-unsigned OnDieSec::Sense(const dram::Device& dev, const dram::Address& addr) {
+void OnDieSec::Sense(const dram::Device& dev, const dram::Address& addr) {
   const auto& g = dev.geometry();
-  const unsigned word = addr.col / (kWordBits / g.AccessBits());
-  cw_.Splice(0, dev.ReadBits(addr.bank, addr.row, word * kWordBits, kWordBits));
-  cw_.Splice(kWordBits, dev.ReadBits(addr.bank, addr.row,
-                                     g.row_bits + word * code_.ParityBits(),
-                                     code_.ParityBits()));
-  return word;
+  const unsigned word = WordOf(g, addr.col);
+  for (unsigned at = 0; at < kWordBits; at += 64)
+    cw_.SetWord(at, 64,
+                dev.ReadWord(addr.bank, addr.row, word * kWordBits + at, 64));
+  cw_.SetWord(kWordBits, code_.ParityBits(),
+              dev.ReadWord(addr.bank, addr.row,
+                           g.row_bits + word * code_.ParityBits(),
+                           code_.ParityBits()));
 }
 
 void OnDieSec::WriteColumn(dram::Device& dev, const dram::Address& addr,
-                           const util::BitVec& column) {
+                           const util::BitVec& line, unsigned at) {
   const auto& g = dev.geometry();
-  const unsigned word = Sense(dev, addr);
-  const unsigned slot = addr.col % (kWordBits / g.AccessBits());
-  code_.Decode(cw_);  // best effort; may itself miscorrect on multi-bit
-  util::BitVec word_bits = cw_.Slice(0, kWordBits);
-  word_bits.Splice(slot * g.AccessBits(), column);
-  const util::BitVec reenc = code_.Encode(word_bits);
+  const unsigned access = g.AccessBits();
+  const unsigned word = WordOf(g, addr.col);
+  if (access < kWordBits) {
+    Sense(dev, addr);
+    code_.Decode(cw_);  // best effort; may itself miscorrect on multi-bit
+  }
+  cw_.SpliceFrom(addr.col * access % kWordBits, line, at, access);
+  code_.EncodeInPlace(cw_);
   // Restore the whole corrected word, not just the written column.
-  dev.WriteBits(addr.bank, addr.row, word * kWordBits, word_bits);
-  dev.WriteBits(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
-                reenc.Slice(kWordBits, code_.ParityBits()));
+  for (unsigned bit = 0; bit < kWordBits; bit += 64)
+    dev.WriteWord(addr.bank, addr.row, word * kWordBits + bit, 64,
+                  cw_.GetWord(bit, 64));
+  dev.WriteWord(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
+                code_.ParityBits(), cw_.GetWord(kWordBits, code_.ParityBits()));
 }
 
-OnDieSec::Column OnDieSec::ReadColumn(const dram::Device& dev,
-                                      const dram::Address& addr) {
-  const auto& g = dev.geometry();
+hamming::HammingStatus OnDieSec::ReadColumn(const dram::Device& dev,
+                                            const dram::Address& addr,
+                                            util::BitVec& line, unsigned at) {
+  const unsigned access = dev.geometry().AccessBits();
   Sense(dev, addr);
-  const unsigned slot = addr.col % (kWordBits / g.AccessBits());
   const hamming::HammingStatus status = code_.Decode(cw_).status;
-  return {cw_.Slice(slot * g.AccessBits(), g.AccessBits()), status};
+  line.SpliceFrom(at, cw_, addr.col * access % kWordBits, access);
+  return status;
 }
 
 std::unique_ptr<Scheme> MakeNoEcc(dram::Rank& rank) {

@@ -13,8 +13,11 @@ namespace pair_ecc::ecc {
 /// Conventional on-die SEC, the one word path of IECC and XED: a device
 /// protects every aligned 128-bit internal-fetch word of a row with a
 /// (136,128) SEC Hamming code whose 8 parity bits live in the row's spare
-/// region. Holds a reusable codeword buffer, so an instance belongs to one
-/// single-threaded Scheme (the trial engine builds one per worker).
+/// region. Columns travel as bits [at, at + AccessBits) of the caller's
+/// line, and the word moves as three device word reads or writes, so a
+/// column costs no allocation. Holds a reusable codeword buffer, so an
+/// instance belongs to one single-threaded Scheme (the trial engine builds
+/// one per worker).
 class OnDieSec {
  public:
   static constexpr unsigned kWordBits = 128;
@@ -25,30 +28,38 @@ class OnDieSec {
 
   const hamming::HammingCode& code() const noexcept { return code_; }
 
-  /// Writes one column through the on-die code. The codeword is wider than
-  /// a column access on a BL8 die (64 bits on x8), so this is the internal
+  /// Writes bits [at, at + AccessBits) of `line` as `addr`'s column of
+  /// `dev` through the on-die code. Where the codeword is wider than a
+  /// column access (BL8 x4/x8: 32 or 64 bits) this is the internal
   /// read-CORRECT-modify-write: the covering word is sensed and decoded
   /// before the column is spliced in, since re-encoding over a stale error
-  /// would launder it into a valid-looking corrupted codeword.
+  /// would launder it into a valid-looking corrupted codeword. A column as
+  /// wide as the word (DDR5 x8 BL16, HBM3 x16 BL8) senses nothing: the
+  /// write replaces every data bit and recomputes the parity from them, so
+  /// what was stored, errors and all, cannot reach the result, and the
+  /// stored bits are the same as after a sense and decode.
   void WriteColumn(dram::Device& dev, const dram::Address& addr,
-                   const util::BitVec& column);
+                   const util::BitVec& line, unsigned at);
 
-  struct Column {
-    util::BitVec bits;
-    hamming::HammingStatus status;
-  };
-
-  /// Decodes the word covering the column and returns the column's slice.
-  /// Single-bit errors are repaired; multi-bit errors either alias to a
-  /// wrong single-bit syndrome (miscorrection, adding a third error
-  /// silently) or fall outside the position range (kDetected, the word
-  /// left as sensed, so the slice is the raw column).
-  Column ReadColumn(const dram::Device& dev, const dram::Address& addr);
+  /// Decodes the word covering `addr`'s column of `dev` and delivers the
+  /// column into bits [at, at + AccessBits) of `line`. Single-bit errors
+  /// are repaired; multi-bit errors either alias to a wrong single-bit
+  /// syndrome (miscorrection, adding a third error silently) or fall
+  /// outside the position range (kDetected, the word left as sensed, so
+  /// the column is the raw one).
+  hamming::HammingStatus ReadColumn(const dram::Device& dev,
+                                    const dram::Address& addr,
+                                    util::BitVec& line, unsigned at);
 
  private:
-  /// Senses the word covering `addr`'s column and its parity into cw_
-  /// (fully overwritten); returns the word's index within the row.
-  unsigned Sense(const dram::Device& dev, const dram::Address& addr);
+  /// The index within its row of the word covering column `col`.
+  static unsigned WordOf(const dram::DeviceGeometry& g, unsigned col) {
+    return col * g.AccessBits() / kWordBits;
+  }
+
+  /// Senses `addr`'s covering word and its parity into cw_ (fully
+  /// overwritten).
+  void Sense(const dram::Device& dev, const dram::Address& addr);
 
   hamming::HammingCode code_;
   util::BitVec cw_{code_.n()};

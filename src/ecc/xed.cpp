@@ -17,11 +17,13 @@
 // consulted only on a signal — matching XED's decode flow — so it cannot
 // catch silent miscorrections (assumption [A3] in DESIGN.md).
 //
-// Performance: the on-die codeword (128 bits) is wider than a per-device
-// column write (64 bits), so every write pays the internal read-modify-
-// write, exactly like conventional IECC.
+// Performance: on a BL8 x8 die the on-die codeword (128 bits) is wider
+// than a per-device column write (64 bits), so every write pays the
+// internal read-modify-write, exactly like conventional IECC; a BL16 x8 or
+// HBM3 x16 column is the whole word and pays none.
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
@@ -53,59 +55,67 @@ class XedScheme final : public Scheme {
   }
 
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
-    const auto& g = rank().geometry().device;
-    util::BitVec xor_col(g.AccessBits());
+    const unsigned access = rank().geometry().device.AccessBits();
+    for (unsigned at = 0; at < access; at += 64) {
+      const unsigned n = std::min(64u, access - at);
+      std::uint64_t x = 0;
+      for (unsigned d = 0; d < rank().DataDevices(); ++d)
+        x ^= line.GetWord(d * access + at, n);
+      column_.SetWord(at, n, x);
+    }
     for (unsigned d = 0; d < rank().DataDevices(); ++d)
-      xor_col ^= rank().DeviceSlice(line, d);
-    for (unsigned d = 0; d < rank().DataDevices(); ++d)
-      sec_.WriteColumn(rank().device(d), addr, rank().DeviceSlice(line, d));
-    sec_.WriteColumn(rank().device(rank().DataDevices()), addr, xor_col);
+      sec_.WriteColumn(rank().device(d), addr, line, d * access);
+    sec_.WriteColumn(rank().device(rank().DataDevices()), addr, column_, 0);
   }
 
   ReadResult DoReadLine(const dram::Address& addr) override {
+    const unsigned access = rank().geometry().device.AccessBits();
     ReadResult result;
     result.data = util::BitVec(rank().geometry().LineBits());
 
-    std::vector<util::BitVec> columns(rank().DataDevices());
-    std::vector<unsigned> flagged;
+    // A signalling device's word is left as sensed: its column is the raw
+    // one, kept for best effort.
+    unsigned flagged = 0;
+    unsigned first_flagged = 0;
     bool any_corrected = false;
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      // A signalling device's word is left as sensed: its column is the raw
-      // one, kept for best effort.
-      OnDieSec::Column col = sec_.ReadColumn(rank().device(d), addr);
-      if (col.status == hamming::HammingStatus::kDetected) flagged.push_back(d);
-      any_corrected |= col.status == hamming::HammingStatus::kCorrected;
-      columns[d] = std::move(col.bits);
+      const hamming::HammingStatus status =
+          sec_.ReadColumn(rank().device(d), addr, result.data, d * access);
+      if (status == hamming::HammingStatus::kDetected && flagged++ == 0)
+        first_flagged = d;
+      any_corrected |= status == hamming::HammingStatus::kCorrected;
     }
 
-    if (flagged.size() == 1) {
+    if (flagged == 1) {
       // Erasure repair via the XOR chip (itself protected by on-die SEC).
-      OnDieSec::Column parity =
-          sec_.ReadColumn(rank().device(rank().DataDevices()), addr);
-      if (parity.status == hamming::HammingStatus::kDetected) {
+      if (sec_.ReadColumn(rank().device(rank().DataDevices()), addr, column_,
+                          0) == hamming::HammingStatus::kDetected) {
         result.claim = Claim::kDetected;  // data chip + parity chip signalled
       } else {
-        util::BitVec rebuilt = std::move(parity.bits);
-        for (unsigned d = 0; d < rank().DataDevices(); ++d)
-          if (d != flagged[0]) rebuilt ^= columns[d];
-        columns[flagged[0]] = std::move(rebuilt);
+        for (unsigned at = 0; at < access; at += 64) {
+          const unsigned n = std::min(64u, access - at);
+          std::uint64_t x = column_.GetWord(at, n);
+          for (unsigned d = 0; d < rank().DataDevices(); ++d)
+            if (d != first_flagged) x ^= result.data.GetWord(d * access + at, n);
+          result.data.SetWord(first_flagged * access + at, n, x);
+        }
         result.claim = Claim::kCorrected;
         ++result.corrected_units;
       }
-    } else if (flagged.size() >= 2) {
+    } else if (flagged >= 2) {
       result.claim = Claim::kDetected;
     } else if (any_corrected) {
       result.claim = Claim::kCorrected;
       ++result.corrected_units;
     }
-
-    for (unsigned d = 0; d < rank().DataDevices(); ++d)
-      rank().SetDeviceSlice(result.data, d, columns[d]);
     return result;
   }
 
  private:
   OnDieSec sec_;
+  // The XOR chip's column: what a write stores there, and what a read
+  // rebuilds a signalling device's column from.
+  util::BitVec column_{rank().geometry().device.AccessBits()};
 };
 
 }  // namespace

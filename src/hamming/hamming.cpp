@@ -1,5 +1,6 @@
 #include "hamming/hamming.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "util/contract.hpp"
@@ -39,35 +40,52 @@ HammingCode::HammingCode(unsigned k, bool extended)
     position_[k + j] = 1u << j;
     index_of_position_[1u << j] = k + j;
   }
+
+  const unsigned words = (n_ + 63) / 64;
+  syndrome_masks_.assign(p * words, 0);
+  for (unsigned i = 0; i < base_n; ++i) {
+    for (unsigned bits = position_[i]; bits != 0; bits &= bits - 1) {
+      const auto j = static_cast<unsigned>(__builtin_ctz(bits));
+      syndrome_masks_[j * words + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
 }
 
 util::BitVec HammingCode::Encode(const util::BitVec& data) const {
   PAIR_CHECK(data.size() == k_, "HammingCode::Encode: wrong data length");
   util::BitVec cw(n_);
-  unsigned syndrome_acc = 0;
-  for (unsigned d = 0; d < k_; ++d) {
-    if (data.Get(d)) {
-      cw.Set(d, true);
-      syndrome_acc ^= position_[d];
-    }
-  }
-  // Parity bit j makes syndrome bit j zero.
-  for (unsigned j = 0; j < hamming_parity_; ++j)
-    cw.Set(k_ + j, (syndrome_acc >> j) & 1u);
-  if (extended_) {
-    bool overall = false;
-    for (unsigned i = 0; i + 1 < n_; ++i) overall ^= cw.Get(i);
-    cw.Set(n_ - 1, overall);
-  }
+  cw.Splice(0, data);
+  EncodeInPlace(cw);
   return cw;
 }
 
+void HammingCode::EncodeInPlace(util::BitVec& word) const {
+  PAIR_CHECK(word.size() == n_, "HammingCode::EncodeInPlace: wrong word length");
+  // Parity bit j sits at position 2^j, so it adds exactly bit j to the
+  // syndrome: the data bits' syndrome is the whole word's syndrome with
+  // the stored parity bits XORed back out. Parity bit j makes syndrome
+  // bit j zero.
+  word.SetWord(k_, hamming_parity_,
+               Syndrome(word) ^ word.GetWord(k_, hamming_parity_));
+  if (extended_) word.Set(n_ - 1, Parity(word) != word.Get(n_ - 1));
+}
+
 unsigned HammingCode::Syndrome(const util::BitVec& word) const {
+  const std::span<const std::uint64_t> words = word.Words();
+  const std::uint64_t* mask = syndrome_masks_.data();
   unsigned s = 0;
-  const unsigned base_n = k_ + hamming_parity_;
-  for (unsigned i = 0; i < base_n; ++i)
-    if (word.Get(i)) s ^= position_[i];
+  for (unsigned j = 0; j < hamming_parity_; ++j) {
+    std::uint64_t acc = 0;
+    for (const std::uint64_t w : words) acc ^= w & *mask++;
+    s |= static_cast<unsigned>(__builtin_parityll(acc)) << j;
+  }
   return s;
+}
+
+bool HammingCode::Parity(const util::BitVec& word) noexcept {
+  std::uint64_t acc = 0;
+  for (const std::uint64_t w : word.Words()) acc ^= w;
+  return __builtin_parityll(acc) != 0;
 }
 
 HammingResult HammingCode::Decode(util::BitVec& word) const {
@@ -92,8 +110,7 @@ HammingResult HammingCode::Decode(util::BitVec& word) const {
 
   // Extended (SEC-DED): overall parity distinguishes odd- from even-weight
   // error patterns.
-  bool parity = false;
-  for (unsigned i = 0; i < n_; ++i) parity ^= word.Get(i);
+  const bool parity = Parity(word);
 
   if (s == 0 && !parity) return result;  // clean (or undetectable pattern)
 
@@ -127,12 +144,7 @@ util::BitVec HammingCode::ExtractData(const util::BitVec& word) const {
 bool HammingCode::IsCodeword(const util::BitVec& word) const {
   if (word.size() != n_) return false;
   if (Syndrome(word) != 0) return false;
-  if (extended_) {
-    bool parity = false;
-    for (unsigned i = 0; i < n_; ++i) parity ^= word.Get(i);
-    if (parity) return false;
-  }
-  return true;
+  return !extended_ || !Parity(word);
 }
 
 double HammingCode::DoubleErrorMiscorrectionRate() const {

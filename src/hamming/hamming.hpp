@@ -10,6 +10,12 @@
 // position is "corrected" into a third wrong bit and reported as a clean
 // single-bit fix. The reliability layer classifies that against ground
 // truth as silent data corruption.
+//
+// Syndrome and parity are computed a storage word at a time: syndrome bit j
+// is the parity of the codeword ANDed with a precomputed mask of the bits
+// whose Hamming position has bit j set, so a (136,128) syndrome is 24
+// AND/XOR steps and 8 parities, and the k = 512 ablation code needs no
+// per-byte table.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +61,10 @@ class HammingCode {
   /// Encodes k data bits into an n-bit codeword.
   util::BitVec Encode(const util::BitVec& data) const;
 
+  /// Rewrites the parity bits (and the overall parity, if extended) of the
+  /// n-bit `word` from its data bits [0, k), which it leaves as they are.
+  void EncodeInPlace(util::BitVec& word) const;
+
   /// Decodes in place. On kCorrected the word is a codeword again (though
   /// possibly the wrong one if >1 bit was in error); on kDetected the word
   /// is untouched.
@@ -72,6 +82,8 @@ class HammingCode {
 
  private:
   unsigned Syndrome(const util::BitVec& word) const;
+  /// Parity of all n bits of `word`.
+  static bool Parity(const util::BitVec& word) noexcept;
 
   unsigned k_;
   bool extended_;
@@ -82,6 +94,9 @@ class HammingCode {
   std::vector<unsigned> position_;
   // index_of_position_[p]: codeword bit index holding Hamming position p.
   std::vector<unsigned> index_of_position_;
+  // syndrome_masks_[j * words + w]: bit i set when codeword bit 64w + i's
+  // Hamming position has bit j set (words = the codeword's storage words).
+  std::vector<std::uint64_t> syndrome_masks_;
 };
 
 }  // namespace pair_ecc::hamming

@@ -5,11 +5,13 @@
 // stores 64-bit words, supports XOR composition (error injection is XOR),
 // popcount, and sub-range extraction, which are the operations the codecs
 // and the fault injector need on their hot paths. Range operations
-// (GetWord/SetWord, Slice/Splice) shift and mask whole words.
+// (GetWord/SetWord, Slice/Splice/SpliceFrom) shift and mask whole words.
+// Bits past size() in the last storage word are always zero.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +112,23 @@ class BitVec {
       SetWord(offset + w * 64, std::min<std::size_t>(64, src.size_ - w * 64),
               src.words_[w]);
   }
+
+  /// Overwrites bits [offset, offset+count) with `src`'s bits
+  /// [src_offset, src_offset+count): Splice of a range, with no Slice.
+  void SpliceFrom(std::size_t offset, const BitVec& src, std::size_t src_offset,
+                  std::size_t count) noexcept {
+    PAIR_DCHECK(src_offset + count <= src.size_,
+                "splice source [" << src_offset << ", " << src_offset + count
+                                  << ") out of " << src.size_);
+    for (std::size_t at = 0; at < count; at += 64) {
+      const std::size_t n = std::min<std::size_t>(64, count - at);
+      SetWord(offset + at, n, src.GetWord(src_offset + at, n));
+    }
+  }
+
+  /// The storage words, bit i being bit i % 64 of word i / 64; the last
+  /// word's bits past size() read as zero.
+  std::span<const std::uint64_t> Words() const noexcept { return words_; }
 
   /// Reads `count` bits (count <= 64) starting at `offset` as an integer,
   /// bit `offset` becoming the least-significant bit.

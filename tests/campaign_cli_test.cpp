@@ -54,9 +54,11 @@ std::string ReadAll(const std::string& path) {
 }
 
 /// Forks and execs pairsim with stdout+stderr redirected to `log_path`, or
-/// stderr to `err_path` when one is given.
+/// stderr to `err_path` when one is given, and PAIR_TRIALS set to
+/// `pair_trials` when that is not empty.
 pid_t Spawn(const std::vector<std::string>& args,
-            const std::string& log_path, const std::string& err_path = "") {
+            const std::string& log_path, const std::string& err_path = "",
+            const std::string& pair_trials = "") {
   static const std::string binary = PAIRSIM_BINARY;
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(binary.c_str()));
@@ -68,6 +70,7 @@ pid_t Spawn(const std::vector<std::string>& args,
   if (pid == 0) {
     // A CI-wide PAIR_TRIALS would override the --trials these tests pin.
     unsetenv("PAIR_TRIALS");
+    if (!pair_trials.empty()) setenv("PAIR_TRIALS", pair_trials.c_str(), 1);
     const int fd =
         open(log_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
     if (fd >= 0) {
@@ -111,8 +114,9 @@ Outcome Wait(pid_t pid) {
 
 Outcome RunPairsim(const std::vector<std::string>& args,
                    const std::string& log_path,
-                   const std::string& err_path = "") {
-  return Wait(Spawn(args, log_path, err_path));
+                   const std::string& err_path = "",
+                   const std::string& pair_trials = "") {
+  return Wait(Spawn(args, log_path, err_path, pair_trials));
 }
 
 /// Blocks until `path` exists (the campaign flushed its first checkpoint).
@@ -247,6 +251,7 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
   struct Case {
     std::vector<std::string> args;
     const char* expect;
+    const char* pair_trials = "";
   };
   const std::vector<Case> cases = {
       {{"campaign", "run", "--checkpoint", TempPath("d1.json"), "--shard",
@@ -350,6 +355,20 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
        "flag --burst: must be positive"},
       {{"system", "--trace-gen", "batch", "--hot-rows", "65"},
        "flag --hot-rows: must be in [1, 64]"},
+      // Zero trials: these exited 0 with a "95% CI [0, 0]" certainty and
+      // NaN rates.
+      {{"reliability", "--trials", "0"}, "flag --trials: must be positive"},
+      {{"lifetime", "--trials", "0"}, "flag --trials: must be positive"},
+      {{"system", "--trials", "0"}, "flag --trials: must be positive"},
+      {{"campaign", "run", "--checkpoint", TempPath("d18.json"), "--trials",
+        "0"},
+       "flag --trials: must be positive"},
+      {{"campaign", "run", "--mode", "system", "--checkpoint",
+        TempPath("d19.json"), "--trials", "0"},
+       "flag --trials: must be positive"},
+      {{"campaign", "run", "--checkpoint", TempPath("d20.json")},
+       "PAIR_TRIALS: must be positive",
+       "0"},
       // A checkpoint write that fails in a worker thread: these aborted
       // ("terminate called ...", exit 134) while one thread exited 1.
       {{"campaign", "run", "--mode", "reliability", "--checkpoint",
@@ -362,7 +381,7 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
   int i = 0;
   for (const Case& c : cases) {
     const std::string log = TempPath("diag" + std::to_string(i++) + ".log");
-    const Outcome out = RunPairsim(c.args, log);
+    const Outcome out = RunPairsim(c.args, log, "", c.pair_trials);
     ASSERT_TRUE(out.exited);
     EXPECT_EQ(out.code, 1) << ReadAll(log);
     const std::string text = ReadAll(log);

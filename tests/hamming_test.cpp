@@ -1,5 +1,9 @@
 // Hamming SEC / extended-Hamming SEC-DED tests, including the exhaustive
 // miscorrection behaviour the paper's motivation rests on.
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "hamming/hamming.hpp"
@@ -220,6 +224,135 @@ TEST(HammingSecDed, OverallParityBitErrorIsCorrected) {
   EXPECT_EQ(res.status, HammingStatus::kCorrected);
   EXPECT_EQ(res.corrected_bit, code.n() - 1);
   EXPECT_EQ(word, clean);
+}
+
+// ------------------------------------------- independent bit-serial codec
+//
+// The codec as first written: syndrome and parities one bit at a time over
+// the layout HammingCode documents (data bits take the non-power-of-two
+// positions in order, parity bit j position 2^j, then the overall parity).
+// The word-at-a-time codec must agree with it on every output.
+
+class BitSerialHamming {
+ public:
+  BitSerialHamming(unsigned k, bool extended) : k_(k), extended_(extended) {
+    while ((1u << p_) < k + p_ + 1) ++p_;
+    n_ = k + p_ + (extended ? 1 : 0);
+    unsigned pos = 1;
+    for (unsigned d = 0; d < k; ++d) {
+      while ((pos & (pos - 1)) == 0) ++pos;
+      position_.push_back(pos++);
+    }
+    for (unsigned j = 0; j < p_; ++j) position_.push_back(1u << j);
+  }
+
+  unsigned n() const { return n_; }
+
+  BitVec Encode(const BitVec& data) const {
+    BitVec cw(n_);
+    unsigned s = 0;
+    for (unsigned d = 0; d < k_; ++d) {
+      cw.Set(d, data.Get(d));
+      if (data.Get(d)) s ^= position_[d];
+    }
+    for (unsigned j = 0; j < p_; ++j) cw.Set(k_ + j, (s >> j) & 1u);
+    if (extended_) {
+      bool overall = false;
+      for (unsigned i = 0; i + 1 < n_; ++i) overall ^= cw.Get(i);
+      cw.Set(n_ - 1, overall);
+    }
+    return cw;
+  }
+
+  unsigned Syndrome(const BitVec& word) const {
+    unsigned s = 0;
+    for (unsigned i = 0; i < k_ + p_; ++i)
+      if (word.Get(i)) s ^= position_[i];
+    return s;
+  }
+
+  bool Parity(const BitVec& word) const {
+    bool parity = false;
+    for (unsigned i = 0; i < n_; ++i) parity ^= word.Get(i);
+    return parity;
+  }
+
+  /// The bit a single-error assumption flips, or -1 when the pattern is
+  /// clean (kNoError) and -2 when it is detected.
+  int Locate(const BitVec& word) const {
+    const unsigned s = Syndrome(word);
+    if (extended_) {
+      const bool parity = Parity(word);
+      if (s == 0 && !parity) return -1;
+      if (!parity) return -2;
+      if (s == 0) return static_cast<int>(n_ - 1);
+    } else if (s == 0) {
+      return -1;
+    }
+    for (unsigned i = 0; i < k_ + p_; ++i)
+      if (position_[i] == s) return static_cast<int>(i);
+    return -2;
+  }
+
+  bool IsCodeword(const BitVec& word) const {
+    return Syndrome(word) == 0 && !(extended_ && Parity(word));
+  }
+
+ private:
+  unsigned k_;
+  bool extended_;
+  unsigned p_ = 1;
+  unsigned n_ = 0;
+  std::vector<unsigned> position_;
+};
+
+TEST(HammingCode, MatchesBitSerialReference) {
+  Xoshiro256 rng(70);
+  for (const unsigned k : {1u, 4u, 11u, 26u, 57u, 64u, 120u, 128u, 512u}) {
+    for (const bool extended : {false, true}) {
+      const HammingCode code(k, extended);
+      const BitSerialHamming reference(k, extended);
+      ASSERT_EQ(code.n(), reference.n());
+      for (int trial = 0; trial < 200; ++trial) {
+        SCOPED_TRACE("k " + std::to_string(k) + (extended ? " ext" : "") +
+                     " trial " + std::to_string(trial));
+        const BitVec data = BitVec::Random(k, rng);
+        const BitVec clean = reference.Encode(data);
+        ASSERT_EQ(code.Encode(data), clean);
+
+        // EncodeInPlace ignores whatever the parity bits held.
+        BitVec in_place = BitVec::Random(code.n(), rng);
+        in_place.Splice(0, data);
+        code.EncodeInPlace(in_place);
+        ASSERT_EQ(in_place, clean);
+
+        // 0-3 distinct bit errors anywhere in the codeword.
+        BitVec word = clean;
+        const unsigned errors =
+            std::min<unsigned>(static_cast<unsigned>(trial % 4), code.n());
+        for (unsigned e = 0; e < errors;) {
+          const auto bit = static_cast<unsigned>(rng.UniformBelow(code.n()));
+          if (word.Get(bit) == clean.Get(bit)) {
+            word.Flip(bit);
+            ++e;
+          }
+        }
+        EXPECT_EQ(code.IsCodeword(word), reference.IsCodeword(word));
+
+        BitVec expect = word;
+        const int bit = reference.Locate(word);
+        if (bit >= 0) expect.Flip(static_cast<unsigned>(bit));
+        const HammingResult res = code.Decode(word);
+        EXPECT_EQ(res.status, bit == -1   ? HammingStatus::kNoError
+                              : bit == -2 ? HammingStatus::kDetected
+                                          : HammingStatus::kCorrected);
+        if (bit >= 0) {
+          EXPECT_EQ(res.corrected_bit, static_cast<unsigned>(bit));
+        }
+        EXPECT_EQ(word, expect);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -337,12 +337,21 @@ void CheckFleet(const sim::FleetSpec& fleet) {
         "and --trial-years positive");
 }
 
+/// A Monte-Carlo command's --trials: zero trials estimate nothing, and
+/// would print a certain 0 failure rate. (The library still runs
+/// zero-trial campaigns.)
+void CheckTrials(std::uint64_t trials) {
+  if (trials == 0) throw std::runtime_error("flag --trials: must be positive");
+}
+
 /// PAIR_TRIALS environment override (the bench binaries' convention).
 std::uint64_t ResolveTrials(std::uint64_t from_flags) {
   const char* env = std::getenv("PAIR_TRIALS");
   if (env == nullptr || *env == '\0') return from_flags;
-  return ParseCount(env, "PAIR_TRIALS: ",
-                    std::numeric_limits<std::uint64_t>::max());
+  const std::uint64_t trials = ParseCount(
+      env, "PAIR_TRIALS: ", std::numeric_limits<std::uint64_t>::max());
+  if (trials == 0) throw std::runtime_error("PAIR_TRIALS: must be positive");
+  return trials;
 }
 
 std::string ReadFileBytes(const std::string& path, const std::string& what) {
@@ -426,6 +435,7 @@ Flags ReliabilityFlags(ReliabilityOptions& o) {
 }
 
 void ResolveReliability(ReliabilityOptions& o, const Invocation& in) {
+  CheckTrials(o.trials);
   o.cfg.scheme = kSchemes.at(o.scheme);
   o.cfg.mix = kMixes.at(o.mix);
   o.tilt.kind = reliability::TiltKindFromString(o.tilt_kind);
@@ -545,6 +555,7 @@ int CmdLifetime(Invocation& in) {
         {"scrub", &cfg.scrub_interval, "0", "epochs between scrubs, 0: none"}},
        RunFlags(cfg, trials, "200"), {JsonFlag(json_path)}});
   if (!in.Parse(flags)) return 0;
+  CheckTrials(trials);
   cfg.scheme = kSchemes.at(scheme);
   cfg.mix = kMixes.at(mix);
   // RunLifetime's own bound: exp(-rate) must stay a normal double.
@@ -688,6 +699,7 @@ Flags TraceGenFlags(SystemOptions& o) {
 /// config mistakes a user can make from the CLI; SystemConfig::Validate()
 /// stays the contract backstop.
 void ResolveSystem(SystemOptions& o, const Invocation& in) {
+  CheckTrials(o.trials);
   sim::SystemConfig& c = o.cfg;
   c.scheme = kSchemes.at(o.scheme);
   c.mix = kMixes.at(o.mix);
