@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ablation.hpp"
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "ecc/scheme.hpp"
@@ -346,18 +347,28 @@ TEST(Schemes, CodecOutputsMatchPinnedDigests) {
 // The on-die SEC word path (IECC, XED) and the rank SEC-DED wrapper on every
 // device width and burst length: x4 and x8 BL8 columns are narrower than
 // the 128-bit on-die word (read-correct-modify-write), HBM3 x16 BL8 and
-// DDR5 x8 BL16 columns are the whole word. The sequence writes, scatters
+// DDR5 x8 BL16 columns are the whole word. No-ECC, DUO, PAIR-4 and the two
+// ablations (PA-SEC, IL-RS) run the same sequence on every geometry their
+// constructors accept, so the digests pin how each layout reads and writes
+// its rows, stuck cells included. The sequence writes, scatters
 // flips, sticks cells at 0 and at 1 in the data and parity regions of the
 // written words, reads, overwrites faulty and stuck words, scrubs and reads
 // again, through ReadLine and ReadLines. The digest covers every read, the
 // counters and every stored bit of the touched rows; "rejected" marks a
 // geometry the factory refuses for that scheme.
 
-std::string PinnedWordPathDigest(SchemeKind kind, const RankGeometry& rg) {
+using SchemeMaker = std::unique_ptr<Scheme> (*)(Rank&);
+
+template <SchemeKind kKind>
+std::unique_ptr<Scheme> MakeKind(Rank& rank) {
+  return MakeScheme(kKind, rank);
+}
+
+std::string PinnedWordPathDigest(SchemeMaker make, const RankGeometry& rg) {
   Rank rank(rg);
   std::unique_ptr<Scheme> scheme;
   try {
-    scheme = MakeScheme(kind, rank);
+    scheme = make(rank);
   } catch (const std::invalid_argument&) {
     return "rejected";
   }
@@ -443,33 +454,55 @@ TEST(Schemes, OnDieWordPathMatchesPinnedDigests) {
   ddr5.device = dram::DeviceGeometry::Ddr5x8();
   ddr5.device.banks = 32;
   ddr5.data_devices = 4;
+  using enum SchemeKind;
   struct Pin {
-    SchemeKind kind;
+    const char* scheme;
+    SchemeMaker make;
     const char* geometry;
     const RankGeometry& rg;
     const char* digest;
   };
   const Pin pins[] = {
-      {SchemeKind::kIecc, "x4", x4, "ceb4b58a"},
-      {SchemeKind::kIecc, "x8", x8, "143f7670"},
-      {SchemeKind::kIecc, "hbm3", hbm3, "6604749a"},
-      {SchemeKind::kIecc, "ddr5", ddr5, "6604749a"},
-      {SchemeKind::kXed, "x4", x4, "350a2053"},
-      {SchemeKind::kXed, "x8", x8, "005255e9"},
-      {SchemeKind::kXed, "hbm3", hbm3, "72b64346"},
-      {SchemeKind::kXed, "ddr5", ddr5, "72b64346"},
-      {SchemeKind::kIeccSecDed, "x4", x4, "rejected"},
-      {SchemeKind::kIeccSecDed, "x8", x8, "61076811"},
-      {SchemeKind::kIeccSecDed, "hbm3", hbm3, "2bed64d2"},
-      {SchemeKind::kIeccSecDed, "ddr5", ddr5, "b795be53"},
-      {SchemeKind::kSecDed, "x4", x4, "rejected"},
-      {SchemeKind::kSecDed, "x8", x8, "1bb5d72b"},
-      {SchemeKind::kSecDed, "hbm3", hbm3, "99796e94"},
-      {SchemeKind::kSecDed, "ddr5", ddr5, "fac2f81a"},
+      {"IECC", MakeKind<kIecc>, "x4", x4, "ceb4b58a"},
+      {"IECC", MakeKind<kIecc>, "x8", x8, "143f7670"},
+      {"IECC", MakeKind<kIecc>, "hbm3", hbm3, "6604749a"},
+      {"IECC", MakeKind<kIecc>, "ddr5", ddr5, "6604749a"},
+      {"XED", MakeKind<kXed>, "x4", x4, "350a2053"},
+      {"XED", MakeKind<kXed>, "x8", x8, "005255e9"},
+      {"XED", MakeKind<kXed>, "hbm3", hbm3, "72b64346"},
+      {"XED", MakeKind<kXed>, "ddr5", ddr5, "72b64346"},
+      {"IECC+SECDED", MakeKind<kIeccSecDed>, "x4", x4, "rejected"},
+      {"IECC+SECDED", MakeKind<kIeccSecDed>, "x8", x8, "61076811"},
+      {"IECC+SECDED", MakeKind<kIeccSecDed>, "hbm3", hbm3, "2bed64d2"},
+      {"IECC+SECDED", MakeKind<kIeccSecDed>, "ddr5", ddr5, "b795be53"},
+      {"SECDED", MakeKind<kSecDed>, "x4", x4, "rejected"},
+      {"SECDED", MakeKind<kSecDed>, "x8", x8, "1bb5d72b"},
+      {"SECDED", MakeKind<kSecDed>, "hbm3", hbm3, "99796e94"},
+      {"SECDED", MakeKind<kSecDed>, "ddr5", ddr5, "fac2f81a"},
+      {"No-ECC", MakeKind<kNoEcc>, "x4", x4, "80f1947e"},
+      {"No-ECC", MakeKind<kNoEcc>, "x8", x8, "50bd3d6f"},
+      {"No-ECC", MakeKind<kNoEcc>, "hbm3", hbm3, "b78bd7fd"},
+      {"No-ECC", MakeKind<kNoEcc>, "ddr5", ddr5, "b78bd7fd"},
+      {"DUO", MakeKind<kDuo>, "x4", x4, "rejected"},
+      {"DUO", MakeKind<kDuo>, "x8", x8, "002e8cc1"},
+      {"DUO", MakeKind<kDuo>, "hbm3", hbm3, "rejected"},
+      {"DUO", MakeKind<kDuo>, "ddr5", ddr5, "rejected"},
+      {"PAIR-4", MakeKind<kPair4>, "x4", x4, "018d06f9"},
+      {"PAIR-4", MakeKind<kPair4>, "x8", x8, "3e7bd3c5"},
+      {"PAIR-4", MakeKind<kPair4>, "hbm3", hbm3, "f1e88424"},
+      {"PAIR-4", MakeKind<kPair4>, "ddr5", ddr5, "406cd72c"},
+      {"PA-SEC", core::MakePinAlignedSec, "x4", x4, "66cb344a"},
+      {"PA-SEC", core::MakePinAlignedSec, "x8", x8, "66be9103"},
+      {"PA-SEC", core::MakePinAlignedSec, "hbm3", hbm3, "c3239b6c"},
+      {"PA-SEC", core::MakePinAlignedSec, "ddr5", ddr5, "6cc5275a"},
+      {"IL-RS", core::MakeInterleavedRs, "x4", x4, "f3fc171d"},
+      {"IL-RS", core::MakeInterleavedRs, "x8", x8, "a93b3524"},
+      {"IL-RS", core::MakeInterleavedRs, "hbm3", hbm3, "496dbe3b"},
+      {"IL-RS", core::MakeInterleavedRs, "ddr5", ddr5, "496dbe3b"},
   };
   for (const Pin& pin : pins)
-    EXPECT_EQ(PinnedWordPathDigest(pin.kind, pin.rg), pin.digest)
-        << ToString(pin.kind) << " on " << pin.geometry;
+    EXPECT_EQ(PinnedWordPathDigest(pin.make, pin.rg), pin.digest)
+        << pin.scheme << " on " << pin.geometry;
 }
 
 // ------------------------------------------------------------ NoECC baseline
