@@ -2,9 +2,8 @@
 //
 // Each bench_* binary regenerates one table or figure of the reconstructed
 // PAIR evaluation (see DESIGN.md's experiment index) and prints it as an
-// aligned table plus, when PAIR_BENCH_CSV is set in the environment, as CSV
-// for plotting pipelines. Binaries are deterministic: every stochastic
-// component is seeded from the constants below and the seeds are printed.
+// aligned table. Binaries are deterministic: every stochastic component is
+// seeded from the constants below and the seeds are printed.
 //
 // When PAIR_BENCH_JSON=<path> is set, the BenchReport wrapper additionally
 // writes a versioned "pair-report" JSON artifact (every emitted table plus
@@ -71,10 +70,6 @@ inline void PrintHeader(const std::string& experiment,
 
 inline void Emit(const util::Table& table) {
   table.Print(std::cout);
-  if (std::getenv("PAIR_BENCH_CSV") != nullptr) {
-    std::cout << "\n[csv]\n";
-    table.PrintCsv(std::cout);
-  }
   std::cout << "\n";
 }
 

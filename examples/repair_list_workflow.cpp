@@ -43,8 +43,8 @@ int main() {
   for (unsigned col : bad_columns) {
     for (unsigned j = 0; j < 8; ++j) {
       const unsigned bit = dram::PinLineBit(geometry.device, kPin, col * 8 + j);
-      rank.device(kDevice).SetStuck(
-          kBank, kRow, bit, !rank.device(kDevice).ReadBit(kBank, kRow, bit));
+      dram::Device& dev = rank.device(kDevice);
+      dev.SetStuck(kBank, kRow, bit, !dev.ReadBits(kBank, kRow, bit, 1).Get(0));
     }
   }
 
@@ -86,8 +86,8 @@ int main() {
   for (unsigned col : bad_columns) {
     for (unsigned j = 0; j < 8; ++j) {
       const unsigned bit = dram::PinLineBit(geometry.device, kPin, col * 8 + j);
-      rank2.device(kDevice).SetStuck(
-          kBank, kRow, bit, !rank2.device(kDevice).ReadBit(kBank, kRow, bit));
+      dram::Device& dev = rank2.device(kDevice);
+      dev.SetStuck(kBank, kRow, bit, !dev.ReadBits(kBank, kRow, bit, 1).Get(0));
     }
   }
   // Two detected reads trip the policy; the maintenance runs, and the

@@ -44,57 +44,48 @@ class PinAlignedSecScheme final : public ecc::Scheme {
 
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
     const auto& g = rank().geometry().device;
+    // The column's first pin-line index is its first row bit over dq_pins.
+    const unsigned index = g.ColumnBit(addr.col) / g.dq_pins;
+    const unsigned seg = index / kSegmentBits, base = index % kSegmentBits;
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
-      const util::BitVec col = rank().DeviceSlice(line, d);
-      const util::BitVec row =
-          dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
+      dram::Device::Row& row = rank().device(d).GetRow(addr.bank, addr.row);
       // Read-correct-modify-write per covering segment (reliability
-      // ablation: the write path is functional, not timing-modelled).
+      // ablation: the write path is functional, not timing-modelled). Pins
+      // own disjoint bits, so each senses what the others left untouched.
       for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-        const unsigned seg = (addr.col * g.burst_length) / kSegmentBits;
-        util::BitVec cw(code_.n());
-        cw.Splice(0, GatherSegment(row, pin, seg));
-        cw.Splice(kSegmentBits,
-                  row.Slice(ParityOffset(pin, seg), code_.ParityBits()));
+        util::BitVec cw = Sense(&row, pin, seg);
         code_.Decode(cw);  // best effort
-        const unsigned base = addr.col * g.burst_length - seg * kSegmentBits;
         for (unsigned beat = 0; beat < g.burst_length; ++beat)
-          cw.Set(base + beat, col.Get(beat * g.dq_pins + pin));
-        const util::BitVec reenc = code_.Encode(cw.Slice(0, kSegmentBits));
+          cw.Set(base + beat,
+                 line.Get(d * g.AccessBits() + beat * g.dq_pins + pin));
+        code_.EncodeInPlace(cw);
         for (unsigned i = 0; i < kSegmentBits; ++i)
-          dev.WriteBit(addr.bank, addr.row,
-                       dram::PinLineBit(g, pin, seg * kSegmentBits + i),
-                       reenc.Get(i));
-        dev.WriteBits(addr.bank, addr.row, ParityOffset(pin, seg),
-                      reenc.Slice(kSegmentBits, code_.ParityBits()));
+          row.Stored().Set(dram::PinLineBit(g, pin, seg * kSegmentBits + i),
+                           cw.Get(i));
+        row.Write(ParityOffset(pin, seg), code_.ParityBits(),
+                  cw.GetWord(kSegmentBits, code_.ParityBits()));
       }
     }
   }
 
   ecc::ReadResult DoReadLine(const dram::Address& addr) override {
     const auto& g = rank().geometry().device;
+    // The column's first pin-line index is its first row bit over dq_pins.
+    const unsigned index = g.ColumnBit(addr.col) / g.dq_pins;
+    const unsigned seg = index / kSegmentBits, base = index % kSegmentBits;
     ecc::ReadResult result;
     result.data = util::BitVec(rank().geometry().LineBits());
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
-      const util::BitVec row =
-          dev.ReadBits(addr.bank, addr.row, 0, g.TotalRowBits());
-      util::BitVec col_slice(g.AccessBits());
-      const unsigned seg = (addr.col * g.burst_length) / kSegmentBits;
+      const dram::Device::Row* row =
+          rank().device(d).FindRow(addr.bank, addr.row);
       for (unsigned pin = 0; pin < g.dq_pins; ++pin) {
-        util::BitVec cw(code_.n());
-        cw.Splice(0, GatherSegment(row, pin, seg));
-        cw.Splice(kSegmentBits,
-                  row.Slice(ParityOffset(pin, seg), code_.ParityBits()));
+        util::BitVec cw = Sense(row, pin, seg);
         result.Fold(code_.Decode(cw).status);
         // Deliver this pin's share of the addressed column.
-        const unsigned base =
-            addr.col * g.burst_length - seg * kSegmentBits;
         for (unsigned beat = 0; beat < g.burst_length; ++beat)
-          col_slice.Set(beat * g.dq_pins + pin, cw.Get(base + beat));
+          result.data.Set(d * g.AccessBits() + beat * g.dq_pins + pin,
+                          cw.Get(base + beat));
       }
-      rank().SetDeviceSlice(result.data, d, col_slice);
     }
     return result;
   }
@@ -106,14 +97,19 @@ class PinAlignedSecScheme final : public ecc::Scheme {
            (pin * segments_per_pin_ + seg) * code_.ParityBits();
   }
 
-  /// 512 consecutive pin-line bits of `pin`, segment `seg`.
-  util::BitVec GatherSegment(const util::BitVec& row, unsigned pin,
-                             unsigned seg) const {
+  /// Codeword (pin, seg) as sensed: the segment's 512 consecutive pin-line
+  /// bits, then its parity. A null `row` is untouched and senses zero.
+  util::BitVec Sense(const dram::Device::Row* row, unsigned pin,
+                     unsigned seg) const {
     const auto& g = rank().geometry().device;
-    util::BitVec out(kSegmentBits);
+    util::BitVec cw(code_.n());
+    if (row == nullptr) return cw;
     for (unsigned i = 0; i < kSegmentBits; ++i)
-      out.Set(i, row.Get(dram::PinLineBit(g, pin, seg * kSegmentBits + i)));
-    return out;
+      cw.Set(i, row->Read(dram::PinLineBit(g, pin, seg * kSegmentBits + i),
+                          1) != 0);
+    cw.SetWord(kSegmentBits, code_.ParityBits(),
+               row->Read(ParityOffset(pin, seg), code_.ParityBits()));
+    return cw;
   }
 
   hamming::HammingCode code_;
@@ -151,83 +147,71 @@ class InterleavedRsScheme final : public ecc::Scheme {
 
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
     const auto& g = rank().geometry().device;
-    const unsigned chunk = addr.col * g.AccessBits() / kChunkBits;
+    const unsigned chunk = g.ColumnBit(addr.col) / kChunkBits;
+    const unsigned base_bit = addr.col * g.AccessBits() - chunk * kChunkBits;
+    std::vector<gf::Elem> word(code_.n());
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
+      dram::Device::Row& row = rank().device(d).GetRow(addr.bank, addr.row);
       // Read-correct-modify-write on the covering chunk.
-      const util::BitVec chunk_bits =
-          dev.ReadBits(addr.bank, addr.row, chunk * kChunkBits, kChunkBits);
-      const util::BitVec pbits_in =
-          dev.ReadBits(addr.bank, addr.row,
-                       g.row_bits + chunk * code_.r() * kSymbolBits,
-                       code_.r() * kSymbolBits);
-      std::vector<gf::Elem> word(code_.n());
-      for (unsigned i = 0; i < code_.k(); ++i)
-        word[i] = static_cast<gf::Elem>(
-            chunk_bits.GetWord(i * kSymbolBits, kSymbolBits));
-      for (unsigned j = 0; j < code_.r(); ++j)
-        word[code_.k() + j] = static_cast<gf::Elem>(
-            pbits_in.GetWord(j * kSymbolBits, kSymbolBits));
+      Sense(&row, chunk, word);
       code_.Decode(std::span<gf::Elem>(word));  // best effort
-      const util::BitVec col = rank().DeviceSlice(line, d);
-      const unsigned base_bit = addr.col * g.AccessBits() - chunk * kChunkBits;
       for (unsigned b = 0; b < g.AccessBits(); ++b) {
         auto& sym = word[(base_bit + b) / kSymbolBits];
         const unsigned bit = (base_bit + b) % kSymbolBits;
-        sym = static_cast<gf::Elem>((sym & ~(1u << bit)) |
-                                    (unsigned{col.Get(b)} << bit));
+        sym = static_cast<gf::Elem>(
+            (sym & ~(1u << bit)) |
+            (unsigned{line.Get(d * g.AccessBits() + b)} << bit));
       }
-      const auto parity = code_.ComputeParity(
-          std::span<const gf::Elem>(word.data(), code_.k()));
-      util::BitVec data_out(kChunkBits);
-      for (unsigned i = 0; i < code_.k(); ++i)
-        data_out.SetWord(i * kSymbolBits, kSymbolBits, word[i]);
-      util::BitVec pbits(code_.r() * kSymbolBits);
-      for (unsigned j = 0; j < code_.r(); ++j)
-        pbits.SetWord(j * kSymbolBits, kSymbolBits, parity[j]);
-      dev.WriteBits(addr.bank, addr.row, chunk * kChunkBits, data_out);
-      dev.WriteBits(addr.bank, addr.row,
-                    g.row_bits + chunk * code_.r() * kSymbolBits, pbits);
+      code_.ComputeParityInto(
+          std::span<const gf::Elem>(word.data(), code_.k()),
+          std::span<gf::Elem>(word.data() + code_.k(), code_.r()));
+      for (unsigned i = 0; i < code_.n(); ++i)
+        row.Write(SymbolBit(chunk, i), kSymbolBits, word[i]);
     }
   }
 
   ecc::ReadResult DoReadLine(const dram::Address& addr) override {
     const auto& g = rank().geometry().device;
-    const unsigned chunk = addr.col * g.AccessBits() / kChunkBits;
+    const unsigned chunk = g.ColumnBit(addr.col) / kChunkBits;
+    const unsigned base_bit = addr.col * g.AccessBits() - chunk * kChunkBits;
     ecc::ReadResult result;
     result.data = util::BitVec(rank().geometry().LineBits());
+    std::vector<gf::Elem> word(code_.n());
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-      auto& dev = rank().device(d);
-      const util::BitVec chunk_bits =
-          dev.ReadBits(addr.bank, addr.row, chunk * kChunkBits, kChunkBits);
-      const util::BitVec pbits =
-          dev.ReadBits(addr.bank, addr.row,
-                       g.row_bits + chunk * code_.r() * kSymbolBits,
-                       code_.r() * kSymbolBits);
-      std::vector<gf::Elem> word(code_.n());
-      for (unsigned i = 0; i < code_.k(); ++i)
-        word[i] = static_cast<gf::Elem>(
-            chunk_bits.GetWord(i * kSymbolBits, kSymbolBits));
-      for (unsigned j = 0; j < code_.r(); ++j)
-        word[code_.k() + j] = static_cast<gf::Elem>(
-            pbits.GetWord(j * kSymbolBits, kSymbolBits));
+      Sense(rank().device(d).FindRow(addr.bank, addr.row), chunk, word);
       const auto decode = code_.Decode(std::span<gf::Elem>(word));
       result.Fold(decode.status, decode.NumCorrected());
-      // Deliver the column's 64 bits from the (corrected) chunk.
-      const unsigned base_bit = addr.col * g.AccessBits() - chunk * kChunkBits;
-      util::BitVec col_slice(g.AccessBits());
+      // Deliver the column's bits from the (corrected) chunk.
       for (unsigned b = 0; b < g.AccessBits(); ++b) {
         const unsigned bit = base_bit + b;
-        col_slice.Set(b, (static_cast<unsigned>(word[bit / kSymbolBits]) >>
-                          (bit % kSymbolBits)) &
-                             1u);
+        result.data.Set(d * g.AccessBits() + b,
+                        (static_cast<unsigned>(word[bit / kSymbolBits]) >>
+                         (bit % kSymbolBits)) &
+                            1u);
       }
-      rank().SetDeviceSlice(result.data, d, col_slice);
     }
     return result;
   }
 
  private:
+  /// Row bit of symbol `i` of `chunk`'s codeword: data symbols tile the
+  /// chunk, check symbols the chunk's share of the spare region.
+  unsigned SymbolBit(unsigned chunk, unsigned i) const {
+    if (i < code_.k()) return chunk * kChunkBits + i * kSymbolBits;
+    return rank().geometry().device.row_bits +
+           (chunk * code_.r() + i - code_.k()) * kSymbolBits;
+  }
+
+  /// `chunk`'s codeword as sensed into `word` (fully overwritten). A null
+  /// `row` is untouched and senses zero.
+  void Sense(const dram::Device::Row* row, unsigned chunk,
+             std::vector<gf::Elem>& word) const {
+    for (unsigned i = 0; i < code_.n(); ++i)
+      word[i] = row == nullptr ? 0
+                               : static_cast<gf::Elem>(row->Read(
+                                     SymbolBit(chunk, i), kSymbolBits));
+  }
+
   const rs::RsCode& code_;
   unsigned chunks_ = 0;
 };

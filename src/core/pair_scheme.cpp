@@ -246,7 +246,8 @@ void PairScheme::StoreMarked(unsigned bank, unsigned row,
           const unsigned gp = std::min(8u, pins - p);
           const std::uint64_t mask = Pack8(marks + l0 + p, gp);
           if (mask == 0) continue;
-          if (stored == nullptr) stored = &rank().device(d).StoredRow(bank, row);
+          if (stored == nullptr)
+            stored = &rank().device(d).GetRow(bank, row).Stored();
           if (pos < k) {
             StoreSymbols(*stored, (w * k + pos) * kSymbolBits * pins, pins, p,
                          Pack8(block.Row(pos) + l0 + p, gp), mask);
@@ -264,7 +265,9 @@ void PairScheme::StoreMarked(unsigned bank, unsigned row,
 
 bool PairScheme::RowHasStuckBits(unsigned bank, unsigned row) const {
   for (unsigned d = 0; d < rank().DataDevices(); ++d)
-    if (rank().device(d).HasStuckBits(bank, row)) return true;
+    if (const dram::Device::Row* r = rank().device(d).FindRow(bank, row);
+        r != nullptr && r->HasStuckBits())
+      return true;
   return false;
 }
 

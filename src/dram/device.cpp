@@ -26,7 +26,7 @@ bool Device::PostPackageRepair(unsigned bank, unsigned row) {
   // Abandon the defective physical row entirely (its stuck cells go with it).
   const auto old_it = rows_.find(PhysicalKey(bank, row));
   if (old_it != rows_.end()) {
-    stuck_count_ -= old_it->second.stuck_mask.Popcount();
+    stuck_count_ -= old_it->second.stuck_mask_.Popcount();
     rows_.erase(old_it);
   }
   remap_[RowKey(bank, row)] = next_spare_id_++;
@@ -42,38 +42,27 @@ void Device::CheckAddress(unsigned bank, unsigned row) const {
   PAIR_CHECK_RANGE(!(bank >= geom_.banks || row >= geom_.rows_per_bank), "Device: bank/row out of range");
 }
 
-Device::RowState& Device::GetRow(unsigned bank, unsigned row) {
+Device::Row& Device::GetRow(unsigned bank, unsigned row) {
   auto [it, inserted] = rows_.try_emplace(PhysicalKey(bank, row));
-  if (inserted) it->second.data = util::BitVec(geom_.TotalRowBits());
+  if (inserted) it->second.data_ = util::BitVec(geom_.TotalRowBits());
   return it->second;
 }
 
-const Device::RowState* Device::FindRow(unsigned bank, unsigned row) const {
+const Device::Row* Device::FindRow(unsigned bank, unsigned row) const {
   const auto it = rows_.find(PhysicalKey(bank, row));
   return it == rows_.end() ? nullptr : &it->second;
-}
-
-bool Device::ReadBit(unsigned bank, unsigned row, unsigned bit) const {
-  PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::ReadBit: bit out of range");
-  const RowState* state = FindRow(bank, row);
-  return state != nullptr && state->Read(bit, 1) != 0;
-}
-
-void Device::WriteBit(unsigned bank, unsigned row, unsigned bit, bool value) {
-  PAIR_CHECK_RANGE(bit < geom_.TotalRowBits(), "Device::WriteBit: bit out of range");
-  GetRow(bank, row).data.Set(bit, value);
 }
 
 util::BitVec Device::ReadBits(unsigned bank, unsigned row, unsigned offset,
                               unsigned count) const {
   PAIR_CHECK_RANGE(!(offset + count > geom_.TotalRowBits()), "Device::ReadBits: range out of row");
-  const RowState* state = FindRow(bank, row);
+  const Row* state = FindRow(bank, row);
   if (state == nullptr) return util::BitVec(count);
-  util::BitVec out = state->data.Slice(offset, count);
-  if (state->stuck_mask.empty()) return out;
+  util::BitVec out = state->data_.Slice(offset, count);
+  if (!state->HasStuckBits()) return out;
   for (unsigned at = 0; at < count; at += 64) {
     const unsigned n = std::min(64u, count - at);
-    if (state->stuck_mask.GetWord(offset + at, n) != 0)
+    if (state->stuck_mask_.GetWord(offset + at, n) != 0)
       out.SetWord(at, n, state->Read(offset + at, n));
   }
   return out;
@@ -82,41 +71,7 @@ util::BitVec Device::ReadBits(unsigned bank, unsigned row, unsigned offset,
 void Device::WriteBits(unsigned bank, unsigned row, unsigned offset,
                        const util::BitVec& bits) {
   PAIR_CHECK_RANGE(!(offset + bits.size() > geom_.TotalRowBits()), "Device::WriteBits: range out of row");
-  GetRow(bank, row).data.Splice(offset, bits);
-}
-
-std::uint64_t Device::ReadWord(unsigned bank, unsigned row, unsigned offset,
-                              unsigned count) const {
-  PAIR_CHECK_RANGE(count <= 64 && offset + count <= geom_.TotalRowBits(), "Device::ReadWord: range out of row");
-  const RowState* state = FindRow(bank, row);
-  return state == nullptr ? 0 : state->Read(offset, count);
-}
-
-void Device::WriteWord(unsigned bank, unsigned row, unsigned offset,
-                       unsigned count, std::uint64_t value) {
-  PAIR_CHECK_RANGE(count <= 64 && offset + count <= geom_.TotalRowBits(), "Device::WriteWord: range out of row");
-  GetRow(bank, row).data.SetWord(offset, count, value);
-}
-
-util::BitVec& Device::StoredRow(unsigned bank, unsigned row) {
-  return GetRow(bank, row).data;
-}
-
-const util::BitVec* Device::FindStoredRow(unsigned bank, unsigned row) const {
-  const RowState* state = FindRow(bank, row);
-  return state == nullptr ? nullptr : &state->data;
-}
-
-util::BitVec Device::ReadColumn(const Address& addr) const {
-  PAIR_CHECK_RANGE(addr.col < geom_.ColumnsPerRow(), "Device::ReadColumn: column out of range");
-  return ReadBits(addr.bank, addr.row, addr.col * geom_.AccessBits(),
-                  geom_.AccessBits());
-}
-
-void Device::WriteColumn(const Address& addr, const util::BitVec& data) {
-  PAIR_CHECK_RANGE(addr.col < geom_.ColumnsPerRow(), "Device::WriteColumn: column out of range");
-  PAIR_CHECK(data.size() == geom_.AccessBits(), "Device::WriteColumn: wrong data width");
-  WriteBits(addr.bank, addr.row, addr.col * geom_.AccessBits(), data);
+  GetRow(bank, row).data_.Splice(offset, bits);
 }
 
 void Device::Corrupt(unsigned bank, unsigned row, unsigned offset,
@@ -130,24 +85,19 @@ void Device::Corrupt(unsigned bank, unsigned row, unsigned offset,
     CheckAddress(bank, row);
     return;
   }
-  RowState& state = GetRow(bank, row);  // checks the address
+  Row& state = GetRow(bank, row);  // checks the address
   if (flip != 0)
-    state.data.SetWord(offset, count, state.data.GetWord(offset, count) ^ flip);
+    state.data_.SetWord(offset, count, state.data_.GetWord(offset, count) ^ flip);
   if (stuck == 0) return;
-  if (state.stuck_mask.empty()) {
-    state.stuck_mask = util::BitVec(geom_.TotalRowBits());
-    state.stuck_value = util::BitVec(geom_.TotalRowBits());
+  if (!state.HasStuckBits()) {
+    state.stuck_mask_ = util::BitVec(geom_.TotalRowBits());
+    state.stuck_value_ = util::BitVec(geom_.TotalRowBits());
   }
-  const std::uint64_t was_stuck = state.stuck_mask.GetWord(offset, count);
+  const std::uint64_t was_stuck = state.stuck_mask_.GetWord(offset, count);
   stuck_count_ += static_cast<std::size_t>(__builtin_popcountll(stuck & ~was_stuck));
-  state.stuck_mask.SetWord(offset, count, was_stuck | stuck);
-  const std::uint64_t forced = state.stuck_value.GetWord(offset, count);
-  state.stuck_value.SetWord(offset, count, (forced & ~stuck) | (value & stuck));
-}
-
-bool Device::HasStuckBits(unsigned bank, unsigned row) const {
-  const RowState* state = FindRow(bank, row);
-  return state != nullptr && !state->stuck_mask.empty();
+  state.stuck_mask_.SetWord(offset, count, was_stuck | stuck);
+  const std::uint64_t forced = state.stuck_value_.GetWord(offset, count);
+  state.stuck_value_.SetWord(offset, count, (forced & ~stuck) | (value & stuck));
 }
 
 }  // namespace pair_ecc::dram

@@ -13,6 +13,11 @@
 // [row_bits, row_bits + spare_row_bits) — inherent faults do not spare the
 // parity cells, and several of the paper's failure modes come precisely
 // from corrupted parity.
+//
+// Every cell access goes through one handle, Device::Row: FindRow (creates
+// nothing; an untouched row reads all-zero) or GetRow (creates it), each
+// checking the address and resolving post-package repair once, then up to
+// 64 bits per Read/Write. ReadBits/WriteBits copy longer ranges.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +26,7 @@
 
 #include "dram/geometry.hpp"
 #include "util/bitvec.hpp"
+#include "util/contract.hpp"
 
 namespace pair_ecc::dram {
 
@@ -30,13 +36,62 @@ class Device {
 
   const DeviceGeometry& geometry() const noexcept { return geom_; }
 
-  /// Reads one bit as the memory array would deliver it (stuck-at overlay
-  /// applied). `bit` may address the spare region.
-  bool ReadBit(unsigned bank, unsigned row, unsigned bit) const;
+  /// One row's cells: the stored bits (spare region included) under the
+  /// stuck-at overlay, which stays private to the row and Device. Reached
+  /// through FindRow/GetRow; valid until the row is retired by
+  /// PostPackageRepair.
+  class Row {
+   public:
+    /// Bits [offset, offset + count), count <= 64, as a read delivers them
+    /// (a stuck bit reads its forced value, every other bit its stored
+    /// one), bit `offset` being the least-significant. Throws
+    /// std::out_of_range for a range outside the row.
+    std::uint64_t Read(unsigned offset, unsigned count) const {
+      CheckRange(offset, count);
+      const std::uint64_t stored = data_.GetWord(offset, count);
+      if (stuck_mask_.empty()) return stored;
+      const std::uint64_t mask = stuck_mask_.GetWord(offset, count);
+      return (stored & ~mask) | (stuck_value_.GetWord(offset, count) & mask);
+    }
 
-  /// Writes one bit of the underlying storage. A stuck bit's storage takes
-  /// the write too; only reads see the stuck value.
-  void WriteBit(unsigned bank, unsigned row, unsigned bit, bool value);
+    /// Stores the low `count` <= 64 bits of `value` at `offset`. A stuck
+    /// bit's storage takes the write too; only reads see the stuck value.
+    void Write(unsigned offset, unsigned count, std::uint64_t value) {
+      CheckRange(offset, count);
+      data_.SetWord(offset, count, value);
+    }
+
+    /// True when some bit is stuck: then a read may differ from what was
+    /// last written.
+    bool HasStuckBits() const noexcept { return !stuck_mask_.empty(); }
+
+    /// The underlying storage. Writes through it are storage writes, as
+    /// Write's; reads through it see no stuck bit.
+    util::BitVec& Stored() noexcept { return data_; }
+    const util::BitVec& Stored() const noexcept { return data_; }
+
+   private:
+    friend class Device;
+
+    void CheckRange(unsigned offset, unsigned count) const {
+      PAIR_CHECK_RANGE(count <= 64 && offset + count <= data_.size(),
+                       "Device::Row: range out of row");
+    }
+
+    util::BitVec data_;
+    // Stuck overlay: stuck_mask_ marks the stuck bits and stuck_value_
+    // holds their forced values. Both stay empty until the first stuck bit.
+    util::BitVec stuck_mask_;
+    util::BitVec stuck_value_;
+  };
+
+  /// The row at (bank, row) after post-package repair, or nullptr while
+  /// nothing has touched it (it then reads all-zero). Creates nothing.
+  /// Throws std::out_of_range for an address outside the device.
+  const Row* FindRow(unsigned bank, unsigned row) const;
+
+  /// The row at (bank, row), created zero-filled on first touch.
+  Row& GetRow(unsigned bank, unsigned row);
 
   /// Reads `count` bits starting at `offset` within the row.
   util::BitVec ReadBits(unsigned bank, unsigned row, unsigned offset,
@@ -45,31 +100,6 @@ class Device {
   /// Writes `bits` at `offset` within the row.
   void WriteBits(unsigned bank, unsigned row, unsigned offset,
                  const util::BitVec& bits);
-
-  /// ReadBits of `count` <= 64 bits as an integer, bit `offset` being the
-  /// least-significant bit; allocates nothing.
-  std::uint64_t ReadWord(unsigned bank, unsigned row, unsigned offset,
-                         unsigned count) const;
-
-  /// WriteBits of the low `count` <= 64 bits of `value` at `offset`.
-  void WriteWord(unsigned bank, unsigned row, unsigned offset, unsigned count,
-                 std::uint64_t value);
-
-  /// The row's underlying storage (spare region included), created
-  /// zero-filled on first touch. For callers that write many scattered
-  /// bits of one row: writes through the reference are storage writes,
-  /// exactly as WriteBit's, and the stuck overlay still masks them on read.
-  /// Valid until the row is retired by PostPackageRepair.
-  util::BitVec& StoredRow(unsigned bank, unsigned row);
-
-  /// The row's underlying storage, or nullptr while nothing has touched
-  /// the row (it then stores all-zero). Unlike StoredRow it creates
-  /// nothing. Valid until the next non-const call.
-  const util::BitVec* FindStoredRow(unsigned bank, unsigned row) const;
-
-  /// One column access worth of data (AccessBits bits, beat-major).
-  util::BitVec ReadColumn(const Address& addr) const;
-  void WriteColumn(const Address& addr, const util::BitVec& data);
 
   // -- fault overlay -------------------------------------------------------
 
@@ -94,10 +124,6 @@ class Device {
     Corrupt(bank, row, bit, 1, 0, 1, value ? 1 : 0);
   }
 
-  /// True when (bank, row) has at least one stuck bit: then a read of the
-  /// row may differ from what was last written to it.
-  bool HasStuckBits(unsigned bank, unsigned row) const;
-
   /// Number of stuck bits currently registered (diagnostics).
   std::size_t StuckCount() const noexcept { return stuck_count_; }
 
@@ -117,24 +143,6 @@ class Device {
   static constexpr unsigned kSpareRowsPerBank = 4;
 
  private:
-  struct RowState {
-    util::BitVec data;
-    // Stuck overlay: stuck_mask marks the stuck bits and stuck_value holds
-    // their forced values. Both stay empty until the row's first stuck bit.
-    util::BitVec stuck_mask;
-    util::BitVec stuck_value;
-
-    /// The one stuck-at merge: bits [offset, offset + count), count <= 64,
-    /// as a read delivers them (a stuck bit reads its forced value, every
-    /// other bit its stored one).
-    std::uint64_t Read(unsigned offset, unsigned count) const {
-      const std::uint64_t stored = data.GetWord(offset, count);
-      if (stuck_mask.empty()) return stored;
-      const std::uint64_t mask = stuck_mask.GetWord(offset, count);
-      return (stored & ~mask) | (stuck_value.GetWord(offset, count) & mask);
-    }
-  };
-
   std::uint64_t RowKey(unsigned bank, unsigned row) const {
     CheckAddress(bank, row);
     return (static_cast<std::uint64_t>(bank) << 32) | row;
@@ -145,11 +153,8 @@ class Device {
 
   void CheckAddress(unsigned bank, unsigned row) const;
 
-  RowState& GetRow(unsigned bank, unsigned row);
-  const RowState* FindRow(unsigned bank, unsigned row) const;
-
   DeviceGeometry geom_;
-  mutable std::unordered_map<std::uint64_t, RowState> rows_;
+  std::unordered_map<std::uint64_t, Row> rows_;
   // PPR: logical row key -> spare physical id (top bit set to stay out of
   // the logical key space), plus the per-bank repair budget consumed.
   std::unordered_map<std::uint64_t, std::uint64_t> remap_;

@@ -58,6 +58,12 @@ struct DeviceGeometry {
   unsigned AccessBits() const noexcept { return dq_pins * burst_length; }
   /// Column accesses per row.
   unsigned ColumnsPerRow() const noexcept { return row_bits / AccessBits(); }
+  /// First row bit of column `col`; throws std::out_of_range for a column
+  /// past the row.
+  unsigned ColumnBit(unsigned col) const {
+    PAIR_CHECK_RANGE(col < ColumnsPerRow(), "DeviceGeometry: column out of range");
+    return col * AccessBits();
+  }
   /// Bits of one row that travel on a single DQ pin.
   unsigned PinLineBits() const noexcept { return row_bits / dq_pins; }
   /// Total row storage including the spare region.

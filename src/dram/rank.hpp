@@ -31,14 +31,11 @@ class Rank {
   Device& device(unsigned d) { return *devices_.at(d); }
   const Device& device(unsigned d) const { return *devices_.at(d); }
 
-  /// Raw cache-line access through the data devices (no ECC semantics).
+  /// Raw cache-line access through the data devices (no ECC semantics):
+  /// device d's column is line bits [d * AccessBits(), (d+1) *
+  /// AccessBits()). A read creates no row.
   util::BitVec ReadLine(const Address& addr) const;
   void WriteLine(const Address& addr, const util::BitVec& line);
-
-  /// Device-major slice helpers for schemes.
-  util::BitVec DeviceSlice(const util::BitVec& line, unsigned d) const;
-  void SetDeviceSlice(util::BitVec& line, unsigned d,
-                      const util::BitVec& slice) const;
 
  private:
   RankGeometry geom_;

@@ -172,13 +172,16 @@ class RankSecDedScheme final : public Scheme {
   void DoWriteLine(const dram::Address& addr, const util::BitVec& line) override {
     inner_->WriteLine(addr, line);
     const auto& g = rank().geometry().device;
+    const unsigned column = g.ColumnBit(addr.col);
+    dram::Device::Row& parity =
+        rank().device(EccDevice()).GetRow(addr.bank, addr.row);
     for (unsigned beat = 0; beat < g.burst_length; ++beat) {
       GatherBeat(line, beat);
       code_.EncodeInPlace(cw_);
-      parity_col_.SpliceFrom(beat * g.dq_pins, cw_, code_.k(),
-                             code_.ParityBits());
+      // The beat's lanes past its parity bits store zero.
+      parity.Write(column + beat * g.dq_pins, g.dq_pins,
+                   cw_.GetWord(code_.k(), code_.ParityBits()));
     }
-    rank().device(EccDevice()).WriteColumn(addr, parity_col_);
   }
 
   void DoScrubLine(const dram::Address& addr) override {
@@ -195,12 +198,16 @@ class RankSecDedScheme final : public Scheme {
     if (result.claim == Claim::kDetected) return result;  // chip-level DUE
 
     const auto& g = rank().geometry().device;
-    const util::BitVec parity_col =
-        rank().device(EccDevice()).ReadColumn(addr);
+    const unsigned column = g.ColumnBit(addr.col);
+    const dram::Device::Row* parity =
+        rank().device(EccDevice()).FindRow(addr.bank, addr.row);
     for (unsigned beat = 0; beat < g.burst_length; ++beat) {
       GatherBeat(result.data, beat);
-      cw_.SpliceFrom(code_.k(), parity_col, beat * g.dq_pins,
-                     code_.ParityBits());
+      cw_.SetWord(code_.k(), code_.ParityBits(),
+                  parity == nullptr
+                      ? 0
+                      : parity->Read(column + beat * g.dq_pins,
+                                     code_.ParityBits()));
       const auto decode = code_.Decode(cw_);
       if (decode.status == hamming::HammingStatus::kCorrected &&
           decode.corrected_bit < code_.k())
@@ -233,11 +240,9 @@ class RankSecDedScheme final : public Scheme {
 
   std::unique_ptr<Scheme> inner_;
   hamming::HammingCode code_;
-  // Reusable beat codeword and parity column; single-threaded per
-  // instance. cw_ is fully overwritten on every use; parity_col_'s lanes
-  // past each beat's parity bits stay zero.
+  // Reusable beat codeword, fully overwritten on every use; single-threaded
+  // per instance.
   util::BitVec cw_{code_.n()};
-  util::BitVec parity_col_{rank().geometry().device.AccessBits()};
 };
 
 }  // namespace
@@ -252,16 +257,15 @@ OnDieSec::OnDieSec(const dram::DeviceGeometry& g)
              "on-die SEC: spare region too small for parity");
 }
 
-void OnDieSec::Sense(const dram::Device& dev, const dram::Address& addr) {
-  const auto& g = dev.geometry();
-  const unsigned word = WordOf(g, addr.col);
+void OnDieSec::Sense(const dram::Device::Row* row,
+                     const dram::DeviceGeometry& g, unsigned word) {
+  const unsigned parity = code_.ParityBits();
   for (unsigned at = 0; at < kWordBits; at += 64)
     cw_.SetWord(at, 64,
-                dev.ReadWord(addr.bank, addr.row, word * kWordBits + at, 64));
-  cw_.SetWord(kWordBits, code_.ParityBits(),
-              dev.ReadWord(addr.bank, addr.row,
-                           g.row_bits + word * code_.ParityBits(),
-                           code_.ParityBits()));
+                row == nullptr ? 0 : row->Read(word * kWordBits + at, 64));
+  cw_.SetWord(kWordBits, parity,
+              row == nullptr ? 0
+                             : row->Read(g.row_bits + word * parity, parity));
 }
 
 void OnDieSec::WriteColumn(dram::Device& dev, const dram::Address& addr,
@@ -269,27 +273,28 @@ void OnDieSec::WriteColumn(dram::Device& dev, const dram::Address& addr,
   const auto& g = dev.geometry();
   const unsigned access = g.AccessBits();
   const unsigned word = WordOf(g, addr.col);
+  dram::Device::Row& row = dev.GetRow(addr.bank, addr.row);
   if (access < kWordBits) {
-    Sense(dev, addr);
+    Sense(&row, g, word);
     code_.Decode(cw_);  // best effort; may itself miscorrect on multi-bit
   }
   cw_.SpliceFrom(addr.col * access % kWordBits, line, at, access);
   code_.EncodeInPlace(cw_);
   // Restore the whole corrected word, not just the written column.
   for (unsigned bit = 0; bit < kWordBits; bit += 64)
-    dev.WriteWord(addr.bank, addr.row, word * kWordBits + bit, 64,
-                  cw_.GetWord(bit, 64));
-  dev.WriteWord(addr.bank, addr.row, g.row_bits + word * code_.ParityBits(),
-                code_.ParityBits(), cw_.GetWord(kWordBits, code_.ParityBits()));
+    row.Write(word * kWordBits + bit, 64, cw_.GetWord(bit, 64));
+  row.Write(g.row_bits + word * code_.ParityBits(), code_.ParityBits(),
+            cw_.GetWord(kWordBits, code_.ParityBits()));
 }
 
 hamming::HammingStatus OnDieSec::ReadColumn(const dram::Device& dev,
                                             const dram::Address& addr,
                                             util::BitVec& line, unsigned at) {
-  const unsigned access = dev.geometry().AccessBits();
-  Sense(dev, addr);
+  const auto& g = dev.geometry();
+  Sense(dev.FindRow(addr.bank, addr.row), g, WordOf(g, addr.col));
   const hamming::HammingStatus status = code_.Decode(cw_).status;
-  line.SpliceFrom(at, cw_, addr.col * access % kWordBits, access);
+  line.SpliceFrom(at, cw_, addr.col * g.AccessBits() % kWordBits,
+                  g.AccessBits());
   return status;
 }
 

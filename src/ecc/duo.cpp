@@ -82,32 +82,35 @@ class DuoScheme final : public Scheme {
     if (lanes == 0) return;
     block_buf_.assign(std::size_t{code_.n()} * lanes, 0);
     const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned l = 0; l < lanes; ++l)
+    for (unsigned l = 0; l < lanes; ++l) {
+      PAIR_CHECK(lines[l].size() == rank().geometry().LineBits(),
+                 "DUO: wrong line width");
       for (unsigned s = 0; s < code_.k(); ++s)
         block.Row(s)[l] = static_cast<gf::Elem>(
             lines[l].GetWord(s * kSymbolBits, kSymbolBits));
+    }
     code_.EncodeBatchInto(block);
 
+    // Each device column is one 64-bit word (eight symbols), as the
+    // sidecar's is.
+    const unsigned width = g.AccessBits();
     for (unsigned l = 0; l < lanes; ++l) {
       const dram::Address& addr = addrs[l];
-      rank().WriteLine(addr, lines[l]);
-
-      util::BitVec sidecar(g.AccessBits());
-      for (unsigned j = 0; j < kSidecarSymbols; ++j)
-        sidecar.SetWord(j * kSymbolBits, kSymbolBits,
-                        block.Row(code_.k() + j)[l]);
-      rank().device(rank().DataDevices()).WriteColumn(addr, sidecar);
-
+      const unsigned column = g.ColumnBit(addr.col);
       for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+        dram::Device::Row& row = rank().device(d).GetRow(addr.bank, addr.row);
+        row.Write(column, width, lines[l].GetWord(d * width, width));
         const unsigned pos = code_.k() + kSidecarSymbols + d / 2;
-        const unsigned nibble =
-            (block.Row(pos)[l] >> ((d % 2) * kSpareBitsPerDevice)) & 0xF;
-        util::BitVec bits(kSpareBitsPerDevice);
-        bits.SetWord(0, kSpareBitsPerDevice, nibble);
-        rank().device(d).WriteBits(
-            addr.bank, addr.row,
-            g.row_bits + addr.col * kSpareBitsPerDevice, bits);
+        const unsigned symbol = block.Row(pos)[l];
+        row.Write(SpareBit(addr), kSpareBitsPerDevice,
+                  symbol >> ((d % 2) * kSpareBitsPerDevice));
       }
+      std::uint64_t sidecar = 0;
+      for (unsigned j = 0; j < kSidecarSymbols; ++j)
+        sidecar |= std::uint64_t{block.Row(code_.k() + j)[l]}
+                   << (j * kSymbolBits);
+      rank().device(rank().DataDevices()).GetRow(addr.bank, addr.row).Write(
+          column, width, sidecar);
     }
   }
 
@@ -123,29 +126,32 @@ class DuoScheme final : public Scheme {
     if (lanes == 0) return;
     block_buf_.assign(std::size_t{code_.n()} * lanes, 0);
     const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
+    const unsigned width = g.AccessBits();
+    // Lane l's symbols s, s + 1, ... are the bytes of one column word (a
+    // data device's or the sidecar's); an untouched row leaves them zero.
+    const auto load = [&](unsigned l, unsigned s, std::uint64_t column) {
+      for (unsigned b = 0; b < width / kSymbolBits; ++b)
+        block.Row(s + b)[l] =
+            static_cast<gf::Elem>((column >> (b * kSymbolBits)) & 0xFF);
+    };
     for (unsigned l = 0; l < lanes; ++l) {
       const dram::Address& addr = addrs[l];
-      const util::BitVec raw = rank().ReadLine(addr);
-      for (unsigned s = 0; s < code_.k(); ++s)
-        block.Row(s)[l] = static_cast<gf::Elem>(
-            raw.GetWord(s * kSymbolBits, kSymbolBits));
-
-      const util::BitVec sidecar =
-          rank().device(rank().DataDevices()).ReadColumn(addr);
-      for (unsigned j = 0; j < kSidecarSymbols; ++j)
-        block.Row(code_.k() + j)[l] = static_cast<gf::Elem>(
-            sidecar.GetWord(j * kSymbolBits, kSymbolBits));
-
+      const unsigned column = g.ColumnBit(addr.col);
       for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-        const util::BitVec bits = rank().device(d).ReadBits(
-            addr.bank, addr.row, g.row_bits + addr.col * kSpareBitsPerDevice,
-            kSpareBitsPerDevice);
+        const dram::Device::Row* row =
+            rank().device(d).FindRow(addr.bank, addr.row);
+        if (row == nullptr) continue;
+        load(l, d * width / kSymbolBits, row->Read(column, width));
         const unsigned pos = code_.k() + kSidecarSymbols + d / 2;
         block.Row(pos)[l] = static_cast<gf::Elem>(
             block.Row(pos)[l] |
-            (bits.GetWord(0, kSpareBitsPerDevice)
+            (row->Read(SpareBit(addr), kSpareBitsPerDevice)
              << ((d % 2) * kSpareBitsPerDevice)));
       }
+      const dram::Device::Row* sidecar =
+          rank().device(rank().DataDevices()).FindRow(addr.bank, addr.row);
+      if (sidecar != nullptr)
+        load(l, code_.k(), sidecar->Read(column, width));
     }
 
     line_res_.resize(lanes);
@@ -176,6 +182,11 @@ class DuoScheme final : public Scheme {
   }
 
  private:
+  /// First row bit of `addr`'s spare nibble in every data device.
+  unsigned SpareBit(const dram::Address& addr) const {
+    return rank().geometry().device.row_bits + addr.col * kSpareBitsPerDevice;
+  }
+
   const rs::RsCode& code_;
   std::vector<unsigned> erased_devices_;
   // Reusable hot-path buffers; a Scheme instance is single-threaded (the

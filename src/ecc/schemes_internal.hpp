@@ -14,8 +14,8 @@ namespace pair_ecc::ecc {
 /// protects every aligned 128-bit internal-fetch word of a row with a
 /// (136,128) SEC Hamming code whose 8 parity bits live in the row's spare
 /// region. Columns travel as bits [at, at + AccessBits) of the caller's
-/// line, and the word moves as three device word reads or writes, so a
-/// column costs no allocation. Holds a reusable codeword buffer, so an
+/// line, and each access resolves the device row once and moves the word
+/// through it 64 bits at a time, so a column costs no allocation. Holds a reusable codeword buffer, so an
 /// instance belongs to one single-threaded Scheme (the trial engine builds
 /// one per worker).
 class OnDieSec {
@@ -57,9 +57,10 @@ class OnDieSec {
     return col * g.AccessBits() / kWordBits;
   }
 
-  /// Senses `addr`'s covering word and its parity into cw_ (fully
-  /// overwritten).
-  void Sense(const dram::Device& dev, const dram::Address& addr);
+  /// Senses word `word` of `row` and its parity into cw_ (fully
+  /// overwritten); a null `row` is an untouched one and senses zero.
+  void Sense(const dram::Device::Row* row, const dram::DeviceGeometry& g,
+             unsigned word);
 
   hamming::HammingCode code_;
   util::BitVec cw_{code_.n()};

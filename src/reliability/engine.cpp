@@ -113,15 +113,16 @@ std::uint64_t TrialContext::Run(std::size_t row, Op&& op) {
   if (!stored_taken_[row]) {
     stored.resize(rank.TotalDevices());
     for (unsigned d = 0; d < rank.TotalDevices(); ++d) {
-      const util::BitVec* bits = rank.device(d).FindStoredRow(r.bank, r.row);
-      stored[d] = bits != nullptr ? *bits : util::BitVec();
+      const dram::Device::Row* cells = rank.device(d).FindRow(r.bank, r.row);
+      stored[d] = cells != nullptr ? cells->Stored() : util::BitVec();
     }
     stored_taken_[row] = true;
   }
   op();
   for (unsigned d = 0; d < rank.TotalDevices(); ++d) {
-    const util::BitVec* bits = rank.device(d).FindStoredRow(r.bank, r.row);
-    if (bits != nullptr ? !(*bits == stored[d]) : !stored[d].empty()) {
+    const dram::Device::Row* cells = rank.device(d).FindRow(r.bank, r.row);
+    if (cells != nullptr ? !(cells->Stored() == stored[d])
+                         : !stored[d].empty()) {
       NewEpoch(row);
       return 0;
     }

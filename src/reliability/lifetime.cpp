@@ -115,10 +115,12 @@ LifetimeStats RunLifetime(const LifetimeConfig& config, std::uint64_t trials,
           }
         }
 
-        // Horizon audit: cold data is eventually consumed too. Unwritten
-        // columns hold the all-zero line, which every scheme encodes with
-        // all-zero parity, so ground truth is well defined row-wide.
-        if (config.final_audit && !saw_sdc) {
+        // Horizon audit of every column of the working rows: cold data is
+        // eventually consumed too, and without the audit damage outside the
+        // hot lines would go unmeasured. Unwritten columns hold the
+        // all-zero line, which every scheme encodes with all-zero parity,
+        // so ground truth is well defined row-wide.
+        if (!saw_sdc) {
           const util::BitVec zero_line(config.geometry.LineBits());
           for (std::size_t row = 0; row < ws.rows.size(); ++row) {
             const faults::RowRef& r = ws.rows[row];

@@ -30,10 +30,6 @@ struct LifetimeConfig {
   unsigned epochs = 50;               ///< horizon, in epochs
   double faults_per_epoch = 0.05;     ///< Poisson arrival rate
   unsigned scrub_interval = 0;        ///< 0 = never scrub
-  /// Audit every column of the working rows at the horizon (models the
-  /// eventual consumption of cold data; without it, damage outside the hot
-  /// lines would go silently unmeasured).
-  bool final_audit = true;
   unsigned working_rows = 1;
   unsigned lines_per_row = 4;
   std::uint64_t seed = 1;

@@ -68,7 +68,6 @@ telemetry::Report BuildLifetimeReport(const LifetimeConfig& config,
   report.MetaInt("epochs", config.epochs);
   report.MetaReal("faults_per_epoch", config.faults_per_epoch);
   report.MetaInt("scrub_interval", config.scrub_interval);
-  report.MetaInt("final_audit", config.final_audit ? 1 : 0);
   report.MetaInt("working_rows", config.working_rows);
   report.MetaInt("lines_per_row", config.lines_per_row);
 

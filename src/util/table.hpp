@@ -1,4 +1,4 @@
-// Aligned-text and CSV table rendering for benchmark output. Every bench
+// Aligned-text table rendering for benchmark output. Every bench
 // binary regenerates one table/figure of the paper as a table printed with
 // this helper, so the formatting lives in one place.
 #pragma once
@@ -45,12 +45,6 @@ class Table {
     for (const auto& row : rows_) PrintRow(os, row, width);
   }
 
-  /// Renders as CSV (for plotting pipelines).
-  void PrintCsv(std::ostream& os) const {
-    PrintCsvRow(os, header_);
-    for (const auto& row : rows_) PrintCsvRow(os, row);
-  }
-
   template <typename T>
   static std::string Format(const T& value) {
     if constexpr (std::is_floating_point_v<T>) {
@@ -91,14 +85,6 @@ class Table {
                        const std::vector<std::size_t>& width) {
     for (std::size_t c = 0; c < row.size(); ++c)
       os << std::left << std::setw(static_cast<int>(width[c]) + 2) << row[c];
-    os << '\n';
-  }
-
-  static void PrintCsvRow(std::ostream& os, const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
     os << '\n';
   }
 

@@ -163,7 +163,8 @@ TEST(AlignmentMatrix, PinFaultContainment) {
   scheme->WriteLine(addr, line);
   for (unsigned i = 0; i < rg.device.PinLineBits(); ++i) {
     const unsigned bit = dram::PinLineBit(rg.device, 6, i);
-    rank.device(4).SetStuck(0, 2, bit, !rank.device(4).ReadBit(0, 2, bit));
+    dram::Device& dev = rank.device(4);
+    dev.SetStuck(0, 2, bit, !dev.ReadBits(0, 2, bit, 1).Get(0));
   }
   const auto r = scheme->ReadLine(addr);
   const BitVec diff = r.data ^ line;

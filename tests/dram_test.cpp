@@ -99,16 +99,23 @@ class DeviceTest : public ::testing::Test {
 };
 
 TEST_F(DeviceTest, FreshRowsReadZero) {
-  EXPECT_FALSE(dev_.ReadBit(0, 0, 0));
-  EXPECT_FALSE(dev_.ReadBit(15, 65535, 8703));
+  EXPECT_EQ(dev_.FindRow(0, 0), nullptr);
+  EXPECT_EQ(dev_.FindRow(15, 65535), nullptr);
   EXPECT_EQ(dev_.ReadBits(3, 7, 0, 128).Popcount(), 0u);
+  EXPECT_EQ(dev_.FindRow(3, 7), nullptr);  // reading created nothing
+  const Device::Row& row = dev_.GetRow(15, 65535);
+  EXPECT_EQ(dev_.FindRow(15, 65535), &row);
+  EXPECT_EQ(row.Read(8640, 64), 0u);
+  EXPECT_EQ(row.Stored(), BitVec(g_.TotalRowBits()));
 }
 
 TEST_F(DeviceTest, WriteReadRoundTrip) {
-  dev_.WriteBit(1, 2, 3, true);
-  EXPECT_TRUE(dev_.ReadBit(1, 2, 3));
-  EXPECT_FALSE(dev_.ReadBit(1, 2, 4));
-  EXPECT_FALSE(dev_.ReadBit(1, 3, 3));  // different row untouched
+  dev_.GetRow(1, 2).Write(3, 1, 1);
+  const Device::Row* row = dev_.FindRow(1, 2);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->Read(3, 1), 1u);
+  EXPECT_EQ(row->Read(4, 1), 0u);
+  EXPECT_EQ(dev_.FindRow(1, 3), nullptr);  // different row untouched
 }
 
 TEST_F(DeviceTest, BulkBitsRoundTrip) {
@@ -119,72 +126,100 @@ TEST_F(DeviceTest, BulkBitsRoundTrip) {
 }
 
 TEST_F(DeviceTest, SpareRegionIsAddressable) {
-  dev_.WriteBit(0, 0, g_.row_bits + 5, true);
-  EXPECT_TRUE(dev_.ReadBit(0, 0, g_.row_bits + 5));
+  dev_.GetRow(0, 0).Write(g_.row_bits + 5, 1, 1);
+  EXPECT_TRUE(dev_.ReadBits(0, 0, g_.row_bits + 5, 1).Get(0));
 }
 
 TEST_F(DeviceTest, ColumnAccessMatchesBitAddressing) {
+  // Word accesses, aligned and straddling a storage word, land on the same
+  // bits as the ranged accessors.
   Xoshiro256 rng(2);
-  const BitVec col = BitVec::Random(g_.AccessBits(), rng);
-  const Address addr{2, 100, 7};
-  dev_.WriteColumn(addr, col);
-  EXPECT_EQ(dev_.ReadColumn(addr), col);
-  // Column 7 occupies bits [7*64, 8*64).
-  EXPECT_EQ(dev_.ReadBits(2, 100, 7 * 64, 64), col);
+  Device::Row& row = dev_.GetRow(2, 100);
+  for (const unsigned offset : {7u * 64, 1000u, g_.TotalRowBits() - 64}) {
+    const std::uint64_t word = rng();
+    row.Write(offset, 64, word);
+    EXPECT_EQ(row.Read(offset, 64), word);
+    EXPECT_EQ(dev_.ReadBits(2, 100, offset, 64).GetWord(0, 64), word);
+  }
+  const BitVec bits = BitVec::Random(40, rng);
+  dev_.WriteBits(2, 100, 300, bits);
+  EXPECT_EQ(row.Read(300, 40), bits.GetWord(0, 40));
 }
 
 TEST_F(DeviceTest, OutOfRangeAccessesThrow) {
-  EXPECT_THROW(dev_.ReadBit(16, 0, 0), std::out_of_range);
-  EXPECT_THROW(dev_.ReadBit(0, 1u << 16, 0), std::out_of_range);
-  EXPECT_THROW(dev_.ReadBit(0, 0, g_.TotalRowBits()), std::out_of_range);
-  EXPECT_THROW(dev_.WriteColumn({0, 0, 128}, BitVec(64)), std::out_of_range);
-  EXPECT_THROW(dev_.WriteColumn({0, 0, 0}, BitVec(63)), std::invalid_argument);
+  EXPECT_THROW(dev_.FindRow(16, 0), std::out_of_range);
+  EXPECT_THROW(dev_.FindRow(0, 1u << 16), std::out_of_range);
+  EXPECT_THROW(dev_.GetRow(16, 0), std::out_of_range);
+  Device::Row& row = dev_.GetRow(0, 0);
+  EXPECT_THROW(row.Read(g_.TotalRowBits(), 1), std::out_of_range);
+  EXPECT_THROW(row.Read(0, 65), std::out_of_range);
+  EXPECT_THROW(row.Write(g_.TotalRowBits() - 4, 5, 0), std::out_of_range);
   EXPECT_THROW(dev_.ReadBits(0, 0, 8700, 10), std::out_of_range);
+  EXPECT_THROW(dev_.WriteBits(0, 0, 8700, BitVec(5)), std::out_of_range);
 }
 
 TEST_F(DeviceTest, TransientFlipInvertsOnce) {
-  dev_.WriteBit(0, 0, 42, true);
+  Device::Row& row = dev_.GetRow(0, 0);
+  row.Write(42, 1, 1);
   dev_.InjectFlip(0, 0, 42);
-  EXPECT_FALSE(dev_.ReadBit(0, 0, 42));
+  EXPECT_EQ(row.Read(42, 1), 0u);
   // A rewrite repairs a transient fault.
-  dev_.WriteBit(0, 0, 42, true);
-  EXPECT_TRUE(dev_.ReadBit(0, 0, 42));
+  row.Write(42, 1, 1);
+  EXPECT_EQ(row.Read(42, 1), 1u);
 }
 
 TEST_F(DeviceTest, StuckBitSwallowsWrites) {
   dev_.SetStuck(0, 0, 7, true);
-  EXPECT_TRUE(dev_.ReadBit(0, 0, 7));
-  dev_.WriteBit(0, 0, 7, false);
-  EXPECT_TRUE(dev_.ReadBit(0, 0, 7));  // still stuck at 1
+  Device::Row& row = dev_.GetRow(0, 0);
+  EXPECT_TRUE(row.HasStuckBits());
+  EXPECT_EQ(row.Read(7, 1), 1u);
+  row.Write(7, 1, 0);
+  EXPECT_EQ(row.Read(7, 1), 1u);  // still stuck at 1
   dev_.SetStuck(0, 0, 8, false);
-  dev_.WriteBit(0, 0, 8, true);
-  EXPECT_FALSE(dev_.ReadBit(0, 0, 8));  // stuck at 0
+  row.Write(8, 1, 1);
+  EXPECT_EQ(row.Read(8, 1), 0u);  // stuck at 0
 }
 
 TEST_F(DeviceTest, StuckAppearsInBulkReads) {
   Xoshiro256 rng(3);
   const BitVec data = BitVec::Random(64, rng);
-  dev_.WriteColumn({0, 0, 0}, data);
+  dev_.WriteBits(0, 0, 0, data);
   dev_.SetStuck(0, 0, 5, !data.Get(5));
-  const BitVec read = dev_.ReadColumn({0, 0, 0});
+  const BitVec read = dev_.ReadBits(0, 0, 0, 64);
   EXPECT_NE(read, data);
   EXPECT_EQ(read.Get(5), !data.Get(5));
+  EXPECT_EQ(dev_.FindRow(0, 0)->Read(0, 64), read.GetWord(0, 64));
 }
 
 TEST_F(DeviceTest, StorageUnderStuckBitKeepsWrites) {
-  dev_.WriteBit(0, 0, 9, true);
+  dev_.GetRow(0, 0).Write(9, 1, 1);
   dev_.SetStuck(0, 0, 9, false);
-  EXPECT_FALSE(dev_.ReadBit(0, 0, 9));
+  const Device::Row* row = dev_.FindRow(0, 0);
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->Read(9, 1), 0u);
   EXPECT_EQ(dev_.StuckCount(), 1u);
-  ASSERT_NE(dev_.FindStoredRow(0, 0), nullptr);
-  EXPECT_TRUE(dev_.FindStoredRow(0, 0)->Get(9));
+  EXPECT_TRUE(row->Stored().Get(9));
+}
+
+TEST_F(DeviceTest, RowsResolvePostPackageRepair) {
+  Device::Row& old_row = dev_.GetRow(0, 5);
+  old_row.Write(10, 1, 1);
+  const Device::Row* other = &dev_.GetRow(0, 6);
+  ASSERT_TRUE(dev_.PostPackageRepair(0, 5));
+  // The spare row is untouched until written, and then holds the writes.
+  EXPECT_EQ(dev_.FindRow(0, 5), nullptr);
+  Device::Row& spare = dev_.GetRow(0, 5);
+  EXPECT_EQ(spare.Read(10, 1), 0u);
+  spare.Write(11, 1, 1);
+  EXPECT_EQ(dev_.FindRow(0, 5)->Read(11, 1), 1u);
+  EXPECT_EQ(dev_.FindRow(0, 6), other);  // other handles stay valid
 }
 
 TEST_F(DeviceTest, StuckCountDoesNotDoubleCount) {
   dev_.SetStuck(0, 0, 1, true);
   dev_.SetStuck(0, 0, 1, false);  // re-assign same bit
   EXPECT_EQ(dev_.StuckCount(), 1u);
-  EXPECT_FALSE(dev_.ReadBit(0, 0, 1));
+  EXPECT_EQ(dev_.FindRow(0, 0)->Read(1, 1), 0u);
 }
 
 TEST_F(DeviceTest, WordCorruptEqualsPerBitSequence) {
@@ -214,12 +249,12 @@ TEST_F(DeviceTest, WordCorruptEqualsPerBitSequence) {
     }
     ASSERT_EQ(dev_.StuckCount(), per_bit.StuckCount()) << op;
     for (unsigned r : {4u, 5u}) {
-      ASSERT_EQ(dev_.HasStuckBits(1, r), per_bit.HasStuckBits(1, r)) << op;
-      ASSERT_EQ(dev_.FindStoredRow(1, r) == nullptr,
-                per_bit.FindStoredRow(1, r) == nullptr) << op;
-      if (dev_.FindStoredRow(1, r) != nullptr) {
-        ASSERT_EQ(*dev_.FindStoredRow(1, r), *per_bit.FindStoredRow(1, r))
-            << op;
+      const Device::Row* cells = dev_.FindRow(1, r);
+      const Device::Row* per_bit_cells = per_bit.FindRow(1, r);
+      ASSERT_EQ(cells == nullptr, per_bit_cells == nullptr) << op;
+      if (cells != nullptr) {
+        ASSERT_EQ(cells->HasStuckBits(), per_bit_cells->HasStuckBits()) << op;
+        ASSERT_EQ(cells->Stored(), per_bit_cells->Stored()) << op;
       }
       ASSERT_EQ(dev_.ReadBits(1, r, 0, g_.TotalRowBits()),
                 per_bit.ReadBits(1, r, 0, g_.TotalRowBits())) << op;
@@ -238,14 +273,14 @@ TEST_F(DeviceTest, RestickingAWordChangesValuesNotCount) {
 
 TEST_F(DeviceTest, CorruptWithZeroMasksCreatesNoRow) {
   dev_.Corrupt(2, 9, 128, 64, 0, 0, ~std::uint64_t{0});
-  EXPECT_EQ(dev_.FindStoredRow(2, 9), nullptr);
-  EXPECT_FALSE(dev_.HasStuckBits(2, 9));
+  EXPECT_EQ(dev_.FindRow(2, 9), nullptr);
   EXPECT_EQ(dev_.StuckCount(), 0u);
   // Only the stored value changes under a flip: no overlay is created.
   dev_.Corrupt(2, 9, 128, 64, 1, 0, 0);
-  ASSERT_NE(dev_.FindStoredRow(2, 9), nullptr);
-  EXPECT_FALSE(dev_.HasStuckBits(2, 9));
-  EXPECT_TRUE(dev_.ReadBit(2, 9, 128));
+  const Device::Row* row = dev_.FindRow(2, 9);
+  ASSERT_NE(row, nullptr);
+  EXPECT_FALSE(row->HasStuckBits());
+  EXPECT_EQ(row->Read(128, 1), 1u);
 }
 
 TEST_F(DeviceTest, CorruptRejectsBitsOutsideTheRow) {
@@ -255,7 +290,7 @@ TEST_F(DeviceTest, CorruptRejectsBitsOutsideTheRow) {
   EXPECT_THROW(dev_.Corrupt(0, 0, 0, 65, 1, 0, 0), std::out_of_range);
   EXPECT_THROW(dev_.InjectFlip(0, 0, g_.TotalRowBits()), std::out_of_range);
   EXPECT_THROW(dev_.SetStuck(0, 0, g_.TotalRowBits(), true), std::out_of_range);
-  EXPECT_EQ(dev_.FindStoredRow(0, 0), nullptr);
+  EXPECT_EQ(dev_.FindRow(0, 0), nullptr);
 }
 
 // ---------------------------------------------------------------------- Rank
@@ -278,20 +313,14 @@ TEST_F(RankTest, LineIsDeviceMajor) {
   BitVec line(rg_.LineBits());
   line.Set(2 * 64 + 5, true);  // device 2, column bit 5
   rank_.WriteLine({0, 0, 0}, line);
-  EXPECT_TRUE(rank_.device(2).ReadBit(0, 0, 5));
-  EXPECT_FALSE(rank_.device(1).ReadBit(0, 0, 5));
+  EXPECT_EQ(rank_.device(2).FindRow(0, 0)->Read(5, 1), 1u);
+  EXPECT_EQ(rank_.device(1).FindRow(0, 0)->Read(5, 1), 0u);
 }
 
-TEST_F(RankTest, DeviceSliceExtractsAndInserts) {
-  Xoshiro256 rng(5);
-  const BitVec line = BitVec::Random(rg_.LineBits(), rng);
-  for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
-    const BitVec slice = rank_.DeviceSlice(line, d);
-    EXPECT_EQ(slice.size(), 64u);
-    BitVec copy(rg_.LineBits());
-    rank_.SetDeviceSlice(copy, d, slice);
-    EXPECT_EQ(rank_.DeviceSlice(copy, d), slice);
-  }
+TEST_F(RankTest, ReadsCreateNoRow) {
+  EXPECT_EQ(rank_.ReadLine({3, 40, 9}), BitVec(rg_.LineBits()));
+  for (unsigned d = 0; d < rank_.TotalDevices(); ++d)
+    EXPECT_EQ(rank_.device(d).FindRow(3, 40), nullptr) << d;
 }
 
 TEST_F(RankTest, SidecarDeviceNotPartOfLine) {
@@ -299,12 +328,14 @@ TEST_F(RankTest, SidecarDeviceNotPartOfLine) {
   const Address addr{0, 0, 0};
   rank_.WriteLine(addr, BitVec::Random(rg_.LineBits(), rng));
   // The ECC device (index 8) stays untouched.
-  EXPECT_EQ(rank_.device(8).ReadColumn(addr).Popcount(), 0u);
+  EXPECT_EQ(rank_.device(8).FindRow(0, 0), nullptr);
 }
 
 TEST_F(RankTest, RejectsWrongLineWidth) {
   EXPECT_THROW(rank_.WriteLine({0, 0, 0}, BitVec(100)), std::invalid_argument);
-  EXPECT_THROW(rank_.DeviceSlice(BitVec(100), 0), std::invalid_argument);
+  EXPECT_THROW(rank_.WriteLine({0, 0, 128}, BitVec(rg_.LineBits())),
+               std::out_of_range);
+  EXPECT_THROW(rank_.ReadLine({0, 0, 128}), std::out_of_range);
 }
 
 // ------------------------------------------------------------- Device fuzz
@@ -335,7 +366,7 @@ TEST(DeviceFuzz, RandomOpSequenceMatchesOracle) {
     switch (rng.UniformBelow(5)) {
       case 0: {  // write
         const bool v = rng.Bernoulli(0.5);
-        dev.WriteBit(bank, row, bit, v);
+        dev.GetRow(bank, row).Write(bit, 1, v);
         oracle.data[bit] = v;
         break;
       }
@@ -351,7 +382,9 @@ TEST(DeviceFuzz, RandomOpSequenceMatchesOracle) {
         break;
       }
       case 3: {  // point read
-        ASSERT_EQ(dev.ReadBit(bank, row, bit), oracle.Read(bit)) << op;
+        const Device::Row* cells = dev.FindRow(bank, row);
+        ASSERT_EQ(cells != nullptr && cells->Read(bit, 1) != 0,
+                  oracle.Read(bit)) << op;
         break;
       }
       case 4: {  // ranged read

@@ -436,11 +436,12 @@ std::string PinnedWordPathDigest(SchemeMaker make, const RankGeometry& rg) {
   for (unsigned d = 0; d < rank.TotalDevices(); ++d)
     for (unsigned bank = 0; bank < 2; ++bank)
       for (unsigned row = 5; row < 7; ++row) {
-        const BitVec* stored = rank.device(d).FindStoredRow(bank, row);
-        if (stored == nullptr) continue;
-        for (std::size_t b = 0; b < stored->size(); b += 64)
-          AppendU64(out, stored->GetWord(
-                             b, std::min<std::size_t>(64, stored->size() - b)));
+        const dram::Device::Row* cells = rank.device(d).FindRow(bank, row);
+        if (cells == nullptr) continue;
+        const BitVec& stored = cells->Stored();
+        for (std::size_t b = 0; b < stored.size(); b += 64)
+          AppendU64(out, stored.GetWord(
+                             b, std::min<std::size_t>(64, stored.size() - b)));
       }
   return util::Crc32Hex(out);
 }

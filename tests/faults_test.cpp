@@ -336,10 +336,11 @@ void AppendDevices(std::string& out, const Rank& rank,
     const dram::Device& dev = rank.device(d);
     AppendU64(out, dev.StuckCount());
     for (const RowRef& r : rows) {
-      const BitVec* stored = dev.FindStoredRow(r.bank, r.row);
-      AppendU64(out, stored == nullptr ? ~std::uint64_t{0} : BitsCrc(*stored));
+      const dram::Device::Row* row = dev.FindRow(r.bank, r.row);
+      AppendU64(out,
+                row == nullptr ? ~std::uint64_t{0} : BitsCrc(row->Stored()));
       AppendU64(out, BitsCrc(dev.ReadBits(r.bank, r.row, 0, total)));
-      AppendU64(out, dev.HasStuckBits(r.bank, r.row));
+      AppendU64(out, row != nullptr && row->HasStuckBits());
     }
   }
 }

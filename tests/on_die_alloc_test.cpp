@@ -1,11 +1,15 @@
-// Allocation test for the on-die SEC word path of IECC and XED: once a row
-// exists in every device, a WriteLine moves each column through the
-// device's word reads and writes and the scheme's reusable codeword, so it
-// touches the heap not at all, and a ReadLine allocates exactly its result
-// line. Covered on a BL8 x8 rank (read-correct-modify-write) and a DDR5
-// x8 BL16 rank (the column is the whole on-die word), with flips and stuck
-// cells in the row, and with XED rebuilding a signalling device's column
-// from the XOR chip.
+// Allocation test for the line paths that move words through device rows:
+// No-ECC, the on-die SEC word path of IECC and XED, the rank SEC-DED
+// parity column (alone and over IECC) and DUO's sidecar column and spare
+// nibbles. Once a row exists in every device and each path has run once,
+// a WriteLine resolves each device's row once and moves its column a word
+// at a time through the scheme's reusable buffers, so it touches the heap
+// not at all, and a ReadLine allocates exactly its result line. Covered
+// on a BL8 x8 rank (where the on-die word is wider than a column:
+// read-correct-modify-write) and a DDR5 x8 BL16 rank (the column is the
+// whole on-die word; DUO refuses it), with flips and stuck cells in the
+// row, and with XED rebuilding a signalling device's column from the XOR
+// chip. PAIR stays out: its staging still copies rows.
 //
 // The allocator override is process-global, so this test lives in its own
 // binary (tests/CMakeLists.txt registers it like any other) and contains
@@ -78,10 +82,17 @@ std::vector<Case> Cases() {
   RankGeometry ddr5;
   ddr5.device = dram::DeviceGeometry::Ddr5x8();
   ddr5.data_devices = 4;
-  return {{"IECC x8 BL8", SchemeKind::kIecc, RankGeometry{}},
+  return {{"No-ECC x8 BL8", SchemeKind::kNoEcc, RankGeometry{}},
+          {"No-ECC DDR5 x8 BL16", SchemeKind::kNoEcc, ddr5},
+          {"IECC x8 BL8", SchemeKind::kIecc, RankGeometry{}},
           {"IECC DDR5 x8 BL16", SchemeKind::kIecc, ddr5},
           {"XED x8 BL8", SchemeKind::kXed, RankGeometry{}},
-          {"XED DDR5 x8 BL16", SchemeKind::kXed, ddr5}};
+          {"XED DDR5 x8 BL16", SchemeKind::kXed, ddr5},
+          {"SECDED x8 BL8", SchemeKind::kSecDed, RankGeometry{}},
+          {"SECDED DDR5 x8 BL16", SchemeKind::kSecDed, ddr5},
+          {"IECC+SECDED x8 BL8", SchemeKind::kIeccSecDed, RankGeometry{}},
+          {"IECC+SECDED DDR5 x8 BL16", SchemeKind::kIeccSecDed, ddr5},
+          {"DUO x8 BL8", SchemeKind::kDuo, RankGeometry{}}};
 }
 
 TEST(OnDieAllocations, WritesAllocateNothingAndReadsOnlyTheirLine) {
@@ -118,6 +129,10 @@ TEST(OnDieAllocations, WritesAllocateNothingAndReadsOnlyTheirLine) {
     rank.device(4 % c.rg.data_devices).InjectFlip(1, 9, 400);
     const Address detected{1, 9, (128 + 64) / c.rg.device.AccessBits()};
 
+    // A first pass sizes the correction workspaces for these faults (DUO's
+    // Berlekamp-Massey polynomials grow with the number of errors); reads
+    // change no stored bit, so the counted pass sees the same faults.
+    for (unsigned col = 0; col < columns; ++col) scheme->ReadLine({1, 9, col});
     std::size_t bits_read = 0;
     before = g_allocations.load();
     for (unsigned col = 0; col < columns; ++col)

@@ -164,7 +164,8 @@ TEST_F(PairTest, PinFaultLeavesOtherPinsDecodable) {
   const auto& g = rg_.device;
   for (unsigned i = 0; i < g.PinLineBits(); ++i) {
     const unsigned bit = dram::PinLineBit(g, 2, i);
-    rank_.device(6).SetStuck(0, 5, bit, !rank_.device(6).ReadBit(0, 5, bit));
+    dram::Device& dev = rank_.device(6);
+    dev.SetStuck(0, 5, bit, !dev.ReadBits(0, 5, bit, 1).Get(0));
   }
   const auto r = scheme_.ReadLine(addr);
   EXPECT_EQ(r.claim, Claim::kDetected);
@@ -503,8 +504,8 @@ TEST_P(PairStagingTest, StagedBlockMatchesPerBitReference) {
               want = RefDataSymbol(g, image, k, pin, w, pos);
             } else {
               for (unsigned b = 0; b < 8; ++b)
-                want |= static_cast<unsigned>(rank.device(d).ReadBit(
-                            bank, row, RefParityBit(g, scheme, pin, w, pos - k, b)))
+                want |= static_cast<unsigned>(image.Get(
+                            RefParityBit(g, scheme, pin, w, pos - k, b)))
                         << b;
             }
             ASSERT_EQ(block.Row(pos)[lane], want)
@@ -553,7 +554,7 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
                                static_cast<unsigned>(
                                    rng.UniformBelow(g.PinLineBits())));
     auto& dev = rank.device(d);
-    dev.SetStuck(bank, row, bit, dev.ReadBit(bank, row, bit));
+    dev.SetStuck(bank, row, bit, dev.ReadBits(bank, row, bit, 1).Get(0));
     dev.InjectFlip(bank, row, bit);
     ref[d].Flip(bit);
   }
@@ -591,9 +592,11 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
       }
     }
   }
-  for (unsigned d = 0; d < rank.DataDevices(); ++d)
-    EXPECT_EQ(*rank.device(d).FindStoredRow(bank, row), ref[d])
-        << GetParam().name << " device " << d;
+  for (unsigned d = 0; d < rank.DataDevices(); ++d) {
+    const dram::Device::Row* cells = rank.device(d).FindRow(bank, row);
+    ASSERT_NE(cells, nullptr) << d;
+    EXPECT_EQ(cells->Stored(), ref[d]) << GetParam().name << " device " << d;
+  }
 }
 
 TEST_P(PairStagingTest, SymbolOfBitNamesTheOneStagedSymbolABitReaches) {
@@ -630,7 +633,7 @@ TEST_P(PairStagingTest, SymbolOfBitNamesTheOneStagedSymbolABitReaches) {
     for (unsigned bit = 0; bit < g.TotalRowBits(); ++bit) {
       const unsigned d = bit % rank.DataDevices();
       auto& dev = rank.device(d);
-      const bool reads = dev.ReadBit(bank, row, bit);
+      const bool reads = dev.ReadBits(bank, row, bit, 1).Get(0);
       dev.SetStuck(bank, row, bit, !reads);
       const rs::CodewordBlock block = scheme.StageCodewords(bank, row, 0, cw);
       dev.SetStuck(bank, row, bit, reads);
@@ -770,13 +773,13 @@ TEST_P(PairBatchTest, RowRunsMatchThePerLineSequenceBitwise) {
     EXPECT_EQ(batch.counters(), per_line.counters()) << phase;
     for (const Address& row : {a0, b0, c0}) {
       for (unsigned dev = 0; dev < line_rank.DataDevices(); ++dev) {
-        const BitVec* want =
-            line_rank.device(dev).FindStoredRow(row.bank, row.row);
-        const BitVec* got =
-            batch_rank.device(dev).FindStoredRow(row.bank, row.row);
+        const dram::Device::Row* want =
+            line_rank.device(dev).FindRow(row.bank, row.row);
+        const dram::Device::Row* got =
+            batch_rank.device(dev).FindRow(row.bank, row.row);
         ASSERT_EQ(got == nullptr, want == nullptr) << phase;
         if (want != nullptr) {
-          EXPECT_EQ(*got, *want)
+          EXPECT_EQ(got->Stored(), want->Stored())
               << phase << ": stored bits of bank " << row.bank << " row "
               << row.row << " device " << dev;
         }

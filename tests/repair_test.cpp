@@ -25,8 +25,8 @@ class RepairTest : public ::testing::Test {
   /// Sticks `bit` of (device, bank 0, row 1) at the inverse of its stored
   /// value so it is defective AND currently erroneous.
   void StickBit(unsigned device, unsigned bit) {
-    rank_.device(device).SetStuck(
-        0, 1, bit, !rank_.device(device).ReadBit(0, 1, bit));
+    dram::Device& dev = rank_.device(device);
+    dev.SetStuck(0, 1, bit, !dev.ReadBits(0, 1, bit, 1).Get(0));
   }
 
   RankGeometry rg_;
@@ -117,7 +117,8 @@ TEST(RepairUnusedSpare, StuckCellPastTheCheckSymbolsIsCountedNotMarked) {
   Xoshiro256 rng(9);
   scheme.WriteLine({0, 1, 0}, BitVec::Random(rg.LineBits(), rng));
   const unsigned bit = rg.device.row_bits + 300;
-  rank.device(0).SetStuck(0, 1, bit, !rank.device(0).ReadBit(0, 1, bit));
+  dram::Device& dev = rank.device(0);
+  dev.SetStuck(0, 1, bit, !dev.ReadBits(0, 1, bit, 1).Get(0));
   RepairReport report;
   ASSERT_NO_THROW(report = DiagnoseAndRepairRow(scheme, 0, 1));
   EXPECT_EQ(report.defective_bits, 1u);
@@ -154,19 +155,19 @@ TEST_F(RepairTest, RepeatedDiagnosisIsIdempotent) {
 TEST(PostPackageRepair, DeviceLevelSemantics) {
   dram::DeviceGeometry g;
   dram::Device dev(g);
-  dev.WriteBit(0, 5, 10, true);
+  dev.GetRow(0, 5).Write(10, 1, true);
   dev.SetStuck(0, 5, 11, true);
   EXPECT_EQ(dev.SpareRowsLeft(0), dram::Device::kSpareRowsPerBank);
 
   ASSERT_TRUE(dev.PostPackageRepair(0, 5));
   EXPECT_EQ(dev.SpareRowsLeft(0), dram::Device::kSpareRowsPerBank - 1);
   // The spare row is fresh: old content and old defects are gone.
-  EXPECT_FALSE(dev.ReadBit(0, 5, 10));
-  EXPECT_FALSE(dev.ReadBit(0, 5, 11));
+  EXPECT_FALSE(dev.ReadBits(0, 5, 10, 1).Get(0));
+  EXPECT_FALSE(dev.ReadBits(0, 5, 11, 1).Get(0));
   EXPECT_EQ(dev.StuckCount(), 0u);
   // And it is writable like any other row.
-  dev.WriteBit(0, 5, 11, true);
-  EXPECT_TRUE(dev.ReadBit(0, 5, 11));
+  dev.GetRow(0, 5).Write(11, 1, true);
+  EXPECT_TRUE(dev.ReadBits(0, 5, 11, 1).Get(0));
 }
 
 TEST(PostPackageRepair, BudgetIsPerBank) {
@@ -182,9 +183,9 @@ TEST(PostPackageRepair, BudgetIsPerBank) {
 TEST(PostPackageRepair, OtherRowsUnaffected) {
   dram::DeviceGeometry g;
   dram::Device dev(g);
-  dev.WriteBit(0, 7, 3, true);
+  dev.GetRow(0, 7).Write(3, 1, true);
   ASSERT_TRUE(dev.PostPackageRepair(0, 8));
-  EXPECT_TRUE(dev.ReadBit(0, 7, 3));
+  EXPECT_TRUE(dev.ReadBits(0, 7, 3, 1).Get(0));
 }
 
 TEST_F(RepairTest, SpareRowRecoversFromRowFault) {
@@ -226,7 +227,8 @@ TEST_F(RepairTest, SpareRowSalvagesCorrectableContent) {
   // sparing must preserve all content exactly.
   const unsigned stuck = 40 * 64 + 9;
   StickBit(5, stuck);
-  ref_rank.device(5).SetStuck(0, 1, stuck, rank_.device(5).ReadBit(0, 1, stuck));
+  ref_rank.device(5).SetStuck(0, 1, stuck,
+                              rank_.device(5).ReadBits(0, 1, stuck, 1).Get(0));
   const auto report = SpareRow(scheme_, 0, 1);
   EXPECT_TRUE(report.repaired);
   EXPECT_EQ(report.lines_lost, 0u);
@@ -254,11 +256,11 @@ TEST_F(RepairTest, SpareRowSalvagesCorrectableContent) {
   EXPECT_EQ(report.lines_lost, ref_report.lines_lost);
   EXPECT_EQ(scheme_.counters(), ref_scheme.counters());
   for (unsigned d = 0; d < rank_.DataDevices(); ++d) {
-    const BitVec* stored = rank_.device(d).FindStoredRow(0, 1);
-    const BitVec* ref_stored = ref_rank.device(d).FindStoredRow(0, 1);
+    const dram::Device::Row* stored = rank_.device(d).FindRow(0, 1);
+    const dram::Device::Row* ref_stored = ref_rank.device(d).FindRow(0, 1);
     ASSERT_NE(stored, nullptr) << d;
     ASSERT_NE(ref_stored, nullptr) << d;
-    EXPECT_EQ(*stored, *ref_stored) << "device " << d;
+    EXPECT_EQ(stored->Stored(), ref_stored->Stored()) << "device " << d;
     EXPECT_EQ(rank_.device(d).SpareRowsLeft(0),
               ref_rank.device(d).SpareRowsLeft(0));
   }

@@ -147,6 +147,12 @@ TEST(RepairPolicy, NonPairSchemeFallsBackToRowScrub) {
   EXPECT_TRUE(policy.OnDue(0));
 }
 
+/// Sticks `bit` of (device, bank 0, row 1) at the inverse of what it reads.
+void StickInverse(dram::Rank& rank, unsigned device, unsigned bit) {
+  dram::Device& dev = rank.device(device);
+  dev.SetStuck(0, 1, bit, !dev.ReadBits(0, 1, bit, 1).Get(0));
+}
+
 TEST(RepairPolicy, PairEscalationMarksSymbols) {
   dram::RankGeometry rg;
   dram::Rank rank(rg);
@@ -154,7 +160,7 @@ TEST(RepairPolicy, PairEscalationMarksSymbols) {
   Xoshiro256 rng(11);
   scheme.WriteLine({0, 1, 0}, BitVec::Random(rg.LineBits(), rng));
   // One stuck cell: march diagnosis marks exactly one symbol, no sparing.
-  rank.device(2).SetStuck(0, 1, 100, !rank.device(2).ReadBit(0, 1, 100));
+  StickInverse(rank, 2, 100);
   RepairConfig cfg;
   cfg.due_threshold = 1;
   RepairPolicy policy(cfg, 1);
@@ -177,7 +183,7 @@ TEST(RepairPolicy, SparingExhaustionIsCounted) {
   // Whole-pin death: beyond the erasure budget, sparing is the only out.
   for (unsigned i = 0; i < rg.device.PinLineBits(); ++i) {
     const unsigned bit = dram::PinLineBit(rg.device, 3, i);
-    rank.device(4).SetStuck(0, 1, bit, !rank.device(4).ReadBit(0, 1, bit));
+    StickInverse(rank, 4, bit);
   }
   RepairConfig cfg;
   cfg.due_threshold = 1;
@@ -186,12 +192,6 @@ TEST(RepairPolicy, SparingExhaustionIsCounted) {
   EXPECT_EQ(policy.counters().repairs_attempted, 1u);
   EXPECT_EQ(policy.counters().sparing_exhausted, 1u);
   EXPECT_EQ(policy.counters().rows_spared, 0u);
-}
-
-/// Sticks `bit` of (device, bank 0, row 1) at the inverse of what it reads.
-void StickInverse(dram::Rank& rank, unsigned device, unsigned bit) {
-  rank.device(device).SetStuck(0, 1, bit,
-                               !rank.device(device).ReadBit(0, 1, bit));
 }
 
 TEST(RepairPolicy, WeakColumnIsMarkedAndServedWithoutSparing) {

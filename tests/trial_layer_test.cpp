@@ -377,7 +377,6 @@ TEST(TrialLayer, LifetimeStatsMatchPinnedDigestForEverySchemeAndFaultType) {
       cfg.epochs = 8;
       cfg.faults_per_epoch = 0.25;
       cfg.scrub_interval = 3;
-      cfg.final_audit = true;
       cfg.working_rows = 3;
       cfg.lines_per_row = 4;
       cfg.seed = 41;
@@ -646,11 +645,11 @@ void ExpectRepeatsMatchEager(ecc::SchemeKind kind,
   EXPECT_EQ(ctx.Counters(), eager->counters());
   for (unsigned d = 0; d < rank.TotalDevices(); ++d)
     for (const faults::RowRef& r : ws.rows) {
-      const util::BitVec* got = ctx.rank.device(d).FindStoredRow(r.bank, r.row);
-      const util::BitVec* want = rank.device(d).FindStoredRow(r.bank, r.row);
+      const auto* got = ctx.rank.device(d).FindRow(r.bank, r.row);
+      const auto* want = rank.device(d).FindRow(r.bank, r.row);
       ASSERT_EQ(got != nullptr, want != nullptr) << "device " << d;
       if (got != nullptr) {
-        EXPECT_EQ(*got, *want) << "device " << d;
+        EXPECT_EQ(got->Stored(), want->Stored()) << "device " << d;
       }
       EXPECT_EQ(ctx.rank.device(d).ReadBits(r.bank, r.row, 0,
                                             geometry.device.TotalRowBits()),

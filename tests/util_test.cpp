@@ -342,14 +342,6 @@ TEST(Table, AlignsColumnsAndPrintsRule) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(Table, CsvHasCommaSeparatedCells) {
-  Table t({"a", "b"});
-  t.AddRowValues(1, 2);
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(Table, SciAndFixedFormatting) {
   EXPECT_EQ(Table::Sci(0.000321, 2), "3.21e-04");
   EXPECT_EQ(Table::Fixed(3.14159, 2), "3.14");
