@@ -426,7 +426,9 @@ void PairScheme::DoReadLines(std::span<const dram::Address> addrs,
       // corrected lanes back into the block and left failed lanes as
       // received.
       result.data = util::BitVec(rank().geometry().LineBits());
-      const unsigned s0 = addr.col * subsymbols_per_col_;
+      // The column's first pin-line symbol; ColumnBit refuses a column past
+      // the row, whose lanes the full-pin-line staging does not hold.
+      const unsigned s0 = g.ColumnBit(addr.col) / pins / kSymbolBits;
       for (unsigned d = 0; d < rank().DataDevices(); ++d) {
         for (unsigned q = 0; q < subsymbols_per_col_; ++q) {
           const unsigned s = s0 + q;

@@ -52,9 +52,10 @@ class OnDieSec {
                                     util::BitVec& line, unsigned at);
 
  private:
-  /// The index within its row of the word covering column `col`.
+  /// The index within its row of the word covering column `col`; throws
+  /// std::out_of_range for a column past the row.
   static unsigned WordOf(const dram::DeviceGeometry& g, unsigned col) {
-    return col * g.AccessBits() / kWordBits;
+    return g.ColumnBit(col) / kWordBits;
   }
 
   /// Senses word `word` of `row` and its parity into cw_ (fully

@@ -506,6 +506,31 @@ TEST(Schemes, OnDieWordPathMatchesPinnedDigests) {
         << pin.scheme << " on " << pin.geometry;
 }
 
+// A column past the row is refused before any cell is written, so no
+// scheme leaves a partial write behind.
+TEST(Schemes, ColumnPastTheRowThrowsAndTouchesNoCell) {
+  const RankGeometry rg;
+  const Address past{0, 1, rg.device.ColumnsPerRow()};
+  const auto check = [&](SchemeMaker make) {
+    Rank rank(rg);
+    const std::unique_ptr<Scheme> scheme = make(rank);
+    EXPECT_THROW(scheme->WriteLine(past, BitVec(rg.LineBits())),
+                 std::logic_error)
+        << scheme->Name();
+    EXPECT_THROW(scheme->ReadLine(past), std::logic_error) << scheme->Name();
+    for (unsigned d = 0; d < rank.TotalDevices(); ++d)
+      EXPECT_EQ(rank.device(d).FindRow(past.bank, past.row), nullptr)
+          << scheme->Name() << " device " << d;
+  };
+  using enum SchemeKind;
+  for (SchemeMaker make :
+       {MakeKind<kNoEcc>, MakeKind<kIecc>, MakeKind<kSecDed>,
+        MakeKind<kIeccSecDed>, MakeKind<kXed>, MakeKind<kDuo>,
+        MakeKind<kPair2>, MakeKind<kPair4>, MakeKind<kPair4SecDed>,
+        core::MakePinAlignedSec, core::MakeInterleavedRs})
+    check(make);
+}
+
 // ------------------------------------------------------------ NoECC baseline
 
 TEST(NoEcc, PassesErrorsThroughSilently) {
