@@ -13,7 +13,9 @@
 //
 // Because the codeword equals one cache line, writes are full-codeword
 // writes: DUO pays no internal read-modify-write, only the longer burst.
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "ecc/scheme.hpp"
 #include "ecc/schemes_internal.hpp"
@@ -82,35 +84,31 @@ class DuoScheme final : public Scheme {
     if (lanes == 0) return;
     block_buf_.assign(std::size_t{code_.n()} * lanes, 0);
     const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    for (unsigned l = 0; l < lanes; ++l) {
-      PAIR_CHECK(lines[l].size() == rank().geometry().LineBits(),
-                 "DUO: wrong line width");
+    for (unsigned l = 0; l < lanes; ++l)
       for (unsigned s = 0; s < code_.k(); ++s)
         block.Row(s)[l] = static_cast<gf::Elem>(
             lines[l].GetWord(s * kSymbolBits, kSymbolBits));
-    }
     code_.EncodeBatchInto(block);
 
-    // Each device column is one 64-bit word (eight symbols), as the
-    // sidecar's is.
-    const unsigned width = g.AccessBits();
     for (unsigned l = 0; l < lanes; ++l) {
       const dram::Address& addr = addrs[l];
-      const unsigned column = g.ColumnBit(addr.col);
-      for (unsigned d = 0; d < rank().DataDevices(); ++d) {
-        dram::Device::Row& row = rank().device(d).GetRow(addr.bank, addr.row);
-        row.Write(column, width, lines[l].GetWord(d * width, width));
-        const unsigned pos = code_.k() + kSidecarSymbols + d / 2;
-        const unsigned symbol = block.Row(pos)[l];
-        row.Write(SpareBit(addr), kSpareBitsPerDevice,
-                  symbol >> ((d % 2) * kSpareBitsPerDevice));
-      }
+      rank().WriteLine(addr, lines[l]);
+
+      // The sidecar column is one 64-bit word: eight check symbols.
       std::uint64_t sidecar = 0;
       for (unsigned j = 0; j < kSidecarSymbols; ++j)
         sidecar |= std::uint64_t{block.Row(code_.k() + j)[l]}
                    << (j * kSymbolBits);
       rank().device(rank().DataDevices()).GetRow(addr.bank, addr.row).Write(
-          column, width, sidecar);
+          g.ColumnBit(addr.col), g.AccessBits(), sidecar);
+
+      for (unsigned d = 0; d < rank().DataDevices(); ++d) {
+        const unsigned pos = code_.k() + kSidecarSymbols + d / 2;
+        const unsigned symbol = block.Row(pos)[l];
+        rank().device(d).GetRow(addr.bank, addr.row).Write(
+            SpareBit(addr), kSpareBitsPerDevice,
+            symbol >> ((d % 2) * kSpareBitsPerDevice));
+      }
     }
   }
 
@@ -126,44 +124,47 @@ class DuoScheme final : public Scheme {
     if (lanes == 0) return;
     block_buf_.assign(std::size_t{code_.n()} * lanes, 0);
     const rs::CodewordBlock block{block_buf_.data(), lanes, code_.n(), lanes};
-    const unsigned width = g.AccessBits();
-    // Lane l's symbols s, s + 1, ... are the bytes of one column word (a
-    // data device's or the sidecar's); an untouched row leaves them zero.
-    const auto load = [&](unsigned l, unsigned s, std::uint64_t column) {
-      for (unsigned b = 0; b < width / kSymbolBits; ++b)
-        block.Row(s + b)[l] =
-            static_cast<gf::Elem>((column >> (b * kSymbolBits)) & 0xFF);
-    };
     for (unsigned l = 0; l < lanes; ++l) {
       const dram::Address& addr = addrs[l];
-      const unsigned column = g.ColumnBit(addr.col);
+      // The raw line is the result line; the decode below overwrites it.
+      results[l].data = rank().ReadLine(addr);
+      const util::BitVec& raw = results[l].data;
+      for (unsigned s = 0; s < code_.k(); ++s)
+        block.Row(s)[l] = static_cast<gf::Elem>(
+            raw.GetWord(s * kSymbolBits, kSymbolBits));
+
+      // An untouched row leaves its symbols zero.
+      if (const dram::Device::Row* sidecar =
+              rank().device(rank().DataDevices()).FindRow(addr.bank, addr.row)) {
+        const std::uint64_t word =
+            sidecar->Read(g.ColumnBit(addr.col), g.AccessBits());
+        for (unsigned j = 0; j < kSidecarSymbols; ++j)
+          block.Row(code_.k() + j)[l] =
+              static_cast<gf::Elem>((word >> (j * kSymbolBits)) & 0xFF);
+      }
+
       for (unsigned d = 0; d < rank().DataDevices(); ++d) {
         const dram::Device::Row* row =
             rank().device(d).FindRow(addr.bank, addr.row);
         if (row == nullptr) continue;
-        load(l, d * width / kSymbolBits, row->Read(column, width));
         const unsigned pos = code_.k() + kSidecarSymbols + d / 2;
         block.Row(pos)[l] = static_cast<gf::Elem>(
             block.Row(pos)[l] |
             (row->Read(SpareBit(addr), kSpareBitsPerDevice)
              << ((d % 2) * kSpareBitsPerDevice)));
       }
-      const dram::Device::Row* sidecar =
-          rank().device(rank().DataDevices()).FindRow(addr.bank, addr.row);
-      if (sidecar != nullptr)
-        load(l, code_.k(), sidecar->Read(column, width));
     }
 
     line_res_.resize(lanes);
     lane_erasures_.assign(lanes, erased_devices_);
     code_.DecodeBatch(block, line_res_, scratch_, lane_erasures_);
     for (unsigned l = 0; l < lanes; ++l) {
-      ReadResult& result = results[l];
-      result = {};
+      ReadResult result;
       result.Fold(line_res_[l].status, line_res_[l].corrected);
-      result.data = util::BitVec(rank().geometry().LineBits());
+      result.data = std::move(results[l].data);
       for (unsigned s = 0; s < code_.k(); ++s)
         result.data.SetWord(s * kSymbolBits, kSymbolBits, block.Row(s)[l]);
+      results[l] = std::move(result);
     }
   }
 

@@ -156,8 +156,10 @@ class Scheme {
   // scheme is instrumented identically and none can forget to count.
 
   /// Writes one cache line (rank LineBits wide) with all encoding side
-  /// effects (parity updates, sidecar-chip writes).
+  /// effects (parity updates, sidecar-chip writes). A line of another
+  /// width throws before any cell is touched.
   void WriteLine(const dram::Address& addr, const util::BitVec& line) {
+    CheckLineWidth(line);
     ++counters_.writes;
     DoWriteLine(addr, line);
   }
@@ -185,6 +187,7 @@ class Scheme {
     PAIR_CHECK(addrs.size() == lines.size(),
                "WriteLines got " << addrs.size() << " addresses but "
                                  << lines.size() << " lines");
+    for (const util::BitVec& line : lines) CheckLineWidth(line);
     counters_.writes += addrs.size();
     DoWriteLines(addrs, lines);
   }
@@ -265,6 +268,12 @@ class Scheme {
   virtual bool DoMarkDeviceErased(unsigned device);
 
  private:
+  void CheckLineWidth(const util::BitVec& line) const {
+    PAIR_CHECK(line.size() == rank_.geometry().LineBits(),
+               Name() << ": a " << line.size() << "-bit line, not "
+                      << rank_.geometry().LineBits());
+  }
+
   dram::Rank& rank_;
   CodecCounters counters_;
 };

@@ -531,6 +531,37 @@ TEST(Schemes, ColumnPastTheRowThrowsAndTouchesNoCell) {
     check(make);
 }
 
+TEST(Schemes, WrongLineWidthThrowsAndTouchesNoCell) {
+  const RankGeometry rg;
+  const Address addr{0, 1, 0};
+  const auto check = [&](SchemeMaker make) {
+    Rank rank(rg);
+    const std::unique_ptr<Scheme> scheme = make(rank);
+    for (const unsigned bits : {rg.LineBits() - 8, rg.LineBits() + 8}) {
+      EXPECT_THROW(scheme->WriteLine(addr, BitVec(bits)),
+                   std::invalid_argument)
+          << scheme->Name() << " " << bits;
+      // A batch is refused whole: its first, well-sized line is not
+      // written either.
+      const std::vector<Address> addrs{{0, 1, 1}, addr};
+      const std::vector<BitVec> lines{BitVec(rg.LineBits()), BitVec(bits)};
+      EXPECT_THROW(scheme->WriteLines(addrs, lines), std::invalid_argument)
+          << scheme->Name() << " " << bits;
+    }
+    EXPECT_EQ(scheme->counters().writes, 0u) << scheme->Name();
+    for (unsigned d = 0; d < rank.TotalDevices(); ++d)
+      EXPECT_EQ(rank.device(d).FindRow(addr.bank, addr.row), nullptr)
+          << scheme->Name() << " device " << d;
+  };
+  using enum SchemeKind;
+  for (SchemeMaker make :
+       {MakeKind<kNoEcc>, MakeKind<kIecc>, MakeKind<kSecDed>,
+        MakeKind<kIeccSecDed>, MakeKind<kXed>, MakeKind<kDuo>,
+        MakeKind<kPair2>, MakeKind<kPair4>, MakeKind<kPair4SecDed>,
+        core::MakePinAlignedSec, core::MakeInterleavedRs})
+    check(make);
+}
+
 // ------------------------------------------------------------ NoECC baseline
 
 TEST(NoEcc, PassesErrorsThroughSilently) {
