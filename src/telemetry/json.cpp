@@ -200,6 +200,13 @@ std::string JsonValue::Dump() const {
 
 namespace {
 
+// Containers nested deeper than this are refused instead of recursed into:
+// the recursion would otherwise overflow the stack on a corrupt or hostile
+// file. The deepest document the writer emits is a checkpoint, 6 levels
+// (envelope, body, state, telemetry, injection, by_type), so the bound sits
+// ten times above it.
+constexpr unsigned kMaxJsonDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -244,8 +251,16 @@ class Parser {
     SkipWhitespace();
     const char ch = Peek();
     switch (ch) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth)
+          Fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        ++depth_;
+        JsonValue container = ch == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return container;
+      }
       case '"': return JsonValue(ParseString());
       case 't':
         if (!Consume("true")) Fail("bad literal");
@@ -389,6 +404,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  // containers open at the cursor
 };
 
 }  // namespace

@@ -9,6 +9,8 @@
 //  * Numbers keep their integer-ness: counters serialise as integers, not
 //    as "1.0". Doubles render via std::to_chars (shortest round-trip form),
 //    which is deterministic and locale-independent — iostreams are not.
+//    A double with an integral value therefore renders without a fraction
+//    ("1", "-0") and parses back as an integer of the same value.
 //  * The parser accepts exactly what the writer emits plus ordinary
 //    hand-written JSON (it exists so bench_diff can load committed
 //    baselines); it throws std::runtime_error with a byte offset on
@@ -90,7 +92,9 @@ class JsonValue {
   std::string Dump() const;
 
   /// Parses a complete JSON document (trailing whitespace allowed, trailing
-  /// garbage is an error). Throws std::runtime_error on malformed input.
+  /// garbage is an error). Throws std::runtime_error on malformed input,
+  /// and on arrays and objects nested more than 64 deep (the writer's
+  /// deepest document, a checkpoint, nests 6).
   static JsonValue Parse(std::string_view text);
 
   friend bool operator==(const JsonValue&, const JsonValue&) = default;

@@ -248,6 +248,9 @@ TEST(CampaignCli, CorruptedCheckpointIsRejectedNotMerged) {
 
 TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
   const std::string trace = std::string(PAIR_TEST_DATA_DIR) + "/tiny_trace.txt";
+  // 200000 levels of nesting overflowed the parser's stack (exit 139).
+  const std::string deep = TempPath("deep.json");
+  pair_ecc::util::AtomicWriteFile(deep, std::string(200000, '[') + "]");
   struct Case {
     std::vector<std::string> args;
     const char* expect;
@@ -269,6 +272,7 @@ TEST(CampaignCli, UsableDiagnosticsForBadInvocations) {
         "system", "--trace", TempPath("no_such_trace.txt")},
        "cannot open"},
       {{"campaign", "merge"}, "no checkpoint files given"},
+      {{"campaign", "merge", deep}, "at byte 64: nesting deeper than 64"},
       {{"campaign", "run", "--checkpoint", TempPath("d5.json"), "--shard",
         "0/2", "--json", TempPath("d5_out.json")},
        "merge"},

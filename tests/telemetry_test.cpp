@@ -69,6 +69,22 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::Parse(""), std::runtime_error);
 }
 
+// 200000 open brackets overflowed the parser's stack: nesting is refused
+// past 64 levels, at the offset of the first bracket too deep.
+TEST(Json, ParseRefusesNestingPastItsBound) {
+  for (const std::size_t depth : {64u, 65u, 200000u}) {
+    std::string what = "parsed";
+    try {
+      JsonValue::Parse(std::string(depth, '[') + std::string(depth, ']'));
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, depth == 64 ? "parsed"
+                                : "JSON parse error at byte 64: nesting "
+                                  "deeper than 64 levels");
+  }
+}
+
 // ----------------------------------------------------------------- Counters
 
 TEST(Counters, MergeIsNameWiseAndOrderIndependent) {
