@@ -123,8 +123,8 @@ class BenchReport {
     report_.MetaString(key, value);
   }
 
-  /// Prints the table (terminal + optional CSV) and mirrors it into the
-  /// JSON report under `name`.
+  /// Prints the table to the terminal and mirrors it into the JSON report
+  /// under `name`.
   void Emit(std::string_view name, const util::Table& table) {
     bench::Emit(table);
     report_.AddTable(name, table);

@@ -20,16 +20,6 @@ Elem Eval(const GfField& f, const Poly& p, Elem x) noexcept {
   return acc;
 }
 
-Poly Add(const Poly& a, const Poly& b) {
-  // The decode loop uses AddInPlace on scratch polynomials instead.
-  // PAIR_ANALYZE_ALLOW(HOT-LOCAL: construction-time generator arithmetic)
-  Poly out(std::max(a.size(), b.size()), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i];
-  for (std::size_t i = 0; i < b.size(); ++i) out[i] ^= b[i];
-  Normalize(out);
-  return out;
-}
-
 Poly Mul(const GfField& f, const Poly& a, const Poly& b) {
   if (Degree(a) < 0 || Degree(b) < 0) return {};
   // Decode-loop polynomial products run in-place on DecodeScratch.
@@ -66,17 +56,6 @@ Poly Mod(const GfField& f, const Poly& a, const Poly& b) {
     Normalize(r);
   }
   return r;
-}
-
-Poly Derivative(const Poly& p) {
-  Poly out;
-  if (p.size() <= 1) return out;
-  out.assign(p.size() - 1, 0);
-  // d/dx x^i = i * x^(i-1); in GF(2^m) the integer factor i reduces mod 2,
-  // so only odd i survive.
-  for (std::size_t i = 1; i < p.size(); i += 2) out[i - 1] = p[i];
-  Normalize(out);
-  return out;
 }
 
 }  // namespace pair_ecc::rs

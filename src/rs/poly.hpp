@@ -26,9 +26,6 @@ void Normalize(Poly& p) noexcept;
 /// Evaluates p at x by Horner's rule.
 Elem Eval(const GfField& f, const Poly& p, Elem x) noexcept;
 
-/// a + b (== a - b in characteristic 2).
-Poly Add(const Poly& a, const Poly& b);
-
 /// a * b (schoolbook; code polynomials here are short).
 Poly Mul(const GfField& f, const Poly& a, const Poly& b);
 
@@ -37,9 +34,5 @@ Poly ShiftUp(const Poly& p, unsigned k);
 
 /// Remainder of a / b. b must be nonzero.
 Poly Mod(const GfField& f, const Poly& a, const Poly& b);
-
-/// Formal derivative of p. In characteristic 2 the even-power terms vanish:
-/// p'(x) keeps only odd-degree coefficients shifted down one.
-Poly Derivative(const Poly& p);
 
 }  // namespace pair_ecc::rs

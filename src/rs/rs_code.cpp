@@ -313,8 +313,8 @@ DecodeResult RsCode::Decode(std::span<Elem> word,
 
 namespace {
 
-/// a ^= b with zero-padding to max size, then normalized — the in-place
-/// equivalent of Add() that reuses a's capacity.
+/// a ^= b (a + b in characteristic 2) with zero-padding to max size, then
+/// normalized, reusing a's capacity.
 void AddInPlace(Poly& a, const Poly& b) {
   if (b.size() > a.size()) a.resize(b.size(), 0);
   for (std::size_t i = 0; i < b.size(); ++i) a[i] ^= b[i];
@@ -430,7 +430,9 @@ DecodeStatus RsCode::Decode(std::span<Elem> word,
   }
   if (sc.omega.size() > r()) sc.omega.resize(r());
   Normalize(sc.omega);
-  // lambda_prime = Derivative(lambda): odd-degree coefficients shift down.
+  // lambda_prime = the formal derivative of lambda: d/dx x^i = i x^(i-1),
+  // and the integer i reduces mod 2, so odd-degree coefficients shift down
+  // one and even ones vanish.
   sc.lambda_prime.assign(sc.lambda.size() - 1, 0);
   for (std::size_t i = 1; i < sc.lambda.size(); i += 2)
     sc.lambda_prime[i - 1] = sc.lambda[i];

@@ -55,14 +55,6 @@ TEST(Poly, EvalHorner) {
   EXPECT_EQ(Eval(f, p, 1), 3 ^ 2 ^ 1);
 }
 
-TEST(Poly, AddIsXorOfCoefficients) {
-  const Poly a = {1, 2, 3};
-  const Poly b = {1, 2, 3};
-  EXPECT_EQ(Degree(Add(a, b)), -1);  // self-cancel
-  const Poly c = Add(a, Poly{0, 0, 0, 7});
-  EXPECT_EQ(Degree(c), 3);
-}
-
 TEST(Poly, MulDegreesAdd) {
   const auto& f = GfField::Get(8);
   Xoshiro256 rng(1);
@@ -112,18 +104,9 @@ TEST(Poly, DivisionIdentity) {
   for (auto& c : a) c = static_cast<Elem>(rng.UniformBelow(256));
   const Poly b = {7, 0, 1};  // x^2 + 7
   const Poly r = Mod(f, a, b);
-  const Poly diff = Add(a, r);
+  Poly diff = a;
+  for (std::size_t i = 0; i < r.size(); ++i) diff[i] ^= r[i];
   EXPECT_EQ(Degree(Mod(f, diff, b)), -1);
-}
-
-TEST(Poly, DerivativeKeepsOddTerms) {
-  // p = c0 + c1 x + c2 x^2 + c3 x^3 -> p' = c1 + c3 x^2 in char 2.
-  const Poly p = {4, 5, 6, 7};
-  const Poly d = Derivative(p);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_EQ(d[0], 5);
-  EXPECT_EQ(d[1], 0);
-  EXPECT_EQ(d[2], 7);
 }
 
 TEST(Poly, ShiftUpMultipliesByXPow) {
