@@ -1,10 +1,11 @@
-// Cross-scheme behaviour tests: round trips, single-bit correction, the
-// characteristic failure modes of each baseline (IECC miscorrection, XED
-// silent-miscorrection SDC vs chip-level reconstruction, DUO rank-level RS
-// correction), and performance-descriptor sanity.
+// Cross-scheme behaviour tests: round trips; every scheme's design bound, as
+// one table walked on an x8 row; the failure modes of each baseline beyond
+// its bound (IECC and XED miscorrection SDC, DUO device-fault detection);
+// pinned codec digests; batch equivalence; the factory and the descriptors.
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/pair_scheme.hpp"
 #include "dram/rank.hpp"
 #include "ecc/scheme.hpp"
+#include "hamming/hamming.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
@@ -85,43 +87,6 @@ TEST_P(SchemeParamTest, AdjacentLinesDoNotInterfere) {
   EXPECT_EQ(scheme_->ReadLine(a).data, la2);
 }
 
-TEST_P(SchemeParamTest, SingleBitFaultInDataIsCorrected) {
-  if (GetParam() == SchemeKind::kNoEcc) GTEST_SKIP();
-  Xoshiro256 rng(4);
-  for (int trial = 0; trial < 20; ++trial) {
-    const Address addr{0, 5, static_cast<unsigned>(trial % 128)};
-    const BitVec line = BitVec::Random(rg_.LineBits(), rng);
-    scheme_->WriteLine(addr, line);
-    // Flip one stored bit inside the addressed column of a random device.
-    const unsigned d = static_cast<unsigned>(rng.UniformBelow(8));
-    const unsigned bit = addr.col * 64 + static_cast<unsigned>(rng.UniformBelow(64));
-    rank_.device(d).InjectFlip(addr.bank, addr.row, bit);
-    const auto r = scheme_->ReadLine(addr);
-    EXPECT_EQ(r.claim, Claim::kCorrected) << ToString(GetParam());
-    EXPECT_EQ(r.data, line) << ToString(GetParam()) << " trial " << trial;
-    // Undo so trials stay independent.
-    rank_.device(d).InjectFlip(addr.bank, addr.row, bit);
-  }
-}
-
-TEST_P(SchemeParamTest, SingleBitFaultNeverCausesSdc) {
-  if (GetParam() == SchemeKind::kNoEcc) GTEST_SKIP();
-  Xoshiro256 rng(5);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Address addr{1, 6, 40};
-    const BitVec line = BitVec::Random(rg_.LineBits(), rng);
-    scheme_->WriteLine(addr, line);
-    const unsigned d = static_cast<unsigned>(rng.UniformBelow(8));
-    const unsigned bit = static_cast<unsigned>(rng.UniformBelow(8704));
-    rank_.device(d).InjectFlip(addr.bank, addr.row, bit);
-    const auto r = scheme_->ReadLine(addr);
-    if (r.claim != Claim::kDetected) {
-      EXPECT_EQ(r.data, line);
-    }
-    rank_.device(d).InjectFlip(addr.bank, addr.row, bit);
-  }
-}
-
 TEST_P(SchemeParamTest, PerfDescriptorIsSane) {
   const PerfDescriptor p = scheme_->Perf();
   EXPECT_GE(p.read_decode_ns, 0.0);
@@ -138,6 +103,259 @@ TEST_P(SchemeParamTest, PerfDescriptorIsSane) {
   } else {
     EXPECT_GT(p.storage_overhead, 0.0);
   }
+}
+
+// ------------------------------------------------------------ design bounds
+//
+// What each scheme guarantees on the default x8 rank: the footprints it
+// must correct (up to `units` units in every codeword at once) and detect
+// (exactly `units` in a codeword). docs/CORRECTNESS.md, "Design bounds",
+// says what HoldsItsDesignBound's walk covers and how reads are shared.
+
+enum class Footprint {
+  kDataChipWords,   // bits of each data chip's (136,128) on-die words
+  kFlaggingChip,    // data chips' words that their decoder flags, 1 bit
+                    // in every other chip's word, the sidecar's included
+  kBeatWords,       // bits of each 72-bit bus-beat word, sidecar lanes too
+  kDuoLines,        // DUO's 76 symbols of each line: data, sidecar, spare
+  kPinCodewords,    // symbols of each PAIR pin codeword, checks included
+  kPinBursts,       // beats of a burst along one pin line
+};
+using enum Footprint;
+constexpr const char* kFootprintNames[] = {
+    "data-chip words", "flagging chip", "beat words", "DUO lines",
+    "pin codewords",   "pin bursts"};
+
+struct FootprintClass {
+  Footprint footprint;
+  unsigned units;  // bits, symbols, chips or beats
+};
+
+struct DesignBound {
+  SchemeKind kind;
+  std::vector<FootprintClass> correct, detect;
+};
+
+const DesignBound kDesignBounds[] = {
+    {SchemeKind::kNoEcc, {}, {}},
+    {SchemeKind::kIecc, {{kDataChipWords, 1}}, {}},
+    {SchemeKind::kSecDed, {{kBeatWords, 1}}, {{kBeatWords, 2}}},
+    {SchemeKind::kIeccSecDed, {{kDataChipWords, 1}}, {}},
+    {SchemeKind::kXed, {{kDataChipWords, 1}, {kFlaggingChip, 1}},
+     {{kFlaggingChip, 2}}},
+    {SchemeKind::kDuo, {{kDuoLines, 6}}, {}},
+    {SchemeKind::kPair2, {{kPinCodewords, 1}}, {}},
+    {SchemeKind::kPair4, {{kPinCodewords, 2}, {kPinBursts, 9}}, {}},
+    {SchemeKind::kPair4SecDed, {{kPinCodewords, 2}, {kPinBursts, 9}}, {}},
+};
+
+// A stored cell, and the line a flip of it reaches: a data cell's own
+// column; a spare cell's, the first column its codeword protects.
+struct Cell {
+  unsigned device, bit, line;
+};
+using Unit = std::vector<Cell>;      // one bit, or a symbol's cells LSB first
+using Codeword = std::vector<Unit>;  // units in position order
+
+// The codewords of footprint `f` on one row of `rg`, line by line; for
+// kPinBursts, each pin line as one codeword of 1-bit units.
+std::vector<Codeword> CodewordsOf(Footprint f, SchemeKind kind,
+                                  const RankGeometry& rg) {
+  const auto& g = rg.device;
+  const unsigned access = g.AccessBits(), dq = g.dq_pins;
+  const unsigned data = rg.data_devices, chips = rg.TotalDevices();
+  // `width` cells of `device`, `stride` bits apart from `bit` on.
+  const auto unit = [&](unsigned device, unsigned bit, unsigned width,
+                        unsigned stride = 1, unsigned line = 0) {
+    Unit u;
+    for (unsigned b = 0; b < width; ++b, bit += stride)
+      u.push_back({device, bit, bit < g.row_bits ? bit / access : line});
+    return u;
+  };
+  std::vector<Codeword> out;
+  if (f == kBeatWords) {
+    for (unsigned col = 0; col < g.ColumnsPerRow(); ++col)
+      for (unsigned at = col * access; at < (col + 1) * access; at += dq) {
+        Codeword& cw = out.emplace_back();
+        for (unsigned lane = 0; lane < chips * dq; ++lane)
+          cw.push_back(unit(lane / dq, at + lane % dq, 1));
+      }
+  } else if (f == kDuoLines) {
+    // 64 data and 8 sidecar symbols, one per chip and beat, then spare
+    // symbol m: chip 2m's nibble low, chip 2m+1's high.
+    for (unsigned col = 0; col < g.ColumnsPerRow(); ++col) {
+      Codeword& cw = out.emplace_back();
+      for (unsigned s = 0; s < chips * access / 8; ++s)
+        cw.push_back(unit(s * 8 / access, col * access + s * 8 % access, 8));
+      for (unsigned b = 0; b < data * 4; ++b) {
+        if (b % 8 == 0) cw.emplace_back();
+        cw.back().push_back({b / 4, g.row_bits + col * 4 + b % 4, col});
+      }
+    }
+  } else if (f == kPinCodewords || f == kPinBursts) {
+    const core::PairConfig pc = kind == SchemeKind::kPair2
+                                    ? core::PairConfig::Pair2()
+                                    : core::PairConfig::Pair4();
+    const unsigned k = pc.data_symbols, r = pc.check_symbols;
+    const unsigned per_pin = f == kPinBursts ? 1 : g.PinLineBits() / 8 / k;
+    for (unsigned w = 0; w < per_pin; ++w)
+      for (unsigned d = 0; d < data; ++d)
+        for (unsigned pin = 0; pin < dq; ++pin) {
+          Codeword& cw = out.emplace_back();
+          for (unsigned i = 0; f == kPinBursts && i < g.PinLineBits(); ++i)
+            cw.push_back(unit(d, dram::PinLineBit(g, pin, i), 1));
+          for (unsigned s = 0; f == kPinCodewords && s < k; ++s)
+            cw.push_back(
+                unit(d, dram::PinLineBit(g, pin, (w * k + s) * 8), 8, dq));
+          for (unsigned j = 0; f == kPinCodewords && j < r; ++j)
+            cw.push_back(unit(d, g.row_bits + ((pin * per_pin + w) * r + j) * 8,
+                              8, 1, w * k * 8 * dq / access));
+        }
+  } else {
+    for (unsigned w = 0; w < g.row_bits / 128; ++w)
+      for (unsigned d = 0; d < (f == kDataChipWords ? data : chips); ++d) {
+        Codeword& cw = out.emplace_back();
+        for (unsigned i = 0; i < 136; ++i)
+          cw.push_back(i < 128 ? unit(d, w * 128 + i, 1)
+                               : unit(d, g.row_bits + w * 8 + i - 128, 1, 1,
+                                      w * 128 / access));
+      }
+  }
+  return out;
+}
+
+using Placement = std::vector<std::pair<unsigned, unsigned>>;  // pos, value
+
+// DUO's 3- to 6-symbol placements are sampled: 32 rounds per count, one
+// placement per line each, 4 x 32 x 128 = 16384 placements.
+constexpr unsigned kSampledRounds = 32;
+
+// The rounds that walk class `c`, each the cells one read sees flipped.
+std::vector<std::vector<Cell>> Rounds(const FootprintClass& c, bool detect,
+                                      SchemeKind kind, const RankGeometry& rg,
+                                      Xoshiro256& rng) {
+  const std::vector<Codeword> cws = CodewordsOf(c.footprint, kind, rg);
+  const auto groups = static_cast<unsigned>(cws.size());
+  const auto n = static_cast<unsigned>(cws[0].size());
+  const unsigned values = (1u << cws[0][0].size()) - 1;
+  const auto sample = [&](unsigned bound) {
+    return static_cast<unsigned>(rng.UniformBelow(bound));
+  };
+  // Placements, dealt out one per codeword and round in this order.
+  std::vector<Placement> deck;
+  if (c.footprint == kPinBursts) {
+    // Every burst of up to c.units beats, in start order so that one
+    // round's bursts reach few lines.
+    for (unsigned start = 0; start < n; ++start)
+      for (unsigned len = 1; len <= c.units && start + len <= n; ++len) {
+        deck.emplace_back();
+        for (unsigned b = 0; b < len; ++b)
+          deck.back().emplace_back(start + b, 1);
+      }
+  } else if (c.footprint == kFlaggingChip) {
+    // Round r flags c.units data chips of every word w, from chip
+    // (r + w) % 8 on, with a sampled bit pair the (136,128) decoder flags.
+    const hamming::HammingCode code = hamming::HammingCode::OnDie136();
+    const unsigned data = rg.data_devices, chips = rg.TotalDevices();
+    for (unsigned r = 0; r < data; ++r)
+      for (unsigned w = 0; w < groups / chips; ++w) {
+        BitVec word(n);
+        unsigned i = 0, j = 0;
+        while (i == j ||
+               code.Decode(word).status != hamming::HammingStatus::kDetected) {
+          i = sample(n), j = sample(n), word = BitVec(n);
+          word.Flip(i), word.Flip(j);
+        }
+        // Every other chip's word, the sidecar's too, takes one bit.
+        const unsigned first = (r + w) % data;
+        for (unsigned d = 0; d < chips; ++d)
+          deck.push_back(d < data && (d + data - first) % data < c.units
+                             ? Placement{{i, 1}, {j, 1}}
+                             : Placement{{sample(n), 1}});
+      }
+  } else {
+    // One unit: position p in every codeword, its values rotating over them.
+    for (unsigned p = 0; p < n && !detect; ++p)
+      for (unsigned h = 0; h * groups < values; ++h)
+        for (unsigned g = 0; g < groups; ++g)
+          deck.push_back({{p, 1 + (g + h * groups) % values}});
+    // Two units: every pair of positions, with sampled values.
+    for (unsigned p = 0; p < n && c.units >= 2; ++p)
+      for (unsigned q = p + 1; q < n; ++q)
+        deck.push_back({{p, 1 + sample(values)}, {q, 1 + sample(values)}});
+    // Three units and more (DUO): sampled positions and values.
+    for (unsigned u = 3; u <= c.units; ++u)
+      for (unsigned i = 0; i < kSampledRounds * groups; ++i) {
+        auto& placement = deck.emplace_back();
+        while (placement.size() < u)
+          if (const unsigned p = sample(n); std::none_of(
+                  placement.begin(), placement.end(),
+                  [&](const auto& unit) { return unit.first == p; }))
+            placement.emplace_back(p, 1 + sample(values));
+      }
+  }
+  // A detect class takes one beat word per line and round, the beat
+  // rotating, since one detected beat would hide another.
+  const unsigned per_line =
+      detect && c.footprint == kBeatWords ? rg.device.burst_length : 1;
+  std::vector<std::vector<Cell>> rounds;
+  for (std::size_t next = 0; next < deck.size();) {
+    std::vector<Cell>& round = rounds.emplace_back();
+    for (unsigned g = 0; g < groups; ++g) {
+      if ((g + rounds.size() + cws[g][0][0].line) % per_line != 0) continue;
+      // Bit b of a value flips cell b of the unit at `position`.
+      for (const auto& [position, value] : deck[next++ % deck.size()])
+        for (unsigned b = 0; b < cws[g][position].size(); ++b)
+          if ((value >> b) & 1u) round.push_back(cws[g][position][b]);
+    }
+  }
+  return rounds;
+}
+
+// Writes every line of one row; then, per round, flips the round's cells in
+// storage, reads the lines they reach and flips them back. Every line read
+// must be exact and claim corrected, or, in a detect class, claim detected.
+TEST_P(SchemeParamTest, HoldsItsDesignBound) {
+  const auto* bound = std::find_if(
+      std::begin(kDesignBounds), std::end(kDesignBounds),
+      [&](const DesignBound& b) { return b.kind == GetParam(); });
+  ASSERT_NE(bound, std::end(kDesignBounds)) << "no design-bound row";
+  Xoshiro256 rng(36);
+  std::vector<BitVec> lines;
+  for (unsigned col = 0; col < rg_.device.ColumnsPerRow(); ++col) {
+    lines.push_back(BitVec::Random(rg_.LineBits(), rng));
+    scheme_->WriteLine({1, 2, col}, lines.back());
+  }
+  const auto flip = [&](const std::vector<Cell>& cells) {
+    for (const Cell& cell : cells)
+      rank_.device(cell.device).GetRow(1, 2).Stored().Flip(cell.bit);
+  };
+  const auto walk = [&](const FootprintClass& c, bool detect) {
+    const auto rounds = Rounds(c, detect, GetParam(), rg_, rng);
+    for (std::size_t r = 0; r < rounds.size(); ++r) {
+      std::set<unsigned> cols;
+      for (const Cell& cell : rounds[r]) cols.insert(cell.line);
+      std::vector<Address> read;
+      for (const unsigned col : cols) read.push_back({1, 2, col});
+      std::vector<ReadResult> got(read.size());
+      flip(rounds[r]);
+      scheme_->ReadLines(read, got);
+      flip(rounds[r]);
+      for (std::size_t i = 0; i < read.size(); ++i) {
+        const bool exact = got[i].data == lines[read[i].col];
+        if (got[i].claim == (detect ? Claim::kDetected : Claim::kCorrected) &&
+            (detect || exact))
+          continue;
+        ADD_FAILURE() << (detect ? "detect " : "correct ") << c.units << " x "
+                      << kFootprintNames[static_cast<int>(c.footprint)]
+                      << ": round " << r << ", line " << read[i].col << " read "
+                      << ToString(got[i].claim) << (exact ? "" : ", wrong");
+        return;
+      }
+    }
+  };
+  for (const FootprintClass& c : bound->correct) walk(c, false);
+  for (const FootprintClass& c : bound->detect) walk(c, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeParamTest,
@@ -617,28 +835,6 @@ TEST(Iecc, DoubleBitInOneWordMiscorrectsOrDetects) {
 
 // --------------------------------------------------------------- XED paths
 
-TEST(Xed, DetectedChipErrorIsReconstructedFromXorParity) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kXed, rank);
-  Xoshiro256 rng(12);
-  int reconstructed = 0;
-  for (int trial = 0; trial < 50; ++trial) {
-    const Address addr{0, 2, 4};
-    const BitVec line = BitVec::Random(rg.LineBits(), rng);
-    scheme->WriteLine(addr, line);
-    // Heavy damage across one device's on-die word (columns 4 and 5): flip
-    // many bits so the SEC flags uncorrectable with fair odds.
-    for (int i = 0; i < 9; ++i)
-      rank.device(5).InjectFlip(0, 2, 4 * 64 + static_cast<unsigned>(rng.UniformBelow(128)));
-    const auto r = scheme->ReadLine(addr);
-    if (r.claim == Claim::kCorrected && r.data == line) ++reconstructed;
-    scheme->WriteLine(addr, line);  // reset
-  }
-  // Whenever the chip signals, RAID-3 reconstruction recovers it exactly.
-  EXPECT_GT(reconstructed, 5);
-}
-
 TEST(Xed, SilentMiscorrectionCausesSdc) {
   RankGeometry rg;
   Rank rank(rg);
@@ -670,49 +866,7 @@ TEST(Xed, SilentMiscorrectionCausesSdc) {
   EXPECT_EQ(detected, 0);    // single-chip events never reach 2-chip DUE
 }
 
-TEST(Xed, TwoChipsFlaggedIsDetected) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kXed, rank);
-  Xoshiro256 rng(14);
-  int detected = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    const Address addr{0, 4, 8};
-    const BitVec line = BitVec::Random(rg.LineBits(), rng);
-    scheme->WriteLine(addr, line);
-    for (unsigned dev : {1u, 6u})
-      for (int i = 0; i < 9; ++i)
-        rank.device(dev).InjectFlip(0, 4, 8 * 64 + static_cast<unsigned>(rng.UniformBelow(128)));
-    if (scheme->ReadLine(addr).claim == Claim::kDetected) ++detected;
-    scheme->WriteLine(addr, line);
-  }
-  // Both chips must flag in the same read (~0.2^2 per trial): rare but real.
-  EXPECT_GT(detected, 4);
-}
-
 // ---------------------------------------------------------------- DUO paths
-
-TEST(Duo, CorrectsUpToSixSymbolErrors) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kDuo, rank);
-  Xoshiro256 rng(15);
-  for (unsigned errors = 1; errors <= 6; ++errors) {
-    const Address addr{0, 5, 9};
-    const BitVec line = BitVec::Random(rg.LineBits(), rng);
-    scheme->WriteLine(addr, line);
-    // Each flip lands in a distinct device beat => distinct RS symbol.
-    for (unsigned e = 0; e < errors; ++e) {
-      const unsigned dev = e % 8;
-      const unsigned beat = e / 8 + 2 * dev % 8;
-      rank.device(dev).InjectFlip(0, 5, 9 * 64 + (beat % 8) * 8 +
-                                            static_cast<unsigned>(rng.UniformBelow(8)));
-    }
-    const auto r = scheme->ReadLine(addr);
-    EXPECT_EQ(r.claim, Claim::kCorrected) << errors << " errors";
-    EXPECT_EQ(r.data, line) << errors << " errors";
-  }
-}
 
 TEST(Duo, WholeDeviceRowFaultIsDetectedNotSilent) {
   RankGeometry rg;
@@ -732,67 +886,6 @@ TEST(Duo, WholeDeviceRowFaultIsDetectedNotSilent) {
     scheme->WriteLine(addr, line);
   }
   EXPECT_EQ(sdc, 0);  // > t errors must not slip through silently
-}
-
-TEST(Duo, ParityChipFaultAloneIsCorrectedOrClean) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kDuo, rank);
-  Xoshiro256 rng(17);
-  const Address addr{0, 7, 12};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  rank.device(8).InjectFlip(0, 7, 12 * 64 + 3);  // one parity symbol bit
-  const auto r = scheme->ReadLine(addr);
-  EXPECT_EQ(r.claim, Claim::kCorrected);
-  EXPECT_EQ(r.data, line);
-}
-
-// ------------------------------------------------------------ SECDED paths
-
-TEST(SecDed, DoubleBitInOneBeatIsDetected) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kSecDed, rank);
-  Xoshiro256 rng(18);
-  const Address addr{0, 8, 13};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  // Two bits of beat 0: device 0 pin 0 and device 3 pin 2.
-  rank.device(0).InjectFlip(0, 8, 13 * 64 + 0);
-  rank.device(3).InjectFlip(0, 8, 13 * 64 + 2);
-  EXPECT_EQ(scheme->ReadLine(addr).claim, Claim::kDetected);
-}
-
-TEST(SecDed, SingleBitPerBeatAcrossBeatsAllCorrected) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kSecDed, rank);
-  Xoshiro256 rng(19);
-  const Address addr{0, 9, 14};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  // One flip in each of the 8 beats (different devices).
-  for (unsigned beat = 0; beat < 8; ++beat)
-    rank.device(beat).InjectFlip(0, 9, 14 * 64 + beat * 8 + 1);
-  const auto r = scheme->ReadLine(addr);
-  EXPECT_EQ(r.claim, Claim::kCorrected);
-  EXPECT_EQ(r.data, line);
-  EXPECT_EQ(r.corrected_units, 8u);
-}
-
-TEST(SecDed, EccChipFaultDoesNotCorruptData) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kSecDed, rank);
-  Xoshiro256 rng(20);
-  const Address addr{0, 10, 15};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  rank.device(8).InjectFlip(0, 10, 15 * 64 + 4);  // parity bit of beat 0
-  const auto r = scheme->ReadLine(addr);
-  EXPECT_EQ(r.data, line);
-  EXPECT_EQ(r.claim, Claim::kCorrected);
 }
 
 // -------------------------------------------------- composed-scheme paths
@@ -826,30 +919,6 @@ TEST(IeccSecDed, RankLayerRepairsInnerMiscorrection) {
   EXPECT_LT(silent, 8);
 }
 
-TEST(Xed, ParityChipIsAlsoProtectedOnDie) {
-  // A single-bit fault in the XOR chip is corrected by that chip's own
-  // on-die SEC during reconstruction, so a flagged data chip still rebuilds
-  // exactly.
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kXed, rank);
-  Xoshiro256 rng(31);
-  int exact = 0;
-  for (int trial = 0; trial < 60; ++trial) {
-    const Address addr{0, 12, 4};
-    const BitVec line = BitVec::Random(rg.LineBits(), rng);
-    scheme->WriteLine(addr, line);
-    // Heavy damage on data chip 1 (to force a flag) + 1 bit in the parity chip.
-    for (int i = 0; i < 9; ++i)
-      rank.device(1).InjectFlip(0, 12, 4 * 64 + static_cast<unsigned>(rng.UniformBelow(128)));
-    rank.device(8).InjectFlip(0, 12, 4 * 64 + 7);
-    const auto r = scheme->ReadLine(addr);
-    if (r.claim == Claim::kCorrected && r.data == line) ++exact;
-    scheme->WriteLine(addr, line);
-  }
-  EXPECT_GT(exact, 5);  // whenever chip 1 flags, reconstruction is exact
-}
-
 TEST(Xed, DataAndParityChipBothFlaggedDeliverTheRawColumn) {
   // Bits 64 and 120 of an on-die word sit at Hamming positions whose XOR
   // (137) is no bit's position, so the (136,128) decoder flags the word.
@@ -872,37 +941,6 @@ TEST(Xed, DataAndParityChipBothFlaggedDeliverTheRawColumn) {
   raw.Flip(2 * 64 + 0);
   raw.Flip(2 * 64 + 56);
   EXPECT_EQ(r.data, raw);
-}
-
-TEST(Duo, SpareRegionFaultIsJustAnotherSymbolError) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kDuo, rank);
-  Xoshiro256 rng(32);
-  const Address addr{0, 13, 6};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  // Corrupt device 2's spare nibble for this column.
-  rank.device(2).InjectFlip(0, 13, rg.device.row_bits + 6 * 4 + 1);
-  const auto r = scheme->ReadLine(addr);
-  EXPECT_EQ(r.claim, Claim::kCorrected);
-  EXPECT_EQ(r.data, line);
-}
-
-TEST(Duo, MixedDataAndSpareErrorsWithinBudget) {
-  RankGeometry rg;
-  Rank rank(rg);
-  auto scheme = MakeScheme(SchemeKind::kDuo, rank);
-  Xoshiro256 rng(33);
-  const Address addr{0, 14, 8};
-  const BitVec line = BitVec::Random(rg.LineBits(), rng);
-  scheme->WriteLine(addr, line);
-  rank.device(0).InjectFlip(0, 14, 8 * 64 + 3);                     // data
-  rank.device(8).InjectFlip(0, 14, 8 * 64 + 12);                    // sidecar
-  rank.device(5).InjectFlip(0, 14, rg.device.row_bits + 8 * 4 + 0); // spare
-  const auto r = scheme->ReadLine(addr);
-  EXPECT_EQ(r.claim, Claim::kCorrected);
-  EXPECT_EQ(r.data, line);
 }
 
 TEST(Iecc, WriteOverLatentErrorCorrectsIt) {

@@ -1,7 +1,8 @@
-// PAIR-specific behaviour: pin alignment and containment, burst-error
-// correction, delta-parity write-path consistency, erasure repair lists,
-// patrol scrubbing, expandability variants, the scrub-on-write ablation
-// mode, and the staging routine and stores against per-bit references.
+// PAIR-specific behaviour (its x8 design bound is walked in
+// ecc_schemes_test): pin containment, long-burst detection, delta-parity
+// writes, erasure repair lists, patrol scrubbing, the x4/x16 widths and
+// expandability variants, the scrub-on-write ablation, and the staging
+// routine and stores against per-bit references.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -54,53 +55,6 @@ TEST_F(PairTest, ParityBudgetExactlyFillsSpareRegion) {
   const unsigned parity_bits =
       rg_.device.dq_pins * scheme_.CodewordsPerPin() * 4 * 8;
   EXPECT_EQ(parity_bits, rg_.device.spare_row_bits);
-}
-
-TEST_F(PairTest, TwoArbitraryFlipsInOneDeviceAlwaysCorrected) {
-  // t=2 per codeword and codewords tile disjoint bits, so ANY two flips in
-  // a device's row are corrected — even in the same codeword — with or
-  // without the rank SEC-DED on top. Each trial uses a fresh row, so no
-  // flip carries over into the next.
-  for (const auto kind :
-       {ecc::SchemeKind::kPair4, ecc::SchemeKind::kPair4SecDed}) {
-    Rank rank(rg_);
-    const auto scheme = ecc::MakeScheme(kind, rank);
-    Xoshiro256 rng(100);
-    for (unsigned trial = 0; trial < 60; ++trial) {
-      const Address addr{0, trial,
-                         static_cast<unsigned>(rng.UniformBelow(128))};
-      const BitVec line = BitVec::Random(rg_.LineBits(), rng);
-      scheme->WriteLine(addr, line);
-      const auto dev = static_cast<unsigned>(rng.UniformBelow(8));
-      unsigned a = static_cast<unsigned>(rng.UniformBelow(8192));
-      unsigned b;
-      do { b = static_cast<unsigned>(rng.UniformBelow(8192)); } while (b == a);
-      rank.device(dev).InjectFlip(addr.bank, addr.row, a);
-      rank.device(dev).InjectFlip(addr.bank, addr.row, b);
-      const auto r = scheme->ReadLine(addr);
-      EXPECT_NE(r.claim, Claim::kDetected)
-          << ecc::ToString(kind) << " trial " << trial;
-      EXPECT_EQ(r.data, line) << ecc::ToString(kind) << " trial " << trial;
-    }
-  }
-}
-
-TEST_F(PairTest, BurstUpToNineBitsAlongPinIsCorrected) {
-  // A burst of length L along one pin spans ceil((L + 7) / 8) <= 2 symbols
-  // of ONE codeword whenever L <= 9; t = 2 covers it.
-  Xoshiro256 rng(101);
-  faults::Injector injector(rank_, {{0, 2}});
-  for (unsigned len = 1; len <= 9; ++len) {
-    for (int trial = 0; trial < 10; ++trial) {
-      const Address addr{0, 2, static_cast<unsigned>(rng.UniformBelow(128))};
-      const BitVec line = WriteRandom(addr, rng);
-      injector.InjectPinBurst(/*device=*/1, len, rng);
-      const auto r = scheme_.ReadLine(addr);
-      EXPECT_NE(r.claim, Claim::kDetected) << "len " << len;
-      EXPECT_EQ(r.data, line) << "len " << len;
-      scheme_.ScrubRow(0, 2);
-    }
-  }
 }
 
 TEST_F(PairTest, LongBurstIsDetectedNeverSilent) {
