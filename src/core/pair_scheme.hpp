@@ -28,6 +28,11 @@
 // decode poisons the line. Consecutive accesses to one row share one
 // staging of the row and one batch decode (DoReadLines / DoWriteLines).
 //
+// The first write to a row no data device holds yet skips the staging: the
+// row is all zero, so each changed symbol's delta is its new value. The
+// data is copied in and each codeword's parity is the sum of its symbols'
+// delta parities (DoWriteLines says when, and why it is exact).
+//
 // The code is the process-wide rs::Gf256Code of the configured shape, built
 // once and shared by every instance.
 //
@@ -128,6 +133,15 @@ class PairScheme final : public ecc::Scheme {
   /// lanes, tracking which lanes are consistent, and stores every changed
   /// symbol once. On a row with a stuck cell the block would drift from
   /// what the array returns, so there each line stages afresh.
+  ///
+  /// A run onto a pristine row, one that no data device holds yet, with no
+  /// registered erasure, no scrub_on_write and no column twice, is written
+  /// without staging (WritePristine) and stores the same bits. The absent
+  /// row reads all zero and has no stuck cell, so every covered codeword is
+  /// the zero codeword, each symbol's delta is its new value, and, the code
+  /// being linear, the delta path's parity is the XOR of the new symbols'
+  /// delta parities. A device gets its row exactly when the staged path
+  /// would first store to it: when some line's slice for it is nonzero.
   void DoWriteLines(std::span<const dram::Address> addrs,
                     std::span<const util::BitVec> lines) override;
   void DoReadLines(std::span<const dram::Address> addrs,
@@ -169,12 +183,30 @@ class PairScheme final : public ecc::Scheme {
   std::pair<unsigned, unsigned> CoveringCodewords(
       std::span<const dram::Address> run) const;
 
-  /// True when any data device has a stuck bit in (bank, row).
-  bool RowHasStuckBits(unsigned bank, unsigned row) const;
+  /// Throws std::logic_error unless codewords [w_begin, w_begin + wcount)
+  /// lie in the pin line, as they do for every column of the row.
+  void CheckCodewords(unsigned w_begin, unsigned wcount) const;
+
+  /// (bank, row) on the data devices, from one FindRow each.
+  struct RowState {
+    bool absent = true;  ///< no data device holds the row
+    bool stuck = false;  ///< some data device has a stuck bit in it
+  };
+  RowState DataRowState(unsigned bank, unsigned row) const;
+
+  /// True when `run` addresses some column twice.
+  bool RepeatsColumn(std::span<const dram::Address> run);
 
   /// Writes `lines` to `run` (one row) from one staging.
   void WriteRun(std::span<const dram::Address> run,
                 std::span<const util::BitVec> lines);
+
+  /// Writes `lines` to `run`, on a row no data device holds and with no
+  /// column twice: copies each nonzero device slice into the row and stores
+  /// each touched codeword's parity, summed from its symbols' delta
+  /// parities. Stores what WriteRun would.
+  void WritePristine(std::span<const dram::Address> run,
+                     std::span<const util::BitVec> lines);
 
   /// Applies one line to its lanes of the staged block: delta parity on
   /// consistent lanes, splice and re-encode on the others; marks what
@@ -229,6 +261,10 @@ class PairScheme final : public ecc::Scheme {
   std::vector<std::uint8_t> store_;
   // Per staged lane of a write run: nonzero while the lane is a codeword.
   std::vector<std::uint8_t> consistent_;
+  // A pristine write's sorted columns, and one device's check symbols:
+  // r per (codeword - w_begin, pin), in that order.
+  std::vector<unsigned> cols_;
+  std::vector<gf::Elem> parity_;
 };
 
 }  // namespace pair_ecc::core

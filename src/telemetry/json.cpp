@@ -339,27 +339,19 @@ class Parser {
         case 'r':  out.push_back('\r'); break;
         case 't':  out.push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) Fail("short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else Fail("bad hex digit in \\u escape");
+          unsigned code = ParseHex4();
+          if (code >= 0xDC00 && code <= 0xDFFF)
+            Fail("lone low surrogate in \\u escape");
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // A high surrogate must pair with a low one: one code point
+            // past the BMP, four bytes of UTF-8.
+            if (!Consume("\\u")) Fail("lone high surrogate in \\u escape");
+            const unsigned low = ParseHex4();
+            if (low < 0xDC00 || low > 0xDFFF)
+              Fail("lone high surrogate in \\u escape");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
           }
-          // BMP only (the writer never emits surrogate pairs); encode UTF-8.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
+          AppendUtf8(code, out);
           break;
         }
         default:
@@ -368,24 +360,84 @@ class Parser {
     }
   }
 
+  /// The four hex digits of a unicode escape, as a code unit.
+  unsigned ParseHex4() {
+    if (pos_ + 4 > text_.size()) Fail("short \\u escape");
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      code <<= 4;
+      if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+      else Fail("bad hex digit in \\u escape");
+    }
+    return code;
+  }
+
+  /// Appends code point `code` (not a surrogate) as UTF-8.
+  static void AppendUtf8(unsigned code, std::string& out) {
+    if (code < 0x80) {
+      out.push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else if (code < 0x10000) {
+      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    } else {
+      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    }
+  }
+
+  /// Digits at the cursor, consumed; returns how many.
+  std::size_t ConsumeDigits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ - from;
+  }
+
+  /// JSON's number grammar, no more: -?(0|[1-9][0-9]*)(.[0-9]+)?
+  /// ([eE][+-]?[0-9]+)?. A leading zero, a '.' without digits on both
+  /// sides and an exponent without digits are refused.
   JsonValue ParseNumber() {
     const std::size_t start = pos_;
     if (Peek() == '-') ++pos_;
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = ConsumeDigits();
+    bool ok = int_digits == 1 || (int_digits > 1 && text_[int_start] != '0');
     bool is_real = false;
-    while (pos_ < text_.size()) {
-      const char ch = text_[pos_];
-      if (ch >= '0' && ch <= '9') {
+    if (ok && pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      is_real = true;
+      ok = ConsumeDigits() > 0;
+    }
+    if (ok && pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      is_real = true;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      } else if (ch == '.' || ch == 'e' || ch == 'E' || ch == '+' ||
-                 ch == '-') {
-        is_real = true;
-        ++pos_;
-      } else {
-        break;
-      }
+      ok = ConsumeDigits() > 0;
+    }
+    if (!ok) {
+      // Name the whole would-be number, offset at its first byte.
+      std::size_t end = start;
+      while (end < text_.size() &&
+             std::string_view("0123456789+-.eE").find(text_[end]) !=
+                 std::string_view::npos)
+        ++end;
+      pos_ = start;
+      Fail(end == start ? "unexpected character"
+                        : "bad number '" +
+                              std::string(text_.substr(start, end - start)) +
+                              "'");
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") Fail("bad number");
     if (!is_real) {
       std::int64_t value = 0;
       const auto res =

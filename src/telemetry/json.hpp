@@ -14,7 +14,9 @@
 //  * The parser accepts exactly what the writer emits plus ordinary
 //    hand-written JSON (it exists so bench_diff can load committed
 //    baselines); it throws std::runtime_error with a byte offset on
-//    malformed input.
+//    malformed input. Numbers follow JSON's grammar (no "01", "1." or
+//    ".5"); a surrogate-pair escape decodes to one code point, and a lone
+//    surrogate is refused, so every escape yields UTF-8.
 //
 // This is deliberately not a general-purpose JSON library: no comments, no
 // NaN/Infinity extensions (non-finite doubles serialise as null), no

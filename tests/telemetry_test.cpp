@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reliability/monte_carlo.hpp"
@@ -67,6 +68,49 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::Parse("[1,]"), std::runtime_error);
   EXPECT_THROW(JsonValue::Parse("{\"a\":1} trailing"), std::runtime_error);
   EXPECT_THROW(JsonValue::Parse(""), std::runtime_error);
+}
+
+// Numbers outside JSON's grammar and lone surrogate escapes were taken:
+// "01" read as 1, and "\ud800" became bytes that are not UTF-8. Each is
+// refused with one line naming where and what.
+TEST(Json, ParseRefusesWhatJsonForbids) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"01", "at byte 0: bad number '01'"},
+      {"-01", "at byte 0: bad number '-01'"},
+      {"[01]", "at byte 1: bad number '01'"},
+      {"1.", "at byte 0: bad number '1.'"},
+      {".5", "at byte 0: bad number '.5'"},
+      {"1.e5", "at byte 0: bad number '1.e5'"},
+      {"1e", "at byte 0: bad number '1e'"},
+      {"-", "at byte 0: bad number '-'"},
+      {"[1,]", "at byte 3: unexpected character"},
+      {"\"\\ud800\"", "at byte 7: lone high surrogate in \\u escape"},
+      {"\"\\ud800\\u0041\"", "at byte 13: lone high surrogate in \\u escape"},
+      {"\"\\udc00\"", "at byte 7: lone low surrogate in \\u escape"},
+  };
+  for (const auto& [text, where] : cases) {
+    std::string what = "parsed";
+    try {
+      JsonValue::Parse(text);
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "JSON parse error " + where) << text;
+  }
+}
+
+TEST(Json, ParseTakesJsonNumbersAndSurrogatePairs) {
+  EXPECT_EQ(JsonValue::Parse("0").AsInt(), 0);
+  EXPECT_EQ(JsonValue::Parse("-0").AsInt(), 0);
+  EXPECT_EQ(JsonValue::Parse("10").AsInt(), 10);
+  EXPECT_EQ(JsonValue::Parse("0.5").AsReal(), 0.5);
+  EXPECT_EQ(JsonValue::Parse("-0.5e+1").AsReal(), -5.0);
+  EXPECT_EQ(JsonValue::Parse("1E-2").AsReal(), 0.01);
+  EXPECT_EQ(JsonValue::Parse("1e5").AsReal(), 1e5);
+  // U+1F600 as a surrogate pair: four bytes of UTF-8, written back as is.
+  const JsonValue pair = JsonValue::Parse("\"\\ud83d\\ude00\"");
+  EXPECT_EQ(pair.AsString(), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(JsonValue::Parse(pair.Dump()), pair);
 }
 
 // 200000 open brackets overflowed the parser's stack: nesting is refused
