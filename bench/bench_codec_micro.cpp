@@ -83,45 +83,38 @@ void BM_GfMul(benchmark::State& state) {
 }
 BENCHMARK(BM_GfMul);
 
+/// A random codeword of `code`: k random data symbols and their parity.
+std::vector<gf::Elem> RandomCodeword(const rs::RsCode& code, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<gf::Elem> cw(code.n());
+  for (unsigned i = 0; i < code.k(); ++i)
+    cw[i] = static_cast<gf::Elem>(rng.UniformBelow(256));
+  code.ComputeParityInto(std::span<const gf::Elem>(cw).first(code.k()),
+                         std::span<gf::Elem>(cw).subspan(code.k()));
+  return cw;
+}
+
 void BM_RsEncode(benchmark::State& state) {
   const auto code = rs::Gf256Code(static_cast<unsigned>(state.range(0)) + 4,
                                       static_cast<unsigned>(state.range(0)));
-  util::Xoshiro256 rng(2);
-  std::vector<gf::Elem> data(code.k());
-  for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
+  auto cw = RandomCodeword(code, 2);
+  const std::span<const gf::Elem> data(cw.data(), code.k());
+  const std::span<gf::Elem> parity(cw.data() + code.k(), code.r());
   for (auto _ : state) {
-    auto cw = code.Encode(data);
-    benchmark::DoNotOptimize(cw);
+    code.ComputeParityInto(data, parity);
+    benchmark::DoNotOptimize(cw.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_RsEncode)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_RsDecodeClean(benchmark::State& state) {
-  const auto code = rs::Gf256Code(68, 64);
-  util::Xoshiro256 rng(3);
-  std::vector<gf::Elem> data(code.k());
-  for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
-  const auto clean = code.Encode(data);
-  for (auto _ : state) {
-    auto word = clean;
-    auto res = code.Decode(std::span<gf::Elem>(word));
-    benchmark::DoNotOptimize(res);
-  }
-}
-BENCHMARK(BM_RsDecodeClean);
-
 // The steady-state hot path the trial engine runs: clean decode through a
-// reusable DecodeScratch. With PAIR_ALLOC_COUNTER=ON the "allocs_per_decode"
-// counter proves the warm path allocates nothing.
+// DecodeScratch built from its code. With PAIR_ALLOC_COUNTER=ON the
+// "allocs_per_decode" counter proves the path allocates nothing.
 void BM_RsDecodeCleanScratch(benchmark::State& state) {
   const auto code = rs::Gf256Code(68, 64);
-  util::Xoshiro256 rng(3);
-  std::vector<gf::Elem> data(code.k());
-  for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
-  auto word = code.Encode(data);
-  rs::DecodeScratch scratch;
-  // Warm the scratch: the first call sizes its buffers.
-  code.Decode(std::span<gf::Elem>(word), {}, scratch);
+  auto word = RandomCodeword(code, 3);
+  rs::DecodeScratch scratch(code);
 #ifdef PAIR_ALLOC_COUNTER
   const std::uint64_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
@@ -142,27 +135,28 @@ BENCHMARK(BM_RsDecodeCleanScratch);
 
 void BM_RsDecodeErrors(benchmark::State& state) {
   const auto code = rs::Gf256Code(68, 64);
-  util::Xoshiro256 rng(4);
-  std::vector<gf::Elem> data(code.k());
-  for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(256));
-  const auto clean = code.Encode(data);
+  const auto clean = RandomCodeword(code, 4);
+  rs::DecodeScratch scratch(code);
   const auto errors = static_cast<unsigned>(state.range(0));
+  auto word = clean;
   for (auto _ : state) {
-    auto word = clean;
+    word = clean;
     for (unsigned e = 0; e < errors; ++e)
       word[(e * 17) % word.size()] ^= static_cast<gf::Elem>(0x5A + e);
-    auto res = code.Decode(std::span<gf::Elem>(word));
-    benchmark::DoNotOptimize(res);
+    auto status = code.Decode(std::span<gf::Elem>(word), {}, scratch);
+    benchmark::DoNotOptimize(status);
   }
 }
 BENCHMARK(BM_RsDecodeErrors)->Arg(1)->Arg(2);
 
 void BM_RsParityDelta(benchmark::State& state) {
   const auto code = rs::Gf256Code(68, 64);
+  std::vector<gf::Elem> d(code.r());
   unsigned i = 0;
   for (auto _ : state) {
-    auto d = code.ParityDelta(i % code.k(), static_cast<gf::Elem>(i | 1));
-    benchmark::DoNotOptimize(d);
+    code.ParityDeltaInto(i % code.k(), static_cast<gf::Elem>(i | 1), d);
+    benchmark::DoNotOptimize(d.data());
+    benchmark::ClobberMemory();
     ++i;
   }
 }
@@ -341,7 +335,7 @@ bool KernelMatchesScalar(rs::RsCode code, const gf::BatchKernels& kernel,
                          std::span<const unsigned> batch_sizes,
                          util::Xoshiro256& rng) {
   std::vector<gf::Elem> buf_a, buf_b, syn_a, syn_b;
-  rs::DecodeScratch sc_a, sc_b;
+  rs::DecodeScratch sc_a(code), sc_b(code);
   std::vector<rs::BatchLineResult> res_a, res_b;
   for (unsigned lanes : batch_sizes) {
     buf_a.assign(std::size_t{code.n()} * lanes, 0);
@@ -442,7 +436,7 @@ bool RunBatchCodecSection() {
       FillCodewords(code, block, rng);
       std::vector<gf::Elem> syn(std::size_t{code.r()} * lanes);
       std::vector<rs::BatchLineResult> results(lanes);
-      rs::DecodeScratch scratch;
+      rs::DecodeScratch scratch(code);
 
       const double enc =
           MeasureLinesPerSec(lanes, [&] { code.EncodeBatchInto(block); });
@@ -492,8 +486,8 @@ bool RunBatchCodecSection() {
     const rs::CodewordBlock block{buf.data(), lanes, code.n(), lanes};
     FillCodewords(code, block, rng);
     std::vector<rs::BatchLineResult> results(lanes);
-    rs::DecodeScratch scratch;
-    block.Row(3)[5] ^= 0x5A;  // dirty lane: warm the scalar decode scratch
+    rs::DecodeScratch scratch(code);
+    block.Row(3)[5] ^= 0x5A;  // dirty lane: warm the block syndromes
     code.DecodeBatch(block, results, scratch);
     const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
     for (int i = 0; i < 100; ++i) {

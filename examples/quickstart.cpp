@@ -53,12 +53,14 @@ int main() {
 
   // ...and linearity gives the O(r) incremental parity update behind
   // PAIR's RMW-free write path.
-  std::vector<gf::Elem> data(64, 0);
-  auto parity = code.ComputeParity(data);
+  std::vector<gf::Elem> data(64, 0), parity(code.r()), delta(code.r()),
+      reencoded(code.r());
+  code.ComputeParityInto(data, parity);
   data[10] = 0xAB;  // one symbol (= one write burst on one pin) changes
-  const auto delta = code.ParityDelta(10, 0x00 ^ 0xAB);
+  code.ParityDeltaInto(10, 0x00 ^ 0xAB, delta);
   for (unsigned j = 0; j < code.r(); ++j) parity[j] ^= delta[j];
-  const bool delta_ok = parity == code.ComputeParity(data);
+  code.ComputeParityInto(data, reencoded);
+  const bool delta_ok = parity == reencoded;
   std::cout << "delta-updated parity " << (delta_ok ? "matches" : "DIFFERS")
             << " full re-encode\n";
   return read.data == line && delta_ok ? 0 : 1;

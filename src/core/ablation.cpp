@@ -128,7 +128,7 @@ class InterleavedRsScheme final : public ecc::Scheme {
   static constexpr unsigned kChunkBits = 512;
 
   explicit InterleavedRsScheme(dram::Rank& rank)
-      : Scheme(rank), code_(rs::Gf256Code(68, 64)) {
+      : Scheme(rank), code_(rs::Gf256Code(68, 64)), scratch_(code_) {
     const auto& g = rank.geometry().device;
     PAIR_CHECK(!(g.row_bits % kChunkBits != 0), "InterleavedRs: chunks must tile the row");
     chunks_ = g.row_bits / kChunkBits;
@@ -154,7 +154,7 @@ class InterleavedRsScheme final : public ecc::Scheme {
       dram::Device::Row& row = rank().device(d).GetRow(addr.bank, addr.row);
       // Read-correct-modify-write on the covering chunk.
       Sense(&row, chunk, word);
-      code_.Decode(std::span<gf::Elem>(word));  // best effort
+      code_.Decode(std::span<gf::Elem>(word), {}, scratch_);  // best effort
       for (unsigned b = 0; b < g.AccessBits(); ++b) {
         auto& sym = word[(base_bit + b) / kSymbolBits];
         const unsigned bit = (base_bit + b) % kSymbolBits;
@@ -179,8 +179,9 @@ class InterleavedRsScheme final : public ecc::Scheme {
     std::vector<gf::Elem> word(code_.n());
     for (unsigned d = 0; d < rank().DataDevices(); ++d) {
       Sense(rank().device(d).FindRow(addr.bank, addr.row), chunk, word);
-      const auto decode = code_.Decode(std::span<gf::Elem>(word));
-      result.Fold(decode.status, decode.NumCorrected());
+      const rs::DecodeStatus status =
+          code_.Decode(std::span<gf::Elem>(word), {}, scratch_);
+      result.Fold(status, scratch_.NumCorrected());
       // Deliver the column's bits from the (corrected) chunk.
       for (unsigned b = 0; b < g.AccessBits(); ++b) {
         const unsigned bit = base_bit + b;
@@ -213,6 +214,8 @@ class InterleavedRsScheme final : public ecc::Scheme {
   }
 
   const rs::RsCode& code_;
+  // Decoder workspace; a Scheme instance is single-threaded.
+  rs::DecodeScratch scratch_;
   unsigned chunks_ = 0;
 };
 

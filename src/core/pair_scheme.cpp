@@ -1,6 +1,8 @@
 #include "core/pair_scheme.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/contract.hpp"
@@ -65,19 +67,22 @@ void StoreSymbols(util::BitVec& bits, unsigned base, unsigned pins,
   }
 }
 
-/// Packs `count` (<= 8) byte-valued lanes into the bytes of a word.
-template <typename T>
-std::uint64_t Pack8(const T* lanes, unsigned count) {
+// Pack8 and Unpack8 copy lane i to and from bits [8 * i, 8 * i + 8) of a
+// word, which is the word's i-th byte in memory only on a little-endian
+// host.
+static_assert(std::endian::native == std::endian::little,
+              "PAIR staging packs symbols with little-endian word copies");
+
+/// Packs `count` (<= 8) byte lanes into the low bytes of a word.
+std::uint64_t Pack8(const std::uint8_t* lanes, unsigned count) {
   std::uint64_t v = 0;
-  for (unsigned i = 0; i < count; ++i)
-    v |= static_cast<std::uint64_t>(lanes[i]) << (8 * i);
+  std::memcpy(&v, lanes, count);
   return v;
 }
 
 /// Inverse of Pack8.
-void Unpack8(std::uint64_t v, Elem* lanes, unsigned count) {
-  for (unsigned i = 0; i < count; ++i)
-    lanes[i] = static_cast<Elem>((v >> (8 * i)) & 0xFF);
+void Unpack8(std::uint64_t v, std::uint8_t* lanes, unsigned count) {
+  std::memcpy(lanes, &v, count);
 }
 
 /// One past the last address of the run that starts at `begin`: the
@@ -97,7 +102,8 @@ PairScheme::PairScheme(dram::Rank& rank, const PairConfig& config)
     : Scheme(rank),
       config_(config),
       code_(rs::Gf256Code(config.data_symbols + config.check_symbols,
-                          config.data_symbols)) {
+                          config.data_symbols)),
+      scratch_(code_) {
   config_.Validate();
   const auto& g = rank.geometry().device;
   PAIR_CHECK(!(g.burst_length % kSymbolBits != 0), "PAIR: burst length must be a whole number of symbols");

@@ -38,7 +38,8 @@ class DuoScheme final : public Scheme {
         code_(rs::Gf256Code(
             rank.geometry().LineBits() / kSymbolBits + kSidecarSymbols +
                 kSpareSymbols,
-            rank.geometry().LineBits() / kSymbolBits)) {
+            rank.geometry().LineBits() / kSymbolBits)),
+        scratch_(code_) {
     const auto& g = rank.geometry().device;
     PAIR_CHECK(rank.EccDevices() >= 1, "DUO: rank has no sidecar device");
     PAIR_CHECK(!(rank.geometry().LineBits() % kSymbolBits != 0), "DUO: line not a whole number of symbols");
@@ -46,6 +47,11 @@ class DuoScheme final : public Scheme {
     PAIR_CHECK(!(rank.DataDevices() * kSpareBitsPerDevice !=
         kSpareSymbols * kSymbolBits), "DUO: spare nibbles must pack 4 symbols");
     PAIR_CHECK(!(g.ColumnsPerRow() * kSpareBitsPerDevice > g.spare_row_bits), "DUO: spare region too small");
+    // A line access is a one-lane block: size its staging now, as the
+    // scratch is, so the first one allocates only its result line.
+    block_buf_.reserve(code_.n());
+    lane_erasures_.reserve(1);
+    line_res_.reserve(1);
   }
 
   std::string Name() const override { return "DUO"; }

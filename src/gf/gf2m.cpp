@@ -17,21 +17,13 @@ std::uint32_t DefaultPrimitivePoly(unsigned m) {
     case 6:  return 0x43;     // x^6+x+1
     case 7:  return 0x89;     // x^7+x^3+1
     case 8:  return 0x11D;    // x^8+x^4+x^3+x^2+1
-    case 9:  return 0x211;    // x^9+x^4+1
-    case 10: return 0x409;    // x^10+x^3+1
-    case 11: return 0x805;    // x^11+x^2+1
-    case 12: return 0x1053;   // x^12+x^6+x^4+x+1
-    case 13: return 0x201B;   // x^13+x^4+x^3+x+1
-    case 14: return 0x4443;   // x^14+x^10+x^6+x+1
-    case 15: return 0x8003;   // x^15+x+1
-    case 16: return 0x1100B;  // x^16+x^12+x^3+x+1
     default:
-      PAIR_CHECK(false, "GF(2^m) requires m in [2, 16], got " << m);
+      PAIR_CHECK(false, "GF(2^m) requires m in [2, 8], got " << m);
   }
 }
 
 GfField::GfField(unsigned m, std::uint32_t poly) : m_(m), poly_(poly) {
-  PAIR_CHECK(m >= 2 && m <= 16, "GF(2^m) requires m in [2, 16], got " << m);
+  PAIR_CHECK(m >= 2 && m <= 8, "GF(2^m) requires m in [2, 8], got " << m);
   size_ = 1u << m;
   antilog_.assign(size_ - 1, 0);
   log_.assign(size_, 0);

@@ -1,10 +1,9 @@
-// Galois-field arithmetic GF(2^m) for 2 <= m <= 16.
+// Galois-field arithmetic GF(2^m) for 2 <= m <= 8: one symbol is one byte.
 //
-// The Reed-Solomon machinery in src/rs is generic over the field so that
-// PAIR's 8-bit-symbol codes, narrower experimental symbol sizes, and test
-// fields can share one implementation. Multiplication/division/inverse are
-// table-driven (log/antilog), built once per (m, primitive polynomial) and
-// shared through `GfField::Get`.
+// PAIR's codes are over GF(2^8); the narrower fields let tests exercise the
+// Reed-Solomon machinery in src/rs on small, exhaustively checkable codes.
+// Multiplication/division/inverse are table-driven (log/antilog), built
+// once per (m, primitive polynomial) and shared through `GfField::Get`.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +14,10 @@
 
 namespace pair_ecc::gf {
 
-/// Field element storage. Values are in [0, 2^m); arithmetic asserts range.
-using Elem = std::uint16_t;
+/// Field element storage, one byte. Values are in [0, 2^m); below m = 8
+/// the decoder's syndrome pass asserts range. A uint8_t streams as a
+/// character, so cast an Elem to unsigned before printing it.
+using Elem = std::uint8_t;
 
 /// Default primitive polynomials (including the x^m term) for supported m.
 /// GF(2^8) uses x^8+x^4+x^3+x^2+1 (0x11D), the polynomial used by most

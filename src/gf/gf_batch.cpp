@@ -57,12 +57,13 @@ constexpr BatchKernels kScalar = {
 #if PAIR_GF_BATCH_X86
 
 // --------------------------------------------------------------- pclmul
-// Four 16-bit lanes per 64-bit carry-less multiply: each lane holds an
-// 8-bit symbol, so lane * c has degree <= 14 and never crosses a lane
-// boundary. Reduction mod the degree-8 polynomial uses x^8 == red (the low
-// byte of the poly); with red = 0x1D (degree 4) two reduction rounds bring
-// every lane below degree 8, which is why this kernel is gated on the
-// default 0x11D field.
+// Eight byte lanes per iteration, widened in-register to 16-bit lanes so
+// that four fit one 64-bit carry-less multiply: lane * c has degree <= 14
+// and never crosses a lane boundary. Reduction mod the degree-8 polynomial
+// uses x^8 == red (the low byte of the poly); with red = 0x1D (degree 4)
+// two reduction rounds bring every lane below degree 8, which is why this
+// kernel is gated on the default 0x11D field. The reduced lanes are < 256,
+// so the saturating pack back to bytes is exact.
 
 __attribute__((target("pclmul,sse2"))) inline __m128i
 ClmulLanes(__m128i x, __m128i k) {
@@ -73,27 +74,35 @@ ClmulLanes(__m128i x, __m128i k) {
   return _mm_unpacklo_epi64(lo, hi);
 }
 
+__attribute__((target("pclmul,sse2"))) inline __m128i Load8(const Elem* p) {
+  return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+}
+
+__attribute__((target("pclmul,sse2"))) inline void Store8(Elem* p,
+                                                          __m128i v) {
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(p), v);
+}
+
+/// c * each of the 8 bytes at `src`, as the low 8 bytes of the result.
 __attribute__((target("pclmul,sse2"))) inline __m128i
-PclmulProduct(__m128i v, __m128i cv, __m128i red, __m128i mask8) {
+PclmulProduct(const Elem* src, __m128i cv, __m128i red) {
+  const __m128i mask8 = _mm_set1_epi16(0x00FF);
+  const __m128i v = _mm_unpacklo_epi8(Load8(src), _mm_setzero_si128());
   const __m128i p = ClmulLanes(v, cv);                      // degree <= 14
   const __m128i t1 = ClmulLanes(_mm_srli_epi16(p, 8), red); // degree <= 10
   const __m128i p2 = _mm_xor_si128(_mm_and_si128(p, mask8), t1);
   const __m128i t2 = ClmulLanes(_mm_srli_epi16(p2, 8), red); // degree <= 6
-  return _mm_xor_si128(_mm_and_si128(p2, mask8), t2);
+  const __m128i r = _mm_xor_si128(_mm_and_si128(p2, mask8), t2);
+  return _mm_packus_epi16(r, r);
 }
 
 __attribute__((target("pclmul,sse2"))) void PclmulMulInto(
     const MulTables& t, const Elem* src, Elem* dst, std::size_t count) {
   const __m128i cv = _mm_set1_epi64x(t.c);
   const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     PclmulProduct(v, cv, red, mask8));
-  }
+  for (; i + 8 <= count; i += 8)
+    Store8(dst + i, PclmulProduct(src + i, cv, red));
   for (; i < count; ++i) dst[i] = t.field->Mul(t.c, src[i]);
 }
 
@@ -101,15 +110,10 @@ __attribute__((target("pclmul,sse2"))) void PclmulMulAddInto(
     const MulTables& t, const Elem* src, Elem* dst, std::size_t count) {
   const __m128i cv = _mm_set1_epi64x(t.c);
   const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i d = _mm_loadu_si128(reinterpret_cast<__m128i*>(dst + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(d, PclmulProduct(v, cv, red, mask8)));
-  }
+  for (; i + 8 <= count; i += 8)
+    Store8(dst + i,
+           _mm_xor_si128(Load8(dst + i), PclmulProduct(src + i, cv, red)));
   for (; i < count; ++i)
     dst[i] = static_cast<Elem>(dst[i] ^ t.field->Mul(t.c, src[i]));
 }
@@ -118,16 +122,10 @@ __attribute__((target("pclmul,sse2"))) void PclmulSyndromeAccumulate(
     const MulTables& t, const Elem* row, Elem* acc, std::size_t count) {
   const __m128i cv = _mm_set1_epi64x(t.c);
   const __m128i red = _mm_set1_epi64x(t.field->poly() & 0xFF);
-  const __m128i mask8 = _mm_set1_epi16(0x00FF);
   std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(acc + i));
-    const __m128i r =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i),
-                     _mm_xor_si128(PclmulProduct(a, cv, red, mask8), r));
-  }
+  for (; i + 8 <= count; i += 8)
+    Store8(acc + i,
+           _mm_xor_si128(PclmulProduct(acc + i, cv, red), Load8(row + i)));
   for (; i < count; ++i)
     acc[i] = t.field->Add(t.field->Mul(t.c, acc[i]), row[i]);
 }
@@ -138,9 +136,9 @@ constexpr BatchKernels kPclmul = {
 };
 
 // ----------------------------------------------------------------- avx2
-// Split-nibble PSHUFB over 16-bit lanes: every lane's value is < 256, so
-// the high byte is zero and indexes table entry 0 (= c * 0 = 0). One
-// multiply is two shuffles and a XOR for 16 lanes.
+// Split-nibble PSHUFB over 32 byte lanes: one multiply is two shuffles and
+// a XOR. The 16-bit shift carries a neighbour's bits into each byte's high
+// nibble, which the mask clears.
 
 __attribute__((target("avx2"))) inline __m256i Avx2Product(__m256i v,
                                                            __m256i lo,
@@ -152,79 +150,72 @@ __attribute__((target("avx2"))) inline __m256i Avx2Product(__m256i v,
                           _mm256_shuffle_epi8(hi, hn));
 }
 
+__attribute__((target("avx2"))) inline __m256i Load32(const Elem* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+__attribute__((target("avx2"))) inline void Store32(Elem* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+__attribute__((target("avx2"))) inline __m256i NibbleTable(
+    const std::uint8_t* table) {
+  return _mm256_broadcastsi128_si256(
+      _mm_load_si128(reinterpret_cast<const __m128i*>(table)));
+}
+
 __attribute__((target("avx2"))) void Avx2MulInto(const MulTables& t,
                                                  const Elem* src, Elem* dst,
                                                  std::size_t count) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m256i mask = _mm256_set1_epi16(0x000F);
+  const __m256i lo = NibbleTable(t.lo), hi = NibbleTable(t.hi);
+  const __m256i mask = _mm256_set1_epi8(0x0F);
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        Avx2Product(v, lo, hi, mask));
-  }
+  for (; i + 32 <= count; i += 32)
+    Store32(dst + i, Avx2Product(Load32(src + i), lo, hi, mask));
   for (; i < count; ++i) dst[i] = t.field->Mul(t.c, src[i]);
 }
 
 __attribute__((target("avx2"))) void Avx2MulAddInto(const MulTables& t,
                                                     const Elem* src, Elem* dst,
                                                     std::size_t count) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m256i mask = _mm256_set1_epi16(0x000F);
+  const __m256i lo = NibbleTable(t.lo), hi = NibbleTable(t.hi);
+  const __m256i mask = _mm256_set1_epi8(0x0F);
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, Avx2Product(v, lo, hi, mask)));
-  }
+  for (; i + 32 <= count; i += 32)
+    Store32(dst + i, _mm256_xor_si256(Load32(dst + i),
+                                      Avx2Product(Load32(src + i), lo, hi,
+                                                  mask)));
   for (; i < count; ++i)
     dst[i] = static_cast<Elem>(dst[i] ^ t.field->Mul(t.c, src[i]));
 }
 
 __attribute__((target("avx2"))) void Avx2SyndromeAccumulate(
     const MulTables& t, const Elem* row, Elem* acc, std::size_t count) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m256i mask = _mm256_set1_epi16(0x000F);
+  const __m256i lo = NibbleTable(t.lo), hi = NibbleTable(t.hi);
+  const __m256i mask = _mm256_set1_epi8(0x0F);
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_xor_si256(Avx2Product(a, lo, hi, mask), r));
-  }
+  for (; i + 32 <= count; i += 32)
+    Store32(acc + i, _mm256_xor_si256(Avx2Product(Load32(acc + i), lo, hi,
+                                                  mask),
+                                      Load32(row + i)));
   for (; i < count; ++i)
     acc[i] = t.field->Add(t.field->Mul(t.c, acc[i]), row[i]);
 }
 
 constexpr BatchKernels kAvx2 = {
-    "avx2", /*min_lanes=*/16, &FieldIsGf256,
+    "avx2", /*min_lanes=*/32, &FieldIsGf256,
     &Avx2MulInto, &Avx2MulAddInto, &Avx2SyndromeAccumulate,
 };
 
 // ----------------------------------------------------------------- gfni
-// GF2P8AFFINEQB applies an arbitrary 8x8 GF(2) bit matrix to every byte —
-// the affine form works for any GF(2^8) polynomial (the instruction's
-// *multiply* sibling is hardwired to 0x11B, which is why we don't use it).
-// The zero high bytes of the 16-bit lanes map to zero under any matrix.
+// GF2P8AFFINEQB applies an arbitrary 8x8 GF(2) bit matrix to each of 32
+// bytes — the affine form works for any GF(2^8) polynomial (the
+// instruction's *multiply* sibling is hardwired to 0x11B, which is why we
+// don't use it).
 
-__attribute__((target("gfni,avx2"))) inline __m256i Gfni16(__m256i v,
-                                                           __m256i m) {
-  return _mm256_gf2p8affine_epi64_epi8(v, m, 0);
+__attribute__((target("gfni,avx2"))) inline __m256i GfniProduct(
+    const Elem* src, __m256i m) {
+  return _mm256_gf2p8affine_epi64_epi8(Load32(src), m, 0);
 }
 
 __attribute__((target("gfni,avx2"))) void GfniMulInto(const MulTables& t,
@@ -233,11 +224,7 @@ __attribute__((target("gfni,avx2"))) void GfniMulInto(const MulTables& t,
                                                       std::size_t count) {
   const __m256i m = _mm256_set1_epi64x(static_cast<long long>(t.affine));
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), Gfni16(v, m));
-  }
+  for (; i + 32 <= count; i += 32) Store32(dst + i, GfniProduct(src + i, m));
   for (; i < count; ++i) dst[i] = t.field->Mul(t.c, src[i]);
 }
 
@@ -247,14 +234,9 @@ __attribute__((target("gfni,avx2"))) void GfniMulAddInto(const MulTables& t,
                                                          std::size_t count) {
   const __m256i m = _mm256_set1_epi64x(static_cast<long long>(t.affine));
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<__m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, Gfni16(v, m)));
-  }
+  for (; i + 32 <= count; i += 32)
+    Store32(dst + i,
+            _mm256_xor_si256(Load32(dst + i), GfniProduct(src + i, m)));
   for (; i < count; ++i)
     dst[i] = static_cast<Elem>(dst[i] ^ t.field->Mul(t.c, src[i]));
 }
@@ -263,20 +245,15 @@ __attribute__((target("gfni,avx2"))) void GfniSyndromeAccumulate(
     const MulTables& t, const Elem* row, Elem* acc, std::size_t count) {
   const __m256i m = _mm256_set1_epi64x(static_cast<long long>(t.affine));
   std::size_t i = 0;
-  for (; i + 16 <= count; i += 16) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
-    const __m256i r =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
-                        _mm256_xor_si256(Gfni16(a, m), r));
-  }
+  for (; i + 32 <= count; i += 32)
+    Store32(acc + i,
+            _mm256_xor_si256(GfniProduct(acc + i, m), Load32(row + i)));
   for (; i < count; ++i)
     acc[i] = t.field->Add(t.field->Mul(t.c, acc[i]), row[i]);
 }
 
 constexpr BatchKernels kGfni = {
-    "gfni", /*min_lanes=*/16, &FieldIsGf256,
+    "gfni", /*min_lanes=*/32, &FieldIsGf256,
     &GfniMulInto, &GfniMulAddInto, &GfniSyndromeAccumulate,
 };
 

@@ -9,10 +9,11 @@
 //   MulAddInto          dst[i] ^= c * src[i]      (parity accumulation)
 //   SyndromeAccumulate  acc[i]  = c * acc[i] ^ row[i]  (one Horner step)
 //
-// Those three ops exist in several implementations ("kernels"): a scalar
-// reference that calls GfField::Mul per element — the bitwise oracle every
-// other kernel must match exactly — plus x86 SIMD variants (PCLMUL, AVX2
-// split-nibble PSHUFB, GFNI affine). GF multiplication is exact, so any
+// A lane is one symbol, one byte (gf::Elem). Those three ops exist in
+// several implementations ("kernels"): a scalar reference that calls
+// GfField::Mul per element — the bitwise oracle every other kernel must
+// match exactly — plus x86 SIMD variants (PCLMUL on 8 lanes per step, AVX2
+// split-nibble PSHUFB and GFNI affine on 32). GF multiplication is exact, so any
 // correct kernel produces identical bits; the differential test in
 // tests/gf_batch_test.cpp enforces it for every compiled-in kernel.
 //

@@ -11,19 +11,21 @@ DecodeBreakdown RsErrorBreakdown(const rs::RsCode& code, unsigned symbol_errors,
   util::Xoshiro256 rng(seed);
   const auto& f = code.field();
   DecodeBreakdown out;
+  rs::DecodeScratch scratch(code);
+  std::vector<gf::Elem> clean(code.n()), word(code.n());
   for (std::uint64_t trial = 0; trial < trials; ++trial) {
-    std::vector<gf::Elem> data(code.k());
-    for (auto& s : data) s = static_cast<gf::Elem>(rng.UniformBelow(f.Size()));
-    const auto clean = code.Encode(data);
-    auto word = clean;
+    for (unsigned i = 0; i < code.k(); ++i)
+      clean[i] = static_cast<gf::Elem>(rng.UniformBelow(f.Size()));
+    code.ComputeParityInto(std::span<const gf::Elem>(clean).first(code.k()),
+                           std::span<gf::Elem>(clean).subspan(code.k()));
+    word = clean;
     std::set<unsigned> positions;
     while (positions.size() < symbol_errors)
       positions.insert(static_cast<unsigned>(rng.UniformBelow(code.n())));
     for (unsigned pos : positions)
       word[pos] ^= static_cast<gf::Elem>(1 + rng.UniformBelow(f.Size() - 1));
 
-    const auto res = code.Decode(std::span<gf::Elem>(word));
-    switch (res.status) {
+    switch (code.Decode(word, {}, scratch)) {
       case rs::DecodeStatus::kNoError:
         // The error pattern was itself a codeword: undetectable.
         ++out.undetected;

@@ -27,6 +27,19 @@ const RsCode& Gf256Code(unsigned n, unsigned k) {
   return *it->second;
 }
 
+DecodeScratch::DecodeScratch(const RsCode& code) {
+  const std::size_t r = code.r(), n = code.n();
+  syn.reserve(r);
+  batch_syn.reserve(r);
+  for (Poly* p : {&gamma, &lambda, &b_poly, &adj, &prev, &s_poly, &omega,
+                  &lambda_prime})
+    p->reserve(2 * r + 2);
+  err_pos.reserve(n);
+  err_xinv.reserve(n);
+  corrections.reserve(n);
+  lane.reserve(n);
+}
+
 RsCode::RsCode(const GfField& field, unsigned n, unsigned k)
     : field_(field), n_(n), k_(k) {
   PAIR_CHECK(k >= 1 && n > k, "RsCode needs 1 <= k < n, got (" << n << ", " << k << ")");
@@ -94,30 +107,6 @@ void RsCode::ComputeParityInto(std::span<const Elem> data,
   }
 }
 
-// PAIR_ANALYZE_ALLOW(CON-SPAN: delegates to ComputeParityInto, which checks)
-std::vector<Elem> RsCode::ComputeParity(std::span<const Elem> data) const {
-  std::vector<Elem> parity(r());
-  ComputeParityInto(data, parity);
-  return parity;
-}
-
-void RsCode::EncodeInto(std::span<const Elem> data, std::span<Elem> out) const {
-  PAIR_CHECK(out.size() == n_, "EncodeInto output holds " << out.size()
-                                   << " symbols, expected " << n_);
-  PAIR_CHECK(data.size() == k_, "EncodeInto expects " << k_
-                                    << " data symbols, got " << data.size());
-  // Batch of one: a contiguous codeword is a CodewordBlock with one lane.
-  std::copy(data.begin(), data.end(), out.begin());
-  EncodeBatchInto(CodewordBlock{out.data(), 1, n_, 1});
-}
-
-// PAIR_ANALYZE_ALLOW(CON-SPAN: delegates to EncodeInto, which checks)
-std::vector<Elem> RsCode::Encode(std::span<const Elem> data) const {
-  std::vector<Elem> cw(n_);
-  EncodeInto(data, cw);
-  return cw;
-}
-
 void RsCode::ParityDeltaInto(unsigned data_index, Elem delta,
                              std::span<Elem> out) const {
   PAIR_CHECK(data_index < k_, "ParityDelta index " << data_index
@@ -130,12 +119,6 @@ void RsCode::ParityDeltaInto(unsigned data_index, Elem delta,
   }
   const Elem* foot = &foot_rev_[std::size_t{data_index} * r()];
   for (unsigned j = 0; j < r(); ++j) out[j] = field_.Mul(delta, foot[j]);
-}
-
-std::vector<Elem> RsCode::ParityDelta(unsigned data_index, Elem delta) const {
-  std::vector<Elem> out(r());
-  ParityDeltaInto(data_index, delta, out);
-  return out;
 }
 
 void RsCode::SyndromesInto(std::span<const Elem> word,
@@ -194,15 +177,17 @@ void RsCode::SyndromesBatchInto(const CodewordBlock& block,
   PAIR_DCHECK(out.size() == std::size_t{r()} * block.lines,
               "syndrome output length " << out.size() << " != r * lines = "
                                         << std::size_t{r()} * block.lines);
-  // Out-of-field symbols would index past the log tables in the Mul/Add
-  // below; every decode path funnels through here, so guard once (the loop
-  // is empty in release builds where PAIR_DCHECK compiles out).
-  for (unsigned i = 0; i < n_; ++i)
-    for (unsigned l = 0; l < block.lines; ++l)
-      PAIR_DCHECK(block.Row(i)[l] < field_.Size(),
-                  "received symbol (" << i << ", lane " << l << ") = "
-                                      << block.Row(i)[l] << " outside GF(2^"
-                                      << field_.m() << ")");
+  // Below m = 8 an out-of-field symbol would index past the log tables in
+  // the Mul/Add below; every decode path funnels through here, so guard
+  // once (the loop is empty in release builds where PAIR_DCHECK compiles
+  // out). At m = 8 every byte is a field element.
+  if (field_.m() < 8)
+    for (unsigned i = 0; i < n_; ++i)
+      for (unsigned l = 0; l < block.lines; ++l)
+        PAIR_DCHECK(block.Row(i)[l] < field_.Size(),
+                    "received symbol (" << i << ", lane " << l << ") = "
+                        << unsigned{block.Row(i)[l]} << " outside GF(2^"
+                        << field_.m() << ")");
   // S_j = c(alpha^(j+1)); with codeword index i at degree n-1-i, evaluate by
   // Horner over the positions as written (highest degree first), all lanes
   // in lock-step: acc = alpha^(j+1) * acc XOR row.
@@ -271,24 +256,8 @@ void RsCode::DecodeBatch(const CodewordBlock& block,
   }
 }
 
-// PAIR_ANALYZE_ALLOW(CON-SPAN: delegates to SyndromesInto, which checks)
-std::vector<Elem> RsCode::Syndromes(std::span<const Elem> word) const {
-  std::vector<Elem> syn(r());
-  SyndromesInto(word, syn);
-  return syn;
-}
-
 // A wrong-length word is simply not a codeword, so the extent test is a
-// legal answer rather than a contract violation. The allocating Syndromes
-// call is the documented cost of the scratch-free convenience overload.
-// PAIR_ANALYZE_ALLOW(CON-SPAN: wrong length is a legal not-a-codeword answer)
-bool RsCode::IsCodeword(std::span<const Elem> word) const {
-  if (word.size() != n_) return false;
-  // PAIR_ANALYZE_ALLOW(HOT-COLDAPI: scratch-free convenience overload)
-  const auto syn = Syndromes(word);
-  return std::all_of(syn.begin(), syn.end(), [](Elem s) { return s == 0; });
-}
-
+// legal answer rather than a contract violation.
 // PAIR_ANALYZE_ALLOW(CON-SPAN: wrong length is a legal not-a-codeword answer)
 bool RsCode::IsCodeword(std::span<const Elem> word,
                         DecodeScratch& scratch) const {
@@ -297,18 +266,6 @@ bool RsCode::IsCodeword(std::span<const Elem> word,
   SyndromesInto(word, scratch.syn);
   return std::all_of(scratch.syn.begin(), scratch.syn.end(),
                      [](Elem s) { return s == 0; });
-}
-
-// PAIR_ANALYZE_ALLOW(CON-SPAN: delegates to the scratch Decode, which checks)
-DecodeResult RsCode::Decode(std::span<Elem> word,
-                            std::span<const unsigned> erasures) const {
-  // PAIR_ANALYZE_ALLOW(HOT-LOCAL: scratch-free convenience overload)
-  DecodeScratch scratch;
-  DecodeResult result;
-  result.status = Decode(word, erasures, scratch);
-  if (result.status == DecodeStatus::kCorrected)
-    result.corrections = std::move(scratch.corrections);
-  return result;
 }
 
 namespace {
@@ -342,21 +299,21 @@ DecodeStatus RsCode::Decode(std::span<Elem> word,
   const bool syn_zero =
       std::all_of(sc.syn.begin(), sc.syn.end(), [](Elem s) { return s == 0; });
   if (syn_zero && erasures.empty()) return DecodeStatus::kNoError;
+  const unsigned f = static_cast<unsigned>(erasures.size());
+  if (f > r()) return DecodeStatus::kFailure;
+  if (syn_zero) {
+    // Erasures flagged but the word is already a codeword: nothing to fix.
+    return DecodeStatus::kNoError;
+  }
 
   // Erasure locator Gamma(x) = prod (1 - X_i x), X_i = alpha^(n-1-pos),
-  // built up in place one binomial factor at a time.
+  // built up in place one binomial factor at a time (degree f <= r).
   sc.gamma.assign(1, 1);
   for (unsigned pos : erasures) {
     const Elem x_i = field_.AlphaPow(n_ - 1 - pos);
     sc.gamma.push_back(0);
     for (std::size_t j = sc.gamma.size() - 1; j >= 1; --j)
       sc.gamma[j] ^= field_.Mul(x_i, sc.gamma[j - 1]);
-  }
-  const unsigned f = static_cast<unsigned>(erasures.size());
-  if (f > r()) return DecodeStatus::kFailure;
-  if (syn_zero) {
-    // Erasures flagged but the word is already a codeword: nothing to fix.
-    return DecodeStatus::kNoError;
   }
 
   // Berlekamp-Massey seeded with the erasure locator.

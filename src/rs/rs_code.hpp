@@ -45,8 +45,8 @@ struct Correction {
 /// codeword *position* across all lanes is a contiguous span — exactly the
 /// shape the gf::BatchKernels span ops consume. stride >= lines leaves room
 /// for padding lanes. A block with lines == 1 and stride == 1 is bit-for-bit
-/// the plain contiguous codeword the per-line API has always used, which is
-/// how the per-line entry points delegate to the batch ones.
+/// a plain contiguous codeword, which is how SyndromesInto delegates to the
+/// batch pass.
 ///
 /// Non-owning, like std::span: the caller provides lines * n (through
 /// stride) symbols of backing storage.
@@ -68,26 +68,21 @@ struct BatchLineResult {
   unsigned corrected = 0;  // symbols repaired; 0 unless kCorrected
 };
 
-struct DecodeResult {
-  DecodeStatus status = DecodeStatus::kNoError;
-  std::vector<Correction> corrections;  // empty unless kCorrected
-
-  bool ok() const noexcept { return status != DecodeStatus::kFailure; }
-  unsigned NumCorrected() const noexcept {
-    return static_cast<unsigned>(corrections.size());
-  }
-};
+class RsCode;
 
 /// Reusable decoder workspace. A scheme keeps one per codec and threads it
-/// through every Decode call; after the first call the buffers have reached
-/// their steady-state capacity and the *clean* decode path (all syndromes
-/// zero — the overwhelmingly common case in reliability sweeps) performs no
-/// heap allocation at all. The error path reuses the same buffers and only
-/// grows them on the first pattern that needs more room.
+/// through every Decode call. Built from its code, every member is reserved
+/// to its bound, so a decode of one lane — clean, corrected or failed —
+/// performs no heap allocation, not even the first. Only DecodeBatch's
+/// block syndromes grow, past one lane, to the widest block decoded.
 ///
 /// Not thread-safe: one scratch per thread (the trial engine gives every
 /// worker its own Scheme instance, which owns its own scratch).
 struct DecodeScratch {
+  /// Reserves r syndromes, 2r + 2 coefficients per polynomial, and n error
+  /// positions, corrections and lane symbols for `code`.
+  explicit DecodeScratch(const RsCode& code);
+
   std::vector<Elem> syn;                 // r syndromes
   std::vector<Correction> corrections;   // valid after kCorrected
   // Berlekamp-Massey / Chien / Forney workspace.
@@ -128,59 +123,39 @@ class RsCode {
   /// symbols — RS "expandability". new_k must be in [1, MaxK()].
   RsCode Expanded(unsigned new_k) const { return RsCode(field_, new_k + r(), new_k); }
 
-  /// Systematic encode: returns the n-symbol codeword [data | parity].
-  std::vector<Elem> Encode(std::span<const Elem> data) const;
-
-  /// Allocation-free encode: writes the n-symbol codeword [data | parity]
-  /// into `out` (out.size() == n). `out` may not alias `data`.
-  void EncodeInto(std::span<const Elem> data, std::span<Elem> out) const;
-
-  /// Computes just the r parity symbols for `data`.
-  std::vector<Elem> ComputeParity(std::span<const Elem> data) const;
-
-  /// Allocation-free parity: writes the r check symbols into `parity`
-  /// (parity.size() == r).
+  /// Systematic parity: writes the r check symbols of `data` (k symbols)
+  /// into `parity` (parity.size() == r).
   void ComputeParityInto(std::span<const Elem> data,
                          std::span<Elem> parity) const;
 
   /// Parity contribution of setting data symbol `data_index` to value
-  /// `delta` relative to its previous value (delta = old XOR new). XOR the
-  /// result into the stored parity to re-encode without touching the other
-  /// k-1 data symbols. O(r) per changed symbol.
-  std::vector<Elem> ParityDelta(unsigned data_index, Elem delta) const;
-
-  /// Allocation-free variant of ParityDelta (out.size() == r).
+  /// `delta` relative to its previous value (delta = old XOR new), written
+  /// into `out` (out.size() == r). XOR it into the stored parity to
+  /// re-encode without touching the other k-1 data symbols. O(r) per
+  /// changed symbol.
   void ParityDeltaInto(unsigned data_index, Elem delta,
                        std::span<Elem> out) const;
 
   /// Writes the r syndromes of `word` (n symbols) into `out` (size r).
   void SyndromesInto(std::span<const Elem> word, std::span<Elem> out) const;
 
-  /// True iff `word` (n symbols) is a codeword (all syndromes zero).
-  bool IsCodeword(std::span<const Elem> word) const;
-
-  /// Allocation-free codeword check through a reusable scratch.
+  /// True iff `word` is a codeword: n symbols, all syndromes zero.
   bool IsCodeword(std::span<const Elem> word, DecodeScratch& scratch) const;
 
   /// Decodes in place. `erasures` lists codeword indices flagged as unreliable
   /// (e.g. a DQ pin known bad); duplicates/out-of-range entries are invalid.
   /// Corrects when 2*errors + erasures <= r, otherwise reports kFailure and
   /// leaves `word` unmodified. A successful correction is re-verified against
-  /// the syndromes; verification failure downgrades to kFailure.
-  DecodeResult Decode(std::span<Elem> word,
-                      std::span<const unsigned> erasures = {}) const;
-
-  /// Scratch-based decode: identical algorithm and results, but all working
-  /// memory lives in `scratch`. On kCorrected the applied corrections are in
-  /// scratch.corrections (cleared on every call). The clean path performs no
-  /// allocation once the scratch is warm.
+  /// the syndromes; verification failure downgrades to kFailure. All working
+  /// memory lives in `scratch`; on kCorrected the applied corrections are in
+  /// scratch.corrections (cleared on every call).
   DecodeStatus Decode(std::span<Elem> word, std::span<const unsigned> erasures,
                       DecodeScratch& scratch) const;
 
   /// Batch systematic encode over an SoA block (block.n == n): positions
   /// [0, k) hold the data lanes on entry, positions [k, n) receive the
-  /// parity lanes. Bitwise-identical to EncodeInto lane by lane, for every
-  /// kernel (GF arithmetic is exact).
+  /// parity lanes. Bitwise-identical to ComputeParityInto lane by lane, for
+  /// every kernel (GF arithmetic is exact).
   void EncodeBatchInto(const CodewordBlock& block) const;
 
   /// Batch syndromes: writes syndrome j of lane l to out[j * lines + l]
@@ -218,8 +193,6 @@ class RsCode {
   const Poly& Generator() const noexcept { return generator_; }
 
  private:
-  std::vector<Elem> Syndromes(std::span<const Elem> word) const;
-
   const GfField& field_;
   unsigned n_;
   unsigned k_;

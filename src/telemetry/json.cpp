@@ -96,7 +96,45 @@ std::string FormatJsonNumber(double value) {
 
 namespace {
 
+/// Length of the well-formed UTF-8 sequence that starts at byte `i` of
+/// `s`, or 0 when none does: overlong forms, surrogates (ED A0..BF), code
+/// points above U+10FFFF and truncated sequences are not UTF-8.
+std::size_t Utf8Length(std::string_view s, std::size_t i) {
+  const auto lead = static_cast<unsigned char>(s[i]);
+  if (lead < 0x80) return 1;
+  std::size_t len = 0;
+  unsigned lo = 0x80, hi = 0xBF;  // the second byte's range
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    len = 2;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    len = 3;
+    if (lead == 0xE0) lo = 0xA0;
+    if (lead == 0xED) hi = 0x9F;
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    len = 4;
+    if (lead == 0xF0) lo = 0x90;
+    if (lead == 0xF4) hi = 0x8F;
+  } else {
+    return 0;
+  }
+  if (i + len > s.size()) return 0;
+  for (std::size_t j = 1; j < len; ++j) {
+    const auto b = static_cast<unsigned char>(s[i + j]);
+    if (b < (j == 1 ? lo : 0x80) || b > (j == 1 ? hi : 0xBF)) return 0;
+  }
+  return len;
+}
+
+/// Writes `s` as a JSON string. Throws std::runtime_error when `s` is not
+/// UTF-8, which Parse would refuse.
 void WriteString(std::ostream& os, const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const std::size_t len = Utf8Length(s, i);
+    if (len == 0)
+      throw std::runtime_error("JSON string is not UTF-8 at byte " +
+                               std::to_string(i));
+    i += len;
+  }
   os << '"';
   for (const char ch : s) {
     switch (ch) {
@@ -321,12 +359,18 @@ class Parser {
     std::string out;
     for (;;) {
       if (pos_ >= text_.size()) Fail("unterminated string");
-      const char ch = text_[pos_++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out.push_back(ch);
+      const char ch = text_[pos_];
+      if (static_cast<unsigned char>(ch) < 0x20)
+        Fail("raw control character in string");
+      if (ch != '"' && ch != '\\') {
+        const std::size_t len = Utf8Length(text_, pos_);
+        if (len == 0) Fail("invalid UTF-8 in string");
+        out.append(text_.substr(pos_, len));
+        pos_ += len;
         continue;
       }
+      ++pos_;
+      if (ch == '"') return out;
       if (pos_ >= text_.size()) Fail("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {

@@ -1,13 +1,12 @@
 // Resettable byte streams feeding the chunked trace parser: plain files,
-// in-memory buffers, and transparently-decompressed gzip/zstd files behind
-// a magic-byte sniffing opener.
+// in-memory buffers, and transparently-inflated gzip files behind a
+// magic-byte sniffing opener.
 //
 // ByteSource is the compression seam: the streaming parser reads whatever
-// bytes come out, so a multi-GB compressed trace decompresses on the fly
-// in constant memory. Compression backends are compile-time gated on the
-// toolchain (PAIR_HAVE_ZLIB / PAIR_HAVE_ZSTD); opening a compressed file
-// without the matching backend fails with a clear std::runtime_error
-// instead of misparsing bytes.
+// bytes come out, so a multi-GB gzip trace inflates on the fly in constant
+// memory. The gzip backend is compile-time gated on zlib (PAIR_HAVE_ZLIB).
+// Opening a gzip file without it, or a zstd file at all, fails with a
+// clear std::runtime_error instead of misparsing bytes.
 #pragma once
 
 #include <cstddef>
@@ -68,15 +67,10 @@ bool GzipSupported() noexcept;
 std::unique_ptr<ByteSource> MakeInflateSource(std::unique_ptr<ByteSource> inner,
                                               const std::string& name);
 
-/// Wraps `inner` (a zstd frame stream) in a decompressing reader. Throws
-/// std::runtime_error when built without zstd.
-std::unique_ptr<ByteSource> MakeZstdSource(std::unique_ptr<ByteSource> inner,
-                                           const std::string& name);
-
-/// Opens `path`, sniffs the first bytes, and returns a plain, inflating,
-/// or zstd-decompressing source accordingly (gzip magic 1f 8b, zstd magic
-/// 28 b5 2f fd). Throws std::runtime_error on open failure or when the
-/// needed backend is not compiled in.
+/// Opens `path`, sniffs the first bytes, and returns a plain or inflating
+/// source accordingly (gzip magic 1f 8b). Throws std::runtime_error on open
+/// failure, for a gzip file when zlib is not compiled in, and for a zstd
+/// file (magic 28 b5 2f fd), which is not supported.
 std::unique_ptr<ByteSource> OpenByteSource(const std::string& path);
 
 /// Writes `bytes` to `path` as a gzip member (tests and trace tooling).

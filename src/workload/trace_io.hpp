@@ -30,7 +30,7 @@ void WriteTraceFile(const timing::Trace& trace, const std::string& path);
 /// diagnostic on malformed input, out-of-order cycles, unknown op codes,
 /// bad rank columns, or trailing tokens. `source` names the stream in the
 /// diagnostic (ReadTraceFile passes the path). ReadTraceFile also reads
-/// gzip/zstd files, like OpenTraceStream.
+/// gzip files, like OpenTraceStream.
 timing::Trace ReadTrace(std::istream& is, const std::string& source = "<trace>");
 timing::Trace ReadTraceFile(const std::string& path);
 

@@ -74,19 +74,21 @@ TEST(GfBatchKernelTest, EveryRunnableKernelMatchesScalarOnRandomSpans) {
         std::vector<Elem> want(len), got(len);
         ScalarKernels().mul_into(t, src.data(), want.data(), len);
         k->mul_into(t, src.data(), got.data(), len);
-        EXPECT_EQ(got, want) << "mul_into c=" << c << " len=" << len;
+        EXPECT_EQ(got, want)
+            << "mul_into c=" << unsigned{c} << " len=" << len;
 
         want = base;
         got = base;
         ScalarKernels().mul_add_into(t, src.data(), want.data(), len);
         k->mul_add_into(t, src.data(), got.data(), len);
-        EXPECT_EQ(got, want) << "mul_add_into c=" << c << " len=" << len;
+        EXPECT_EQ(got, want)
+            << "mul_add_into c=" << unsigned{c} << " len=" << len;
 
         want = base;
         got = base;
         ScalarKernels().syndrome_accumulate(t, src.data(), want.data(), len);
         k->syndrome_accumulate(t, src.data(), got.data(), len);
-        EXPECT_EQ(got, want) << "syndrome_accumulate c=" << c
+        EXPECT_EQ(got, want) << "syndrome_accumulate c=" << unsigned{c}
                              << " len=" << len;
       }
     }
@@ -122,11 +124,11 @@ TEST(GfBatchKernelTest, DispatchHonorsEnvironmentOverride) {
 
 TEST(GfBatchKernelTest, UnsupportedFieldFallsBackToScalar) {
   // m != 8: no SIMD kernel supports it, dispatch must return the oracle.
-  const GfField& f10 = GfField::Get(10);
-  EXPECT_EQ(&SelectKernels(f10), &ScalarKernels());
+  const GfField& f4 = GfField::Get(4);
+  EXPECT_EQ(&SelectKernels(f4), &ScalarKernels());
   for (const BatchKernels* k : CompiledKernels()) {
     if (k == &ScalarKernels()) continue;
-    EXPECT_FALSE(k->supports_field(f10));
+    EXPECT_FALSE(k->supports_field(f4));
   }
 }
 
@@ -148,7 +150,8 @@ std::vector<rs::RsCode> AllCodes() {
   return codes;
 }
 
-constexpr unsigned kBatchSizes[] = {1, 3, 16, 64};
+// 40 runs one 32-lane vector step plus a scalar tail.
+constexpr unsigned kBatchSizes[] = {1, 3, 16, 40, 64};
 
 /// Fills a block with `lines` random data words; returns the backing store.
 std::vector<Elem> RandomBlock(const rs::RsCode& code, unsigned lines,
@@ -171,13 +174,15 @@ TEST(RsBatchTest, EncodeBatchMatchesPerLineForEveryKernelAndShape) {
       rs::CodewordBlock block;
       auto store = RandomBlock(code, lines, rng, block);
 
-      // Per-line oracle first (scalar EncodeInto on each gathered lane).
+      // Per-line oracle first: ComputeParityInto, the per-line encoder,
+      // on each gathered lane.
       std::vector<std::vector<Elem>> want(lines);
-      std::vector<Elem> data(code.k());
       for (unsigned l = 0; l < lines; ++l) {
-        for (unsigned i = 0; i < code.k(); ++i) data[i] = block.Row(i)[l];
         want[l].resize(code.n());
-        code.EncodeInto(data, want[l]);
+        for (unsigned i = 0; i < code.k(); ++i) want[l][i] = block.Row(i)[l];
+        code.ComputeParityInto(
+            std::span<const Elem>(want[l]).first(code.k()),
+            std::span<Elem>(want[l]).subspan(code.k()));
       }
 
       for (const BatchKernels* k : CompiledKernels()) {
@@ -275,7 +280,7 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
         // Per-line oracle on copies.
         std::vector<std::vector<Elem>> want_words(lines);
         std::vector<rs::BatchLineResult> want(lines);
-        rs::DecodeScratch oracle_scratch;
+        rs::DecodeScratch oracle_scratch(code);
         for (unsigned l = 0; l < lines; ++l) {
           want_words[l].resize(code.n());
           for (unsigned i = 0; i < code.n(); ++i)
@@ -297,7 +302,7 @@ TEST(RsBatchTest, DecodeBatchMatchesPerLineForEveryKernelAndShape) {
           rs::CodewordBlock b{copy.data(), lines, code.n(), lines};
           code.UseKernelsForTest(*k);
           std::vector<rs::BatchLineResult> got(lines);
-          rs::DecodeScratch scratch;
+          rs::DecodeScratch scratch(code);
           code.DecodeBatch(b, got, scratch, erasures);
           for (unsigned l = 0; l < lines; ++l) {
             ASSERT_EQ(got[l].status, want[l].status) << "lane " << l;
@@ -317,12 +322,13 @@ TEST(RsBatchTest, BatchOfOneIsThePerLinePath) {
   // contract that makes that true (stride 1, lines 1).
   const rs::RsCode code = rs::Gf256Code(68, 64);
   Xoshiro256 rng(0x0B1);
-  std::vector<Elem> data(code.k());
-  for (auto& s : data)
-    s = static_cast<Elem>(rng.UniformBelow(code.field().Size()));
   std::vector<Elem> word(code.n());
-  code.EncodeInto(data, word);
-  EXPECT_TRUE(code.IsCodeword(word));
+  for (unsigned i = 0; i < code.k(); ++i)
+    word[i] = static_cast<Elem>(rng.UniformBelow(code.field().Size()));
+  code.ComputeParityInto(std::span<const Elem>(word).first(code.k()),
+                         std::span<Elem>(word).subspan(code.k()));
+  rs::DecodeScratch scratch(code);
+  EXPECT_TRUE(code.IsCodeword(word, scratch));
   const rs::CodewordBlock one{word.data(), 1, code.n(), 1};
   std::vector<Elem> syn(code.r(), 0xAA);
   code.SyndromesBatchInto(one, syn);

@@ -17,20 +17,13 @@ class GfFieldParamTest : public ::testing::TestWithParam<unsigned> {
  protected:
   const GfField& f() const { return GfField::Get(GetParam()); }
 
-  // Every (a, b) pair when m <= 8, a seeded sample of 20000 above.
-  std::vector<std::pair<Elem, Elem>> Pairs(std::uint64_t seed) const {
+  // Every (a, b) pair of the field.
+  std::vector<std::pair<Elem, Elem>> Pairs() const {
     const unsigned size = f().Size();
     std::vector<std::pair<Elem, Elem>> pairs;
-    if (GetParam() <= 8) {
-      for (unsigned a = 0; a < size; ++a)
-        for (unsigned b = 0; b < size; ++b)
-          pairs.emplace_back(static_cast<Elem>(a), static_cast<Elem>(b));
-    } else {
-      Xoshiro256 rng(seed);
-      for (int i = 0; i < 20000; ++i)
-        pairs.emplace_back(static_cast<Elem>(rng.UniformBelow(size)),
-                           static_cast<Elem>(rng.UniformBelow(size)));
-    }
+    for (unsigned a = 0; a < size; ++a)
+      for (unsigned b = 0; b < size; ++b)
+        pairs.emplace_back(static_cast<Elem>(a), static_cast<Elem>(b));
     return pairs;
   }
 };
@@ -41,15 +34,16 @@ TEST_P(GfFieldParamTest, SizeAndOrder) {
 }
 
 TEST_P(GfFieldParamTest, AdditionIsXor) {
-  for (const auto& [a, b] : Pairs(100 + GetParam())) {
+  for (const auto& [a, b] : Pairs()) {
     ASSERT_EQ(f().Add(a, b), a ^ b);
     ASSERT_EQ(f().Sub(a, b), f().Add(a, b));
   }
 }
 
 TEST_P(GfFieldParamTest, MultiplicationCommutesAndHasIdentity) {
-  for (const auto& [a, b] : Pairs(200 + GetParam())) {
-    ASSERT_EQ(f().Mul(a, b), f().Mul(b, a)) << a << " * " << b;
+  for (const auto& [a, b] : Pairs()) {
+    ASSERT_EQ(f().Mul(a, b), f().Mul(b, a))
+        << unsigned{a} << " * " << unsigned{b};
     ASSERT_EQ(f().Mul(a, 1), a);
     ASSERT_EQ(f().Mul(a, 0), 0);
   }
@@ -77,10 +71,7 @@ TEST_P(GfFieldParamTest, DistributesOverAddition) {
 }
 
 TEST_P(GfFieldParamTest, EveryNonzeroElementHasInverse) {
-  // Exhaustive for small fields, sampled for larger ones.
-  const unsigned size = f().Size();
-  const unsigned step = size > 4096 ? 13 : 1;
-  for (unsigned x = 1; x < size; x += step) {
+  for (unsigned x = 1; x < f().Size(); ++x) {
     const auto e = static_cast<Elem>(x);
     const Elem inv = f().Inv(e);
     EXPECT_EQ(f().Mul(e, inv), 1) << "x=" << x;
@@ -89,10 +80,12 @@ TEST_P(GfFieldParamTest, EveryNonzeroElementHasInverse) {
 }
 
 TEST_P(GfFieldParamTest, DivisionInvertsMultiplication) {
-  for (const auto& [a, b] : Pairs(500 + GetParam())) {
+  for (const auto& [a, b] : Pairs()) {
     if (b == 0) continue;
-    ASSERT_EQ(f().Div(f().Mul(a, b), b), a) << a << " / " << b;
-    ASSERT_EQ(f().Div(a, b), f().Mul(a, f().Inv(b))) << a << " / " << b;
+    ASSERT_EQ(f().Div(f().Mul(a, b), b), a)
+        << unsigned{a} << " / " << unsigned{b};
+    ASSERT_EQ(f().Div(a, b), f().Mul(a, f().Inv(b)))
+        << unsigned{a} << " / " << unsigned{b};
   }
 }
 
@@ -134,7 +127,7 @@ TEST_P(GfFieldParamTest, FermatLittleTheorem) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFieldSizes, GfFieldParamTest,
-                         ::testing::Range(2u, 17u));
+                         ::testing::Range(2u, 9u));
 
 TEST(GfField, ZeroHasNoInverse) {
   const auto& f = GfField::Get(8);
@@ -182,8 +175,9 @@ TEST(GfField, PowOfZero) {
 
 TEST(GfField, RejectsOutOfRangeM) {
   EXPECT_THROW(GfField(1, 0x3), std::invalid_argument);
-  EXPECT_THROW(GfField(17, 0x3), std::invalid_argument);
+  EXPECT_THROW(GfField(9, 0x211), std::invalid_argument);
   EXPECT_THROW(DefaultPrimitivePoly(1), std::invalid_argument);
+  EXPECT_THROW(DefaultPrimitivePoly(9), std::invalid_argument);
 }
 
 TEST(GfField, RejectsNonPrimitivePolynomial) {

@@ -9,9 +9,9 @@
 // read-correct-modify-write) and a DDR5 x8 BL16 rank (the column is the
 // whole on-die word; DUO refuses it), with flips and stuck cells in the
 // row, and with XED rebuilding a signalling device's column from the XOR
-// chip. Reads are counted on their first pass over the faulty row, except
-// DUO's, whose decoder workspace one uncounted pass sizes first. PAIR stays
-// out: its staging still copies rows.
+// chip. Reads are counted on their first pass over the faulty row, DUO's
+// too: its decoder workspace is sized from its code when the scheme is
+// built. PAIR stays out: its staging still copies rows.
 //
 // The allocator override is process-global, so this test lives in its own
 // binary (tests/CMakeLists.txt registers it like any other) and contains
@@ -131,12 +131,6 @@ TEST(OnDieAllocations, WritesAllocateNothingAndReadsOnlyTheirLine) {
     rank.device(4 % c.rg.data_devices).InjectFlip(1, 9, 400);
     const Address detected{1, 9, (128 + 64) / c.rg.device.AccessBits()};
 
-    // DUO's Berlekamp-Massey workspace grows on its first corrections of
-    // one and of two symbols, so one uncounted pass sizes it for these
-    // faults (reads change no stored bit). Every other scheme is counted
-    // on its first read pass.
-    if (c.kind == SchemeKind::kDuo)
-      for (unsigned col = 0; col < columns; ++col) scheme->ReadLine({1, 9, col});
     std::size_t bits_read = 0;
     before = g_allocations.load();
     for (unsigned col = 0; col < columns; ++col)

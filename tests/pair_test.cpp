@@ -541,7 +541,8 @@ TEST_P(PairStagingTest, WritesLeaveStorageUnderOtherPinsStuckCellsAlone) {
         std::vector<gf::Elem> data(k);
         for (unsigned i = 0; i < k; ++i)
           data[i] = RefDataSymbol(g, ref[d], k, pin, w, i);
-        const auto parity = scheme.code().ComputeParity(data);
+        std::vector<gf::Elem> parity(scheme.code().r());
+        scheme.code().ComputeParityInto(data, parity);
         for (unsigned j = 0; j < parity.size(); ++j)
           for (unsigned b = 0; b < 8; ++b)
             ref[d].Set(RefParityBit(g, scheme, pin, w, j, b),

@@ -22,7 +22,9 @@
 // decode path gets bounds- and UB-checked on every pattern.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "rs/rs_code.hpp"
@@ -55,6 +57,14 @@ std::vector<Elem> RandomData(const GfField& f, unsigned k, Xoshiro256& rng) {
   return d;
 }
 
+/// The systematic codeword [data | parity] of `data`.
+std::vector<Elem> Encode(const RsCode& code, std::span<const Elem> data) {
+  std::vector<Elem> cw(data.begin(), data.end());
+  cw.resize(code.n());
+  code.ComputeParityInto(data, std::span<Elem>(cw).subspan(code.k()));
+  return cw;
+}
+
 // Corrupts `count` distinct random positions with non-zero deltas; returns
 // the chosen positions (sorted, courtesy of std::set).
 std::vector<unsigned> InjectErrors(const GfField& f, std::vector<Elem>& word,
@@ -72,11 +82,11 @@ TEST(RsProperty, CorrectableErrorsRoundTripExactly) {
     SCOPED_TRACE(config.name);
     const RsCode code = Gf256Code(config.n, config.k);
     Xoshiro256 rng(0x5EED0000ull + config.n * 1000 + config.k);
-    DecodeScratch scratch;
+    DecodeScratch scratch(code);
 
     for (unsigned round = 0; round < 40; ++round) {
       const auto data = RandomData(code.field(), code.k(), rng);
-      const std::vector<Elem> codeword = code.Encode(data);
+      const std::vector<Elem> codeword = Encode(code, data);
       const unsigned errors =
           static_cast<unsigned>(rng.UniformBelow(code.t() + 1));
 
@@ -110,11 +120,11 @@ TEST(RsProperty, BeyondTNeverSilentlyMiscorrects) {
     SCOPED_TRACE(config.name);
     const RsCode code = Gf256Code(config.n, config.k);
     Xoshiro256 rng(0xBAD0000ull + config.n * 1000 + config.k);
-    DecodeScratch scratch;
+    DecodeScratch scratch(code);
 
     for (unsigned round = 0; round < 40; ++round) {
       const auto data = RandomData(code.field(), code.k(), rng);
-      const std::vector<Elem> codeword = code.Encode(data);
+      const std::vector<Elem> codeword = Encode(code, data);
       // t < e <= 2t: within the design distance, so the received word is
       // never itself a codeword and kNoError is a contract violation.
       const unsigned errors =
@@ -140,7 +150,7 @@ TEST(RsProperty, BeyondTNeverSilentlyMiscorrects) {
         // be (a) a real codeword and (b) visibly counted — this is what the
         // telemetry layer's miscorrection counters rely on.
         ASSERT_EQ(status, DecodeStatus::kCorrected);
-        EXPECT_TRUE(code.IsCodeword(word))
+        EXPECT_TRUE(code.IsCodeword(word, scratch))
             << "claimed correction must yield a codeword";
         EXPECT_GT(scratch.NumCorrected(), 0u)
             << "silent miscorrection: corrected with an empty count";
@@ -150,24 +160,60 @@ TEST(RsProperty, BeyondTNeverSilentlyMiscorrects) {
 }
 
 TEST(RsProperty, ScratchAndAllocatingDecodesAgree) {
-  // The allocation-free scratch path must be observationally identical to
-  // the allocating one — same status, same corrections, same output word.
+  // A scratch reused across decodes must be observationally identical to a
+  // freshly allocated one per decode — same status, same corrections, same
+  // output word — so no state leaks from one decode into the next.
   const RsCode code = Gf256Code(68, 64);
   Xoshiro256 rng(0xA11A5ull);
-  DecodeScratch scratch;
+  DecodeScratch scratch(code);
   for (unsigned round = 0; round < 60; ++round) {
     const auto data = RandomData(code.field(), code.k(), rng);
-    std::vector<Elem> word = code.Encode(data);
+    std::vector<Elem> word = Encode(code, data);
     const unsigned errors =
         static_cast<unsigned>(rng.UniformBelow(2 * code.t() + 2));
     InjectErrors(code.field(), word, errors, rng);
 
     std::vector<Elem> a = word, b = word;
-    const DecodeResult alloc = code.Decode(a);
+    DecodeScratch fresh(code);
+    const DecodeStatus alloc = code.Decode(a, {}, fresh);
     const DecodeStatus scr = code.Decode(b, {}, scratch);
-    ASSERT_EQ(alloc.status, scr) << "round " << round;
+    ASSERT_EQ(alloc, scr) << "round " << round;
     EXPECT_EQ(a, b) << "round " << round;
-    EXPECT_EQ(alloc.NumCorrected(), scratch.NumCorrected());
+    EXPECT_EQ(fresh.NumCorrected(), scratch.NumCorrected());
+  }
+}
+
+// A scratch built from its code holds every decode of one word without
+// growing: errors past t and erasures up to r + 1, clean words and
+// failures alike. So no decode allocates.
+TEST(RsProperty, ScratchNeverGrowsPastItsBound) {
+  for (const auto& config : kConfigs) {
+    SCOPED_TRACE(config.name);
+    const RsCode code = Gf256Code(config.n, config.k);
+    Xoshiro256 rng(0x5C7A7C4ull + config.n * 1000 + config.k);
+    DecodeScratch scratch(code);
+    const auto capacities = [&scratch] {
+      return std::vector<std::size_t>{
+          scratch.syn.capacity(),    scratch.corrections.capacity(),
+          scratch.gamma.capacity(),  scratch.lambda.capacity(),
+          scratch.b_poly.capacity(), scratch.adj.capacity(),
+          scratch.prev.capacity(),   scratch.s_poly.capacity(),
+          scratch.omega.capacity(),  scratch.lambda_prime.capacity(),
+          scratch.err_pos.capacity(), scratch.err_xinv.capacity()};
+    };
+    const std::vector<std::size_t> reserved = capacities();
+    for (unsigned round = 0; round < 200; ++round) {
+      std::vector<Elem> word =
+          Encode(code, RandomData(code.field(), code.k(), rng));
+      const auto errors =
+          static_cast<unsigned>(rng.UniformBelow(2 * code.t() + 3));
+      std::vector<unsigned> erasures =
+          InjectErrors(code.field(), word, errors, rng);
+      erasures.resize(std::min<std::size_t>(
+          erasures.size(), rng.UniformBelow(code.r() + 2)));
+      code.Decode(word, erasures, scratch);
+      ASSERT_EQ(capacities(), reserved) << "round " << round;
+    }
   }
 }
 

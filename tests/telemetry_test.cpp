@@ -87,6 +87,12 @@ TEST(Json, ParseRefusesWhatJsonForbids) {
       {"\"\\ud800\"", "at byte 7: lone high surrogate in \\u escape"},
       {"\"\\ud800\\u0041\"", "at byte 13: lone high surrogate in \\u escape"},
       {"\"\\udc00\"", "at byte 7: lone low surrogate in \\u escape"},
+      {"\"a\x01z\"", "at byte 2: raw control character in string"},
+      {"\"\xff\xfe\"", "at byte 1: invalid UTF-8 in string"},
+      {"\"\xc0\xaf\"", "at byte 1: invalid UTF-8 in string"},
+      {"\"\xed\xa0\x80\"", "at byte 1: invalid UTF-8 in string"},
+      {"\"\xf4\x90\x80\x80\"", "at byte 1: invalid UTF-8 in string"},
+      {"\"ok\xe2\x82\"", "at byte 3: invalid UTF-8 in string"},
   };
   for (const auto& [text, where] : cases) {
     std::string what = "parsed";
@@ -111,6 +117,25 @@ TEST(Json, ParseTakesJsonNumbersAndSurrogatePairs) {
   const JsonValue pair = JsonValue::Parse("\"\\ud83d\\ude00\"");
   EXPECT_EQ(pair.AsString(), "\xF0\x9F\x98\x80");
   EXPECT_EQ(JsonValue::Parse(pair.Dump()), pair);
+}
+
+// Whatever Dump writes, Parse reads back: every one-byte character (the
+// control characters escaped), UTF-8 at each sequence length's bounds, and
+// the surrogate block's neighbours. A string that is not UTF-8, which
+// Parse would refuse, Dump refuses to write.
+TEST(Json, DumpedStringsParseBack) {
+  std::vector<std::string> strings;
+  for (int c = 0; c < 0x80; ++c) strings.emplace_back(1, static_cast<char>(c));
+  strings.push_back("\xC2\x80 \xDF\xBF");                  // U+0080, U+07FF
+  strings.push_back("\xE0\xA0\x80 \xED\x9F\xBF \xEE\x80\x80");  // U+0800,
+                                                            // U+D7FF, U+E000
+  strings.push_back("\xEF\xBF\xBF \xF0\x90\x80\x80 \xF4\x8F\xBF\xBF");
+  for (const std::string& s : strings) {
+    const JsonValue v(s);
+    EXPECT_EQ(JsonValue::Parse(v.Dump()), v) << v.Dump();
+  }
+  for (const char* bad : {"\xff\xfe", "a\xc0\xaf", "\xed\xa0\x80", "\xe2\x82"})
+    EXPECT_THROW(JsonValue(bad).Dump(), std::runtime_error) << bad;
 }
 
 // 200000 open brackets overflowed the parser's stack: nesting is refused

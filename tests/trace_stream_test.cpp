@@ -230,5 +230,24 @@ TEST(ByteSource, GarbageAfterGzipMagicFailsLoudly) {
   EXPECT_THROW(Drain(parser), std::runtime_error);
 }
 
+// A zstd frame is recognised by its magic and refused in one line, rather
+// than parsed as trace text.
+TEST(ByteSource, ZstdTraceIsRefusedWithOneLine) {
+  const std::string path = ::testing::TempDir() + "/pair_stream_trace.zst";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "\x28\xb5\x2f\xfd" << "0 R 0 0 0 0\n";
+  }
+  std::string what = "opened";
+  try {
+    OpenByteSource(path);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, path + ": zstd-compressed traces are not supported; "
+                         "decompress the trace first");
+  EXPECT_THROW(OpenTraceStream(path), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace pair_ecc::workload

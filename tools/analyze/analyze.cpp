@@ -943,7 +943,7 @@ AnalyzerConfig AnalyzerConfig::Default() {
                              "telemetry/metrics.hpp", "util/table.hpp"};
   c.hot_file_prefixes = {"src/rs/", "src/gf/"};
   c.hot_function_names = {
-      "Decode",        "IsCodeword", "SyndromesInto", "EncodeInto",
+      "Decode",        "IsCodeword", "SyndromesInto",
       "ComputeParityInto", "ParityDeltaInto", "Eval", "Normalize",
       "Degree",        "AddInPlace", "Mul",  "Div", "Inv", "Add",
       "AlphaPow",      "Log",

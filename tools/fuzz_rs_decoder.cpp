@@ -30,6 +30,7 @@
 // ctest regression on any toolchain.
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dram/rank.hpp"
@@ -63,27 +64,26 @@ void FuzzRsDecoder(const std::uint8_t* data, std::size_t size) {
   const RsCode& code = PickCode(data[0]);
   const std::size_t payload = size - 1;
 
-  // RS 1-3: decode an arbitrary word. Symbols are masked into GF(256) —
-  // the decoder's documented precondition is field elements, and its
-  // log-table lookups index out of bounds otherwise (SyndromesInto
-  // PAIR_DCHECKs this in debug builds).
+  // RS 1-3: decode an arbitrary word. Every byte is a GF(256) element.
+  pair_ecc::rs::DecodeScratch scratch(code);
   std::vector<Elem> word(code.n(), 0);
   for (unsigned i = 0; i < code.n(); ++i)
-    word[i] = static_cast<Elem>((data[1 + (i % payload)] ^ (i * 37)) & 0xFF);
+    word[i] = static_cast<Elem>(data[1 + (i % payload)] ^ (i * 37));
   std::vector<Elem> received = word;
-  const auto wild = code.Decode(received);
-  if (wild.status == DecodeStatus::kCorrected) {
-    if (!code.IsCodeword(received)) __builtin_trap();
-    if (wild.NumCorrected() > code.t()) __builtin_trap();
+  const DecodeStatus wild = code.Decode(received, {}, scratch);
+  if (wild == DecodeStatus::kCorrected) {
+    if (scratch.NumCorrected() > code.t()) __builtin_trap();
+    if (!code.IsCodeword(received, scratch)) __builtin_trap();
   }
-  if (wild.status == DecodeStatus::kFailure && !(received == word))
+  if (wild == DecodeStatus::kFailure && !(received == word))
     __builtin_trap();  // failure must leave the word untouched
 
   // RS 4: bounded-error roundtrip from fuzzer-chosen bytes.
-  std::vector<Elem> msg(code.k());
+  std::vector<Elem> clean(code.n());
   for (unsigned i = 0; i < code.k(); ++i)
-    msg[i] = static_cast<Elem>(data[1 + ((i * 3) % payload)]);
-  const auto clean = code.Encode(msg);
+    clean[i] = static_cast<Elem>(data[1 + ((i * 3) % payload)]);
+  code.ComputeParityInto(std::span<const Elem>(clean).first(code.k()),
+                         std::span<Elem>(clean).subspan(code.k()));
   auto noisy = clean;
   const unsigned errors = data[1] % (code.t() + 1);
   for (unsigned e = 0; e < errors; ++e) {
@@ -92,9 +92,9 @@ void FuzzRsDecoder(const std::uint8_t* data, std::size_t size) {
     const Elem mag = static_cast<Elem>(1 + data[1 + ((e * 11 + 5) % payload)] % 255);
     noisy[pos] = static_cast<Elem>(noisy[pos] ^ mag);
   }
-  const auto result = code.Decode(noisy);
+  const DecodeStatus result = code.Decode(noisy, {}, scratch);
   if (!(noisy == clean)) __builtin_trap();
-  if (result.status == DecodeStatus::kFailure) __builtin_trap();
+  if (result == DecodeStatus::kFailure) __builtin_trap();
 }
 
 void FuzzScheme(const std::uint8_t* data, std::size_t size) {

@@ -12,8 +12,8 @@
 //           drains it) either both accept with identical request
 //           sequences, or both reject with the identical
 //           "<source>:<line>:" diagnostic.
-//   high bit set — BYTES: the payload is fed through the gzip/zstd
-//     sniffing decompression path. Properties:
+//   high bit set — BYTES: the payload is fed through the sniffing opener's
+//     gzip path (a zstd magic is refused). Properties:
 //     BP 1. No crash on arbitrary (truncated, corrupt, concatenated)
 //           compressed input; failures surface as std::runtime_error.
 //     BP 2. When the bytes do decode, the decompressed text obeys TP 2.

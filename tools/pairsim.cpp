@@ -683,7 +683,7 @@ Flags SystemFlags(SystemOptions& o) {
         {"lines", &c.lines_per_row, "4", "lines per row", "lines_per_row"}},
        RunFlags(c, o.trials, "200"),
        {Fixed(&c.timing.tck_ns, "tck_ns"),
-        {"trace", &o.trace, "", "demand trace file (plain, gzip or zstd)"}}});
+        {"trace", &o.trace, "", "demand trace file (plain or gzip)"}}});
 }
 
 /// --trace-gen and the stream shape group it reads.
