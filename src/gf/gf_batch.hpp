@@ -13,8 +13,8 @@
 // several implementations ("kernels"): a scalar reference that calls
 // GfField::Mul per element — the bitwise oracle every other kernel must
 // match exactly — plus x86 SIMD variants (PCLMUL on 8 lanes per step, AVX2
-// split-nibble PSHUFB and GFNI affine on 32). GF multiplication is exact, so any
-// correct kernel produces identical bits; the differential test in
+// split-nibble PSHUFB and GFNI affine on 32). GF multiplication is exact,
+// so any correct kernel produces identical bits; the differential test in
 // tests/gf_batch_test.cpp enforces it for every compiled-in kernel.
 //
 // Dispatch is by runtime CPUID, best kernel first (gfni > avx2 > pclmul >
